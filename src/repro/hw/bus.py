@@ -8,19 +8,21 @@ wins), FIFO among equal priorities.
 
 Two usage styles:
 
-- ``yield from bus.transfer(master, target, words)`` inside a
-  :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated.
+- ``yield from bus.transfer(master, target, words, count)`` inside a
+  :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated;
+  ``count`` back-to-back transactions share one generator frame.
 - ``bus.stats`` exposes utilization counters that the analytic
   contention model in :mod:`repro.hw.contention` is calibrated against.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.sim.engine import Simulator
-from repro.sim.resources import PriorityResource
+from repro.sim.events import Event
 
 
 class BusTarget(Protocol):
@@ -61,6 +63,12 @@ class BusStats:
 class OPBBus:
     """Fixed-priority arbitrated shared bus.
 
+    The arbiter is a holder slot plus a heap of ``(priority, seq,
+    grant)`` waiters; a grant is a plain :class:`~repro.sim.events.Event`
+    succeeded synchronously -- inside the request when the bus is free,
+    inside the holder's release otherwise -- so every transaction costs
+    exactly two queue entries (grant, hold timeout).
+
     Parameters
     ----------
     sim:
@@ -72,38 +80,114 @@ class OPBBus:
     def __init__(self, sim: Simulator, name: str = "opb"):
         self.sim = sim
         self.name = name
-        self._arbiter = PriorityResource(sim, capacity=1, name=f"{name}-arbiter")
+        self._holder: Optional[Event] = None
+        self._waiting: List[Tuple[int, int, Event]] = []
+        self._seq = 0
         self.stats = BusStats()
 
-    def transfer(self, master: int, target: BusTarget, words: int = 1):
-        """Generator: arbitrate, hold the bus, release.
+    def _request(self, priority: int) -> Event:
+        """Grant event for one tenure, queued in (priority, arrival) order.
 
-        Yields inside a Process.  Returns the total cycles spent
-        (waiting + transferring) so callers can account time.
+        The grant is never elided on a free bus: its queue entry at
+        ``now`` keeps the hold timeout behind every entry already due at
+        the grant instant, exactly where a queued master's grant lands.
         """
-        start = self.sim.now
-        request = self._arbiter.request(priority=master)
-        try:
-            yield request
-            waited = self.sim.now - start
-            latency = target.access_latency(words)
-            yield self.sim.timeout(latency)
-        finally:
-            # An interrupt thrown into the caller mid-transaction must
-            # not leave the bus granted forever; the abandoned cycles
-            # are charged to the interrupt latency instead.
-            self._arbiter.release(request)
+        grant = Event(self.sim)
+        if self._holder is None:
+            self._holder = grant
+            grant.succeed()
+        else:
+            self._seq += 1
+            heapq.heappush(self._waiting, (priority, self._seq, grant))
+        return grant
 
-        self.stats.busy_cycles += latency
-        self.stats.transactions += 1
-        self.stats.wait_cycles[master] = self.stats.wait_cycles.get(master, 0) + waited
-        self.stats.transfer_cycles[master] = (
-            self.stats.transfer_cycles.get(master, 0) + 1
-        )
-        self.stats.per_target[target.name] = (
-            self.stats.per_target.get(target.name, 0) + latency
-        )
-        return waited + latency
+    def _release(self, grant: Event) -> None:
+        """End a tenure (or cancel a queued one) and grant the next waiter."""
+        waiting = self._waiting
+        if self._holder is grant:
+            if waiting:
+                grant = heapq.heappop(waiting)[2]
+                self._holder = grant
+                grant.succeed()
+            else:
+                self._holder = None
+            return
+        for index, entry in enumerate(waiting):
+            if entry[2] is grant:
+                del waiting[index]
+                heapq.heapify(waiting)
+                return
+        raise RuntimeError("release of a grant this bus never issued")
+
+    def transfer(self, master: int, target: BusTarget, words: int = 1,
+                 count: int = 1):
+        """Generator: ``count`` back-to-back arbitrated transactions.
+
+        Each transaction requests the bus, holds it for the target's
+        ``words``-beat latency and releases it, exactly as ``count``
+        separate calls would; one generator frame and one re-armed hold
+        timeout serve the whole batch.  Yields inside a Process and
+        returns the total cycles spent (waiting + transferring).
+
+        This is the prototype rung's hottest loop, so the common paths
+        of :meth:`_request` and :meth:`_release` are inlined here.
+        """
+        sim = self.sim
+        stats = self.stats
+        waiting = self._waiting
+        latency = target.access_latency(words)
+        sleeper = None
+        spent = 0
+        for _ in range(count):
+            start = sim.now
+            grant = Event(sim)
+            if self._holder is None:
+                self._holder = grant
+                grant.succeed()
+            else:
+                self._seq += 1
+                heapq.heappush(waiting, (master, self._seq, grant))
+            try:
+                yield grant
+                sleeper = sim.advance(latency, sleeper)
+                yield sleeper
+            except BaseException:
+                # An interrupt thrown into the caller mid-transaction
+                # must not leave the bus granted (or the request queued)
+                # forever; the abandoned cycles are charged to the
+                # interrupt latency, and only completed transactions
+                # reach the stats.
+                self._release(grant)
+                raise
+            if waiting:
+                grant = heapq.heappop(waiting)[2]
+                self._holder = grant
+                grant.succeed()
+            else:
+                self._holder = None
+            elapsed = sim.now - start
+            stats.busy_cycles += latency
+            stats.transactions += 1
+            stats.wait_cycles[master] = (
+                stats.wait_cycles.get(master, 0) + elapsed - latency
+            )
+            stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + 1
+            stats.per_target[target.name] = (
+                stats.per_target.get(target.name, 0) + latency
+            )
+            spent += elapsed
+        return spent
+
+    def stream(self, master: int, target: BusTarget, words: int, burst: int):
+        """Generator: move ``words`` words as full ``burst``-word
+        transactions plus one remainder; returns the cycles spent."""
+        full, rest = divmod(max(0, words), burst)
+        spent = 0
+        if full:
+            spent += yield from self.transfer(master, target, burst, full)
+        if rest:
+            spent += yield from self.transfer(master, target, rest)
+        return spent
 
     #: Arbitration priority of injected stalls: beats every real master
     #: (lower wins), modelling a glitching device that hogs grant.
@@ -120,12 +204,12 @@ class OPBBus:
         """
         if cycles <= 0:
             raise ValueError("stall cycles must be positive")
-        request = self._arbiter.request(priority=self.STALL_PRIORITY)
+        grant = self._request(self.STALL_PRIORITY)
         try:
-            yield request
+            yield grant
             yield self.sim.timeout(cycles)
         finally:
-            self._arbiter.release(request)
+            self._release(grant)
         self.stats.busy_cycles += cycles
         self.stats.stalls_injected += 1
         self.stats.stall_cycles += cycles
@@ -143,11 +227,11 @@ class OPBBus:
     @property
     def queue_length(self) -> int:
         """Masters currently waiting for grant (diagnostic)."""
-        return self._arbiter.queue_length
+        return len(self._waiting)
 
     @property
     def busy(self) -> bool:
-        return self._arbiter.busy
+        return self._holder is not None
 
 
 def analytic_txn_wait(
@@ -178,8 +262,7 @@ def analytic_txn_wait(
     in prototype measurements), not a divergence.  ``gain`` is the
     calibration knob fitted against prototype runs
     (``repro-perf calibrate-tlm``); it absorbs burst clustering (cores
-    issue their chunk's transactions back to back) and the
-    burst clustering of the chunked cores.
+    issue their chunk's transactions back to back).
 
     ``skew`` models the fixed-priority order of the real arbiter
     (lower cpu id wins): the wait is tilted linearly across the active

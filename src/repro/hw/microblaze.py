@@ -258,9 +258,9 @@ class MicroBlaze:
             try:
                 if local:
                     yield self.sim.timeout(local)
-                for _ in range(n_txn):
+                if n_txn:
                     yield from self.bus.transfer(
-                        self.cpu_id, self.ddr, profile.access_words
+                        self.cpu_id, self.ddr, profile.access_words, n_txn
                     )
             except BaseException:
                 # Interrupted mid-chunk: credit the nominal progress the

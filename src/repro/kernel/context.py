@@ -82,32 +82,28 @@ class ContextSwitchEngine:
             )
         return self.contexts[task_name]
 
-    def _stream(self, words: int):
-        """Generator: move ``words`` words over the bus in bursts."""
-        remaining = words
-        while remaining > 0:
-            burst = min(BURST_WORDS, remaining)
-            yield from self.core.bus.transfer(self.core.cpu_id, self.core.ddr, burst)
-            remaining -= burst
-
     def save(self, context: TaskContext):
         """Generator: save register file + stack to shared memory."""
-        start = self.core.sim.now
-        yield self.core.sim.timeout(self.primitive_overhead)
-        yield from self._stream(context.total_words)
+        core = self.core
+        start = core.sim.now
+        yield core.sim.timeout(self.primitive_overhead)
+        yield from core.bus.stream(core.cpu_id, core.ddr, context.total_words,
+                                   BURST_WORDS)
         context.saved = True
         context.save_count += 1
         self.saves += 1
-        self.cycles_spent += self.core.sim.now - start
+        self.cycles_spent += core.sim.now - start
 
     def restore(self, context: TaskContext):
         """Generator: load register file, relocate stack to local BRAM."""
-        start = self.core.sim.now
-        yield self.core.sim.timeout(self.primitive_overhead)
-        yield from self._stream(context.total_words)
+        core = self.core
+        start = core.sim.now
+        yield core.sim.timeout(self.primitive_overhead)
+        yield from core.bus.stream(core.cpu_id, core.ddr, context.total_words,
+                                   BURST_WORDS)
         context.restore_count += 1
         self.restores += 1
-        self.cycles_spent += self.core.sim.now - start
+        self.cycles_spent += core.sim.now - start
 
     def switch(self, old: Optional[TaskContext], new: Optional[TaskContext]):
         """Generator: full switch (save old if any, restore new if any)."""

@@ -23,7 +23,7 @@ from repro.core.task import AperiodicTask, Job, TaskSet
 from repro.hw.intc import MultiprocessorInterruptController
 from repro.hw.microblaze import DEFAULT_PROFILE, ExecutionProfile, SegmentResult
 from repro.hw.soc import SoC
-from repro.kernel.context import ContextSwitchEngine, TaskContext
+from repro.kernel.context import BURST_WORDS, ContextSwitchEngine, TaskContext
 from repro.kernel.costs import KernelCosts
 from repro.sim.events import Interrupt
 from repro.trace.recorder import TraceRecorder
@@ -320,11 +320,7 @@ class DualPriorityMicrokernel:
         """Shared-memory task-table traffic for queue manipulation."""
         words = self.costs.queue_op_words * max(1, jobs_moved)
         core = self.soc.cores[cpu]
-        remaining = words
-        while remaining > 0:
-            burst = min(8, remaining)
-            yield from core.bus.transfer(cpu, core.ddr, burst)
-            remaining -= burst
+        yield from core.bus.stream(cpu, core.ddr, words, BURST_WORDS)
 
     def _scheduling_cycle(self, cpu: int):
         """The timer-triggered scheduling cycle, run by one processor."""

@@ -10,14 +10,13 @@ external simulation frameworks.  It provides:
   -- one-shot signalling primitives,
 - :class:`~repro.sim.engine.Process` -- generator-based cooperative
   processes with SimPy-style interrupts (used to model preemption),
-- :class:`~repro.sim.resources.Resource` /
-  :class:`~repro.sim.resources.PriorityResource` -- queued resources
-  used for bus arbitration style contention.
+- :class:`~repro.sim.resources.Store` -- a blocking FIFO for
+  mailbox-style hardware.
 """
 
 from repro.sim.engine import Process, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Store
 
 __all__ = [
     "Simulator",
@@ -27,7 +26,5 @@ __all__ = [
     "Interrupt",
     "AnyOf",
     "AllOf",
-    "Resource",
-    "PriorityResource",
     "Store",
 ]

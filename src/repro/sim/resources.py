@@ -1,143 +1,16 @@
 """Queued resources for modelling contention.
 
-:class:`Resource` is a FIFO-granted counted resource;
-:class:`PriorityResource` grants by (priority, fifo) order, which is the
-shape of the OPB bus arbiter (fixed master priorities).  :class:`Store`
-is an unbounded FIFO of items used by mailbox-style hardware (the
-crossbar message channels).
+:class:`Store` is an unbounded FIFO of items used by mailbox-style
+hardware (the crossbar message channels).  Bus arbitration lives with
+the bus itself (:class:`repro.hw.bus.OPBBus`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque
 
 from repro.sim.events import Event
-
-
-class Request(Event):
-    """The event handed back by ``resource.request()``.
-
-    Fires when the resource is granted.  Must be released via
-    ``resource.release(request)`` (or used as a context token).
-    """
-
-    def __init__(self, resource: "Resource", priority: int = 0):
-        super().__init__(resource.sim, name=f"Request({resource.name})")
-        self.resource = resource
-        self.priority = priority
-
-    def release(self) -> None:
-        """Give the resource back."""
-        self.resource.release(self)
-
-
-class Resource:
-    """A counted resource granting at most ``capacity`` holders at once."""
-
-    def __init__(self, sim, capacity: int = 1, name: str = "resource"):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.users: List[Request] = []
-        self._waiting: Deque[Request] = deque()
-        self.grant_count = 0
-        self.wait_cycles_total = 0
-        self._request_times = {}
-
-    # -- public API -----------------------------------------------------------
-    def request(self, priority: int = 0) -> Request:
-        """Ask for the resource; the returned event fires when granted."""
-        req = Request(self, priority=priority)
-        self._request_times[id(req)] = self.sim.now
-        self._enqueue(req)
-        self._grant()
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return the resource and wake the next waiter."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            # Cancelled before grant: drop from the wait queue instead.
-            try:
-                self._waiting.remove(request)
-            except ValueError:
-                raise RuntimeError("release of a request this resource never saw")
-        self._grant()
-
-    @property
-    def queue_length(self) -> int:
-        """Number of ungranted requests."""
-        return len(self._waiting)
-
-    @property
-    def busy(self) -> bool:
-        """True when at least one holder is active."""
-        return bool(self.users)
-
-    # -- internals --------------------------------------------------------------
-    def _enqueue(self, req: Request) -> None:
-        self._waiting.append(req)
-
-    def _next(self) -> Optional[Request]:
-        if not self._waiting:
-            return None
-        return self._waiting.popleft()
-
-    def _grant(self) -> None:
-        while len(self.users) < self.capacity:
-            req = self._next()
-            if req is None:
-                return
-            self.users.append(req)
-            self.grant_count += 1
-            started = self._request_times.pop(id(req), self.sim.now)
-            self.wait_cycles_total += self.sim.now - started
-            req.succeed(self)
-
-
-class PriorityResource(Resource):
-    """Resource granted in (priority, arrival) order; lower wins.
-
-    This matches a fixed-priority bus arbiter: the pending master with
-    the numerically lowest priority value is granted first, FIFO among
-    equals.
-    """
-
-    def __init__(self, sim, capacity: int = 1, name: str = "priority-resource"):
-        super().__init__(sim, capacity=capacity, name=name)
-        self._counter = 0
-        self._pq: List[Tuple[int, int, Request]] = []
-
-    def _enqueue(self, req: Request) -> None:
-        self._counter += 1
-        self._pq.append((req.priority, self._counter, req))
-        self._pq.sort(key=lambda item: (item[0], item[1]))
-
-    def _next(self) -> Optional[Request]:
-        if not self._pq:
-            return None
-        _prio, _order, req = self._pq.pop(0)
-        return req
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._pq)
-
-    def release(self, request: Request) -> None:
-        try:
-            self.users.remove(request)
-        except ValueError:
-            for i, (_p, _o, r) in enumerate(self._pq):
-                if r is request:
-                    del self._pq[i]
-                    break
-            else:
-                raise RuntimeError("release of a request this resource never saw")
-        self._grant()
 
 
 class Store:

@@ -1,11 +1,14 @@
 """Tests for the MicroBlaze core model (profile-driven execution)."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.hw.bus import OPBBus
 from repro.hw.memory import DDRMemory
 from repro.hw.microblaze import ExecutionProfile, MicroBlaze, SegmentResult
 from repro.sim import Interrupt, Simulator
+from tests.hw.reference_bus import ReferenceBus
 
 
 def make_core(sim=None, cpu=0, chunk=1000):
@@ -163,3 +166,46 @@ def test_utilization_stats():
     assert stats["busy"] == 1000
     assert stats["idle"] == 200
     assert stats["nominal"] == 1000
+
+
+def run_interrupted_pair(bus_cls, irq_at):
+    """Two cores contend; cpu1 is interrupted at ``irq_at`` mid-batch."""
+    sim = Simulator()
+    bus = bus_cls(sim)
+    ddr = DDRMemory()
+    cores = [MicroBlaze(sim, cpu, bus, ddr, chunk_cycles=2000) for cpu in (0, 1)]
+    results = [SegmentResult(), SegmentResult()]
+    ends = {}
+
+    def run(cpu):
+        try:
+            yield from cores[cpu].execute(6000, ExecutionProfile(40, 4), results[cpu])
+        except Interrupt:
+            pass
+        ends[cpu] = sim.now
+
+    procs = [sim.process(run(cpu)) for cpu in (0, 1)]
+    sim.schedule_at(irq_at, lambda: procs[1].interrupt("irq"))
+    sim.run()
+    return bus, cores, results, ends
+
+
+@pytest.mark.parametrize("irq_at", [1101, 1350, 1500, 1777, 2899, 4321, 5000])
+def test_interrupt_mid_batch_matches_unbatched_loop(irq_at):
+    bus, cores, results, ends = run_interrupted_pair(OPBBus, irq_at)
+    ref_bus, ref_cores, ref_results, ref_ends = run_interrupted_pair(
+        ReferenceBus, irq_at)
+    # Each chunk spends 1100 local cycles, then issues its 50
+    # transactions as one batch; cpu1's batches span [1100, 2900) and
+    # [4000, 5782), so every instant above lands inside one (holding
+    # the bus or queued for it).
+    assert ends[1] == irq_at and not results[1].completed
+    assert results[0].completed and not bus.busy and bus.queue_length == 0
+    # Only the transactions that finished before the interrupt count.
+    assert bus.stats.transfer_cycles.get(1, 0) < 150
+    assert asdict(bus.stats) == asdict(ref_bus.stats)
+    assert ends == ref_ends
+    for got, want in zip(results, ref_results):
+        assert vars(got) == vars(want)
+    for got, want in zip(cores, ref_cores):
+        assert got.utilization_stats == want.utilization_stats

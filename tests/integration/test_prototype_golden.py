@@ -1,0 +1,82 @@
+"""Golden identity of two prototype Figure-4 cells.
+
+Pins the exact simulated outcome -- aperiodic response, bus accounting
+and kernel context switches -- of 2P/40 % and 4P/60 % at the 1.0 s
+arrival phase, recorded before the bus arbitration and batched
+transfers were reworked.  A speed-up that moves a single same-instant
+tie (and with it the whole schedule) fails here, not only in the
+benchmark's output digest.
+"""
+
+import pytest
+
+from repro import CLOCK_HZ, TICK, cycles_to_seconds
+from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
+from repro.trace.metrics import compute_metrics
+from repro.workloads.automotive import (
+    AUTOMOTIVE_APERIODIC,
+    automotive_bindings,
+    build_automotive_taskset,
+    prepare_taskset,
+)
+
+SCALE = 1_000
+
+GOLDEN = {
+    (2, 0.40): {
+        "real_s": 11.46938,
+        "now": 1_300_000,
+        "transactions": 28_974,
+        "busy": 509_224,
+        "waits": {0: 110_211, 1: 108_811},
+        "per_master": {0: 14_881, 1: 14_093},
+        "per_target": {"ddr": 507_442, "mpic": 1_782},
+        "context_switches": 214,
+    },
+    (4, 0.60): {
+        "real_s": 15.81538,
+        "now": 1_300_000,
+        "transactions": 62_581,
+        "busy": 1_098_854,
+        "waits": {0: 245_436, 1: 263_984, 2: 411_300, 3: 562_694},
+        "per_master": {0: 17_990, 1: 18_151, 2: 12_556, 3: 13_884},
+        "per_target": {"ddr": 1_095_272, "mpic": 3_582},
+        "context_switches": 983,
+    },
+}
+
+
+def run_phase(n_cpus: int, utilization: float, arrival_s: float = 1.0) -> dict:
+    """One prototype run exactly as ``figure4.run_cell`` makes it."""
+    taskset = prepare_taskset(
+        build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
+    )
+    arrival = int(arrival_s * CLOCK_HZ)
+    horizon = arrival + int(25.0 * CLOCK_HZ)
+    proto = PrototypeSimulator(
+        taskset,
+        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=SCALE),
+        bindings=automotive_bindings(),
+        aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
+    )
+    proto.run(horizon)
+    metrics = compute_metrics(proto.finished_jobs, horizon // SCALE)
+    response = proto.to_full_scale(
+        int(metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
+    )
+    stats = proto.soc.bus.stats
+    return {
+        "real_s": cycles_to_seconds(response),
+        "now": proto.soc.sim.now,
+        "transactions": stats.transactions,
+        "busy": stats.busy_cycles,
+        "waits": stats.wait_cycles,
+        "per_master": stats.transfer_cycles,
+        "per_target": stats.per_target,
+        "context_switches": proto.kernel.context_switches,
+    }
+
+
+@pytest.mark.parametrize("cell", sorted(GOLDEN), ids=lambda c: f"{c[0]}P{round(c[1] * 100)}")
+def test_prototype_cell_is_bit_identical(cell):
+    assert run_phase(*cell) == GOLDEN[cell]
