@@ -11,6 +11,19 @@ kernel -- it drives the identical :class:`~repro.core.mpdp.MPDPScheduler`
 at the same tick granularity -- but replaces all physical effects
 (arbitrated bus, context traffic, interrupt latency) with a uniform
 inflation of execution times by ``overhead`` (2 % by default).
+
+The policy is consulted only where its decision can change, as in the
+TLM rung.  A scheduling tick recomputes the full assignment
+(:meth:`~repro.core.mpdp.MPDPScheduler.allocate`) only when it released
+or promoted a job; an instant with an aperiodic arrival always does.
+An instant whose only change is finished jobs hands each freed
+processor, in ascending order, the head of the queues with
+:meth:`~repro.core.mpdp.MPDPScheduler.refill` -- the same placement
+``allocate`` makes, since it binds local queues first and then gives
+the global heads to free processors lowest id first, and no queued job
+has affinity to a processor.  Every tick still counts as a scheduling
+cycle.  ``tests/simulators/reference_theoretical.py`` keeps the
+allocate-every-step loop as the oracle this must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -62,6 +75,8 @@ class TheoreticalSimulator:
         self.policy = MPDPScheduler(taskset, n_cpus, promotion_granularity="tick")
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.now = 0
+        # The tick grid is state, not restarted by each run() call.
+        self._next_tick = 0
         self.context_switches = 0
         self.scheduling_cycles = 0
         self._inflated: set = set()
@@ -93,16 +108,20 @@ class TheoreticalSimulator:
 
     # ------------------------------------------------------------------- events
     def _process_tick(self) -> bool:
-        released = self.policy.release_due(self.now)
+        """One scheduling cycle; True when a job entered or left a band."""
+        now = self.now
+        released = self.policy.release_due(now)
         for job in released:
             self._inflate(job)
-            self.trace.record(self.now, "release", job=job.name)
-        promoted = self.policy.promote_due(self.now)
-        for job in promoted:
-            self.trace.record(self.now, "promote", job=job.name)
+        promoted = self.policy.promote_due(now)
+        if self.trace.enabled:
+            for job in released:
+                self.trace.record(now, "release", job=job.name)
+            for job in promoted:
+                self.trace.record(now, "promote", job=job.name)
         self.scheduling_cycles += 1
-        self.trace.record(self.now, "tick")
-        return True
+        self.trace.record(now, "tick")
+        return bool(released or promoted)
 
     def _process_arrivals(self) -> bool:
         dirty = False
@@ -113,23 +132,28 @@ class TheoreticalSimulator:
             job = Job(task, release=self.now, index=index)
             self._inflate(job)
             self.policy.add_aperiodic(job)
-            self.trace.record(self.now, "release", job=job.name, info="aperiodic")
+            if self.trace.enabled:
+                self.trace.record(self.now, "release", job=job.name, info="aperiodic")
             dirty = True
         return dirty
 
-    def _process_completions(self) -> bool:
-        dirty = False
+    def _process_completions(self) -> List[int]:
+        """Retire finished jobs; returns the freed processors, ascending."""
+        freed: List[int] = []
         for cpu, job in enumerate(list(self.policy.running)):
             if job is not None and job.remaining == 0:
                 self.policy.job_finished(job, self.now)
-                self.trace.record(self.now, "finish", job=job.name, cpu=cpu)
-                dirty = True
-        return dirty
+                if self.trace.enabled:
+                    self.trace.record(self.now, "finish", job=job.name, cpu=cpu)
+                freed.append(cpu)
+        return freed
 
     def _allocate(self) -> None:
         previous = list(self.policy.running)
         allocation = self.policy.allocate(self.now)
         self.context_switches += len(allocation.switches)
+        if not self.trace.enabled:
+            return
         for cpu in allocation.switches:
             job = allocation.assignment[cpu]
             old = previous[cpu]
@@ -140,42 +164,46 @@ class TheoreticalSimulator:
             else:
                 self.trace.record(self.now, "idle", cpu=cpu)
 
+    def _refill(self, freed: List[int]) -> None:
+        """Hand each freed processor the head of its queues, ascending."""
+        for cpu in freed:
+            job = self.policy.refill(cpu, self.now)
+            if job is not None:
+                self.context_switches += 1
+                if self.trace.enabled:
+                    self.trace.record(self.now, "dispatch", job=job.name, cpu=cpu)
+
     # --------------------------------------------------------------------- run
     def run(self, until: int) -> List[Job]:
         """Simulate to ``until``; returns the finished jobs."""
-        next_tick = self.now  # first scheduling cycle at start
         while self.now < until:
-            dirty = False
-            if self.now == next_tick:
-                dirty |= self._process_tick()
-                next_tick += self.tick
-            dirty |= self._process_arrivals()
-            dirty |= self._process_completions()
-            if dirty:
+            moved = False
+            if self.now == self._next_tick:
+                moved = self._process_tick()
+                self._next_tick += self.tick
+            moved |= self._process_arrivals()
+            freed = self._process_completions()
+            if moved:
                 self._allocate()
+            elif freed:
+                self._refill(freed)
 
-            # Next event: tick, arrival, or earliest completion.
-            candidates = [next_tick]
-            if self._arrivals:
-                candidates.append(self._arrivals[0][0])
-            for job in self.policy.running:
-                if job is not None:
-                    candidates.append(self.now + job.remaining)
-            next_time = min(candidates)
-            next_time = min(next_time, until)
-            if next_time <= self.now:
-                # Guard against zero-length steps (all events processed).
-                next_time = min(c for c in candidates if c > self.now) if any(
-                    c > self.now for c in candidates
-                ) else until
-                next_time = min(next_time, until)
-                if next_time <= self.now:
-                    break
+            # Next event: tick, arrival, or earliest completion.  The
+            # tick always lies ahead, so the step is never empty.
+            running = self.policy.running  # allocate() rebinds the list
+            next_time = self._next_tick
+            if self._arrivals and self._arrivals[0][0] < next_time:
+                next_time = self._arrivals[0][0]
+            for job in running:
+                if job is not None and self.now + job.remaining < next_time:
+                    next_time = self.now + job.remaining
+            if next_time > until:
+                next_time = until
             delta = next_time - self.now
-            for job in self.policy.running:
+            if delta <= 0:  # pragma: no cover - defensive
+                raise RuntimeError("missed a completion event")
+            for job in running:
                 if job is not None:
-                    if job.remaining < delta:  # pragma: no cover - defensive
-                        raise RuntimeError("missed a completion event")
                     job.remaining -= delta
             self.now = next_time
         return self.policy.finished_jobs

@@ -3,14 +3,20 @@
 Drives the scheduler through arbitrary interleavings of its five
 operations -- time advance + release, promotion, aperiodic arrival,
 allocation, and completion of running work -- and checks the
-structural invariants plus job conservation after every step.
+structural invariants plus job conservation after every step.  From a
+settled state (the last change was an allocation), completions followed
+by :meth:`MPDPScheduler.refill` on the freed processors must land where
+a full :meth:`MPDPScheduler.allocate` would.
 """
+
+import copy
 
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
 )
 from hypothesis import strategies as st
@@ -32,6 +38,30 @@ def _taskset():
     return TaskSet(periodic, aperiodic)
 
 
+def _snapshot(scheduler):
+    """Placement of every job, by uid (comparable across deep copies)."""
+
+    def uids(jobs):
+        return [None if job is None else job.uid for job in jobs]
+
+    jobs = [job for job in scheduler.running if job is not None]
+    jobs += list(scheduler.periodic_ready) + list(scheduler.aperiodic_ready)
+    for queue in scheduler.local:
+        jobs += list(queue)
+    return {
+        "running": uids(scheduler.running),
+        "periodic_ready": uids(scheduler.periodic_ready),
+        "aperiodic_ready": uids(scheduler.aperiodic_ready),
+        "local": [uids(queue) for queue in scheduler.local],
+        "waiting": sorted(uids(scheduler.waiting)),
+        "jobs": sorted(
+            (job.uid, job.cpu, job.state, job.start_time, job.preemptions,
+             job.migrations)
+            for job in jobs
+        ),
+    }
+
+
 class MPDPMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
@@ -40,11 +70,15 @@ class MPDPMachine(RuleBasedStateMachine):
         self.now = 0
         self.aper_index = 0
         self.total_aperiodic = 0
+        # True while no job entered, left or finished since the last
+        # allocation: the precondition of MPDPScheduler.refill.
+        self.settled = True
 
     @rule(delta=st.integers(1, 250))
     def advance_and_release(self, delta):
         self.now += delta
-        self.scheduler.release_due(self.now)
+        if self.scheduler.release_due(self.now):
+            self.settled = False
 
     @rule()
     def scheduling_cycle(self):
@@ -54,6 +88,7 @@ class MPDPMachine(RuleBasedStateMachine):
         self.scheduler.release_due(self.now)
         self.scheduler.promote_due(self.now)
         self.scheduler.allocate(self.now)
+        self.settled = True
 
     @rule()
     def arrive_aperiodic(self):
@@ -63,10 +98,12 @@ class MPDPMachine(RuleBasedStateMachine):
         self.aper_index += 1
         self.total_aperiodic += 1
         self.scheduler.add_aperiodic(job)
+        self.settled = False
 
     @rule()
     def allocate(self):
         self.scheduler.allocate(self.now)
+        self.settled = True
 
     @rule(work=st.integers(1, 100))
     def execute_running(self, work):
@@ -76,6 +113,26 @@ class MPDPMachine(RuleBasedStateMachine):
             job.remaining = max(0, job.remaining - work)
             if job.remaining == 0:
                 self.scheduler.job_finished(job, self.now)
+                self.settled = False
+
+    @precondition(lambda self: self.settled)
+    @rule(work=st.integers(1, 100))
+    def complete_then_refill(self, work):
+        freed = []
+        for cpu, job in enumerate(list(self.scheduler.running)):
+            if job is None:
+                continue
+            job.remaining = max(0, job.remaining - work)
+            if job.remaining == 0:
+                self.scheduler.job_finished(job, self.now)
+                freed.append(cpu)
+        refilled = copy.deepcopy(self.scheduler)
+        allocated = copy.deepcopy(self.scheduler)
+        for cpu in freed:
+            refilled.refill(cpu, self.now)
+        allocated.allocate(self.now)
+        assert _snapshot(refilled) == _snapshot(allocated)
+        self.scheduler = refilled
 
     @invariant()
     def structural_invariants_hold(self):

@@ -6,6 +6,7 @@ from repro.analysis import assign_promotions, partition
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.simulators.theoretical import TheoreticalSimulator
 from repro.trace.metrics import compute_metrics
+from repro.trace.recorder import TraceRecorder
 
 TICK = 10_000
 
@@ -92,6 +93,36 @@ def test_run_can_be_resumed():
     sim.run(250_000)
     assert len(sim.finished_jobs) > first
     assert not [j for j in sim.finished_jobs if j.missed_deadline]
+
+
+def split_run(stops):
+    ts = analysed(
+        [
+            PeriodicTask(name="p", wcet=5_000, period=55_000),
+            PeriodicTask(name="q", wcet=12_000, period=80_000),
+        ],
+        [AperiodicTask(name="a", wcet=7_000)],
+    )
+    trace = TraceRecorder()
+    sim = TheoreticalSimulator(ts, 2, tick=TICK, overhead=0.02,
+                               aperiodic_arrivals={"a": [33_000, 121_000]},
+                               trace=trace)
+    for stop in stops:
+        sim.run(stop)
+    jobs = [(j.name, j.start_time, j.finish_time) for j in sim.finished_jobs]
+    ticks = [event.time for event in trace.of_kind("tick")]
+    return jobs, ticks, sim.stats()
+
+
+@pytest.mark.parametrize("stops", [
+    (65_000, 200_000),
+    (1, 200_000),
+    (33_000, 107_500, 121_001, 200_000),
+])
+def test_split_runs_keep_the_tick_grid(stops):
+    jobs, ticks, stats = split_run(stops)
+    assert (jobs, ticks, stats) == split_run((200_000,))
+    assert ticks == list(range(0, 200_000, TICK))
 
 
 def test_single_cpu_serialises_everything():
