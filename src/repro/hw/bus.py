@@ -10,7 +10,8 @@ Two usage styles:
 
 - ``yield from bus.transfer(master, target, words, count)`` inside a
   :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated;
-  ``count`` back-to-back transactions share one generator frame.
+  ``count`` back-to-back transactions form one tenure that advances as
+  engine queue callbacks, so the caller resumes once per batch.
 - ``bus.stats`` exposes utilization counters that the analytic
   contention model in :mod:`repro.hw.contention` is calibrated against.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple, Union
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
@@ -60,14 +61,97 @@ class BusStats:
         return waits / count if count else 0.0
 
 
+class _Tenure:
+    """One :meth:`OPBBus.transfer` batch moving through the arbiter.
+
+    The batch's transactions advance as engine queue callbacks instead
+    of generator resumes: the grant entry is :meth:`_arm` (which pushes
+    the hold), every intermediate hold entry is :meth:`_complete`
+    (hand-over, stats, next request) and the last hold entry is
+    ``done``, the one event the calling process waits on.  Each entry
+    sits at the instant, and in the insertion order, where the
+    generator loop it replaces pushed its grant and hold, so schedules
+    are unchanged.  ``cancelled`` turns a stale grant or hold entry of
+    an interrupted batch into a no-op.
+    """
+
+    __slots__ = ("bus", "master", "target", "latency", "left", "start",
+                 "spent", "done", "cancelled", "_arm_cb", "_complete_cb")
+
+    def __init__(self, bus: "OPBBus", master: int, target: BusTarget,
+                 latency: int, count: int):
+        self.bus = bus
+        self.master = master
+        self.target = target
+        self.latency = latency
+        self.left = count
+        self.start = 0
+        self.spent = 0
+        self.done = Event(bus.sim)
+        self.cancelled = False
+        # Bound once: pushed into the queue once per transaction.
+        self._arm_cb = self._arm
+        self._complete_cb = self._complete
+
+    def _request(self) -> None:
+        """Queue for the bus; on a free bus the grant is an ``_arm`` entry
+        at ``now``, never elided (see :meth:`OPBBus._request`)."""
+        bus = self.bus
+        sim = bus.sim
+        self.start = sim.now
+        if bus._holder is None:
+            bus._holder = self
+            sim._push(sim.now, self._arm_cb)
+        else:
+            bus._seq += 1
+            heapq.heappush(bus._waiting, (self.master, bus._seq, self))
+
+    def _arm(self) -> None:
+        """Grant entry: hold the bus for one transaction's latency."""
+        if self.cancelled:
+            return
+        self.left -= 1
+        sim = self.bus.sim
+        sim._push(sim.now + self.latency,
+                  self._complete_cb if self.left else self.done)
+
+    def _complete(self) -> None:
+        """Intermediate hold entry: release, account, request the next."""
+        if self.cancelled:
+            return
+        self.bus._hand_over()
+        self._account()
+        self._request()
+
+    def _account(self) -> None:
+        """Credit one finished transaction to ``BusStats``."""
+        stats = self.bus.stats
+        latency = self.latency
+        master = self.master
+        elapsed = self.bus.sim.now - self.start
+        stats.busy_cycles += latency
+        stats.transactions += 1
+        stats.wait_cycles[master] = (
+            stats.wait_cycles.get(master, 0) + elapsed - latency
+        )
+        stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + 1
+        name = self.target.name
+        stats.per_target[name] = stats.per_target.get(name, 0) + latency
+        self.spent += elapsed
+
+
 class OPBBus:
     """Fixed-priority arbitrated shared bus.
 
     The arbiter is a holder slot plus a heap of ``(priority, seq,
-    grant)`` waiters; a grant is a plain :class:`~repro.sim.events.Event`
-    succeeded synchronously -- inside the request when the bus is free,
-    inside the holder's release otherwise -- so every transaction costs
-    exactly two queue entries (grant, hold timeout).
+    waiter)`` entries.  A waiter is either a transfer's tenure, granted
+    by pushing its arm callback, or a plain
+    :class:`~repro.sim.events.Event` (``stall`` and the
+    :meth:`_request`/:meth:`_release` primitives), granted by
+    succeeding it.  Either way a grant is one queue entry at the grant
+    instant -- pushed inside the request when the bus is free, inside
+    the holder's hand-over otherwise -- and every transaction costs
+    exactly two queue entries (grant, hold).
 
     Parameters
     ----------
@@ -80,8 +164,8 @@ class OPBBus:
     def __init__(self, sim: Simulator, name: str = "opb"):
         self.sim = sim
         self.name = name
-        self._holder: Optional[Event] = None
-        self._waiting: List[Tuple[int, int, Event]] = []
+        self._holder: Optional[Union[Event, _Tenure]] = None
+        self._waiting: List[Tuple[int, int, Union[Event, _Tenure]]] = []
         self._seq = 0
         self.stats = BusStats()
 
@@ -101,17 +185,26 @@ class OPBBus:
             heapq.heappush(self._waiting, (priority, self._seq, grant))
         return grant
 
-    def _release(self, grant: Event) -> None:
-        """End a tenure (or cancel a queued one) and grant the next waiter."""
+    def _hand_over(self) -> None:
+        """Grant the bus to the head waiter, or free it."""
         waiting = self._waiting
-        if self._holder is grant:
-            if waiting:
-                grant = heapq.heappop(waiting)[2]
-                self._holder = grant
-                grant.succeed()
+        if waiting:
+            waiter = heapq.heappop(waiting)[2]
+            self._holder = waiter
+            if isinstance(waiter, Event):
+                waiter.succeed()
             else:
-                self._holder = None
+                sim = self.sim
+                sim._push(sim.now, waiter._arm_cb)
+        else:
+            self._holder = None
+
+    def _release(self, grant: Union[Event, _Tenure]) -> None:
+        """End a tenure (or cancel a queued one) and grant the next waiter."""
+        if self._holder is grant:
+            self._hand_over()
             return
+        waiting = self._waiting
         for index, entry in enumerate(waiting):
             if entry[2] is grant:
                 del waiting[index]
@@ -125,58 +218,31 @@ class OPBBus:
 
         Each transaction requests the bus, holds it for the target's
         ``words``-beat latency and releases it, exactly as ``count``
-        separate calls would; one generator frame and one re-armed hold
-        timeout serve the whole batch.  Yields inside a Process and
-        returns the total cycles spent (waiting + transferring).
+        separate calls would.  The transactions run as queue callbacks
+        of one tenure, so the calling process waits on a single event
+        and resumes once per batch, when the last hold ends.  Yields
+        inside a Process and returns the total cycles spent (waiting +
+        transferring); ``count <= 0`` returns 0 without yielding.
 
-        This is the prototype rung's hottest loop, so the common paths
-        of :meth:`_request` and :meth:`_release` are inlined here.
+        An interrupt thrown into the caller mid-batch releases the bus
+        (or leaves the queue); the abandoned cycles are charged to the
+        interrupt latency, and only completed transactions reach the
+        stats.
         """
-        sim = self.sim
-        stats = self.stats
-        waiting = self._waiting
-        latency = target.access_latency(words)
-        sleeper = None
-        spent = 0
-        for _ in range(count):
-            start = sim.now
-            grant = Event(sim)
-            if self._holder is None:
-                self._holder = grant
-                grant.succeed()
-            else:
-                self._seq += 1
-                heapq.heappush(waiting, (master, self._seq, grant))
-            try:
-                yield grant
-                sleeper = sim.advance(latency, sleeper)
-                yield sleeper
-            except BaseException:
-                # An interrupt thrown into the caller mid-transaction
-                # must not leave the bus granted (or the request queued)
-                # forever; the abandoned cycles are charged to the
-                # interrupt latency, and only completed transactions
-                # reach the stats.
-                self._release(grant)
-                raise
-            if waiting:
-                grant = heapq.heappop(waiting)[2]
-                self._holder = grant
-                grant.succeed()
-            else:
-                self._holder = None
-            elapsed = sim.now - start
-            stats.busy_cycles += latency
-            stats.transactions += 1
-            stats.wait_cycles[master] = (
-                stats.wait_cycles.get(master, 0) + elapsed - latency
-            )
-            stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + 1
-            stats.per_target[target.name] = (
-                stats.per_target.get(target.name, 0) + latency
-            )
-            spent += elapsed
-        return spent
+        if count <= 0:
+            return 0
+        tenure = _Tenure(self, master, target, target.access_latency(words),
+                         count)
+        tenure._request()
+        try:
+            yield tenure.done
+        except BaseException:
+            tenure.cancelled = True
+            self._release(tenure)
+            raise
+        self._hand_over()
+        tenure._account()
+        return tenure.spent
 
     def stream(self, master: int, target: BusTarget, words: int, burst: int):
         """Generator: move ``words`` words as full ``burst``-word

@@ -135,13 +135,16 @@ def _probe_bus(bus, log: list) -> None:
 
     Wraps the instance's ``transfer`` so the sentinel can compare the
     *exact instants* shared-bus traffic hits arbitration in each mode.
+    A batched transfer logs its ``count`` after ``words``; single
+    transactions log ``(kind, instant, master, words)``.
     """
     inner = bus.transfer
 
-    def probed(master, target, words=1):
-        log.append(("req", bus.sim.now, master, words))
-        result = yield from inner(master, target, words)
-        log.append(("done", bus.sim.now, master, words))
+    def probed(master, target, words=1, count=1):
+        tag = (master, words) if count == 1 else (master, words, count)
+        log.append(("req", bus.sim.now) + tag)
+        result = yield from inner(master, target, words, count)
+        log.append(("done", bus.sim.now) + tag)
         return result
 
     bus.transfer = probed

@@ -33,12 +33,12 @@ class Interrupt(Exception):
 class Event:
     """A one-shot occurrence that processes can wait for.
 
-    Events are allocated on every timeout, wake-up and resource grant,
-    so the class is slotted: full-system runs create millions of them
-    and the per-instance ``__dict__`` would dominate the allocation
-    cost.  Entries in ``callbacks`` may be tombstoned to ``None`` by a
-    detaching waiter (see ``Process._resume``); ``_run_callbacks``
-    skips them.
+    Events are allocated on every timeout and wake-up, and once per
+    bus transfer batch (its ``done`` event), so the class is slotted:
+    full-system runs create millions of them and the per-instance
+    ``__dict__`` would dominate the allocation cost.  Entries in
+    ``callbacks`` may be tombstoned to ``None`` by a detaching waiter
+    (see ``Process._resume``); ``_run_callbacks`` skips them.
 
     Parameters
     ----------

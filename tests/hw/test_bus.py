@@ -1,10 +1,14 @@
 """Tests for OPB bus arbitration and accounting."""
 
+from dataclasses import asdict
+
 import pytest
 
-from repro.hw.bus import OPBBus, RegisterTarget
+from repro.hw.bus import BusStats, OPBBus, RegisterTarget
 from repro.hw.memory import DDRMemory
 from repro.sim import Interrupt, Simulator
+from repro.sim.engine import Process
+from tests.hw.reference_bus import ReferenceBus
 
 
 def setup():
@@ -253,16 +257,90 @@ def test_batched_transfer_returns_total_cycles():
     assert bus.stats.transfer_cycles[0] == 3
 
 
-def test_zero_count_transfer_is_free():
+def test_batch_resumes_caller_once(monkeypatch):
+    """A batch's transactions run as queue callbacks: on an idle bus the
+    caller wakes only when the last hold ends, not per grant and hold."""
     sim, bus, ddr = setup()
+    resumes = []
+    resume = Process._resume
+
+    def counting(self, event, throw=None):
+        resumes.append(sim.now)
+        return resume(self, event, throw)
+
+    monkeypatch.setattr(Process, "_resume", counting)
 
     def master():
-        spent = yield from bus.transfer(0, ddr, count=0)
-        assert spent == 0
-        yield sim.timeout(1)
+        spent = yield from bus.transfer(0, ddr, words=1, count=50)
+        assert spent == sim.now
 
     sim.process(master())
     sim.run()
+    # The process start, then the single wake-up.
+    assert resumes == [0, 50 * ddr.access_latency(1)]
+    assert bus.stats.transactions == 50
+
+
+def run_cancelled_before_grant(bus_cls, queued):
+    """Interrupt master 1 at its grant instant, before its grant entry
+    runs: on an idle bus at its request (``queued=False``), or when
+    master 0's release hands it the bus while master 2 waits behind it
+    (``queued=True``).  Returns (sim, bus, log)."""
+    sim = Simulator()
+    bus = bus_cls(sim)
+    ddr = DDRMemory()
+    latency = ddr.access_latency(1)
+    grant_at = latency if queued else 5
+    log = []
+
+    def master(mid, delay, count):
+        try:
+            yield sim.timeout(delay)
+            yield from bus.transfer(mid, ddr, words=1, count=count)
+            log.append((mid, sim.now))
+        except Interrupt:
+            log.append((mid, sim.now, "irq", bus.busy, bus.queue_length))
+
+    # Scheduled first, so its delivery entry at ``grant_at`` is queued
+    # before the grant entry the request (or hand-over) pushes.
+    sim.schedule_at(grant_at, lambda: victim.interrupt("irq"))
+    if queued:
+        sim.process(master(0, 0, 1))
+        victim = sim.process(master(1, 1, 4))
+        sim.process(master(2, 2, 1))
+    else:
+        victim = sim.process(master(1, grant_at, 4))
+    sim.run()
+    return sim, bus, log
+
+
+@pytest.mark.parametrize("queued", [False, True], ids=["idle", "handed-over"])
+def test_interrupt_before_grant_entry_cancels_tenure(queued):
+    sim, bus, log = run_cancelled_before_grant(OPBBus, queued)
+    ref_sim, ref, ref_log = run_cancelled_before_grant(ReferenceBus, queued)
+    latency = DDRMemory().access_latency(1)
+    if queued:
+        # The bus went straight on to master 2 at the cancelled grant.
+        assert log == [(0, latency), (1, latency, "irq", True, 0),
+                       (2, 2 * latency)]
+        assert 1 not in bus.stats.transfer_cycles
+    else:
+        assert log == [(1, 5, "irq", False, 0)]
+        assert asdict(bus.stats) == asdict(BusStats())
+    # No hold entry was pushed for the cancelled grant.
+    assert log == ref_log
+    assert sim._eid == ref_sim._eid
+    assert asdict(bus.stats) == asdict(ref.stats)
+    assert not bus.busy and bus.queue_length == 0
+
+
+def test_zero_count_transfer_is_free():
+    """``count=0`` returns 0 without yielding or touching the queue."""
+    sim, bus, ddr = setup()
+    with pytest.raises(StopIteration) as stop:
+        next(bus.transfer(0, ddr, count=0))
+    assert stop.value.value == 0
+    assert sim._eid == 0
     assert bus.stats.transactions == 0 and not bus.busy
 
 

@@ -112,7 +112,7 @@ STALLS = st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)), max_size=2
 
 def run_plan(bus_cls, plan, words, stalls=()):
     """Run ``plan`` (and ``stalls``) on a fresh ``bus_cls``; returns
-    (sim, bus, finishes)."""
+    (sim, bus, finishes), finishes in the order they happened."""
     sim = Simulator()
     bus = bus_cls(sim)
     ddr = DDRMemory()
@@ -139,22 +139,25 @@ def run_plan(bus_cls, plan, words, stalls=()):
             sim.schedule_at(irq_at, lambda proc=proc: proc.is_alive
                             and proc.interrupt("irq"))
     sim.run()
-    return sim, bus, sorted(finishes)
+    return sim, bus, finishes
 
 
 @settings(max_examples=80, deadline=None)
 @given(plan=PLAN, words=WORDS, stalls=STALLS)
 def test_batched_bus_matches_reference_arbiter(plan, words, stalls):
     """Random masters, start instants, bursts, batch sizes, interrupt
-    instants and injected stalls: ``OPBBus`` finishes every process at the same instant,
-    with the same return value and BusStats, as the reference arbiter
-    serving each batch as single transactions.  On that same schedule
+    instants and injected stalls: ``OPBBus`` finishes every process at
+    the same instant, in the same same-instant order, with the same
+    return value and BusStats, and after pushing the same number of
+    queue entries, as the reference arbiter serving each batch as
+    single transactions.  On that same schedule
     the reference shows one holder at a time (it asserts so on every
     grant), every grant to the lowest (priority, arrival) waiter, busy
     time equal to the completed latencies, and a free bus at the end."""
     sim, bus, finishes = run_plan(OPBBus, plan, words, stalls)
     ref_sim, ref, ref_finishes = run_plan(ReferenceBus, plan, words, stalls)
     assert finishes == ref_finishes
+    assert sim._eid == ref_sim._eid
     assert len(finishes) == len(plan) + len(stalls)
     assert asdict(bus.stats) == asdict(ref.stats)
     assert sim.now == ref_sim.now

@@ -12,9 +12,12 @@ import pytest
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hw.asmlib import ROUTINES
+from repro.hw.bus import OPBBus
 from repro.hw.isa import ISAError, ISAExecutor, Program, Instruction
+from repro.hw.memory import DDRMemory
 from repro.hw.soc import SoC, SoCConfig
-from repro.perf.isabench import observable, run_kernel
+from repro.perf.isabench import _probe_bus, observable, run_kernel
+from repro.sim import Simulator
 
 KERNELS = sorted(ROUTINES)
 
@@ -214,3 +217,24 @@ def test_block_mode_reports_window_counters():
     assert ref["windows"] == 0
     # The whole point: far fewer engine events for the same work.
     assert blk["events"] < ref["events"] / 5
+
+
+def test_bus_probe_forwards_batched_transfers():
+    sim = Simulator()
+    bus = OPBBus(sim)
+    ddr = DDRMemory()
+    log = []
+    _probe_bus(bus, log)
+
+    def master():
+        yield from bus.transfer(0, ddr, 2, count=3)
+        yield from bus.transfer(0, ddr, words=1)
+
+    sim.process(master())
+    sim.run()
+    batch = 3 * ddr.access_latency(2)
+    assert log == [
+        ("req", 0, 0, 2, 3), ("done", batch, 0, 2, 3),
+        ("req", batch, 0, 1), ("done", batch + ddr.access_latency(1), 0, 1),
+    ]
+    assert bus.stats.transactions == 4

@@ -1,4 +1,4 @@
-"""Golden identity of two prototype Figure-4 cells.
+"""Golden identity of two prototype Figure-4 cells and one faulted run.
 
 Pins the exact simulated outcome -- aperiodic response, bus accounting
 and kernel context switches -- of 2P/40 % and 4P/60 % at the 1.0 s
@@ -6,11 +6,20 @@ arrival phase, recorded before the bus arbitration and batched
 transfers were reworked.  A speed-up that moves a single same-instant
 tie (and with it the whole schedule) fails here, not only in the
 benchmark's output digest.
+
+The faulted run drives bus stalls, IRQs and a recovered task crash
+through the full kernel on the fault tier's demo workload; its stats
+and the digest of its jobs and trace were recorded before bus
+transfers became callback-driven tenures.
 """
+
+import hashlib
 
 import pytest
 
 from repro import CLOCK_HZ, TICK, cycles_to_seconds
+from repro.faults.plan import FaultEvent, FaultPlan
+from repro.faults.scenarios import run_scenario
 from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
 from repro.trace.metrics import compute_metrics
 from repro.workloads.automotive import (
@@ -80,3 +89,45 @@ def run_phase(n_cpus: int, utilization: float, arrival_s: float = 1.0) -> dict:
 @pytest.mark.parametrize("cell", sorted(GOLDEN), ids=lambda c: f"{c[0]}P{round(c[1] * 100)}")
 def test_prototype_cell_is_bit_identical(cell):
     assert run_phase(*cell) == GOLDEN[cell]
+
+
+#: Two bus stalls (one landing mid-transaction at an odd instant) and a
+#: task crash that recovery re-executes.
+FAULT_PLAN = FaultPlan(
+    events=(
+        FaultEvent(kind="bus_stall", time=52_000, duration=400),
+        FaultEvent(kind="task_crash", time=90_000, task="b"),
+        FaultEvent(kind="bus_stall", time=131_007, duration=1_500),
+    ),
+    name="golden-faulted",
+)
+
+FAULTED_STATS = {
+    "aperiodic_releases": 2,
+    "bus_busy_cycles": 52_712,
+    "bus_utilization": 0.13178,
+    "context_switches": 22,
+    "crashes_unrecovered": 0,
+    "deadline_misses": 0,
+    "degraded": False,
+    "faults_injected": 1,
+    "ipis": 8,
+    "irqs_serviced": 30,
+    "jobs_shed": 0,
+    "mpic_delivered": 30,
+    "mpic_timeouts": 0,
+    "scheduling_cycles": 20,
+    "task_retries": 1,
+}
+
+FAULTED_DIGEST = "63e27875cd6a2070226652a38d2dfe0a1573ab146d6e1da19f76277c181470ef"
+
+
+def test_faulted_prototype_run_is_bit_identical():
+    result = run_scenario(plan=FAULT_PLAN, recovery={"enabled": True})
+    assert result["injector"]["fired"] == 3
+    assert result["stats"] == FAULTED_STATS
+    digest = hashlib.sha256(
+        repr((result["jobs"], result["trace"])).encode()
+    ).hexdigest()
+    assert digest == FAULTED_DIGEST
