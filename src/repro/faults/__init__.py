@@ -9,7 +9,8 @@ The tier has three pieces:
   sim engine and calling the explicit fault surfaces grown on the
   hardware and kernel models;
 - :mod:`repro.faults.scenarios` -- picklable demo runs used by the
-  CLI self-check and :func:`repro.experiments.runner.fault_campaign`.
+  fault and determinism tests and
+  :func:`repro.experiments.runner.fault_campaign`.
 
 Everything is reproducible bit-for-bit from ``(plan, seed)``: the only
 randomness is the seeded generator inside :func:`random_plan`, and the

@@ -7,19 +7,14 @@ Three modes, mirroring ``repro-perf``::
     repro-faults campaign [--runs N] [--seed N] [--recovery|--no-recovery]
                           [--workers N] [--min-gap CYCLES] [--until CYCLES]
                           [--perfetto OUT.json]
-    repro-faults --self-check
 
 ``plan`` prints a seeded :func:`repro.faults.plan.random_plan` as JSON
 (the exact serialization a campaign cell is cache-keyed by); pipe it to
 a file to pin a scenario.  ``campaign`` fans N seeded fault-injection
 runs across the ``pmap`` pool against the demo workload and prints the
-miss/recovery/degradation table (see docs/FAULTS.md).  ``--self-check``
-verifies the tier's four contracts against built-in fixtures in a few
-seconds and is part of the CI tier: (a) a replayed plan is bit-for-bit
-identical, (b) an empty plan is indistinguishable from a fault-free
-run, (c) recovery turns the demo crash storm's deadline misses into
-met deadlines, and (d) the fault-aware response-time analysis is
-pessimistic-safe against a matching simulated campaign.
+miss/recovery/degradation table (see docs/FAULTS.md).  The tier's
+contracts (replay, zero-fault identity, recovery, analysis pessimism)
+are tests: ``pytest -m faults``.
 
 Exit status: 0 on success, 1 on any failure.
 """
@@ -29,139 +24,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
-
-
-def self_check(out=None) -> int:
-    """Smoke-run the fault tier against built-in fixtures.
-
-    Covers plan serialization and cache-keying, determinism of
-    injected runs, the zero-fault identity, watchdog/recovery/
-    degradation semantics, the fault-aware schedulability analysis and
-    the configuration lint.  Returns 0 on success.
-    """
-    out = out or sys.stdout
-    failures: List[str] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}",
-              file=out)
-        if not ok:
-            failures.append(name)
-
-    # -- plans: round-trip, validation, cache keys
-    from repro.faults.plan import FaultPlan, random_plan
-    from repro.perf.cache import cache_key
-
-    plan = random_plan(seed=7, horizon=400_000,
-                       tasks={"a": 8_000, "tight": 9_000}, n_faults=5)
-    replayed = FaultPlan.from_json(plan.to_json())
-    check("plan JSON round-trip", replayed == plan and len(plan) == 5,
-          f"{len(plan)} event(s)")
-    check("same seed, same plan",
-          random_plan(seed=7, horizon=400_000,
-                      tasks={"a": 8_000, "tight": 9_000}, n_faults=5) == plan)
-    check("different seed, different plan",
-          random_plan(seed=8, horizon=400_000,
-                      tasks={"a": 8_000, "tight": 9_000}, n_faults=5) != plan)
-    key_a = cache_key(kind="fault", plan=plan.to_dict())
-    key_b = cache_key(plan=plan.to_dict(), kind="fault")
-    key_c = cache_key(kind="fault", plan=replayed.to_dict(), seed=1)
-    check("plan cache key stable and content-sensitive",
-          key_a == key_b and key_a != key_c)
-
-    # -- (a) bit-for-bit replay of an injected run
-    from repro.faults.scenarios import (
-        baseline_run,
-        crash_plan,
-        demo_bindings,
-        demo_taskset,
-        run_scenario,
-        sustained_plan,
-    )
-
-    first = run_scenario(plan=crash_plan(), recovery={"enabled": True})
-    second = run_scenario(plan=crash_plan(), recovery={"enabled": True})
-    check("injected run replays bit-for-bit",
-          first == second and len(first["trace"]) > 0,
-          f"{len(first['trace'])} trace event(s)")
-
-    # -- (b) zero-fault plan is indistinguishable from no injector
-    empty = run_scenario(plan=FaultPlan())
-    baseline = baseline_run()
-    check("zero-fault plan == fault-free baseline",
-          empty["jobs"] == baseline["jobs"]
-          and empty["trace"] == baseline["trace"]
-          and empty["stats"] == baseline["stats"],
-          f"{len(empty['jobs'])} job(s)")
-
-    # -- (c) recovery demo: crashes miss without recovery, not with it
-    with_recovery = run_scenario(plan=crash_plan(),
-                                 recovery={"enabled": True})
-    without = run_scenario(plan=crash_plan(), recovery=None)
-    check("recovery re-executes crashed jobs within their deadline",
-          with_recovery["stats"]["deadline_misses"] == 0
-          and with_recovery["stats"]["task_retries"] > 0,
-          f"retries={with_recovery['stats']['task_retries']}")
-    check("without recovery the same crashes miss deadlines",
-          without["stats"]["deadline_misses"] > 0
-          and without["stats"]["task_retries"] == 0,
-          f"misses={without['stats']['deadline_misses']}")
-
-    # -- graceful degradation sheds the low-criticality task
-    degraded = run_scenario(
-        plan=sustained_plan(),
-        recovery={"enabled": True, "degradation_threshold": 4,
-                  "shed_below_criticality": 1},
-    )
-    check("sustained faults trip degraded mode and shed criticality<1",
-          degraded["stats"]["degraded"] and degraded["stats"]["jobs_shed"] > 0,
-          f"shed={degraded['stats']['jobs_shed']}")
-
-    # -- (d) fault-aware RTA pessimistic-safe vs a matching campaign
-    from repro.analysis import FaultModel, analyse_taskset
-    from repro.experiments.runner import fault_campaign
-
-    taskset = demo_taskset()
-    model = FaultModel(min_interarrival=100_000)
-    report = analyse_taskset(taskset, n_cpus=2, fault_model=model)
-    rows = [row for group in report.per_cpu.values() for row in group]
-    check("fault-aware RTA: demo taskset schedulable under F=100k",
-          report.schedulable
-          and all(row["wcrt_faulty"] >= row["wcrt"] for row in rows),
-          f"{[(r['task'], r['wcrt_faulty']) for r in rows]}")
-    campaign = fault_campaign(n_runs=3, seed=0, recovery=True,
-                              min_gap=model.min_interarrival)
-    misses = sum(row["deadline_misses"] for row in campaign.rows)
-    fired = sum(row["faults_fired"] for row in campaign.rows)
-    check("RTA verdict holds in simulation (0 misses under the model)",
-          misses == 0 and fired > 0,
-          f"misses={misses} faults_fired={fired}")
-
-    # -- configuration lint
-    from repro.kernel.microkernel import RecoveryConfig, TaskBinding
-    from repro.lint.tasks import lint_fault_config
-
-    bindings = demo_bindings()
-    clean = lint_fault_config(
-        taskset, bindings, 2,
-        recovery=RecoveryConfig(enabled=True, degradation_threshold=4,
-                                shed_below_criticality=1),
-    )
-    check("lint: demo fault config is clean", clean.ok,
-          "; ".join(str(d) for d in clean.diagnostics))
-    greedy = dict(bindings)
-    greedy["tight"] = TaskBinding(criticality=2, retry_budget=50)
-    broken = lint_fault_config(taskset, greedy, 2)
-    check("lint: oversized retry budget raises TASK010",
-          not broken.ok
-          and any(d.rule == "TASK010" for d in broken.diagnostics))
-
-    print(
-        f"self-check: {'PASS' if not failures else 'FAIL'} "
-        f"({len(failures)} failure(s))",
-        file=out,
-    )
-    return 0 if not failures else 1
 
 
 # ----------------------------------------------------------------------- main
@@ -202,12 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-faults",
         description="deterministic fault injection: seeded plans, watchdog "
         "recovery, degradation and fault-aware schedulability",
-    )
-    parser.add_argument(
-        "--self-check",
-        action="store_true",
-        help="verify replay, zero-fault identity, recovery and fault-aware "
-        "analysis against built-in fixtures and exit",
     )
     commands = parser.add_subparsers(dest="command")
 
@@ -256,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.self_check:
-        return self_check()
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return 2

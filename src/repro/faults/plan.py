@@ -46,9 +46,18 @@ FAULT_KINDS = (
     "task_crash",
 )
 
+#: Base address of the SoC's DDR (:class:`repro.hw.memory.DDRMemory`),
+#: where :func:`random_plan` lands its memory bit flips.
+DDR_BASE = 0x4000_0000
+
 #: Kinds consumed at the kernel level (the ones the fault-aware
 #: response-time analysis models as re-execution overhead).
 KERNEL_KINDS = ("wcet_overrun", "task_crash", "bitflip_register")
+
+
+def _is_int(value) -> bool:
+    """True for a plain integer (``bool`` is an int subclass, not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,16 @@ class FaultEvent:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        for field in ("time", "duration", "arg"):
+            if not _is_int(getattr(self, field)):
+                raise ValueError(
+                    f"fault {field} must be an int, got {getattr(self, field)!r}")
+        for field in ("cpu", "addr"):
+            value = getattr(self, field)
+            if value is not None and not _is_int(value):
+                raise ValueError(f"fault {field} must be an int or null, got {value!r}")
+        if self.task is not None and not isinstance(self.task, str):
+            raise ValueError(f"fault task must be a string or null, got {self.task!r}")
         if self.time < 0:
             raise ValueError("fault time must be non-negative")
         if self.kind.startswith("ipi_") and self.duration <= 0:
@@ -102,6 +121,12 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultEvent":
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown fault event field(s) {unknown}")
+        missing = [field for field in ("kind", "time") if field not in data]
+        if missing:
+            raise ValueError(f"fault event needs field(s) {missing}")
         return cls(**dict(data))
 
 
@@ -162,10 +187,17 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "FaultPlan":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"fault plan must be an object, got {data!r}")
+        events = data.get("events", ())
+        if not isinstance(events, (list, tuple)):
+            raise ValueError(f"fault plan events must be a list, got {events!r}")
+        for index, event in enumerate(events):
+            if not isinstance(event, Mapping):
+                raise ValueError(
+                    f"fault plan events[{index}] must be an object, got {event!r}")
         return cls(
-            events=tuple(
-                FaultEvent.from_dict(event) for event in data.get("events", ())
-            ),
+            events=tuple(FaultEvent.from_dict(event) for event in events),
             seed=int(data.get("seed", 0)),
             name=str(data.get("name", "")),
         )
@@ -229,7 +261,8 @@ def random_plan(
             events.append(
                 FaultEvent(
                     kind=kind, time=time,
-                    addr=4 * rng.randrange(1_024), arg=rng.randrange(32),
+                    addr=DDR_BASE + 4 * rng.randrange(1_024),
+                    arg=rng.randrange(32),
                 )
             )
         else:  # ipi window faults

@@ -1,13 +1,13 @@
-"""Demo fault scenarios -- the fixtures behind the CLI self-check and
+"""Demo fault scenarios -- the fixtures behind the fault-tier tests,
+the engine determinism sentinel and
 :func:`repro.experiments.runner.fault_campaign`.
 
 Everything here is a module-level function of plain-data arguments so
 campaign cells are picklable for :func:`repro.perf.executor.pmap` and
 canonicalisable for :func:`repro.perf.cache.cache_key`.
 
-The workload mirrors the perf tier's engine sentinel (four periodic
-tasks + one CAN-released aperiodic on a 2-cpu SoC) with fault-tier
-bindings: ``tight`` is the high-criticality task with slack for
+The workload is four periodic tasks + one CAN-released aperiodic on a
+2-cpu SoC with fault-tier bindings: ``tight`` is the high-criticality task with slack for
 re-execution (C=9k against D=40k), ``c`` is the low-criticality task
 shed first under graceful degradation.
 """

@@ -1,13 +1,12 @@
 """``repro-lint``: the static-analysis front end.
 
-Five subcommands, one per pass, plus a self-check smoke mode::
+Five subcommands, one per pass::
 
     repro-lint asm prog.s [--param r5] [--wcet --loop-bound loop=32] [--verified]
     repro-lint tasks table.csv --cpus 2 [--tick 10000]
     repro-lint trace trace.json
     repro-lint audit [--kernel memcpy_words] [--seed 1 --seed 2] [--routines]
     repro-lint determinism [PATH ...]
-    repro-lint --self-check
 
 Every subcommand accepts ``--format {text,json}``; JSON output carries
 the stable rule-code/location schema from
@@ -385,229 +384,6 @@ def _cmd_determinism(args: argparse.Namespace) -> int:
     )
 
 
-# ----------------------------------------------------------------- self-check
-def self_check(out=None) -> int:
-    """Smoke-run all passes against built-in fixtures.
-
-    Verifies that every pass still flags its canonical bad input and
-    stays silent on known-good ones, including a live cross-check of the
-    static WCET bound against the cycle-accurate executor and the full
-    ``measured <= verified <= annotated`` audit chain for every asmlib
-    kernel.  Returns 0 on success; used by the CI lint tier.
-    """
-    out = out or sys.stdout
-    failures: List[str] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}",
-              file=out)
-        if not ok:
-            failures.append(name)
-
-    # -- pass 1: assembly
-    from repro.hw.asmlib import ROUTINES, link
-    from repro.hw.assembler import assemble
-    from repro.hw.isa import ISAExecutor
-    from repro.hw.soc import SoC, SoCConfig
-    from repro.lint.asm import CALLING_CONVENTION_PARAMS, lint_program, wcet_bound
-
-    for name, source in sorted(ROUTINES.items()):
-        report = lint_program(assemble(source), params=CALLING_CONVENTION_PARAMS)
-        check(f"asm clean: {name}", report.clean,
-              "; ".join(d.rule for d in report) or "no diagnostics")
-
-    bad = assemble("add r3, r4, r5\nbeqz r3, skip\nnop\nskip:\n    nop")
-    report = lint_program(bad)
-    check(
-        "asm flags bad fixture",
-        bool(report.by_rule("ASM001")) and bool(report.by_rule("ASM003")),
-        ",".join(report.rules()),
-    )
-
-    driver = link(
-        """
-        addi r5, r0, 0xABCD
-        brl  r15, popcount32
-        swi  r3, r0, 0x40010000
-        halt
-        """,
-        routines=["popcount32"],
-    )
-    soc = SoC(SoCConfig(n_cpus=1))
-    executor = ISAExecutor(soc.core(0), driver)
-    soc.sim.process(executor.run())
-    soc.sim.run()
-    bound = wcet_bound(driver)
-    check(
-        "asm WCET bound >= measured cycles",
-        bound.bounded and bound.cycles >= executor.cycles,
-        f"bound={bound.cycles} measured={executor.cycles}",
-    )
-
-    # -- pass 2: task sets
-    from repro.analysis.partitioning import partition
-    from repro.analysis.promotion import assign_promotions
-    from repro.core.task import PeriodicTask, TaskSet
-    from repro.lint.tasks import lint_taskset
-
-    toy = TaskSet(
-        [
-            PeriodicTask(name="wheel-speed", wcet=12_000, period=60_000),
-            PeriodicTask(name="abs-monitor", wcet=20_000, period=100_000, deadline=80_000),
-            PeriodicTask(name="engine-poll", wcet=30_000, period=150_000),
-        ]
-    ).with_deadline_monotonic_priorities()
-    toy = assign_promotions(partition(toy, 2), 2, tick=10_000)
-    report = lint_taskset(toy, 2, tick=10_000)
-    check("tasks clean: quickstart set", report.clean,
-          "; ".join(d.rule for d in report) or "no diagnostics")
-
-    overloaded = TaskSet(
-        [
-            PeriodicTask(name="hog-a", wcet=60_000, period=100_000),
-            PeriodicTask(name="hog-b", wcet=60_000, period=100_000),
-        ]
-    ).with_deadline_monotonic_priorities()
-    report = lint_taskset(overloaded, 1)
-    check("tasks flag overload", bool(report.by_rule("TASK002")),
-          ",".join(report.rules()))
-
-    # -- pass 3: traces
-    from repro.lint.concurrency import lint_trace
-    from repro.trace.recorder import TraceRecorder
-
-    racy = TraceRecorder()
-    racy.record(10, "access", cpu=0, info="addr=0x40010000 op=write")
-    racy.record(20, "access", cpu=1, info="addr=0x40010000 op=write")
-    report = lint_trace(racy)
-    check("trace flags race", bool(report.by_rule("RACE001")),
-          ",".join(report.rules()))
-
-    deadlock = TraceRecorder()
-    deadlock.record(0, "acquire", cpu=0, info="lock=0")
-    deadlock.record(1, "acquire", cpu=0, info="lock=1")
-    deadlock.record(2, "unlock", cpu=0, info="lock=1")
-    deadlock.record(3, "unlock", cpu=0, info="lock=0")
-    deadlock.record(4, "acquire", cpu=1, info="lock=1")
-    deadlock.record(5, "acquire", cpu=1, info="lock=0")
-    deadlock.record(6, "unlock", cpu=1, info="lock=0")
-    deadlock.record(7, "unlock", cpu=1, info="lock=1")
-    report = lint_trace(deadlock)
-    check("trace flags lock-order cycle", bool(report.by_rule("DEAD001")),
-          ",".join(report.rules()))
-
-    clean = TraceRecorder()
-    for time, cpu in ((0, 0), (10, 1)):
-        clean.record(time, "acquire", cpu=cpu, info="lock=0")
-        clean.record(time + 2, "access", cpu=cpu, info="addr=0x40010000 op=write")
-        clean.record(time + 4, "unlock", cpu=cpu, info="lock=0")
-    report = lint_trace(clean)
-    check("trace clean: guarded accesses", report.clean,
-          "; ".join(d.rule for d in report) or "no diagnostics")
-
-    # -- pass 4: abstract interpretation
-    from repro.lint.absint import analyse, audit_kernels, format_audit, verified_wcet
-
-    counted = assemble(
-        """
-            addi r3, r0, 5
-        loop:
-            addi r3, r3, -1
-            bnez r3, loop
-            halt
-        """
-    )
-    result = analyse(counted)
-    inferred = sorted(result.inferred_bounds().values())
-    check(
-        "absint infers counted-loop bound",
-        result.ok and inferred == [5],
-        f"inferred={inferred}",
-    )
-
-    bad_mem = analyse(assemble("lwi r3, r0, 0x123\nhalt"))
-    check(
-        "absint flags misaligned access (ASM104)",
-        bool(bad_mem.report.by_rule("ASM104")),
-        ",".join(bad_mem.report.rules()),
-    )
-
-    deep = analyse(
-        assemble(
-            "addi r3, r0, 1\nbrl r15, leaf\nhalt\nleaf:\naddi r4, r0, 2\njr r15"
-        ),
-        stack_budget=1,
-    )
-    check(
-        "absint flags stack overflow (ASM105)",
-        bool(deep.report.by_rule("ASM105")),
-        ",".join(deep.report.rules()),
-    )
-
-    pruned = verified_wcet(
-        assemble(
-            """
-                addi r3, r0, 1
-                beqz r3, slow
-                halt
-            slow:
-                addi r4, r0, 1
-                addi r4, r4, 1
-                addi r4, r4, 1
-                halt
-            """
-        )
-    )
-    check(
-        "absint prunes infeasible path",
-        pruned.tightened,
-        f"verified={pruned.verified_cycles} annotated={pruned.annotated_cycles}",
-    )
-
-    audits = audit_kernels(seeds=(1,))
-    for audit in audits:
-        check(
-            f"kernel audit: {audit.kernel}",
-            audit.ok,
-            "; ".join(n for n, ok, _ in audit.checks if not ok) or "all checks",
-        )
-    check(
-        "at least one kernel strictly tighter than annotation",
-        any(audit.wcet.tightened for audit in audits),
-        ", ".join(a.kernel for a in audits if a.wcet.tightened) or "none",
-    )
-    print(format_audit(audits), file=out)
-
-    # -- pass 5: repo determinism
-    from repro.lint.determinism import lint_paths, lint_python_source
-
-    det = lint_paths(_default_determinism_paths())
-    check(
-        "determinism: sim/hw/kernel clean",
-        det.clean,
-        "; ".join(d.rule for d in det) or "no diagnostics",
-    )
-    det_bad = lint_python_source(
-        "import time, random\n"
-        "x = time.time()\n"
-        "y = random.random()\n"
-        "for k in {1, 2}:\n"
-        "    pass\n"
-    )
-    check(
-        "determinism flags DET001/DET002/DET003",
-        det_bad.rules() == ["DET001", "DET002", "DET003"],
-        ",".join(det_bad.rules()),
-    )
-
-    print(
-        f"self-check: {'PASS' if not failures else 'FAIL'} "
-        f"({len(failures)} failure(s))",
-        file=out,
-    )
-    return 0 if not failures else 1
-
-
 # ----------------------------------------------------------------------- main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -615,11 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="static analysis: assembly CFG/dataflow/WCET, abstract "
         "interpretation, task-set schedulability, trace race/deadlock "
         "detection, repo determinism",
-    )
-    parser.add_argument(
-        "--self-check",
-        action="store_true",
-        help="smoke-run all passes on built-in fixtures and exit",
     )
     commands = parser.add_subparsers(dest="command")
 
@@ -716,8 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.self_check:
-        return self_check()
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return EXIT_ERROR

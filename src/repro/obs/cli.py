@@ -7,7 +7,6 @@ Five modes, mirroring ``repro-lint``/``repro-perf``::
     repro-obs convert TRACE [--to perfetto|json|csv|jsonl] [--out FILE]
     repro-obs history [--last N] [--kind sweep|bench|...] [--ledger FILE]
     repro-obs diff A B [--threshold 0.10] [--ledger FILE] [--verbose]
-    repro-obs --self-check
 
 ``report`` runs one fully instrumented Figure-4-style prototype cell
 and emits its :class:`~repro.obs.report.RunReport` (JSON by default,
@@ -18,12 +17,8 @@ Perfetto-loadable Chrome trace or any of the flat formats.
 (:mod:`repro.obs.ledger`); ``diff`` compares two runs -- each side a
 ledger index (``-1`` = newest) or a JSON results file such as
 ``BENCH_perf.json`` -- under a relative regression threshold and
-exits 1 when a metric moved past it in its bad direction.
-``--self-check`` smoke-runs the registry, the sinks, the exporter,
-span tracing, the cross-process merge invariant (a parallel sweep's
-merged metrics must equal the serial run's bit for bit), the
-Prometheus parser round-trip and the ledger against built-in fixtures
-in a few seconds and is part of the CI tier.
+exits 1 when a metric moved past it in its bad direction.  The obs
+tier's invariants are tests: ``pytest -m obs``.
 
 Exit status: 0 on success, 1 on any failure.
 """
@@ -32,329 +27,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from typing import List, Optional
-
-
-def _probe_measure(x: int) -> dict:
-    """Module-level (picklable) measure for the cross-process checks."""
-    return {"y": x * x, "misses": x % 2}
-
-
-# ------------------------------------------------------------------ self-check
-def self_check(out=None) -> int:
-    """Smoke-run the observability machinery on built-in fixtures.
-
-    Verifies counter/gauge/histogram accounting and both export
-    formats, the three sinks (list, ring drop accounting, JSONL
-    round-trip), the disabled recorder's short-circuit, the Perfetto
-    exporter's span/instant reconstruction, and that an instrumented
-    micro-run produces a RunReport carrying every headline section.
-    Returns 0 on success.
-    """
-    out = out or sys.stdout
-    failures: List[str] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}",
-              file=out)
-        if not ok:
-            failures.append(name)
-
-    # -- metrics registry
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.counter("irqs_total", labels={"kind": "timer"}).inc(3)
-    registry.gauge("depth").set(2.5)
-    histogram = registry.histogram("lat", buckets=(10, 100))
-    for value in (5, 50, 500):
-        histogram.observe(value)
-    snapshot = registry.snapshot()
-    check("registry counts and buckets",
-          snapshot["irqs_total"]["series"][0]["value"] == 3
-          and snapshot["lat"]["series"][0]["buckets"] == {"10": 1, "100": 2, "+Inf": 3},
-          json.dumps(snapshot.get("lat", {}).get("series", "missing")))
-    text = registry.to_prometheus_text()
-    check("prometheus text renders",
-          '# TYPE lat histogram' in text
-          and 'irqs_total{kind="timer"} 3' in text
-          and 'lat_bucket{le="+Inf"} 3' in text)
-    same = MetricsRegistry()
-    same.counter("irqs_total", labels={"kind": "timer"}).inc(3)
-    same.gauge("depth").set(2.5)
-    h2 = same.histogram("lat", buckets=(10, 100))
-    for value in (5, 50, 500):
-        h2.observe(value)
-    check("export deterministic", same.to_json() == registry.to_json())
-
-    # -- sinks
-    from repro.obs.sinks import JsonlFileSink, RingBufferSink, trace_from_jsonl
-    from repro.trace.recorder import TraceRecorder
-
-    ring = TraceRecorder(sink=RingBufferSink(capacity=4))
-    for time in range(10):
-        ring.record(time, "tick", cpu=0)
-    check("ring buffer keeps the tail",
-          len(ring) == 4 and ring.sink.dropped == 6
-          and [e.time for e in ring] == [6, 7, 8, 9],
-          f"retained={[e.time for e in ring]}")
-
-    with tempfile.TemporaryDirectory(prefix="repro-obs-check-") as root:
-        path = os.path.join(root, "trace.jsonl")
-        streamed = TraceRecorder(sink=JsonlFileSink(path))
-        streamed.record(0, "release", job="a#0")
-        streamed.record(5, "dispatch", job="a#0", cpu=1)
-        streamed.record(20, "finish", job="a#0", cpu=1)
-        streamed.close()
-        reloaded = trace_from_jsonl(path)
-        check("jsonl sink round-trips",
-              streamed.sink.emitted == 3 and len(streamed.events) == 0
-              and [e.kind for e in reloaded] == ["release", "dispatch", "finish"])
-
-    disabled = TraceRecorder(enabled=False, sink=RingBufferSink(capacity=4))
-    disabled.record(0, "tick", cpu=0)
-    check("disabled recorder short-circuits",
-          len(disabled) == 0 and disabled.sink.emitted == 0)
-
-    # -- perfetto exporter
-    from repro.obs.perfetto import trace_to_chrome
-
-    trace = TraceRecorder()
-    trace.record(0, "release", job="a#0")
-    trace.record(5, "dispatch", job="a#0", cpu=0)
-    trace.record(20, "preempt", job="a#0", cpu=0)
-    trace.record(20, "dispatch", job="b#0", cpu=0)
-    trace.record(30, "finish", job="b#0", cpu=0)
-    trace.record(12, "irq", cpu=0, info="timer")
-    chrome = trace_to_chrome(trace, clock_hz=1_000_000)  # 1 cycle = 1 us
-    slices = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
-    instants = [e for e in chrome["traceEvents"] if e["ph"] == "i"]
-    check("perfetto spans reconstructed",
-          [(s["name"], s["ts"], s["dur"]) for s in slices]
-          == [("a#0", 5.0, 15.0), ("b#0", 20.0, 10.0)],
-          str([(s["name"], s["ts"], s["dur"]) for s in slices]))
-    check("perfetto instants and tracks",
-          any(e["name"] == "irq" and e["tid"] == 0 for e in instants)
-          and any(e["ph"] == "M" and e["args"]["name"] == "cpu0"
-                  for e in chrome["traceEvents"]))
-
-    # -- instrumented micro-run -> RunReport
-    from repro.experiments.runner import prototype_run_report
-
-    report = prototype_run_report(n_cpus=2, utilization=0.4, scale=1_000,
-                                  horizon_margin_s=12.0, label="self-check")
-    payload = report.to_dict()
-    required = ("sched_cycle_cycles", "queue_depth", "ipi_delivery_cycles",
-                "sync_lock_wait_cycles", "bus_window_utilization",
-                "icache_hit_rate")
-    missing = [name for name in required if name not in payload["metrics"]]
-    check("run report carries headline metrics", not missing,
-          f"missing={missing}" if missing else f"{len(payload['metrics'])} families")
-    sched = payload["metrics"].get("sched_cycle_cycles", {"series": []})
-    check("scheduler cycles observed",
-          sched["series"] and sched["series"][0]["count"] > 0)
-    depths = payload["metrics"].get("queue_depth", {"series": []})
-    cpus_covered = {row["labels"].get("cpu") for row in depths["series"]
-                    if row["labels"].get("queue") == "local"}
-    check("per-cpu queue depths present", cpus_covered == {"0", "1"},
-          f"cpus={sorted(cpus_covered)}")
-    check("report JSON parses back",
-          json.loads(report.to_json())["label"] == "self-check")
-
-    # -- TLM rung: transaction metrics + timed-block Perfetto track
-    from repro import CLOCK_HZ, TICK
-    from repro.simulators.tlm import TLMSimulator
-    from repro.workloads.automotive import (
-        AUTOMOTIVE_APERIODIC,
-        automotive_bindings,
-        build_automotive_taskset,
-        prepare_taskset,
-    )
-
-    tlm_registry = MetricsRegistry()
-    tlm_trace = TraceRecorder(sink=RingBufferSink(capacity=65_536))
-    taskset = prepare_taskset(build_automotive_taskset(0.4, 2), 2, tick=TICK)
-    arrival = int(1.0 * CLOCK_HZ)
-    tlm = TLMSimulator(
-        taskset, 2, tick=TICK,
-        bindings=automotive_bindings(),
-        aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
-        trace=tlm_trace, metrics=tlm_registry,
-    )
-    tlm.run(arrival + int(12.0 * CLOCK_HZ))
-    tlm_snapshot = tlm_registry.snapshot()
-    check("tlm metrics emitted",
-          tlm_snapshot["tlm_transactions_total"]["series"][0]["value"] > 0
-          and tlm_snapshot["tlm_calibration_residual"]["series"][0]["value"] > 0)
-    tlm_chrome = trace_to_chrome(tlm_trace)
-    tlm_slices = [e for e in tlm_chrome["traceEvents"]
-                  if e["ph"] == "X" and e.get("cat") == "tlm"]
-    check("tlm timed-block track exported",
-          bool(tlm_slices)
-          and all("contention_stretch" in s["args"] for s in tlm_slices)
-          and any(e["ph"] == "M" and e["args"]["name"] == "tlm-cpu0"
-                  for e in tlm_chrome["traceEvents"]),
-          f"{len(tlm_slices)} block slice(s)")
-
-    # -- span recorder invariants
-    from repro.obs.spans import SpanRecorder, spans_from_jsonl
-
-    recorder = SpanRecorder()
-    with recorder.span("outer", k=1) as outer:
-        with recorder.span("inner") as inner:
-            recorder.event("mark", n=2)
-    check("span ids monotonic, nesting parented",
-          [s.span_id for s in recorder.spans] == [1, 2]
-          and inner.parent_id == outer.span_id
-          and outer.parent_id is None
-          and all(s.end_s is not None and s.end_s >= s.start_s
-                  for s in recorder.spans)
-          and recorder.spans[1].events[0].name == "mark")
-    with tempfile.TemporaryDirectory(prefix="repro-obs-spans-") as root:
-        span_path = os.path.join(root, "spans.jsonl")
-        recorder.write_jsonl(span_path)
-        reloaded_spans = spans_from_jsonl(span_path)
-        check("spans JSONL round-trip",
-              [s.to_dict() for s in reloaded_spans]
-              == [s.to_dict() for s in recorder.spans])
-
-    # -- registry merge invariant (direct)
-    def _fill(reg: MetricsRegistry, values) -> MetricsRegistry:
-        for value in values:
-            reg.counter("ops_total").inc()
-            reg.histogram("cost", buckets=(10, 100)).observe(value)
-            reg.gauge("last").set(value)
-        return reg
-    serial_reg = _fill(MetricsRegistry(), [5, 50, 500, 7])
-    merged_reg = _fill(MetricsRegistry(), [5, 50])
-    merged_reg.merge(_fill(MetricsRegistry(), [500, 7]))
-    check("registry merge == serial bit-for-bit",
-          merged_reg.to_json() == serial_reg.to_json())
-
-    # -- cross-process sweep: workers=1 vs workers=2, merged telemetry
-    from repro.experiments.runner import sweep
-    from repro.perf.executor import Telemetry
-
-    serial_t = Telemetry()
-    serial_sweep = sweep(_probe_measure, {"x": [1, 2, 3, 4]},
-                         max_workers=1, telemetry=serial_t)
-    parallel_t = Telemetry()
-    parallel_sweep = sweep(_probe_measure, {"x": [1, 2, 3, 4]},
-                           max_workers=2, telemetry=parallel_t)
-    check("cross-process merged metrics == serial bit-for-bit",
-          parallel_t.metrics.to_json() == serial_t.metrics.to_json()
-          and parallel_sweep.rows == serial_sweep.rows,
-          f"{len(parallel_t.metrics.snapshot())} families")
-    check("cross-process span structure == serial",
-          parallel_t.spans.structure() == serial_t.spans.structure()
-          and len(parallel_t.spans) == len(serial_t.spans) > 0,
-          f"{len(parallel_t.spans)} span(s)")
-    worker_labels = {s.process for s in parallel_t.spans} - {"main"}
-    check("worker spans carry process labels",
-          all(label.startswith("worker-") for label in worker_labels),
-          f"labels={sorted(worker_labels)}")
-
-    # -- perfetto: per-worker process tracks + cache hit/miss instants
-    from repro.obs.perfetto import SPAN_PID_BASE, spans_to_events
-    from repro.perf.cache import RunCache
-
-    span_events = spans_to_events(list(parallel_t.spans))
-    process_metas = {e["args"]["name"]: e["pid"] for e in span_events
-                     if e["ph"] == "M" and e["name"] == "process_name"}
-    check("perfetto span export: distinct per-worker process tracks",
-          process_metas.get("main") == SPAN_PID_BASE
-          and len(process_metas) >= 2
-          and len(set(process_metas.values())) == len(process_metas),
-          f"tracks={sorted(process_metas)}")
-
-    with tempfile.TemporaryDirectory(prefix="repro-obs-ledger-") as root:
-        cache = RunCache(os.path.join(root, "cache"))
-        from repro.obs.ledger import Ledger
-
-        ledger = Ledger(os.path.join(root, "ledger.jsonl"))
-        cold_t = Telemetry()
-        sweep(_probe_measure, {"x": [1, 2]}, cache=cache,
-              cache_tag="obs-check", telemetry=cold_t, ledger=ledger)
-        warm_t = Telemetry()
-        warm = sweep(_probe_measure, {"x": [1, 2]}, cache=cache,
-                     cache_tag="obs-check", telemetry=warm_t, ledger=ledger)
-        warm_events = [e.name for s in warm_t.spans for e in s.events]
-        check("cache hits/misses land as span events",
-              [e.name for s in cold_t.spans for e in s.events]
-              == ["cache_miss", "cache_miss"]
-              and warm_events == ["cache_hit", "cache_hit"],
-              f"warm={warm_events}")
-        warm_chrome = spans_to_events(list(warm_t.spans))
-        check("perfetto span export: cache instants on the sweep track",
-              sum(1 for e in warm_chrome
-                  if e["ph"] == "i" and e["name"] == "cache_hit") == 2)
-
-        # -- ledger: append, read back, diff
-        from repro.obs.ledger import diff_numeric
-
-        entries = ledger.entries()
-        check("ledger append/read round-trip",
-              len(entries) == 2
-              and all(e.kind == "sweep" and e.label == "obs-check"
-                      and e.cells == 2 for e in entries)
-              and entries[0].cache == {"hits": 0, "misses": 2, "hit_rate": 0.0}
-              and entries[1].cache == {"hits": 2, "misses": 0, "hit_rate": 1.0},
-              f"{len(entries)} entry(ies), corrupt={ledger.corrupt}")
-        check("ledger digests stable across cache state",
-              entries[0].metrics_digest and entries[0].config_hash
-              and entries[0].config_hash == entries[1].config_hash)
-        with open(ledger.path, "a") as handle:
-            handle.write("{not json\n")
-        survivors = ledger.entries()
-        check("ledger tolerates corrupt lines",
-              len(survivors) == 2 and ledger.corrupt == 1)
-
-    report_diff = diff_numeric({"wall_time_s": 1.0, "events_per_s": 100},
-                               {"wall_time_s": 2.0, "events_per_s": 100})
-    check("diff flags bad-direction movement",
-          report_diff["regressions"] == ["wall_time_s"])
-    report_diff = diff_numeric({"wall_time_s": 2.0, "events_per_s": 100},
-                               {"wall_time_s": 1.0, "events_per_s": 150})
-    check("diff never flags improvements",
-          report_diff["regressions"] == []
-          and all(not row["regressed"] for row in report_diff["rows"]))
-
-    # -- prometheus exposition round-trip (writer -> strict parser)
-    from repro.obs.metrics import parse_prometheus_text
-
-    exported = MetricsRegistry()
-    exported.counter("reqs_total",
-                     labels={"path": 'a"b\\c\nd'},
-                     help='requests with "quotes"\nand newlines').inc(7)
-    tricky = exported.histogram("lat_cycles", buckets=(10, 100))
-    for value in (5, 50, 500):
-        tricky.observe(value)
-    parsed = parse_prometheus_text(exported.to_prometheus_text())
-    counter_samples = parsed["reqs_total"]["samples"]
-    bucket_rows = {labels: value
-                   for name, labels, value in parsed["lat_cycles"]["samples"]
-                   if name == "lat_cycles_bucket"}
-    check("prometheus round-trip: escaped labels survive",
-          counter_samples == [("reqs_total", (("path", 'a"b\\c\nd'),), 7.0)]
-          and parsed["reqs_total"]["type"] == "counter",
-          str(counter_samples))
-    check("prometheus round-trip: histogram buckets and count",
-          bucket_rows.get((("le", "+Inf"),)) == 3.0
-          and any(name == "lat_cycles_count" and value == 3.0
-                  for name, _, value in parsed["lat_cycles"]["samples"])
-          and any(name == "lat_cycles_sum" and value == 555.0
-                  for name, _, value in parsed["lat_cycles"]["samples"]),
-          str(sorted(bucket_rows.items())))
-
-    print(
-        f"self-check: {'PASS' if not failures else 'FAIL'} "
-        f"({len(failures)} failure(s))",
-        file=out,
-    )
-    return 0 if not failures else 1
 
 
 # --------------------------------------------------------------------- report
@@ -522,11 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="observability: metrics registry snapshots, run reports, "
         "trace sink/format conversion (Perfetto, JSONL, CSV, JSON)",
     )
-    parser.add_argument(
-        "--self-check",
-        action="store_true",
-        help="smoke-run the observability machinery on built-in fixtures and exit",
-    )
     commands = parser.add_subparsers(dest="command")
 
     report = commands.add_parser(
@@ -593,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.self_check:
-        return self_check()
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return 2

@@ -110,12 +110,20 @@ class RunCache:
         return self.root / key[:2] / f"{key}.json"
 
     def lookup(self, key: str) -> Tuple[bool, Any]:
-        """Return ``(hit, value)``; a miss returns ``(False, None)``."""
+        """Return ``(hit, value)``; a miss returns ``(False, None)``.
+
+        An entry that is unreadable, not JSON, not an object, lacks a
+        ``value`` or was written under another key is a miss, so the
+        caller recomputes and its :meth:`put` repairs the file.
+        """
         path = self._path(key)
         try:
             with open(path) as handle:
                 entry = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
+            entry = None
+        if not (isinstance(entry, dict) and entry.get("key") == key
+                and "value" in entry):
             self.misses += 1
             return False, None
         try:

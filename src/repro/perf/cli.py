@@ -7,7 +7,6 @@ Three modes, mirroring ``repro-lint``::
                      [--ledger FILE] [--no-ledger]
     repro-perf calibrate-tlm [--scale N] [--json]
     repro-perf cache [--gc] [--max-mb MB] [--max-entries N] [--dir PATH]
-    repro-perf --self-check
 
 ``bench`` times representative experiment cells serial-vs-parallel and
 cold-vs-warm cache and writes ``BENCH_perf.json`` (see docs/PERF.md
@@ -24,14 +23,8 @@ per-transaction cost table against fresh prototype runs and prints the
 fitted parameters plus the residual (the accuracy bound the TLM tests
 enforce).  ``cache`` reports on-disk run-cache usage and, with
 ``--gc``, evicts least-recently-used entries down to the given limits.
-``--self-check`` smoke-runs the executor, the run cache, the cached
-sweep path and the simulation core against built-in fixtures in a few
-seconds -- no long timings -- and is part of the CI tier; it includes
-the determinism sentinel replaying one full kernel-on-SoC workload on
-both the bucket and the reference heap event queue and requiring
-bit-for-bit identical finished jobs, traces and stats, plus the TLM
-determinism invariant (same seed + config => bit-for-bit identical
-TLM schedule).
+The perf tier's invariants (parallel == serial, cold == warm cache,
+heap == bucket event queue) are tests: ``pytest -m perf``.
 
 Exit status: 0 on success, 1 on any failure.
 """
@@ -40,365 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from typing import List, Optional
-
-
-def _square(x: int) -> int:  # module-level: picklable for the pool
-    return x * x
-
-
-def _sentinel_run(queue_kind: str) -> tuple:
-    """One full kernel-on-SoC workload on the given event queue.
-
-    Exercises every engine path the experiments rely on: short
-    timeouts (bucketed), whole-tick delays (far-heap overflow), timer
-    IRQs, an aperiodic CAN release, IPIs, preemptions and idle
-    fast-forward.  Returns hashable summaries of the schedule so the
-    caller can compare queue implementations bit for bit.
-    """
-    from repro.sim.engine import Simulator
-
-    previous = Simulator.DEFAULT_QUEUE
-    Simulator.DEFAULT_QUEUE = queue_kind
-    try:
-        from repro.analysis import assign_promotions, partition
-        from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
-        from repro.hw.soc import SoC, SoCConfig
-        from repro.kernel import DualPriorityMicrokernel
-        from repro.trace import TraceRecorder
-
-        tasks = [
-            PeriodicTask(name="a", wcet=8_000, period=80_000),
-            PeriodicTask(name="b", wcet=12_000, period=120_000),
-            PeriodicTask(name="c", wcet=6_000, period=60_000),
-            PeriodicTask(name="tight", wcet=9_000, period=100_000,
-                         deadline=40_000),
-        ]
-        taskset = TaskSet(
-            tasks, [AperiodicTask(name="evt", wcet=8_000)]
-        ).with_deadline_monotonic_priorities()
-        taskset = partition(taskset, 2)
-        taskset = assign_promotions(taskset, 2, tick=20_000)
-
-        soc = SoC(SoCConfig(n_cpus=2, tick_cycles=20_000, chunk_cycles=1_000))
-        trace = TraceRecorder()
-        kernel = DualPriorityMicrokernel(soc, taskset, trace=trace)
-        soc.add_can_interface("can0", task_name="evt")
-        soc.peripherals["can0"].program_frames([150_000, 260_000])
-        kernel.run(until=400_000)
-
-        jobs = tuple(
-            (j.task.name, j.index, j.release, j.start_time, j.finish_time,
-             j.cpu, j.preemptions, j.migrations, j.remaining)
-            for j in kernel.finished_jobs
-        )
-        return jobs, tuple(trace.events), kernel.stats(), soc.sim.now
-    finally:
-        Simulator.DEFAULT_QUEUE = previous
-
-
-def self_check(out=None) -> int:
-    """Smoke-run the perf machinery against built-in fixtures.
-
-    Verifies parallel/serial equivalence, the serial fallback for
-    closures, cache round-trips and hit accounting, the cached sweep
-    path (a warm run must not invoke the measure), and determinism of
-    the optimized event core and ISA dispatch.  Returns 0 on success.
-    """
-    out = out or sys.stdout
-    failures: List[str] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}{': ' + detail if detail else ''}",
-              file=out)
-        if not ok:
-            failures.append(name)
-
-    # -- executor
-    from repro.perf.executor import chunk_indices, pmap
-
-    items = list(range(23))
-    serial = pmap(_square, items, max_workers=1)
-    stats: dict = {}
-    parallel = pmap(_square, items, max_workers=2, chunksize=4, stats=stats)
-    check("pmap parallel == serial", parallel == serial,
-          f"mode={stats.get('mode')} chunks={stats.get('chunks')}")
-
-    stats = {}
-    closure = pmap(lambda x: x + 1, items, max_workers=2, stats=stats)
-    check("pmap closure falls back serially",
-          closure == [x + 1 for x in items] and stats["mode"] == "serial-unpicklable",
-          f"mode={stats.get('mode')}")
-
-    chunks = chunk_indices(10, 4)
-    check("pmap chunking covers every index",
-          [i for r in chunks for i in r] == list(range(10)),
-          f"{[list(r) for r in chunks]}")
-
-    # -- run cache
-    from repro.perf.cache import RunCache, cache_key
-
-    key_a = cache_key(n_cpus=2, seed=0)
-    key_b = cache_key(seed=0, n_cpus=2)
-    key_c = cache_key(n_cpus=3, seed=0)
-    check("cache key stable under kwarg order", key_a == key_b)
-    check("cache key sensitive to content", key_a != key_c)
-
-    with tempfile.TemporaryDirectory(prefix="repro-perf-check-") as root:
-        cache = RunCache(root)
-        hit, _ = cache.lookup(key_a)
-        cache.put(key_a, {"response_s": 10.5, "misses": 0})
-        hit2, value = cache.lookup(key_a)
-        check("cache round-trip",
-              not hit and hit2 and value == {"response_s": 10.5, "misses": 0},
-              f"hits={cache.hits} misses={cache.misses}")
-
-        # -- cached sweep: warm run must not invoke the measure
-        from repro.experiments.runner import sweep
-
-        calls: List[int] = []
-
-        def measure(x: int) -> dict:
-            calls.append(x)
-            return {"y": x * x}
-
-        cold = sweep(measure, {"x": [1, 2, 3]}, cache=cache, cache_tag="self-check")
-        cold_calls = len(calls)
-        warm = sweep(measure, {"x": [1, 2, 3]}, cache=cache, cache_tag="self-check")
-        check("cached sweep: warm run skips the measure",
-              cold_calls == 3 and len(calls) == 3 and warm.rows == cold.rows,
-              f"cold_calls={cold_calls} warm_calls={len(calls) - cold_calls}")
-        check("cached sweep: summaries surface hit/miss stats",
-              cold.cache_stats == {"hits": 0, "misses": 3, "hit_rate": 0.0}
-              and warm.cache_stats == {"hits": 3, "misses": 0, "hit_rate": 1.0}
-              and "3 hit(s)" in warm.format(),
-              f"cold={cold.cache_stats} warm={warm.cache_stats}")
-
-    # -- optimized event core: determinism and slotted events
-    from repro.sim.engine import Simulator
-    from repro.sim.events import Event, Interrupt, Timeout
-
-    def interrupt_trace() -> list:
-        sim = Simulator()
-        log: list = []
-
-        def worker(tag: str):
-            for _ in range(20):
-                try:
-                    yield sim.timeout(10)
-                    log.append((sim.now, tag, "tick"))
-                except Interrupt as interrupt:
-                    log.append((sim.now, tag, interrupt.cause))
-
-        victims = [sim.process(worker(t)) for t in "abc"]
-
-        def hammer():
-            while any(v.is_alive for v in victims):
-                yield sim.timeout(7)
-                for victim in victims:
-                    if victim.is_alive:
-                        victim.interrupt("irq")
-
-        sim.process(hammer())
-        sim.run(until=500)
-        return log
-
-    first, second = interrupt_trace(), interrupt_trace()
-    check("event core deterministic under interrupts",
-          first == second and len(first) > 0, f"{len(first)} entries")
-    check("events are slotted (no per-instance __dict__)",
-          not hasattr(Event(Simulator()), "__dict__")
-          and not hasattr(Timeout(Simulator(), 1), "__dict__"))
-
-    # -- bucket queue vs reference heap: ordering invariants
-    from repro.sim.engine import BUCKET_HORIZON
-
-    def tie_trace(kind: str) -> list:
-        sim = Simulator(queue=kind)
-        log: list = []
-        # Same-instant entries across the bucket/far boundary, pushed
-        # in interleaved order: replay must preserve insertion order.
-        for i in range(6):
-            delay = BUCKET_HORIZON + 7 if i % 2 else 7
-            sim.schedule(delay, lambda i=i: log.append((sim.now, i)))
-        sim.schedule(BUCKET_HORIZON + 7,
-                     lambda: log.append((sim.now, "late-push")))
-        sim.run()
-        return log
-
-    check("bucket queue preserves insertion-order ties vs heap",
-          tie_trace("bucket") == tie_trace("heap"),
-          f"{tie_trace('bucket')}")
-
-    def idle_gap(kind: str) -> tuple:
-        sim = Simulator(queue=kind)
-        seen: list = []
-        sim.schedule(3 * BUCKET_HORIZON + 11, lambda: seen.append(sim.now))
-        sim.run(until=10 * BUCKET_HORIZON)
-        return tuple(seen), sim.now
-
-    check("idle fast-forward jumps heap == bucket",
-          idle_gap("bucket") == idle_gap("heap")
-          and idle_gap("bucket")[0] == (3 * BUCKET_HORIZON + 11,))
-
-    # -- determinism sentinel: full kernel run, heap vs bucket queue
-    heap_run = _sentinel_run("heap")
-    bucket_run = _sentinel_run("bucket")
-    check("sentinel: finished jobs bit-for-bit identical",
-          heap_run[0] == bucket_run[0] and len(heap_run[0]) > 0,
-          f"{len(heap_run[0])} job(s)")
-    check("sentinel: traces bit-for-bit identical",
-          heap_run[1] == bucket_run[1] and len(heap_run[1]) > 0,
-          f"{len(heap_run[1])} event(s)")
-    check("sentinel: kernel stats identical",
-          heap_run[2] == bucket_run[2] and heap_run[3] == bucket_run[3],
-          f"now={heap_run[3]}")
-
-    # -- TLM determinism invariant: same seed + config => bit-for-bit
-    #    identical schedule on the fast fidelity-ladder rung
-    def tlm_outcome() -> tuple:
-        from repro import CLOCK_HZ, TICK
-        from repro.simulators.tlm import TLMSimulator, per_task_wcrt
-        from repro.trace import TraceRecorder
-        from repro.workloads.automotive import (
-            AUTOMOTIVE_APERIODIC,
-            automotive_bindings,
-            build_automotive_taskset,
-            prepare_taskset,
-        )
-
-        taskset = prepare_taskset(
-            build_automotive_taskset(0.40, 2), 2, tick=TICK
-        )
-        arrival = int(1.0 * CLOCK_HZ)
-        trace = TraceRecorder()
-        sim = TLMSimulator(
-            taskset,
-            2,
-            tick=TICK,
-            bindings=automotive_bindings(),
-            aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
-            trace=trace,
-        )
-        sim.run(arrival + int(12.0 * CLOCK_HZ))
-        return (tuple(trace.events), per_task_wcrt(sim.finished_jobs),
-                sim.stats())
-
-    tlm_first, tlm_second = tlm_outcome(), tlm_outcome()
-    check("tlm schedule bit-for-bit repeatable",
-          tlm_first == tlm_second and tlm_first[2]["tlm_transactions"] > 0,
-          f"{len(tlm_first[0])} event(s), "
-          f"{tlm_first[2]['tlm_transactions']} transaction(s)")
-
-    # -- ISA dispatch table
-    from repro.hw.assembler import assemble
-    from repro.hw.isa import ISAExecutor
-    from repro.hw.soc import SoC, SoCConfig
-
-    def run_program() -> tuple:
-        soc = SoC(SoCConfig(n_cpus=1))
-        program = assemble(
-            """
-            addi r3, r0, 0
-            addi r4, r0, 10
-            loop:
-                add  r3, r3, r4
-                subi r4, r4, 1
-                bnez r4, loop
-            halt
-            """
-        )
-        executor = ISAExecutor(soc.core(0), program)
-        soc.sim.process(executor.run())
-        soc.sim.run()
-        return executor.state.read(3), executor.cycles
-
-    (value, cycles), (value2, cycles2) = run_program(), run_program()
-    check("ISA dispatch computes 10+9+...+1 = 55",
-          value == 55, f"r3={value}")
-    check("ISA dispatch cycle-deterministic",
-          cycles == cycles2 and cycles > 0, f"cycles={cycles}")
-
-    # -- ISA determinism sentinel: the predecoded basic-block
-    #    interpreter must be observably indistinguishable from the
-    #    per-instruction reference on every asmlib kernel -- cycles,
-    #    CPUState, trace events and bus-transaction instants -- with
-    #    tracing enabled, under a fault plan (which invalidates and
-    #    replays in-flight blocks), and in pc-count accounting.
-    from repro.faults.plan import FaultEvent, FaultPlan
-    from repro.hw.asmlib import ROUTINES
-    from repro.perf.isabench import observable, run_kernel
-
-    sentinel_iters = {"memcpy_words": 4, "array_sum": 4, "popcount32": 20,
-                      "crc32_word": 6, "isqrt32": 6}
-    mismatches = []
-    windows_total = 0
-    for kernel in ROUTINES:
-        ref = run_kernel(kernel, "reference",
-                         iterations=sentinel_iters[kernel], trace=True)
-        blk = run_kernel(kernel, "block",
-                         iterations=sentinel_iters[kernel], trace=True)
-        windows_total += blk["windows"]
-        if observable(ref) != observable(blk):
-            mismatches.append(kernel)
-    check("ISA sentinel: block == reference on every asmlib kernel",
-          not mismatches and windows_total > 0,
-          f"{len(ROUTINES)} kernel(s), "
-          + (f"mismatch: {mismatches}" if mismatches
-             else f"{windows_total} window(s)"))
-
-    data_plan = FaultPlan(
-        seed=7,
-        events=[
-            # Flip a bit of the input array mid-run: every later
-            # array_sum call must read the corrupted word in both modes.
-            FaultEvent(kind="bitflip_memory", time=900,
-                       addr=0x4008_0010, arg=5),
-            FaultEvent(kind="bitflip_register", time=1_100, cpu=0),
-        ],
-    )
-    ref = run_kernel("array_sum", "reference", iterations=4, trace=True,
-                     plan=data_plan)
-    blk = run_kernel("array_sum", "block", iterations=4, trace=True,
-                     plan=data_plan)
-    check("ISA sentinel: faulted data-bound run identical",
-          observable(ref) == observable(blk),
-          f"replays={blk['replays']}")
-
-    window_plan = FaultPlan(
-        seed=8,
-        events=[
-            # crc32_word coalesces hundreds of ALU instructions per
-            # window, so these instants land inside in-flight sleeps:
-            # the block interpreter must flush, roll back and replay.
-            FaultEvent(kind="bitflip_register", time=900, cpu=0),
-            FaultEvent(kind="bitflip_memory", time=1_200,
-                       addr=0x4008_0000, arg=3),
-        ],
-    )
-    ref = run_kernel("crc32_word", "reference", iterations=6, trace=True,
-                     plan=window_plan)
-    blk = run_kernel("crc32_word", "block", iterations=6, trace=True,
-                     plan=window_plan)
-    check("ISA sentinel: mid-window faults invalidate and replay",
-          observable(ref) == observable(blk) and blk["replays"] > 0,
-          f"replays={blk['replays']}")
-
-    ref = run_kernel("popcount32", "reference", iterations=8, count_pcs=True)
-    blk = run_kernel("popcount32", "block", iterations=8, count_pcs=True)
-    check("ISA sentinel: count_pcs accounting identical",
-          observable(ref) == observable(blk)
-          and ref["pc_counts"] == blk["pc_counts"]
-          and sum(ref["pc_counts"].values()) == ref["retired"],
-          f"{len(ref['pc_counts'])} pc(s), {ref['retired']} retired")
-
-    print(
-        f"self-check: {'PASS' if not failures else 'FAIL'} "
-        f"({len(failures)} failure(s))",
-        file=out,
-    )
-    return 0 if not failures else 1
 
 
 # ----------------------------------------------------------------------- main
@@ -546,11 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="performance harness: parallel executor, run cache and "
         "sim-core timings (BENCH_perf.json)",
     )
-    parser.add_argument(
-        "--self-check",
-        action="store_true",
-        help="smoke-run the perf machinery on built-in fixtures and exit",
-    )
     commands = parser.add_subparsers(dest="command")
 
     bench = commands.add_parser("bench", help="time serial vs parallel and "
@@ -610,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.self_check:
-        return self_check()
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return 2

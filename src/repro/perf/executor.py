@@ -26,7 +26,7 @@ Cross-process observability rides the same chunks: pass a
 code via :func:`current_telemetry`), ships the snapshots home with the
 chunk result, and the parent folds them back **in chunk order** --
 so a merged parallel run's metrics equal the serial run's bit for bit
-(see ``repro-obs --self-check``).  With no telemetry the only cost is
+(``tests/perf/test_telemetry.py``).  With no telemetry the only cost is
 a ``None`` default argument.
 """
 

@@ -6,10 +6,10 @@ paired wall-time speedups plus a full *observable equality* record:
 cycles, architectural state, I-cache counters, trace events and the
 exact bus-transaction instants.  ``repro-perf bench --isa-only``
 regenerates the ``isa`` section of ``BENCH_perf.json`` from
-:func:`bench_isa`; the determinism sentinel in ``repro-perf
---self-check`` reuses :func:`run_kernel`/:func:`observable` to prove
-the two interpreters bit-for-bit equivalent, including under fault
-plans and with tracing / ``count_pcs`` enabled.
+:func:`bench_isa`; ``tests/hw/test_isa_blocks.py`` reuses
+:func:`run_kernel`/:func:`observable` to prove the two interpreters
+bit-for-bit equivalent, including under fault plans and with tracing /
+``count_pcs`` enabled.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ Two interchangeable queue implementations back the loop:
   per-cycle work.
 - ``"heap"``: the original flat ``heapq`` with explicit insertion-id
   tie-breaks.  Kept as the reference implementation; the determinism
-  sentinel in ``repro-perf --self-check`` replays identical workloads
-  on both queues and requires bit-for-bit identical schedules.
+  sentinel ``tests/perf/test_determinism.py`` replays identical
+  workloads on both queues and requires bit-for-bit identical
+  schedules.
 """
 
 from __future__ import annotations

@@ -14,8 +14,6 @@ from repro.faults.scenarios import demo_bindings, demo_taskset
 from repro.kernel.microkernel import RecoveryConfig, TaskBinding
 from repro.lint.tasks import check_fault_config, lint_fault_config
 
-pytestmark = pytest.mark.faults
-
 
 def _pair():
     hi = PeriodicTask(name="hi", wcet=2_000, period=20_000, cpu=0)

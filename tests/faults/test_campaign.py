@@ -1,15 +1,10 @@
 """Fault campaigns over the pmap pool, caching, and the CLI."""
 
-import io
 import json
-
-import pytest
 
 from repro.experiments.runner import fault_campaign
 from repro.faults import cli
 from repro.perf.cache import RunCache
-
-pytestmark = pytest.mark.faults
 
 
 def test_campaign_rows_per_seed():
@@ -67,14 +62,6 @@ def test_min_gap_matches_fault_model_zero_misses():
 
 
 # ------------------------------------------------------------------- CLI
-def test_cli_self_check_passes():
-    out = io.StringIO()
-    assert cli.self_check(out=out) == 0
-    text = out.getvalue()
-    assert "self-check: PASS" in text
-    assert "FAIL" not in text.replace("PASS/FAIL", "")
-
-
 def test_cli_plan_prints_json(capsys):
     assert cli.main(["plan", "--seed", "3", "--faults", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

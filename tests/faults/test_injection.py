@@ -18,8 +18,6 @@ from repro.hw.timer import SystemTimer
 from repro.kernel import DualPriorityMicrokernel
 from repro.sim import Simulator
 
-pytestmark = pytest.mark.faults
-
 
 # -------------------------------------------------------------- hw surfaces
 def test_memory_bit_flip_corrupts_and_counts():

@@ -1,5 +1,7 @@
 """Fault plans: validation, serialization, seeded generation."""
 
+import re
+
 import pytest
 
 from repro.faults.plan import (
@@ -10,8 +12,6 @@ from repro.faults.plan import (
     random_plan,
 )
 from repro.perf.cache import cache_key
-
-pytestmark = pytest.mark.faults
 
 
 def test_event_validation_rejects_bad_kind():
@@ -88,3 +88,43 @@ def test_overrun_extra_capped_by_wcet():
                        n_faults=8, kinds=("wcet_overrun",))
     for event in plan.events:
         assert 1 <= event.arg <= 4_000
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"events": [{"kind": "timer_glitch", "time": 52000.5, "arg": 1}]}', "time"),
+    ('{"events": [{"kind": "timer_glitch", "time": true, "arg": 1}]}', "time"),
+    ('{"events": [{"kind": "timer_glitch", "time": "52000", "arg": 1}]}', "time"),
+    ('{"events": [{"kind": "bus_stall", "time": 5, "duration": 2.5}]}', "duration"),
+    ('{"events": [{"kind": "timer_glitch", "time": 5, "arg": false}]}', "arg"),
+    ('{"events": [{"kind": "bitflip_register", "time": 5, "cpu": "0"}]}', "cpu"),
+    ('{"events": [{"kind": "bitflip_memory", "time": 5, "addr": 1.0}]}', "addr"),
+    ('{"events": [{"kind": "task_crash", "time": 5, "task": 3}]}', "task"),
+    ('{"events": [{"kind": "task_crash", "task": "a"}]}', "time"),
+    ('{"events": [{"kind": "task_crash", "time": 5, "task": "a", "x": 1}]}', "'x'"),
+    ('[1, 2]', "plan"),
+    ('{"events": 5}', "events"),
+    ('{"events": [5]}', "events[0]"),
+])
+def test_malformed_plan_json_raises_value_error_naming_the_field(text, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        FaultPlan.from_json(text)
+
+
+def test_random_plans_of_every_kind_are_valid():
+    for seed in range(20):
+        plan = random_plan(seed=seed, horizon=400_000,
+                           tasks={"a": 8_000, "tight": 9_000}, n_faults=6,
+                           kinds=FAULT_KINDS)
+        assert FaultPlan.from_json(plan.to_json()) == plan
+
+
+def test_random_bitflips_land_in_ddr_and_fire():
+    from repro.faults.plan import DDR_BASE
+    from repro.faults.scenarios import demo_taskset, run_scenario
+
+    wcets = {task.name: task.wcet for task in demo_taskset().periodic}
+    plan = random_plan(seed=0, horizon=400_000, tasks=wcets, n_faults=3,
+                       kinds=["bitflip_memory"])
+    assert all(DDR_BASE <= e.addr < DDR_BASE + 4_096 for e in plan.events)
+    result = run_scenario(plan=plan)
+    assert result["injector"]["by_kind"] == {"bitflip_memory": len(plan)}

@@ -11,8 +11,6 @@ from repro.faults.scenarios import (
 )
 from repro.obs.metrics import MetricsRegistry
 
-pytestmark = pytest.mark.faults
-
 
 def test_fault_free_run_has_no_misses_or_faults():
     result = baseline_run()
@@ -146,3 +144,27 @@ def test_kernel_stats_surface_fault_counters():
     for key in ("deadline_misses", "faults_injected", "task_retries",
                 "crashes_unrecovered", "jobs_shed", "degraded"):
         assert key in stats
+
+
+# Known kernel defects (docs/FAULTS.md, "Known defects").  Each test
+# pins a plan that reaches the defect today; strict xfail turns green
+# into a failure once the kernel is fixed, so the marker must go then.
+def _demo_random_plan(seed, kind):
+    from repro.faults.plan import random_plan
+    from repro.faults.scenarios import demo_taskset
+
+    wcets = {task.name: task.wcet for task in demo_taskset().periodic}
+    return random_plan(seed=seed, horizon=400_000, tasks=wcets, n_faults=3,
+                       kinds=[kind])
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="KD-1: _arm_watchdog schedules a watchdog in the past")
+def test_timer_glitch_plan_arms_watchdog_in_the_past():
+    run_scenario(plan=_demo_random_plan(7, "timer_glitch"))
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="bus stall leads to a spurious interrupt acknowledge")
+def test_bus_stall_plan_acknowledges_a_spurious_interrupt():
+    run_scenario(plan=_demo_random_plan(11, "bus_stall"))

@@ -24,8 +24,6 @@ from repro.lint.absint import (
 )
 from repro.lint.asm import ProgramAnalysis
 
-pytestmark = pytest.mark.lint
-
 MAXU = 0xFFFF_FFFF
 
 

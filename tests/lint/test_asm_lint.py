@@ -15,8 +15,6 @@ from repro.lint.asm import (
     wcet_bound,
 )
 
-pytestmark = pytest.mark.lint
-
 
 def lint(source, **kwargs):
     return lint_program(assemble(source), **kwargs)

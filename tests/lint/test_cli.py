@@ -1,15 +1,12 @@
-"""The repro-lint command line front end and its self-check smoke mode."""
+"""The repro-lint command line front end."""
 
-import io
 import json
 
 import pytest
 
-from repro.lint.cli import main, self_check
+from repro.lint.cli import main
 from repro.trace.export import trace_to_json
 from repro.trace.recorder import TraceRecorder
-
-pytestmark = pytest.mark.lint
 
 GOOD_ASM = """
     addi r3, r0, 5
@@ -29,17 +26,6 @@ def write(tmp_path, name, content):
     path = tmp_path / name
     path.write_text(content)
     return str(path)
-
-
-class TestSelfCheck:
-    def test_self_check_passes(self):
-        out = io.StringIO()
-        assert self_check(out=out) == 0
-        assert "self-check: PASS" in out.getvalue()
-
-    def test_main_flag(self, capsys):
-        assert main(["--self-check"]) == 0
-        assert "PASS" in capsys.readouterr().out
 
 
 class TestAsmCommand:

@@ -9,8 +9,6 @@ from repro.lint.determinism import (
     lint_python_source,
 )
 
-pytestmark = pytest.mark.lint
-
 
 def rules_of(source):
     return lint_python_source(source, "fixture.py").rules()

@@ -10,8 +10,6 @@ from repro.lint.diagnostics import LintError, Severity
 from repro.lint.tasks import check_taskset, lint_task_rows, lint_taskset
 from repro.workloads.automotive import build_automotive_taskset, prepare_taskset
 
-pytestmark = pytest.mark.lint
-
 
 def rows(*triples):
     return [

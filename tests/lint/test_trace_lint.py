@@ -11,8 +11,6 @@ from repro.lint.concurrency import lint_trace
 from repro.sim.engine import Simulator
 from repro.trace.recorder import TraceRecorder
 
-pytestmark = pytest.mark.lint
-
 
 def trace_of(*events):
     trace = TraceRecorder()

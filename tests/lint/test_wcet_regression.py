@@ -13,8 +13,6 @@ from repro.lint.absint import (
     format_audit,
 )
 
-pytestmark = pytest.mark.lint
-
 SEEDS = (1, 2, 3)
 
 

@@ -1,4 +1,4 @@
-"""repro-obs CLI: self-check, convert, report plumbing."""
+"""repro-obs CLI: convert, report, history and diff plumbing."""
 
 import json
 
@@ -7,8 +7,6 @@ import pytest
 from repro.obs.cli import main
 from repro.trace.export import trace_to_csv, trace_to_json
 from repro.trace.recorder import TraceRecorder
-
-pytestmark = pytest.mark.obs
 
 
 def sample_trace():
@@ -24,13 +22,6 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-class TestSelfCheck:
-    def test_passes(self, capsys):
-        assert main(["--self-check"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL " not in out
 
 
 class TestConvert:

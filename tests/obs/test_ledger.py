@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.obs.ledger import (
     LEDGER_ENV,
     Ledger,
@@ -13,8 +11,6 @@ from repro.obs.ledger import (
     format_diff,
     format_history,
 )
-
-pytestmark = pytest.mark.obs
 
 
 def entry(**overrides):

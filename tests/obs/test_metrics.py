@@ -11,8 +11,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 
-pytestmark = pytest.mark.obs
-
 
 class TestInstruments:
     def test_counter_accumulates(self):

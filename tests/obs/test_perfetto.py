@@ -14,8 +14,6 @@ from repro.obs.perfetto import (
 )
 from repro.trace.recorder import TraceRecorder
 
-pytestmark = pytest.mark.obs
-
 
 def schedule_trace():
     trace = TraceRecorder()

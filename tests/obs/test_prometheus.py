@@ -4,8 +4,6 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry, parse_prometheus_text
 
-pytestmark = pytest.mark.obs
-
 
 def scrape(registry):
     return parse_prometheus_text(registry.to_prometheus_text())

@@ -13,8 +13,6 @@ from repro.obs.report import (
 )
 from repro.trace.recorder import TraceRecorder
 
-pytestmark = pytest.mark.obs
-
 
 class FakeMonitor:
     """Duck-typed stand-in for BusMonitor (samples + summary views)."""

@@ -13,8 +13,6 @@ from repro.obs.sinks import (
 )
 from repro.trace.recorder import ListSink, TraceEvent, TraceRecorder
 
-pytestmark = pytest.mark.obs
-
 
 class TestListSink:
     def test_is_the_default(self):

@@ -1,10 +1,6 @@
 """Span recorder: deterministic ids, nesting, grafting, serialisation."""
 
-import pytest
-
 from repro.obs.spans import Span, SpanRecorder, spans_from_jsonl
-
-pytestmark = pytest.mark.obs
 
 
 def test_ids_monotonic_from_one():

@@ -15,8 +15,6 @@ from repro.perf.cache import (
     taskset_rows,
 )
 
-pytestmark = pytest.mark.perf
-
 
 class TestKeys:
     def test_stable_under_kwarg_order(self):
@@ -96,6 +94,45 @@ class TestRunCache:
         cache._path(key).write_text("{not json")
         hit, _ = cache.lookup(key)
         assert not hit
+
+    @pytest.mark.parametrize("text", [
+        "{}", "[]", '"str"', "null", '{"key": "other", "value": 9}',
+        '{"value": 9}', "\xff\xfe",
+    ])
+    def test_malformed_entry_is_a_miss_and_put_repairs_it(self, tmp_path, text):
+        cache = RunCache(tmp_path)
+        key = cache_key(x="malformed")
+        cache.put(key, 1)
+        cache._path(key).write_text(text, encoding="latin-1")
+        assert cache.lookup(key) == (False, None)
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(key, 2)
+        assert cache.lookup(key) == (True, 2)
+
+    def test_sweep_over_corrupted_cache_recomputes(self, tmp_path):
+        from repro.experiments.runner import sweep
+
+        calls = []
+
+        def measure(x):
+            calls.append(x)
+            return {"y": x * x}
+
+        grid = {"x": [1, 2, 3]}
+        clean = sweep(measure, grid)
+        cache = RunCache(tmp_path)
+        sweep(measure, grid, cache=cache, cache_tag="corrupt")
+        entries = sorted(cache.root.glob("*/*.json"))
+        for path, text in zip(entries, ["{}", "[]", '{"key": "x", "value": 9}']):
+            path.write_text(text)
+        del calls[:]
+        recomputed = sweep(measure, grid, cache=cache, cache_tag="corrupt")
+        assert sorted(calls) == [1, 2, 3]
+        assert recomputed.rows == clean.rows
+        assert recomputed.cache_stats["misses"] == 3
+        repaired = sweep(measure, grid, cache=cache, cache_tag="corrupt")
+        assert repaired.rows == clean.rows
+        assert repaired.cache_stats["hits"] == 3
 
     def test_env_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envroot"))

@@ -1,31 +1,16 @@
 """Tests for the repro-perf CLI and the timing harness."""
 
-import io
 import json
 
 import pytest
 
 from repro.perf import bench
-from repro.perf.cli import main, self_check
-
-pytestmark = pytest.mark.perf
+from repro.perf.cli import main
 
 
-class TestSelfCheck:
-    def test_passes(self):
-        out = io.StringIO()
-        assert self_check(out=out) == 0
-        text = out.getvalue()
-        assert "self-check: PASS" in text
-        assert "FAIL" not in text.replace("PASS", "")
-
-    def test_main_flag(self, capsys):
-        assert main(["--self-check"]) == 0
-        assert "self-check: PASS" in capsys.readouterr().out
-
-    def test_no_command_prints_help(self, capsys):
-        assert main([]) == 2
-        assert "repro-perf" in capsys.readouterr().err
+def test_no_command_prints_help(capsys):
+    assert main([]) == 2
+    assert "repro-perf" in capsys.readouterr().err
 
 
 class TestBenchSections:

@@ -14,8 +14,6 @@ from repro.experiments.runner import sweep
 from repro.perf.cache import RunCache
 from repro.simulators.batch import replicate
 
-pytestmark = pytest.mark.perf
-
 
 def fake_measure(a, b):
     return {"sum": a + b, "product": a * b}
@@ -46,6 +44,15 @@ class TestSweepEquivalence:
         assert warm.rows == cold.rows
         assert cache.stats()["hits"] == 6
         assert cache.hit_rate == 0.5
+
+    def test_summaries_surface_cache_stats(self, tmp_path):
+        cache = RunCache(tmp_path)
+        grid = {"a": [1, 2, 3], "b": [10]}
+        cold = sweep(fake_measure, grid, cache=cache, cache_tag="stats")
+        warm = sweep(fake_measure, grid, cache=cache, cache_tag="stats")
+        assert cold.cache_stats == {"hits": 0, "misses": 3, "hit_rate": 0.0}
+        assert warm.cache_stats == {"hits": 3, "misses": 0, "hit_rate": 1.0}
+        assert "3 hit(s)" in warm.format()
 
     def test_partial_warm_only_computes_new_cells(self, tmp_path):
         cache = RunCache(tmp_path)

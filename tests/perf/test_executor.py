@@ -4,8 +4,6 @@ import pytest
 
 from repro.perf.executor import chunk_indices, default_workers, picklable, pmap
 
-pytestmark = pytest.mark.perf
-
 
 def square(x):
     return x * x

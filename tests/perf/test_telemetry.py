@@ -5,8 +5,6 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.executor import Telemetry, current_telemetry, pmap
 
-pytestmark = pytest.mark.perf
-
 
 def observed(x):
     """Module-level (picklable) body that records into the active telemetry."""
@@ -116,6 +114,19 @@ class TestRegistryMerge:
         theirs.gauge("g").set(1.5)
         mine = MetricsRegistry().merge(theirs)
         assert mine.to_json() == theirs.to_json()
+
+    def test_split_merge_equals_serial_bit_for_bit(self):
+        def fill(registry, values):
+            for value in values:
+                registry.counter("ops_total").inc()
+                registry.histogram("cost", buckets=(10, 100)).observe(value)
+                registry.gauge("last").set(value)
+            return registry
+
+        serial = fill(MetricsRegistry(), [5, 50, 500, 7])
+        merged = fill(MetricsRegistry(), [5, 50])
+        merged.merge(fill(MetricsRegistry(), [500, 7]))
+        assert merged.to_json() == serial.to_json()
 
     def test_merge_chains(self):
         a, b, c = MetricsRegistry(), MetricsRegistry(), MetricsRegistry()

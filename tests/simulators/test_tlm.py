@@ -192,6 +192,15 @@ class TestSimulatorSurface:
         assert blocks
         # Every timed block is annotated with its contention stretch.
         assert all("stretch=" in (e.info or "") for e in blocks)
+        # ... which the Perfetto exporter carries onto per-cpu tlm tracks.
+        from repro.obs.perfetto import trace_to_chrome
+
+        events = trace_to_chrome(trace)["traceEvents"]
+        slices = [e for e in events if e["ph"] == "X" and e.get("cat") == "tlm"]
+        assert len(slices) == len(blocks)
+        assert all("contention_stretch" in s["args"] for s in slices)
+        assert any(e["ph"] == "M" and e["args"]["name"] == "tlm-cpu0"
+                   for e in events)
 
     def test_rejects_bad_tick(self):
         taskset = prepare_taskset(
