@@ -16,27 +16,33 @@ program on a :class:`~repro.hw.microblaze.MicroBlaze`, paying
 
 Two interpreters produce that timing model:
 
-- ``"block"`` (the default): a predecoded basic-block interpreter.
+- ``"block"`` (the default): a compiled basic-block interpreter.
   At load the program is decoded once into flat per-pc tuples (opcode
   kind, bound ALU/branch callable, register indices, cache line
-  index/tag), so the hot loop chases no ``Instruction`` attributes and
-  hits no dispatch dict.  Execution then *temporally decouples* from
-  the event engine: core-private work (ALU ops, branches, not-taken
-  fall-through) runs in a tight Python loop that only accumulates a
-  cycle count, and a single coalesced ``advance(n)`` sleep is emitted
-  at the next *interaction point* -- a data access, an I-cache miss
-  refill, halt, or an execution fault.  Memory traffic, bus
-  arbitration and trace events still happen at their exact
-  per-instruction instants, so the observable schedule is bit-for-bit
-  identical to the reference.  Transient faults
+  index/tag), and each straight-line run of core-private instructions
+  (ALU, ALU-immediate, nop, up to and including one branch, ``br``,
+  ``brl`` or ``jr``) becomes one generated Python function, compiled
+  on first entry: inline register expressions, one I-cache tag check
+  per line, constant ``(next_pc, cycles, retired)`` exits.  Execution
+  then *temporally decouples* from the event engine: blocks run back
+  to back, only accumulating a cycle count, and a single coalesced
+  ``advance(n)`` sleep is emitted at the next *interaction point* --
+  a data access, an I-cache miss refill, halt, or an execution fault.
+  Memory traffic, bus arbitration and trace events still happen at
+  their exact per-instruction instants, so the observable schedule is
+  bit-for-bit identical to the reference.  Transient faults
   (``WordStorage.flip_bit`` / ``MicroBlaze.register_upset``) landing
-  inside a coalesced sleep invalidate the in-flight block: the
-  executor rolls back to the block's entry checkpoint and replays it
+  inside a coalesced sleep invalidate the in-flight window: the
+  executor rolls back to the window's entry checkpoint and replays it
   per-instruction across the fault instant.
 - ``"reference"``: the original one-event-per-instruction loop,
   retained as the oracle the perf tier's ISA determinism sentinel
   replays every asmlib kernel against.  ``count_pcs=True`` forces this
   mode (per-pc execution counts are inherently per-instruction).
+
+The ALU and branch semantics live in one table of expression templates
+(``_ALU_EXPRS`` / ``_BRANCH_EXPRS``); the reference's callables and the
+generated block code are both derived from it.
 
 Used by the substrate unit tests, the MPIC/sync-engine integration
 tests and the bus-contention calibration microbenchmarks.
@@ -122,30 +128,57 @@ OPCODES: Dict[str, str] = {
 #: Extra cycles paid when a branch is taken (pipeline refill).
 BRANCH_PENALTY = 2
 
+#: Instruction semantics: one Python expression template per op, the
+#: single source of both the callables the reference interpreter calls
+#: and the code the block compiler generates.  ALU templates read the
+#: operands ``{a}``/``{b}`` (32-bit patterns: a register, or the masked
+#: immediate for the ``<op>i`` form) and yield the 32-bit result.
+#: Branch templates read ``{v}``, the tested register's unsigned 32-bit
+#: pattern, and yield True when the branch is taken.
+_ALU_EXPRS: Dict[str, str] = {
+    "add": "({a} + {b}) & 0xFFFFFFFF",
+    "sub": "({a} - {b}) & 0xFFFFFFFF",
+    "rsub": "({b} - {a}) & 0xFFFFFFFF",
+    "mul": "({a} * {b}) & 0xFFFFFFFF",
+    "and": "{a} & {b}",
+    "or": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "sll": "({a} << ({b} & 31)) & 0xFFFFFFFF",
+    "srl": "({a} & 0xFFFFFFFF) >> ({b} & 31)",
+    # Signed forms: ((x & MASK32) ^ 0x80000000) - 0x80000000 is x as signed.
+    "sra": "(((({a} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+           " >> ({b} & 31)) & 0xFFFFFFFF",
+    "cmp": "((({b} & 0xFFFFFFFF) ^ 0x80000000)"
+           " - (({a} & 0xFFFFFFFF) ^ 0x80000000)) & 0xFFFFFFFF",
+}
+_BRANCH_EXPRS: Dict[str, str] = {
+    "beqz": "{v} == 0",
+    "bnez": "{v} != 0",
+    "bltz": "{v} >= 0x80000000",
+    "blez": "not 0 < {v} < 0x80000000",
+    "bgtz": "0 < {v} < 0x80000000",
+    "bgez": "{v} < 0x80000000",
+}
+
+
+def _compile(source: str, mode: str):
+    """Compile generated source under this module's file name, so
+    profilers charge the generated code to ``repro.hw.isa``."""
+    return compile(source, __file__, mode)
+
+
 #: ALU semantics, one callable per op (shared by the register and
 #: immediate forms; ``<op>i`` uses the same entry as ``<op>``).
 _ALU_FUNCS = {
-    "add": lambda a, b: (a + b) & MASK32,
-    "sub": lambda a, b: (a - b) & MASK32,
-    "rsub": lambda a, b: (b - a) & MASK32,
-    "mul": lambda a, b: (a * b) & MASK32,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "sll": lambda a, b: (a << (b & 31)) & MASK32,
-    "srl": lambda a, b: (a & MASK32) >> (b & 31),
-    "sra": lambda a, b: (_signed(a) >> (b & 31)) & MASK32,
-    "cmp": lambda a, b: (_signed(b) - _signed(a)) & MASK32,
+    op: eval(_compile(f"lambda a, b: {expr.format(a='a', b='b')}", "eval"))
+    for op, expr in _ALU_EXPRS.items()
 }
 
 #: Branch-taken predicates over the signed register value.
 _BRANCH_TESTS = {
-    "beqz": lambda v: v == 0,
-    "bnez": lambda v: v != 0,
-    "bltz": lambda v: v < 0,
-    "blez": lambda v: v <= 0,
-    "bgtz": lambda v: v > 0,
-    "bgez": lambda v: v >= 0,
+    op: eval(_compile(f"lambda v: {expr.format(v='(v & 0xFFFFFFFF)')}",
+                      "eval"))
+    for op, expr in _BRANCH_EXPRS.items()
 }
 
 
@@ -200,8 +233,10 @@ class CPUState:
 
 # ----------------------------------------------------------------- predecode
 # Opcode kinds for the decoded form.  The numeric layout is load-bearing
-# for the block interpreter's dispatch: memory ops are >= _K_LW, loads
-# are <= _K_LWI among them, and immediate forms are odd.
+# for the block interpreter's dispatch: core-private kinds are below
+# _K_HALT, with the control transfers _K_CBR.._K_JR among them; memory
+# ops are >= _K_LW, loads are <= _K_LWI among them, and immediate forms
+# are odd.
 _K_ALU = 0
 _K_ALUI = 1
 _K_CBR = 2
@@ -282,6 +317,125 @@ def _decode_program(program: Program, icache) -> list:
     return decoded
 
 
+#: Longest straight-line run one generated block covers.  Bounds the
+#: source compiled per entry pc, so resuming mid-run (a jump target, a
+#: line refill) never recompiles more than this many instructions.
+_BLOCK_MAX = 64
+
+
+def _operand(reg: int) -> str:
+    """Generated-code read of register ``reg`` (r0 is the constant 0)."""
+    return f"r[{reg}]" if reg else "0"
+
+
+class _CompiledBlocks:
+    """A decoded program's straight-line runs as generated functions.
+
+    The block entered at pc ``p`` covers the core-private instructions
+    from ``p`` (ALU, ALU-immediate, nop) up to and including the first
+    control transfer, stopping before a memory op or halt and after
+    :data:`_BLOCK_MAX` instructions.  Its function ``block(r, t)``
+    executes that run against the register list ``r`` and returns
+    ``(next_pc, cycles, retired)``.  It checks the I-cache tag list
+    ``t`` once per line, before the line's first instruction: a miss
+    returns early with the retired prefix, so a miss at the entry line
+    returns ``(p, 0, 0)``.  Every exit is a constant tuple except a
+    ``jr``'s target.  Functions are compiled on first entry.
+    """
+
+    def __init__(self, program: Program, decoded: list):
+        self.instructions = program.instructions
+        self.decoded = decoded
+        n = len(decoded)
+        #: entry pc -> compiled block (None: not compiled, or an
+        #: interaction point that no block covers).
+        self.entries: List = [None] * n
+        #: entry pc -> instructions the block retires when run to its end.
+        self.sizes = [0] * n
+        for pc in range(n - 1, -1, -1):
+            kind = decoded[pc][0]
+            if kind >= _K_HALT:
+                continue
+            if _K_CBR <= kind <= _K_JR or pc + 1 == n:
+                self.sizes[pc] = 1
+            else:
+                self.sizes[pc] = min(_BLOCK_MAX, 1 + self.sizes[pc + 1])
+        self.longest = max(self.sizes, default=0)
+        self._truncated: Dict[Tuple[int, int], object] = {}
+
+    def entry(self, pc: int):
+        """The block entered at ``pc``, compiling it on first use."""
+        block = self.entries[pc]
+        if block is None:
+            block = self.entries[pc] = self._build(pc, self.sizes[pc])
+        return block
+
+    def truncated(self, pc: int, limit: int):
+        """The block entered at ``pc``, cut after ``limit`` instructions
+        (the instruction budget ends inside it)."""
+        block = self._truncated.get((pc, limit))
+        if block is None:
+            block = self._truncated[pc, limit] = self._build(pc, limit)
+        return block
+
+    def _build(self, pc: int, limit: int):
+        name = f"block_{pc}_{limit}"
+        body = self._source(pc, limit)
+        source = f"def {name}(r, t):\n" + "".join(
+            f"    {line}\n" for line in body)
+        namespace: dict = {}
+        exec(_compile(source, "exec"), namespace)
+        return namespace[name]
+
+    def _source(self, pc: int, limit: int) -> List[str]:
+        """Body lines of the block entered at ``pc``."""
+        body: List[str] = []
+        cycles = retired = 0
+        line = None
+        for p in range(pc, pc + limit):
+            kind, _, rd, ra, b, index, tag, _ = self.decoded[p]
+            if (index, tag) != line:
+                line = (index, tag)
+                body.append(f"if t[{index}] != {tag}: "
+                            f"return ({p}, {cycles}, {retired})")
+            cycles += 1
+            retired += 1
+            op = self.instructions[p].op
+            if kind == _K_ALU or kind == _K_ALUI:
+                if rd:
+                    expr = _ALU_EXPRS[op if kind == _K_ALU else op[:-1]]
+                    rhs = _operand(b) if kind == _K_ALU else str(b)
+                    body.append(
+                        f"r[{rd}] = {expr.format(a=_operand(ra), b=rhs)}")
+                continue
+            if kind == _K_NOP:
+                continue
+            target = _operand(rd) if kind == _K_JR else b
+            taken = f"return ({target}, {cycles + BRANCH_PENALTY}, {retired})"
+            if kind == _K_CBR:
+                test = _BRANCH_EXPRS[op].format(v=_operand(rd))
+                body.append(f"if {test}: {taken}")
+                break
+            if kind == _K_BRL and rd:
+                body.append(f"r[{rd}] = {p + 1}")
+            body.append(taken)
+            return body
+        body.append(f"return ({pc + retired}, {cycles}, {retired})")
+        return body
+
+
+def _compile_blocks(program: Program, icache) -> _CompiledBlocks:
+    """The program's compiled blocks, cached on the program next to
+    the decoded form under the same I-cache geometry key."""
+    key = (icache.line_bytes, icache.n_lines)
+    cache = program.__dict__.setdefault("_block_cache", {})
+    blocks = cache.get(key)
+    if blocks is None:
+        blocks = cache[key] = _CompiledBlocks(
+            program, _decode_program(program, icache))
+    return blocks
+
+
 # Window-terminating interaction points for the block interpreter.
 _S_FILL = 1    # instruction fetch missed: refill a line over the bus
 _S_LOCAL = 2   # local BRAM data access
@@ -346,6 +500,8 @@ class ISAExecutor:
         self.metrics = metrics
         # Decode (and validate) once for both interpreters.
         self._decoded = _decode_program(program, core.icache)
+        self._blocks = (_compile_blocks(program, core.icache)
+                        if resolved == "block" else None)
         # Block-interpreter observability: executed windows, the
         # instructions they coalesced, and fault-invalidated replays.
         self.windows = 0
@@ -525,8 +681,9 @@ class ISAExecutor:
 
         A *window* is the run of core-private instructions (ALU,
         branches, nop) from one interaction point to the next.  The
-        inner loop executes a window against local register state,
-        accumulating its cycle cost in ``pending``; the single
+        inner loop runs a window's compiled blocks (see
+        :class:`_CompiledBlocks`) back to back against the register
+        list, accumulating their cycle cost in ``pending``; the single
         ``advance(pending)`` sleep at the window boundary replaces the
         reference interpreter's per-instruction timeouts.  Everything
         another bus master or a trace consumer could observe -- DDR
@@ -550,6 +707,10 @@ class ISAExecutor:
         ddr_base = ddr.base
         ddr_top = ddr.base + ddr.size
         decoded = self._decoded
+        blocks = self._blocks
+        entries = blocks.entries
+        sizes = blocks.sizes
+        longest = blocks.longest
         n = len(decoded)
         regs = state.regs
         metrics = self.metrics
@@ -567,9 +728,9 @@ class ISAExecutor:
                 ck_pc = pc
                 ck_fuel = fuel
                 ck_skip = filled_pc
+                filled_pc = -1
                 ck_regs = regs[:]
                 pending = 0
-                hits = 0
                 sync = 0
                 err: Optional[ISAError] = None
                 op: tuple = ()
@@ -587,72 +748,49 @@ class ISAExecutor:
                         err = ISAError(f"pc {pc} outside program")
                         sync = _S_ERROR
                         break
+                    block = entries[pc]
+                    if block is None and decoded[pc][0] < _K_HALT:
+                        block = blocks.entry(pc)
+                    if block is not None:
+                        if fuel < longest and sizes[pc] > fuel:
+                            block = blocks.truncated(pc, fuel)
+                        pc, cost, retired = block(regs, tags)
+                        if retired:
+                            fuel -= retired
+                            pending += cost
+                            continue
+                        op = decoded[pc]
+                        sync = _S_FILL
+                        break
+                    # memory op or halt: an interaction point
                     op = decoded[pc]
-                    if pc == filled_pc:
-                        filled_pc = -1  # the refill covers this fetch
-                    elif tags[op[5]] == op[6]:
-                        hits += 1
-                    else:
+                    if tags[op[5]] != op[6]:
                         sync = _S_FILL
                         break
                     fuel -= 1
+                    pending += 1
                     kind = op[0]
-                    if kind == 1:  # alui
-                        pending += 1
-                        rd = op[2]
-                        if rd:
-                            regs[rd] = op[1](regs[op[3]], op[4])
-                        pc += 1
-                    elif kind == 0:  # alu
-                        pending += 1
-                        rd = op[2]
-                        if rd:
-                            regs[rd] = op[1](regs[op[3]], regs[op[4]])
-                        pc += 1
-                    elif kind == 2:  # conditional branch
-                        v = regs[op[2]]
-                        if op[1](v - 0x1_0000_0000 if v & 0x8000_0000 else v):
-                            pending += 1 + BRANCH_PENALTY
-                            pc = op[4]
-                        else:
-                            pending += 1
-                            pc += 1
-                    elif kind >= 8:  # memory: interaction point
-                        pending += 1
-                        offset = op[4] if kind & 1 else regs[op[4]]
-                        addr = (regs[op[3]] + offset) & MASK32
-                        if local_base <= addr < local_top:
-                            pending += local_latency
-                            sync = _S_LOCAL
-                        elif ddr_base <= addr < ddr_top:
-                            sync = _S_DDR
-                        else:
-                            err = ISAError(
-                                f"address {addr:#x} maps to no memory region"
-                            )
-                            sync = _S_ERROR
-                        break
-                    elif kind == 6:  # nop
-                        pending += 1
-                        pc += 1
-                    elif kind == 7:  # halt
-                        pending += 1
+                    if kind == _K_HALT:
                         sync = _S_HALT
                         break
-                    elif kind == 3:  # br
-                        pending += 1 + BRANCH_PENALTY
-                        pc = op[4]
-                    elif kind == 4:  # brl
-                        pending += 1 + BRANCH_PENALTY
-                        rd = op[2]
-                        if rd:
-                            regs[rd] = pc + 1
-                        pc = op[4]
-                    else:  # kind == 5: jr
-                        pending += 1 + BRANCH_PENALTY
-                        pc = regs[op[2]]
+                    offset = op[4] if kind & 1 else regs[op[4]]
+                    addr = (regs[op[3]] + offset) & MASK32
+                    if local_base <= addr < local_top:
+                        pending += local_latency
+                        sync = _S_LOCAL
+                    elif ddr_base <= addr < ddr_top:
+                        sync = _S_DDR
+                    else:
+                        err = ISAError(
+                            f"address {addr:#x} maps to no memory region"
+                        )
+                        sync = _S_ERROR
+                    break
 
                 # ---- window boundary: bulk-apply counters, one sleep
+                # Every fetch the window retired hit the I-cache, except
+                # a first fetch that the previous window's refill covered.
+                hits = ck_fuel - fuel - (ck_skip >= 0)
                 state.pc = pc
                 state.instructions_retired = max_instructions - fuel
                 self.windows += 1

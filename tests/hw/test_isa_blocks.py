@@ -9,11 +9,15 @@ bit-flips must invalidate and replay in-flight blocks.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hw.asmlib import ROUTINES
 from repro.hw.bus import OPBBus
-from repro.hw.isa import ISAError, ISAExecutor, Program, Instruction
+from repro.hw.isa import (
+    OPCODES, ISAError, ISAExecutor, Program, Instruction, _ALU_EXPRS,
+    _BRANCH_EXPRS,
+)
 from repro.hw.memory import DDRMemory
 from repro.hw.soc import SoC, SoCConfig
 from repro.perf.isabench import _probe_bus, observable, run_kernel
@@ -174,9 +178,23 @@ def _run_error(mode, source, max_instructions=1_000_000, data=None):
             executor.state.instructions_retired, executor.state.pc)
 
 
+LOOP_BODY_5 = """
+    addi r3, r0, 0
+loop:
+    addi r3, r3, 1
+    xori r4, r3, 5
+    add  r5, r4, r3
+    nop
+    br   loop
+"""
+
+
 @pytest.mark.parametrize("source,budget", [
     ("loop:\n    br loop\n", 50),                       # budget exhausted
+    (LOOP_BODY_5, 53),                                   # ... mid-block
     ("    addi r3, r0, 99\n    jr r3\n", 1_000),         # jr past the end
+    ("    addi r3, r0, 40\n    addi r4, r3, 2\n    jr r4\n    halt\n",
+     1_000),                                             # ... ending a block
     ("    lwi r3, r0, 0x30000000\n    halt\n", 1_000),   # unmapped address
 ])
 def test_errors_identical_across_modes(source, budget):
@@ -238,3 +256,94 @@ def test_bus_probe_forwards_batched_transfers():
         ("req", batch, 0, 1), ("done", batch + ddr.access_latency(1), 0, 1),
     ]
     assert bus.stats.transactions == 4
+
+
+# --------------------------------------------------- random-program property
+#: Registers the generated programs use; r15 doubles as the link register.
+PROGRAM_REGS = st.sampled_from([0, 1, 2, 3, 4, 15])
+IMM = st.one_of(st.sampled_from([0, 1, 31, 32, -1, 0x7FFFFFFF, 0x80000000]),
+                st.integers(-2**31, 2**32 - 1))
+
+
+@st.composite
+def _programs(draw):
+    """ALU/branch programs with loops, calls and returns, r0
+    destinations and a sprinkling of local and DDR data accesses."""
+    n = draw(st.integers(2, 24))
+    target = st.integers(0, n - 1)
+    reg = PROGRAM_REGS
+    instruction = st.one_of(
+        st.builds(lambda op, rd, ra, rb: Instruction(op, rd, ra, rb),
+                  st.sampled_from(sorted(_ALU_EXPRS)), reg, reg, reg),
+        st.builds(lambda op, rd, ra, imm: Instruction(op, rd, ra, imm=imm),
+                  st.sampled_from(sorted(op for op in OPCODES
+                                         if op[:-1] in _ALU_EXPRS)),
+                  reg, reg, IMM),
+        st.builds(lambda op, rd, imm: Instruction(op, rd, imm=imm),
+                  st.sampled_from(sorted(_BRANCH_EXPRS)), reg, target),
+        st.builds(lambda imm: Instruction("br", imm=imm), target),
+        st.builds(lambda rd, imm: Instruction("brl", rd, imm=imm),
+                  reg, target),
+        st.builds(lambda rd: Instruction("jr", rd), reg),
+        st.just(Instruction("nop")),
+        st.builds(lambda op, rd, addr: Instruction(op, rd, 0, imm=addr),
+                  st.sampled_from(["lwi", "swi"]), reg,
+                  st.sampled_from([0x100, 0x104, 0x4008_0000])),
+        st.just(Instruction("halt")),
+    )
+    return Program(instructions=draw(st.lists(instruction, min_size=n,
+                                              max_size=n)))
+
+
+def _run_program(mode, program, budget, warm):
+    """Observable end state of ``program`` on a 2-line, 2-word I-cache."""
+    soc = SoC(SoCConfig(n_cpus=1, isa_mode=mode, icache_lines=2,
+                        icache_line_words=2))
+    core = soc.cores[0]
+    if warm:
+        for index in range(len(program)):
+            core.icache.fill_line(program.address_of(index))
+    bus_log: list = []
+    _probe_bus(soc.bus, bus_log)
+    executor = ISAExecutor(core, program)
+    caught = []
+
+    def driver():
+        try:
+            yield from executor.run(budget)
+        except ISAError as exc:
+            caught.append(str(exc))
+
+    soc.sim.process(driver())
+    soc.sim.run()
+    state = executor.state
+    return {
+        "error": caught, "cycles": executor.cycles, "now": soc.sim.now,
+        "retired": state.instructions_retired, "pc": state.pc,
+        "halted": state.halted, "regs": tuple(state.regs),
+        "icache_hits": core.icache.hits, "icache_misses": core.icache.misses,
+        "executor_misses": executor.icache_misses,
+        "data_accesses": executor.data_accesses, "bus_log": tuple(bus_log),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_programs(), budget=st.integers(1, 300), warm=st.booleans())
+def test_random_programs_match_reference(program, budget, warm):
+    """Line misses and budget exhaustion land inside compiled blocks,
+    and the end state still equals the reference bit for bit."""
+    ref = _run_program("reference", program, budget, warm)
+    blk = _run_program("block", program, budget, warm)
+    assert blk == ref
+
+
+@pytest.mark.parametrize("budget", [10_000, 100])
+@pytest.mark.parametrize("warm", [False, True])
+def test_run_longer_than_one_block_matches_reference(budget, warm):
+    """A straight-line run past the block size cap, on the 2-line
+    I-cache: blocks chain at the cap and refill at every line."""
+    body = [Instruction("addi", rd=1 + i % 4, ra=1 + (i + 1) % 4, imm=i)
+            for i in range(150)]
+    program = Program(instructions=body + [Instruction("halt")])
+    ref = _run_program("reference", program, budget, warm)
+    assert _run_program("block", program, budget, warm) == ref
