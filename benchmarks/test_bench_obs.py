@@ -1,55 +1,48 @@
 """Benchmark: observability overhead on the Figure 4 hot path.
 
-The instrumentation contract is *zero cost when disabled*: every
-hooked component defaults to ``metrics=None`` and pays one attribute
-check per would-be observation.  This benchmark times one Figure 4
-prototype cell three ways -- uninstrumented (the default every
-experiment uses), fully instrumented (``prototype_run_report``), and
-against the per-cell wall clock recorded in ``BENCH_perf.json`` --
-and holds the disabled run to within 2% of the recorded baseline.
-
-The baseline assertion only applies when ``BENCH_perf.json`` was
-produced on this host (platform string match); cross-host wall-clock
-ratios are noise, not regressions.
+Times one Figure 4 prototype cell uninstrumented (the default every
+experiment uses) and fully instrumented (``prototype_run_report``:
+metrics registry, ring-buffer trace and windowed bus monitor) on the
+same host, and holds the instrumented run under twice the
+uninstrumented one.  Both sides are timed here, so the ratio holds on
+any host; absolute wall clocks per PR are the ``fig4-proto`` workload
+of the benchmark in ``bench/``.
 """
 
-import os
+import time
 
 import pytest
 
-from repro.obs.bench import OVERHEAD_BUDGET, bench_obs_overhead, format_overhead
+from repro.experiments.runner import prototype_response_s, prototype_run_report
 
 pytestmark = pytest.mark.obs
 
-BENCH_FILE = os.path.join(os.path.dirname(__file__), "..", "BENCH_perf.json")
+REPEATS = 3
+CELL = dict(n_cpus=2, utilization=0.5, scale=1_000)
 
 
-@pytest.fixture(scope="module")
-def overhead():
-    return bench_obs_overhead(repeats=3, bench_file=BENCH_FILE)
+def _best_of(fn) -> float:
+    """Minimum wall clock over ``REPEATS`` calls: noise only adds time."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        fn(**CELL)
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
-@pytest.mark.paper
-def test_disabled_instrumentation_overhead(overhead, report):
-    report.append("[Obs] " + format_overhead(overhead).replace("\n", "\n      "))
-    if "overhead_vs_baseline" not in overhead:
-        pytest.skip("no BENCH_perf.json baseline to compare against")
-    if not overhead["baseline_host_matches"]:
-        pytest.skip("BENCH_perf.json was recorded on a different host")
-    assert overhead["overhead_vs_baseline"] < OVERHEAD_BUDGET, (
-        f"disabled-instrumentation run is "
-        f"{overhead['overhead_vs_baseline']:+.1%} vs the recorded baseline "
-        f"(budget {OVERHEAD_BUDGET:.0%}): the metrics=None guards are no "
-        f"longer free"
+def test_enabled_instrumentation_is_bounded(report):
+    disabled_s = _best_of(prototype_response_s)
+    enabled_s = _best_of(prototype_run_report)
+    overhead = enabled_s / disabled_s - 1.0
+    report.append(
+        f"[Obs] figure4 cell 2P/50%, best of {REPEATS}: disabled "
+        f"{disabled_s:.3f}s, enabled {enabled_s:.3f}s ({overhead:+.1%})"
     )
-
-
-def test_enabled_instrumentation_is_bounded(overhead):
-    # The instrumented run does strictly more work (registry updates,
-    # ring-buffer trace, windowed bus monitor); it must still be the
-    # same order of magnitude or the hooks are on a hot path they
+    # The instrumented run does strictly more work; it must still be
+    # the same order of magnitude or the hooks are on a hot path they
     # should not be on.
-    assert overhead["enabled_overhead"] < 1.0, (
-        f"instrumented run is {overhead['enabled_overhead']:+.1%} vs "
-        f"disabled -- observability must not double the simulation cost"
+    assert overhead < 1.0, (
+        f"instrumented run is {overhead:+.1%} vs disabled -- "
+        f"observability must not double the simulation cost"
     )

@@ -9,49 +9,28 @@ FPGA prototype and the simulator.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from typing import List, Optional
 
 from repro.analysis.partitioning import partition
 from repro.analysis.promotion import assign_promotions, promotion_table
 from repro.analysis.schedulability import analyse_taskset
-from repro.core.task import PeriodicTask, TaskSet
+from repro.core.task import TaskSet
 from repro.lint.diagnostics import LintError, require_ok
-from repro.lint.tasks import lint_task_rows, lint_taskset
+from repro.lint.tasks import lint_taskset, read_task_table
 
 
 def load_task_csv(path: str) -> TaskSet:
     """Parse ``name,wcet,period[,deadline]`` rows into a TaskSet.
 
     Rows are linted (``TASK001``/``TASK009``) before task construction,
-    so a malformed table fails with every offending row named instead of
-    the first constructor ValueError.
+    so a malformed or empty table raises :class:`LintError` with every
+    offending row named instead of the first constructor ValueError.
     """
-    rows: List[dict] = []
     with open(path, newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or row[0].startswith("#") or row[0] == "name":
-                continue
-            rows.append(
-                {
-                    "name": row[0],
-                    "wcet": row[1] if len(row) > 1 else None,
-                    "period": row[2] if len(row) > 2 else None,
-                    "deadline": row[3] if len(row) > 3 and row[3] else None,
-                }
-            )
-    require_ok(lint_task_rows(rows), subject=path)
-    periodic = [
-        PeriodicTask(
-            name=row["name"],
-            wcet=int(row["wcet"]),
-            period=int(row["period"]),
-            deadline=int(row["deadline"]) if row["deadline"] else None,
-        )
-        for row in rows
-    ]
-    return TaskSet(periodic).with_deadline_monotonic_priorities()
+        report, taskset = read_task_table(handle.read())
+    require_ok(report, subject=path)
+    return taskset
 
 
 def run_analysis(
@@ -86,6 +65,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         taskset = load_task_csv(args.csv)
+    except OSError as exc:
+        print(f"cannot read {args.csv}: {exc.strerror}", file=sys.stderr)
+        return 1
     except LintError as exc:
         print(exc.report.format(header=f"lint: {args.csv}"), file=sys.stderr)
         return 1

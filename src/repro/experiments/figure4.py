@@ -22,13 +22,15 @@ from __future__ import annotations
 import argparse
 import functools
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import CLOCK_HZ, TICK, cycles_to_seconds
+from repro.experiments.runner import _cached_pmap
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.perf.cache import RunCache, cache_key, fingerprint, taskset_rows
-from repro.perf.executor import Telemetry, current_telemetry, pmap
+from repro.perf.executor import Telemetry, current_telemetry
 from repro.simulators.prototype import FIDELITIES, PrototypeConfig, PrototypeSimulator
 from repro.simulators.theoretical import TheoreticalSimulator
 from repro.trace.metrics import compute_metrics
@@ -191,19 +193,23 @@ def _cell_key(
 
 def _run_cell_point(
     point: Tuple[int, float], scale: int, fidelity: str
-) -> Figure4Cell:
-    """Picklable per-cell worker body for the parallel sweep."""
+) -> Dict[str, float]:
+    """Picklable per-cell worker body for the parallel sweep.
+
+    Returns the cell as a dict, the form the run cache stores.
+    """
     n_cpus, utilization = point
     telemetry = current_telemetry()
     if telemetry is None:
-        return run_cell(n_cpus, utilization, scale=scale, fidelity=fidelity)
+        return asdict(run_cell(n_cpus, utilization, scale=scale,
+                               fidelity=fidelity))
     with telemetry.spans.span("cell", n_cpus=n_cpus,
                               utilization=utilization, fidelity=fidelity):
         cell = run_cell(n_cpus, utilization, scale=scale, fidelity=fidelity)
     telemetry.metrics.counter(
         "sweep_cells_total", labels={"fidelity": fidelity},
         help="sweep cells evaluated (cache hits excluded)").inc()
-    return cell
+    return asdict(cell)
 
 
 def figure4_sweep(
@@ -233,53 +239,29 @@ def figure4_sweep(
     """
     started = time.perf_counter()
     points = [(n_cpus, u) for n_cpus in cpus for u in utilizations]
-    cells: List[Optional[Figure4Cell]] = [None] * len(points)
+    hits_before = cache.hits if cache is not None else 0
     # No execution-geometry attrs (worker count) on the sweep span: span
     # structure must not vary with parallelism.
-    sweep_ctx = (
+    sweep_span = (
         telemetry.spans.span("sweep", tag="figure4", cells=len(points))
-        if telemetry is not None else None
+        if telemetry is not None else nullcontext()
     )
-    if sweep_ctx is not None:
-        sweep_ctx.__enter__()
-    try:
-        pending = list(range(len(points)))
-        keys: List[Optional[str]] = [None] * len(points)
-        hits = 0
-        if cache is not None:
-            pending = []
-            for index, (n_cpus, utilization) in enumerate(points):
-                keys[index] = _cell_key(n_cpus, utilization, scale, fidelity)
-                hit, value = cache.lookup(keys[index])
-                if telemetry is not None:
-                    name = "cache_hit" if hit else "cache_miss"
-                    telemetry.spans.event(name, index=index,
-                                          key=keys[index][:16])
-                    telemetry.metrics.counter(
-                        "sweep_cache_lookups_total",
-                        labels={"outcome": name[6:]},
-                        help="run-cache lookups by outcome").inc()
-                if hit:
-                    cells[index] = Figure4Cell(**value)
-                    hits += 1
-                else:
-                    pending.append(index)
-        computed = pmap(
+    with sweep_span:
+        cells = [Figure4Cell(**value) for value in _cached_pmap(
             functools.partial(_run_cell_point, scale=scale, fidelity=fidelity),
-            [points[i] for i in pending],
+            points,
             max_workers=max_workers,
+            cache=cache,
+            keys=None if cache is None else [
+                _cell_key(n_cpus, utilization, scale, fidelity)
+                for n_cpus, utilization in points
+            ],
             telemetry=telemetry,
-        )
-        for index, cell in zip(pending, computed):
-            cells[index] = cell
-            if cache is not None:
-                cache.put(keys[index], asdict(cell))
-    finally:
-        if sweep_ctx is not None:
-            sweep_ctx.__exit__(None, None, None)
+        )]
     if ledger is not None:
+        hits = cache.hits - hits_before if cache is not None else 0
         misses = len(points) - hits
-        slowdowns = [cell.slowdown_pct for cell in cells if cell is not None]
+        slowdowns = [cell.slowdown_pct for cell in cells]
         ledger.append(LedgerEntry(
             kind="figure4",
             label="figure4_sweep",

@@ -172,28 +172,11 @@ def _cmd_asm(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------- tasks
 def _cmd_tasks(args: argparse.Namespace) -> int:
-    import csv
-    import io
-
     from repro.analysis.partitioning import PartitioningError, partition
     from repro.analysis.promotion import assign_promotions
-    from repro.core.task import PeriodicTask, TaskSet
-    from repro.lint.tasks import lint_task_rows, lint_taskset
+    from repro.lint.tasks import lint_taskset, read_task_table
 
-    text = _read_text(args.file)
-    rows = []
-    for row in csv.reader(io.StringIO(text)):
-        if not row or row[0].startswith("#") or row[0] == "name":
-            continue
-        rows.append(
-            {
-                "name": row[0],
-                "wcet": row[1] if len(row) > 1 else None,
-                "period": row[2] if len(row) > 2 else None,
-                "deadline": row[3] if len(row) > 3 and row[3] else None,
-            }
-        )
-    row_report = lint_task_rows(rows)
+    row_report, taskset = read_task_table(_read_text(args.file))
     payload: dict = {
         "command": "tasks",
         "file": args.file,
@@ -203,22 +186,10 @@ def _cmd_tasks(args: argparse.Namespace) -> int:
     status = EXIT_OK if row_report.ok else EXIT_FINDINGS
     if args.format == "text":
         _print_report(row_report, header=f"task rows: {args.file}")
-    if not row_report.ok:
+    if taskset is None:
         if args.format == "json":
             _emit_json(payload)
         return status
-
-    taskset = TaskSet(
-        [
-            PeriodicTask(
-                name=row["name"],
-                wcet=int(row["wcet"]),
-                period=int(row["period"]),
-                deadline=int(row["deadline"]) if row["deadline"] else None,
-            )
-            for row in rows
-        ]
-    ).with_deadline_monotonic_priorities()
 
     set_report = LintReport()
     try:

@@ -11,7 +11,9 @@ diagnostics (see ``docs/LINT.md``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+import csv
+import io
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.response_time import (
     RecurrenceDivergenceError,
@@ -21,19 +23,74 @@ from repro.core.task import PeriodicTask, TaskSet
 from repro.lint.diagnostics import LintReport, Severity, require_ok
 
 
+#: Columns of a task table, in order; ``deadline`` is optional.
+_COLUMNS = ("name", "wcet", "period", "deadline")
+_ROW_HINT = "one task per row: name,wcet,period[,deadline]"
+
+
+def read_task_table(text: str) -> Tuple[LintReport, Optional[TaskSet]]:
+    """Parse and lint a ``name,wcet,period[,deadline]`` CSV table.
+
+    Blank lines, ``#`` comments and a ``name`` header row are skipped;
+    absent or empty cells read as missing.  Returns the
+    :func:`lint_task_rows` report and, when it has no errors, the
+    deadline-monotonic :class:`~repro.core.task.TaskSet` (else ``None``).
+    """
+    rows = []
+    for row in csv.reader(io.StringIO(text)):
+        if not row or row[0].startswith("#") or row[0] == "name":
+            continue
+        cells = [cell or None for cell in row] + [None] * len(_COLUMNS)
+        rows.append(dict(zip(_COLUMNS, cells)))
+    report = lint_task_rows(rows)
+    if not report.ok:
+        return report, None
+    taskset = TaskSet(
+        [
+            PeriodicTask(
+                name=row["name"],
+                wcet=int(row["wcet"]),
+                period=int(row["period"]),
+                deadline=int(row["deadline"]) if row["deadline"] else None,
+            )
+            for row in rows
+        ]
+    )
+    return report, taskset.with_deadline_monotonic_priorities()
+
+
 def lint_task_rows(rows: Iterable[Mapping[str, object]]) -> LintReport:
     """Validate raw task rows (``name``/``wcet``/``period``/``deadline``).
 
     Runs before :class:`~repro.core.task.PeriodicTask` construction so a
     bad CSV fails with one actionable diagnostic per row instead of the
     first constructor ValueError.  ``deadline`` may be ``None`` (defaults
-    to the period, as the task model does).
+    to the period, as the task model does); a missing name, wcet or
+    period, and a table with no rows at all, are errors.
     """
     report = LintReport()
+    rows = list(rows)
+    if not rows:
+        report.add(
+            "TASK001",
+            Severity.ERROR,
+            "task table has no rows",
+            location="task table",
+            hint=_ROW_HINT,
+        )
     seen: Dict[str, int] = {}
     for number, row in enumerate(rows, start=1):
         name = str(row.get("name") or f"row {number}")
         where = f"task {name} (row {number})"
+        for key in ("name", "wcet", "period"):
+            if row.get(key) in (None, ""):
+                report.add(
+                    "TASK001",
+                    Severity.ERROR,
+                    f"missing {key}",
+                    location=where,
+                    hint=_ROW_HINT,
+                )
 
         def integer(key: str) -> Optional[int]:
             value = row.get(key)

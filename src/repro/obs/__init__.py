@@ -25,9 +25,10 @@ Six pieces, one import surface:
   JSON document.
 
 Every hook is off by default (``metrics=None``, no ambient telemetry)
-and costs one attribute check when disabled; see :mod:`repro.obs.bench`
-for the measured overhead.  The ``repro-obs`` CLI (:mod:`repro.obs.cli`)
-fronts all of it.
+and costs one attribute check when disabled; the ``fig4-proto``
+workload of the benchmark in ``bench/`` times the uninstrumented path
+on every change.  The ``repro-obs`` CLI (:mod:`repro.obs.cli`) fronts
+all of it.
 """
 
 from repro.obs.ledger import (

@@ -5,7 +5,7 @@ Five modes, mirroring ``repro-lint``/``repro-perf``::
     repro-obs report [--cpus 2] [--util 0.5] [--scale N] [--out report.json]
                      [--prometheus] [--trace-jsonl FILE] [--perfetto FILE]
     repro-obs convert TRACE [--to perfetto|json|csv|jsonl] [--out FILE]
-    repro-obs history [--last N] [--kind sweep|bench|...] [--ledger FILE]
+    repro-obs history [--last N] [--kind sweep|figure4|...] [--ledger FILE]
     repro-obs diff A B [--threshold 0.10] [--ledger FILE] [--verbose]
 
 ``report`` runs one fully instrumented Figure-4-style prototype cell
@@ -15,10 +15,11 @@ recorded trace (JSON / CSV / JSONL autodetected by extension) into a
 Perfetto-loadable Chrome trace or any of the flat formats.
 ``history`` lists the persistent run ledger
 (:mod:`repro.obs.ledger`); ``diff`` compares two runs -- each side a
-ledger index (``-1`` = newest) or a JSON results file such as
-``BENCH_perf.json`` -- under a relative regression threshold and
-exits 1 when a metric moved past it in its bad direction.  The obs
-tier's invariants are tests: ``pytest -m obs``.
+ledger index (``-1`` = newest) or a JSON results file such as a
+``RunReport`` or a ``python -m bench run --out`` document -- under a
+relative regression threshold and exits 1 when a metric moved past it
+in its bad direction.  The obs tier's invariants are tests:
+``pytest -m obs``.
 
 Exit status: 0 on success, 1 on any failure.
 """
@@ -149,8 +150,8 @@ def _diff_source(spec: str, ledger) -> tuple:
 
     ``-1`` is the newest ledger entry, ``-2`` the one before, matching
     the offsets ``repro-obs history`` prints; anything that is not an
-    integer is read as a JSON results document (``BENCH_perf.json``,
-    a RunReport, ...).
+    integer is read as a JSON results document (a RunReport, a
+    ``python -m bench run --out`` file, ...).
     """
     try:
         index = int(spec)
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     history.add_argument("--last", type=int, default=0,
                          help="show only the newest N entries")
     history.add_argument("--kind", default="",
-                         help="filter by entry kind (sweep/bench/figure4/...)")
+                         help="filter by entry kind (sweep/figure4/campaign/...)")
     history.add_argument("--ledger", default="",
                          help="ledger file (default: $REPRO_LEDGER or "
                          ".repro/ledger.jsonl)")

@@ -1,21 +1,21 @@
 """The persistent run ledger: an append-only history of experiment runs.
 
-``BENCH_perf.json`` and ``RunReport`` files are snapshots -- each one
-overwrites the last, so yesterday's numbers are gone.  The ledger is
-the missing trajectory: one JSON line per sweep / benchmark / campaign
-appended to ``.repro/ledger.jsonl`` (override with ``$REPRO_LEDGER``),
-recording what ran, under which configuration hash and fidelity rung,
+``RunReport`` files are snapshots -- each one overwrites the last, so
+yesterday's numbers are gone.  The ledger is the missing trajectory:
+one JSON line per sweep / Figure 4 run / campaign appended to
+``.repro/ledger.jsonl`` (override with ``$REPRO_LEDGER``), recording
+what ran, under which configuration hash and fidelity rung,
 how long it took, how the run cache behaved, and a content digest of
 the collected metrics.  ``repro-obs history`` lists it; ``repro-obs
-diff`` compares two entries (or two ``BENCH_perf.json`` files) under
+diff`` compares two entries (or two JSON results files) under
 regression thresholds.
 
 Appends are atomic the same way :class:`~repro.perf.cache.RunCache`
 writes are: each entry is a single short ``O_APPEND`` write of one
 complete line, so concurrent sweep processes interleave whole entries,
-never torn ones, and a crashed run leaves at most its own unwritten
-line.  Readers skip corrupt lines (counting them) instead of dying on
-a truncated tail.
+never torn ones, and a crashed run leaves at most its own partial
+line; the next append starts on a fresh line after it.  Readers skip
+corrupt lines (counting them) instead of dying on a truncated tail.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ DEFAULT_LEDGER_PATH = os.path.join(".repro", "ledger.jsonl")
 class LedgerEntry:
     """One recorded run."""
 
-    #: What ran: ``sweep`` / ``figure4`` / ``bench`` / ``campaign`` / ...
+    #: What ran: ``sweep`` / ``figure4`` / ``campaign`` / ...
     kind: str
-    #: Human handle (the sweep's cache tag, the bench file, ...).
+    #: Human handle (the sweep's cache tag, ``figure4_sweep``, ...).
     label: str
     #: Content hash of everything that determined the run's outcome.
     config_hash: str = ""
@@ -129,8 +129,15 @@ class Ledger:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # One O_APPEND write per entry: concurrent writers interleave
         # whole lines (same crash-safety stance as RunCache.put).
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
+            # A crashed writer can leave a partial last line; start on a
+            # fresh one so only that line is lost, not this entry too.
+            size = os.lseek(fd, 0, os.SEEK_END)
+            if size:
+                os.lseek(fd, size - 1, os.SEEK_SET)
+                if os.read(fd, 1) != b"\n":
+                    line = "\n" + line
             os.write(fd, line.encode("utf-8"))
         finally:
             os.close(fd)

@@ -1,23 +1,21 @@
-"""ISA interpreter benchmark & equivalence harness.
+"""ISA interpreter kernel drivers & equivalence record.
 
-Runs the :mod:`repro.hw.asmlib` kernels under both ISA interpreters
-(``"block"`` vs ``"reference"``, see :mod:`repro.hw.isa`) and reports
-paired wall-time speedups plus a full *observable equality* record:
-cycles, architectural state, I-cache counters, trace events and the
-exact bus-transaction instants.  ``repro-perf bench --isa-only``
-regenerates the ``isa`` section of ``BENCH_perf.json`` from
-:func:`bench_isa`; ``tests/hw/test_isa_blocks.py`` reuses
-:func:`run_kernel`/:func:`observable` to prove the two interpreters
-bit-for-bit equivalent, including under fault plans and with tracing /
-``count_pcs`` enabled.
+Runs the :mod:`repro.hw.asmlib` kernels under either ISA interpreter
+(``"block"`` or ``"reference"``, see :mod:`repro.hw.isa`) and returns
+a full *observable* record: cycles, architectural state, I-cache
+counters, trace events and the exact bus-transaction instants.
+``tests/hw/test_isa_blocks.py`` uses :func:`run_kernel` and
+:func:`observable` to prove the two interpreters bit-for-bit
+equivalent, including under fault plans and with tracing /
+``count_pcs`` enabled; the ``isa-kernels`` workload in ``bench/``
+times block mode on the same drivers.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.hw.asmlib import ROUTINES, link
+from repro.hw.asmlib import link
 from repro.hw.isa import ISAExecutor
 from repro.hw.soc import SoC, SoCConfig
 
@@ -97,9 +95,9 @@ main_loop:
 """,
 }
 
-#: Call counts for the committed benchmark: enough work per kernel for
-#: a stable wall-time signal (tens of milliseconds in reference mode)
-#: while the full paired sweep stays a few seconds.
+#: Nominal call counts per kernel: enough work for a stable wall-time
+#: signal (tens of milliseconds in reference mode) while a run over
+#: every kernel in both modes stays a few seconds.
 DEFAULT_ITERS: Dict[str, int] = {
     "memcpy_words": 100,
     "array_sum": 100,
@@ -192,8 +190,8 @@ def run_kernel(
     """Run one asmlib kernel driver to completion under ``mode``.
 
     Returns a summary dict: the :data:`OBSERVABLE_KEYS` projection both
-    interpreters must agree on, plus per-run diagnostics (host elapsed
-    seconds, engine event count, block windows/replays, pc counts).
+    interpreters must agree on, plus per-run diagnostics (engine event
+    count, block windows/replays, pc counts).
     """
     if name not in KERNEL_DRIVERS:
         raise ValueError(f"unknown kernel {name!r} (have {sorted(KERNEL_DRIVERS)})")
@@ -217,9 +215,7 @@ def run_kernel(
         _arm_plan(soc, plan)
     executor = ISAExecutor(core, program, trace=trace_rec, count_pcs=count_pcs)
     soc.sim.process(executor.run(max_instructions), name=f"isa-{name}")
-    start = time.perf_counter()
     soc.sim.run()
-    elapsed = time.perf_counter() - start
     state = executor.state
     return {
         "kernel": name,
@@ -240,78 +236,8 @@ def run_kernel(
         "bus_log": tuple(bus_log),
         "now": soc.sim.now,
         "events": soc.sim._eid,
-        "elapsed_s": elapsed,
         "windows": executor.windows,
         "window_instructions": executor.window_instructions,
         "replays": executor.replays,
         "pc_counts": dict(executor.pc_counts) if executor.pc_counts is not None else None,
-    }
-
-
-def bench_isa(repeats: int = 3, quick: bool = False) -> dict:
-    """Paired block-vs-reference timing over every asmlib kernel.
-
-    Each repeat times the two interpreters back to back on identical
-    work, so host noise hits both sides of the ratio; the reported
-    per-kernel speedup pairs the best (minimum) time of each mode.
-    Every pair is also checked for observable equality -- a bench run
-    that is fast but wrong must never land in ``BENCH_perf.json``.
-    """
-    rows: List[dict] = []
-    total_ref = 0.0
-    total_blk = 0.0
-    ref_events = 0
-    blk_events = 0
-    retired_total = 0
-    all_identical = True
-    for name in ROUTINES:
-        iters = DEFAULT_ITERS[name]
-        if quick:
-            iters = max(5, iters // 10)
-        best_ref = None
-        best_blk = None
-        identical = True
-        ref = blk = None
-        for _ in range(max(1, repeats)):
-            ref = run_kernel(name, "reference", iterations=iters)
-            blk = run_kernel(name, "block", iterations=iters)
-            if observable(ref) != observable(blk):
-                identical = False
-            if best_ref is None or ref["elapsed_s"] < best_ref:
-                best_ref = ref["elapsed_s"]
-            if best_blk is None or blk["elapsed_s"] < best_blk:
-                best_blk = blk["elapsed_s"]
-        all_identical = all_identical and identical
-        total_ref += best_ref
-        total_blk += best_blk
-        ref_events += ref["events"]
-        blk_events += blk["events"]
-        retired_total += ref["retired"]
-        rows.append(
-            {
-                "kernel": name,
-                "iterations": iters,
-                "retired": ref["retired"],
-                "reference_s": round(best_ref, 6),
-                "block_s": round(best_blk, 6),
-                "speedup": round(best_ref / best_blk, 3),
-                "identical": identical,
-                "events_per_instr_reference": round(
-                    ref["events"] / max(1, ref["retired"]), 4
-                ),
-                "events_per_instr_block": round(
-                    blk["events"] / max(1, blk["retired"]), 4
-                ),
-                "windows": blk["windows"],
-            }
-        )
-    return {
-        "kernels": rows,
-        "speedup": round(total_ref / total_blk, 3),
-        "min_speedup": min(row["speedup"] for row in rows),
-        "identical": all_identical,
-        "events_per_instr_reference": round(ref_events / max(1, retired_total), 4),
-        "events_per_instr_block": round(blk_events / max(1, retired_total), 4),
-        "reference_s": round(total_ref, 6),
-        "block_s": round(total_blk, 6),
     }

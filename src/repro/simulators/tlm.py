@@ -639,22 +639,17 @@ def _anchor_setup(n_cpus: int, utilization: float):
 
 
 def anchor_prototype_reference(
-    n_cpus: int, utilization: float, scale: int = 1_000, prepared=None
+    n_cpus: int, utilization: float, scale: int = 1_000
 ) -> Dict[str, Any]:
     """One prototype run of an anchor cell -> per-task WCRTs + verdict.
 
     WCRTs are reported in full-scale cycles so they compare directly
-    with the (scale-free) TLM rung.  ``prepared`` accepts the result
-    of a prior :func:`_anchor_setup` call so timing harnesses can
-    exclude the (rung-independent) workload preparation; it must be
-    freshly built -- task sets carry run state and are not reusable.
+    with the (scale-free) TLM rung.
     """
     from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
     from repro.trace.metrics import compute_metrics
 
-    taskset, bindings, arrivals, horizon = (
-        prepared if prepared is not None else _anchor_setup(n_cpus, utilization)
-    )
+    taskset, bindings, arrivals, horizon = _anchor_setup(n_cpus, utilization)
     proto = PrototypeSimulator(
         taskset,
         PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale),
@@ -679,19 +674,11 @@ def anchor_tlm_run(
     table: TLMCostTable = DEFAULT_COST_TABLE,
     trace: Optional[TraceRecorder] = None,
     metrics=None,
-    prepared=None,
 ) -> Dict[str, Any]:
-    """One TLM run of an anchor cell -> per-task WCRTs + verdict.
-
-    ``prepared`` mirrors :func:`anchor_prototype_reference`: a fresh
-    :func:`_anchor_setup` result, letting timing harnesses exclude the
-    rung-independent workload preparation.
-    """
+    """One TLM run of an anchor cell -> per-task WCRTs + verdict."""
     from repro.trace.metrics import compute_metrics
 
-    taskset, bindings, arrivals, horizon = (
-        prepared if prepared is not None else _anchor_setup(n_cpus, utilization)
-    )
+    taskset, bindings, arrivals, horizon = _anchor_setup(n_cpus, utilization)
     sim = TLMSimulator(
         taskset,
         n_cpus,
@@ -738,7 +725,6 @@ def calibrate(
     gains: Sequence[float] = CALIBRATION_GAINS,
     bases: Sequence[float] = CALIBRATION_BASES,
     skews: Sequence[float] = CALIBRATION_SKEWS,
-    references: Optional[Dict[Tuple[int, float], Dict[str, Any]]] = None,
 ) -> TLMCostTable:
     """Fit the per-transaction cost table against prototype anchors.
 
@@ -748,14 +734,12 @@ def calibrate(
     rung over parameter points whose schedulability verdicts match the
     prototype on every anchor, and returns the fitted table with
     ``residual`` set to the *maximum* relative deviation observed at
-    the chosen point.  Pass ``references`` to reuse prototype runs
-    (the CLI caches them across invocations).
+    the chosen point.
     """
-    if references is None:
-        references = {
-            cell: anchor_prototype_reference(*cell, scale=scale)
-            for cell in anchors
-        }
+    references = {
+        cell: anchor_prototype_reference(*cell, scale=scale)
+        for cell in anchors
+    }
 
     best: Optional[Tuple[float, TLMCostTable, float]] = None  # err, table, worst
     for gain in gains:

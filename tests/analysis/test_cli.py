@@ -48,6 +48,29 @@ def test_main_prints_tables(csv_file, capsys):
     assert "U=D-W" in out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a\n", "missing wcet"),
+    ("a,10\n", "missing period"),
+    ("", "task table has no rows"),
+    ("# only a comment\n", "task table has no rows"),
+])
+def test_main_rejects_short_rows_and_empty_tables(tmp_path, capsys, text,
+                                                  message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "TASK001" in err and message in err
+
+
+def test_main_unreadable_file_is_one_line(tmp_path, capsys):
+    path = tmp_path / "missing.csv"
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_main_reports_failure(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,90000,100000\nb,90000,100000\n")

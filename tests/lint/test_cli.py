@@ -71,6 +71,26 @@ class TestTasksCommand:
         assert main(["tasks", write(tmp_path, "hot.csv", csv), "--cpus", "1"]) == 1
         assert "TASK002" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("csv, missing", [
+        ("a\n", ["wcet", "period"]),
+        ("a,10\n", ["period"]),
+        ("a,,100\n", ["wcet"]),
+        (",10,100\n", ["name"]),
+    ])
+    def test_short_row_names_the_missing_field(self, tmp_path, capsys,
+                                                csv, missing):
+        assert main(["tasks", write(tmp_path, "short.csv", csv)]) == 1
+        captured = capsys.readouterr()
+        assert "internal error" not in captured.err
+        assert "TASK001" in captured.out
+        for field in missing:
+            assert f"missing {field}" in captured.out
+
+    @pytest.mark.parametrize("csv", ["", "name,wcet,period,deadline\n# none\n"])
+    def test_empty_table_fails(self, tmp_path, capsys, csv):
+        assert main(["tasks", write(tmp_path, "empty.csv", csv)]) == 1
+        assert "task table has no rows" in capsys.readouterr().out
+
 
 class TestTraceCommand:
     def test_racy_trace_fails(self, tmp_path, capsys):

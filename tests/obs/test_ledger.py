@@ -56,6 +56,17 @@ class TestLedger:
         rows = ledger.entries()
         assert len(rows) == 1 and ledger.corrupt == 1
 
+    def test_append_after_truncated_tail_starts_a_fresh_line(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = Ledger(path)
+        ledger.append(entry(label="a"))
+        ledger.append(entry(label="b"))
+        data = path.read_bytes()
+        path.write_bytes(data[:-20])  # a crash mid-write of "b"
+        ledger.append(entry(label="c"))
+        assert [e.label for e in ledger.entries()] == ["a", "c"]
+        assert ledger.corrupt == 1
+
     def test_missing_file_reads_empty(self, tmp_path):
         ledger = Ledger(tmp_path / "absent.jsonl")
         assert ledger.entries() == [] and len(ledger) == 0
