@@ -20,17 +20,14 @@ observations, which this module regenerates:
 from __future__ import annotations
 
 import argparse
-import functools
-import time
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import CLOCK_HZ, TICK, cycles_to_seconds
-from repro.experiments.runner import _cached_pmap
-from repro.obs.ledger import Ledger, LedgerEntry
-from repro.perf.cache import RunCache, cache_key, fingerprint, taskset_rows
-from repro.perf.executor import Telemetry, current_telemetry
+from repro.experiments.runner import sweep
+from repro.obs.ledger import Ledger
+from repro.perf.cache import RunCache
+from repro.perf.executor import Telemetry
 from repro.simulators.prototype import FIDELITIES, PrototypeConfig, PrototypeSimulator
 from repro.simulators.theoretical import TheoreticalSimulator
 from repro.trace.metrics import compute_metrics
@@ -171,45 +168,11 @@ def run_cell(
     )
 
 
-def _cell_key(
-    n_cpus: int, utilization: float, scale: int, fidelity: str = "prototype"
-) -> str:
-    """Content hash of everything a Figure 4 cell's result depends on."""
-    taskset = prepare_taskset(
-        build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
-    )
-    return cache_key(
-        kind="figure4-cell",
-        taskset=taskset_rows(taskset),
-        n_cpus=n_cpus,
-        utilization=utilization,
-        scale=scale,
-        tick=TICK,
-        arrival_phases_s=list(ARRIVAL_PHASES_S),
-        horizon_margin_s=25.0,
-        fidelity=fidelity,
-    )
-
-
-def _run_cell_point(
-    point: Tuple[int, float], scale: int, fidelity: str
-) -> Dict[str, float]:
-    """Picklable per-cell worker body for the parallel sweep.
-
-    Returns the cell as a dict, the form the run cache stores.
-    """
-    n_cpus, utilization = point
-    telemetry = current_telemetry()
-    if telemetry is None:
-        return asdict(run_cell(n_cpus, utilization, scale=scale,
-                               fidelity=fidelity))
-    with telemetry.spans.span("cell", n_cpus=n_cpus,
-                              utilization=utilization, fidelity=fidelity):
-        cell = run_cell(n_cpus, utilization, scale=scale, fidelity=fidelity)
-    telemetry.metrics.counter(
-        "sweep_cells_total", labels={"fidelity": fidelity},
-        help="sweep cells evaluated (cache hits excluded)").inc()
-    return asdict(cell)
+def _measure_cell(**spec) -> Dict[str, float]:
+    """The Figure 4 sweep's measure: :func:`run_cell` on one grid point."""
+    cell = run_cell(**spec)
+    return {"theoretical_s": cell.theoretical_s, "real_s": cell.real_s,
+            "slowdown_pct": cell.slowdown_pct}
 
 
 def figure4_sweep(
@@ -222,73 +185,31 @@ def figure4_sweep(
     telemetry: Optional[Telemetry] = None,
     ledger: Optional[Ledger] = None,
 ) -> List[Figure4Cell]:
-    """The full Figure 4 grid.
+    """The full Figure 4 grid, as one :func:`~repro.experiments.runner.sweep`.
 
-    Cells are independent simulations, so with ``max_workers > 1``
-    they run across worker processes; results are reassembled in grid
-    order and are bit-for-bit identical to a serial sweep.  With a
-    ``cache``, previously-computed cells (keyed by task-set content,
-    configuration, fidelity rung and package version) are loaded
-    instead of re-run.  ``fidelity`` picks the rung standing in for
-    the "real" column (see :func:`run_cell`).
+    Each cell's spec is every :func:`run_cell` argument; with a
+    ``cache`` it is keyed by tag ``figure4``, that spec (fidelity rung
+    included) and the package version, so previously computed cells
+    are loaded instead of re-run.  With ``max_workers > 1`` cells run
+    across worker processes; results are reassembled in grid order and
+    are bit-for-bit identical to a serial sweep.  ``fidelity`` picks
+    the rung standing in for the "real" column (see :func:`run_cell`).
 
     ``telemetry`` records the sweep as spans (``sweep`` -> per-cell
-    ``cell`` spans, cache hits/misses as events on the sweep span) and
-    per-cell counters, merged deterministically across workers;
-    ``ledger`` appends one ``figure4`` entry to the run history.
+    ``cell`` -> ``measure``, cache hits/misses as events on the sweep
+    span) and per-cell counters, merged deterministically across
+    workers; ``ledger`` appends one ``figure4`` entry to the run
+    history, with the maximum and mean slowdown as its results.
     """
-    started = time.perf_counter()
-    points = [(n_cpus, u) for n_cpus in cpus for u in utilizations]
-    hits_before = cache.hits if cache is not None else 0
-    # No execution-geometry attrs (worker count) on the sweep span: span
-    # structure must not vary with parallelism.
-    sweep_span = (
-        telemetry.spans.span("sweep", tag="figure4", cells=len(points))
-        if telemetry is not None else nullcontext()
-    )
-    with sweep_span:
-        cells = [Figure4Cell(**value) for value in _cached_pmap(
-            functools.partial(_run_cell_point, scale=scale, fidelity=fidelity),
-            points,
-            max_workers=max_workers,
-            cache=cache,
-            keys=None if cache is None else [
-                _cell_key(n_cpus, utilization, scale, fidelity)
-                for n_cpus, utilization in points
-            ],
-            telemetry=telemetry,
-        )]
-    if ledger is not None:
-        hits = cache.hits - hits_before if cache is not None else 0
-        misses = len(points) - hits
-        slowdowns = [cell.slowdown_pct for cell in cells]
-        ledger.append(LedgerEntry(
-            kind="figure4",
-            label="figure4_sweep",
-            config_hash=fingerprint({
-                "cpus": list(cpus), "utilizations": list(utilizations),
-                "scale": scale, "fidelity": fidelity,
-            }),
-            fidelity=fidelity,
-            wall_time_s=round(time.perf_counter() - started, 4),
-            cells=len(points),
-            cache=(
-                {"hits": hits, "misses": misses,
-                 "hit_rate": round(hits / len(points), 4) if points else 0.0}
-                if cache is not None else None
-            ),
-            metrics_digest=(
-                fingerprint(telemetry.metrics.snapshot())
-                if telemetry is not None else None
-            ),
-            results=(
-                {"max_slowdown_pct": round(max(slowdowns), 4),
-                 "mean_slowdown_pct":
-                     round(sum(slowdowns) / len(slowdowns), 4)}
-                if slowdowns else {}
-            ),
-        ))
-    return cells
+    grid = {"n_cpus": list(cpus), "utilization": list(utilizations),
+            "scale": [scale], "arrival_phases_s": [ARRIVAL_PHASES_S],
+            "horizon_margin_s": [25.0]}
+    result = sweep(_measure_cell, grid, max_workers=max_workers, cache=cache,
+                   cache_tag="figure4", fidelity=fidelity, telemetry=telemetry,
+                   ledger=ledger, ledger_kind="figure4")
+    return [Figure4Cell(row["n_cpus"], row["utilization"],
+                        row["theoretical_s"], row["real_s"])
+            for row in result.rows]
 
 
 def slowdown_table(cells: Sequence[Figure4Cell]) -> str:

@@ -25,7 +25,7 @@ from repro.kernel.microkernel import TaskBinding
 from repro.lint.tasks import check_taskset
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.perf.cache import RunCache, cache_key, fingerprint
-from repro.perf.executor import Telemetry, current_telemetry, pmap
+from repro.perf.executor import Telemetry, cached_pmap, current_telemetry
 from repro.simulators.prototype import FIDELITIES, PrototypeConfig, PrototypeSimulator
 from repro.trace.metrics import compute_metrics
 from repro.workloads.automotive import (
@@ -132,16 +132,6 @@ def _eval_point(measure: Callable[..., Mapping[str, Any]], point: Dict[str, Any]
     return row
 
 
-def _timed_eval_point(
-    measure: Callable[..., Mapping[str, Any]], point: Dict[str, Any]
-) -> Dict[str, Any]:
-    """:func:`_eval_point` plus a ``wall_time_s`` host-clock column."""
-    start = time.perf_counter()
-    row = _eval_point(measure, point)
-    row["wall_time_s"] = round(time.perf_counter() - start, 4)
-    return row
-
-
 def _measure_tag(measure: Callable) -> str:
     """A stable cache tag for a measure callable (never a repr with an
     object address, which would defeat cross-run caching)."""
@@ -158,7 +148,6 @@ def sweep(
     cache: Optional[RunCache] = None,
     cache_tag: Optional[str] = None,
     fidelity: Optional[str] = None,
-    record_timing: bool = False,
     telemetry: Optional[Telemetry] = None,
     ledger: Optional[Ledger] = None,
     ledger_kind: str = "sweep",
@@ -172,7 +161,8 @@ def sweep(
     results reassembled in grid order -- identical to a serial run.
 
     With a ``cache``, each cell is keyed by (tag, point, package
-    version) and only missing cells are computed.  ``cache_tag``
+    version) and only missing cells are computed
+    (:func:`~repro.perf.executor.cached_pmap`).  ``cache_tag``
     defaults to the measure's qualified name; pass an explicit tag if
     the measure's behaviour depends on state the point does not encode.
 
@@ -182,12 +172,6 @@ def sweep(
     part of every cell's cache key, so rungs never alias -- and is
     passed to ``measure`` as a keyword, which must accept it
     (:func:`prototype_response_s` does).
-
-    ``record_timing=True`` appends a ``wall_time_s`` column with each
-    cell's host-clock cost.  Off by default: the column is
-    machine-dependent, and cache hits replay the *computing* run's
-    timing, so timed sweeps are for sizing runs, not for comparing
-    against cached results.
 
     ``telemetry`` turns on pipeline observability: the sweep runs
     under a ``sweep`` span, every computed cell records ``cell`` /
@@ -229,10 +213,8 @@ def sweep(
     )
     with sweep_span:
         result.rows.extend(
-            _cached_pmap(
-                functools.partial(
-                    _timed_eval_point if record_timing else _eval_point, measure
-                ),
+            cached_pmap(
+                functools.partial(_eval_point, measure),
                 points,
                 max_workers=max_workers,
                 cache=cache,
@@ -286,52 +268,12 @@ def _sweep_ledger_results(result: SweepResult) -> Dict[str, Any]:
                  if isinstance(r.get("response_s"), (int, float))]
     if responses:
         out["mean_response_s"] = round(sum(responses) / len(responses), 6)
+    slowdowns = [r["slowdown_pct"] for r in result.rows
+                 if isinstance(r.get("slowdown_pct"), (int, float))]
+    if slowdowns:
+        out["max_slowdown_pct"] = round(max(slowdowns), 4)
+        out["mean_slowdown_pct"] = round(sum(slowdowns) / len(slowdowns), 4)
     return out
-
-
-def _cached_pmap(
-    fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    max_workers: int = 1,
-    cache: Optional[RunCache] = None,
-    keys: Optional[Sequence[str]] = None,
-    telemetry: Optional[Telemetry] = None,
-) -> List[Any]:
-    """:func:`pmap` with a content-addressed cache in front.
-
-    Cache hits are taken as-is; only misses are computed (in parallel
-    when requested) and stored; the combined results come back in item
-    order, so cached and fresh runs interleave transparently.
-
-    With ``telemetry``, every lookup lands as a ``cache_hit`` /
-    ``cache_miss`` event on the current span plus a labelled counter.
-    Lookups always run in the *calling* process (serial or parallel),
-    so the event order is the item order either way -- part of the
-    serial == parallel determinism contract.
-    """
-    if cache is None:
-        return pmap(fn, items, max_workers=max_workers, telemetry=telemetry)
-    assert keys is not None and len(keys) == len(items)
-    results: List[Any] = [None] * len(items)
-    pending: List[int] = []
-    for index, key in enumerate(keys):
-        hit, value = cache.lookup(key)
-        if telemetry is not None:
-            name = "cache_hit" if hit else "cache_miss"
-            telemetry.spans.event(name, index=index, key=key[:16])
-            telemetry.metrics.counter(
-                "sweep_cache_lookups_total", labels={"outcome": name[6:]},
-                help="run-cache lookups by outcome").inc()
-        if hit:
-            results[index] = value
-        else:
-            pending.append(index)
-    computed = pmap(fn, [items[i] for i in pending], max_workers=max_workers,
-                    telemetry=telemetry)
-    for index, value in zip(pending, computed):
-        cache.put(keys[index], value)
-        results[index] = value
-    return results
 
 
 # --------------------------------------------------------------- measurements

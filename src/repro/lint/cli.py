@@ -449,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     determinism.add_argument(
         "path",
         nargs="*",
-        help="files/directories to scan (default: src/repro/{sim,hw,kernel})",
+        help="files/directories to scan (default: src/repro/{sim,hw,kernel,"
+             "faults,simulators,core,analysis,perf})",
     )
     determinism.set_defaults(func=_cmd_determinism)
     return parser

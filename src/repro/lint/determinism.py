@@ -4,8 +4,7 @@ The whole reproduction hinges on bit-identical reruns: the run cache
 keys on inputs, the WCET regression compares executor cycle counts
 across sessions, and traces are diffed between runs.  A stray wall
 clock read or an unseeded RNG silently breaks all of that.  This pass
-walks the Python AST of ``src/repro/{sim,hw,kernel}`` (or any paths
-given) and flags the three slips that have historically caused
+walks the Python AST of :data:`DEFAULT_PATHS` (or any paths given) and flags the three slips that have historically caused
 irreproducible runs:
 
 - ``DET001`` -- wall-clock reads: ``time.time``, ``time.monotonic``,
@@ -53,7 +52,8 @@ WALL_CLOCK_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 
 #: Default trees scanned by ``repro-lint determinism`` and the pytest tier.
 DEFAULT_PATHS = ("src/repro/sim", "src/repro/hw", "src/repro/kernel",
-                 "src/repro/faults", "src/repro/simulators")
+                 "src/repro/faults", "src/repro/simulators",
+                 "src/repro/core", "src/repro/analysis", "src/repro/perf")
 
 
 def _dotted(node: ast.AST) -> str:

@@ -52,7 +52,8 @@ class LedgerEntry:
 
     #: What ran: ``sweep`` / ``figure4`` / ``campaign`` / ...
     kind: str
-    #: Human handle (the sweep's cache tag, ``figure4_sweep``, ...).
+    #: Human handle: the sweep's cache tag (``figure4``,
+    #: ``fault_campaign``, or the measure's name).
     label: str
     #: Content hash of everything that determined the run's outcome.
     config_hash: str = ""
@@ -66,7 +67,7 @@ class LedgerEntry:
     cache: Optional[Dict[str, Any]] = None
     #: Fingerprint of the collected metrics snapshot, if instrumented.
     metrics_digest: Optional[str] = None
-    #: Scalar result columns worth diffing (events_per_s, speedups, ...).
+    #: Scalar result columns worth diffing (deadline misses, slowdowns, ...).
     results: Dict[str, Any] = field(default_factory=dict)
     #: Seconds since the epoch at append time (wall clock, host-local).
     when: float = 0.0

@@ -1,13 +1,17 @@
 """Content-addressed on-disk cache for experiment results.
 
-A cache *key* is the SHA-256 of a canonical JSON rendering of
-everything that determines a run's outcome: the task-set rows, the
-simulator configuration, the seed / arrival phase, and the package
-version (simulator behaviour may change between releases, so results
-never leak across versions).  Identical inputs hash identically
-across processes and sessions; any change to an input produces a new
-key, which is the entire invalidation story -- stale entries are
-simply never addressed again.
+A cache *key* is the SHA-256 of a canonical JSON rendering of a
+run's spec plus the package version: a sweep cell's tag and grid
+point (for Figure 4, tag ``figure4`` and every ``run_cell`` argument),
+a replication's tag and seed.  Everything else a run depends on --
+the task set built from the spec, the simulator code -- is a pure
+function of the spec and the package version, so it is not hashed
+separately; a change that alters results bumps ``repro.__version__``
+and thereby every key.  Identical specs hash identically across
+processes and sessions; any change produces a new key, which is the
+entire invalidation story -- stale entries are simply never
+addressed again.  :func:`repro.perf.executor.cached_pmap` is the one
+loop that looks keys up, computes the misses and stores them.
 
 Layout on disk (JSON, one file per entry, fanned out by key prefix)::
 
@@ -69,22 +73,9 @@ def cache_key(**parts: Any) -> str:
 
 
 def fingerprint(obj: Any) -> str:
-    """Short content hash of an arbitrary structure (e.g. task-set rows)."""
+    """Short content hash of an arbitrary structure (e.g. a swept grid)."""
     payload = json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def taskset_rows(taskset) -> Any:
-    """Canonical rows for a :class:`~repro.core.task.TaskSet`.
-
-    Tasks are frozen dataclasses, so :func:`canonical` captures every
-    schedulability-relevant field (WCET, period, deadline, priorities,
-    promotion, placement).
-    """
-    return canonical({
-        "periodic": list(taskset.periodic),
-        "aperiodic": list(taskset.aperiodic),
-    })
 
 
 class RunCache:

@@ -19,6 +19,11 @@ Fallback rules (all silent, all order-preserving):
 The optional ``stats`` dict reports which path ran, for the timing
 harness and the equivalence tests.
 
+:func:`cached_pmap` puts a :class:`~repro.perf.cache.RunCache` in
+front of :func:`pmap`: the one lookup/compute/store loop behind
+:func:`repro.experiments.runner.sweep` (and so ``figure4_sweep`` and
+``fault_campaign``) and :func:`repro.simulators.batch.replicate`.
+
 Cross-process observability rides the same chunks: pass a
 :class:`Telemetry` and every worker records into its own fresh
 :class:`~repro.obs.metrics.MetricsRegistry` and
@@ -40,6 +45,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
+from repro.perf.cache import RunCache
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -189,3 +195,56 @@ def pmap(
         for chunk_result in results:
             ordered.extend(chunk_result)
     return ordered
+
+
+def cached_pmap(
+    fn: Callable[[T], R],
+    items: Sequence[T],
+    max_workers: Optional[int] = 1,
+    cache: Optional[RunCache] = None,
+    keys: Optional[Sequence[str]] = None,
+    telemetry: Optional[Telemetry] = None,
+) -> List[R]:
+    """:func:`pmap` with a content-addressed cache in front.
+
+    ``keys[i]`` is the :func:`~repro.perf.cache.cache_key` of
+    ``items[i]``; a ``cache`` without one key per item is a
+    ``ValueError``.  Cache hits are taken as-is; only misses are
+    computed (in parallel when requested) and stored; the combined
+    results come back in item order, so cached and fresh runs
+    interleave transparently.
+
+    With ``telemetry``, every lookup lands as a ``cache_hit`` /
+    ``cache_miss`` event on the current span plus a labelled counter.
+    Lookups always run in the *calling* process (serial or parallel),
+    so the event order is the item order either way -- part of the
+    serial == parallel determinism contract.
+    """
+    if cache is None:
+        return pmap(fn, items, max_workers=max_workers, telemetry=telemetry)
+    n_keys = 0 if keys is None else len(keys)
+    if n_keys != len(items):
+        raise ValueError(
+            f"cached_pmap needs one cache key per item: "
+            f"got {n_keys} keys for {len(items)} items"
+        )
+    results: List[Any] = [None] * len(items)
+    pending: List[int] = []
+    for index, key in enumerate(keys):
+        hit, value = cache.lookup(key)
+        if telemetry is not None:
+            name = "cache_hit" if hit else "cache_miss"
+            telemetry.spans.event(name, index=index, key=key[:16])
+            telemetry.metrics.counter(
+                "sweep_cache_lookups_total", labels={"outcome": name[6:]},
+                help="run-cache lookups by outcome").inc()
+        if hit:
+            results[index] = value
+        else:
+            pending.append(index)
+    computed = pmap(fn, [items[i] for i in pending], max_workers=max_workers,
+                    telemetry=telemetry)
+    for index, value in zip(pending, computed):
+        cache.put(keys[index], value)
+        results[index] = value
+    return results

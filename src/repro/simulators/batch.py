@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.perf.cache import RunCache, cache_key
-from repro.perf.executor import pmap
+from repro.perf.executor import cached_pmap
 
 #: Two-sided 95 % t critical values for small sample sizes (df 1..30).
 _T95 = [
@@ -101,7 +101,9 @@ def replicate(
     processes (picklable measures only; closures run serially) with
     samples reassembled in seed order -- identical to a serial run.
     With a ``cache``, samples are keyed by (tag, seed, package
-    version); ``cache_tag`` defaults to the label.
+    version) and only missing seeds are computed
+    (:func:`~repro.perf.executor.cached_pmap`); ``cache_tag``
+    defaults to the label.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -111,32 +113,17 @@ def replicate(
         seeds = list(seeds)
         if len(seeds) != replications:
             raise ValueError("seeds length must equal replications")
-    summary = ReplicationSummary(label=label)
-    samples: List[Optional[float]] = [None] * len(seeds)
-    pending = list(range(len(seeds)))
-    keys: List[Optional[str]] = [None] * len(seeds)
-    if cache is not None:
-        pending = []
-        for index, seed in enumerate(seeds):
-            keys[index] = cache_key(
-                kind="replicate", tag=cache_tag or label, seed=seed
-            )
-            hit, value = cache.lookup(keys[index])
-            if hit:
-                samples[index] = value
-            else:
-                pending.append(index)
-    computed = pmap(
+    samples = cached_pmap(
         functools.partial(_sample, measure),
-        [seeds[i] for i in pending],
+        seeds,
         max_workers=max_workers,
+        cache=cache,
+        keys=None if cache is None else [
+            cache_key(kind="replicate", tag=cache_tag or label, seed=seed)
+            for seed in seeds
+        ],
     )
-    for index, value in zip(pending, computed):
-        samples[index] = value
-        if cache is not None:
-            cache.put(keys[index], value)
-    summary.samples.extend(samples)
-    return summary
+    return ReplicationSummary(label=label, samples=samples)
 
 
 def compare(

@@ -91,7 +91,7 @@ class TestHarness:
 
 
 def test_simulator_hot_paths_are_clean():
-    """The live guarantee: src/repro/{sim,hw,kernel} stay deterministic."""
+    """The live guarantee: every tree in DEFAULT_PATHS stays deterministic."""
     import repro
 
     from pathlib import Path

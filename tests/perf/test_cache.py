@@ -5,14 +5,11 @@ import json
 import pytest
 
 import repro
-from repro.core.task import PeriodicTask, TaskSet
 from repro.kernel.costs import KernelCosts
 from repro.perf.cache import (
     RunCache,
     cache_key,
     canonical,
-    fingerprint,
-    taskset_rows,
 )
 
 
@@ -40,13 +37,6 @@ class TestKeys:
         json.dumps(shape)  # must not raise
         assert shape["t"] == [1, 2]
         assert shape["costs"]["__dataclass__"] == "KernelCosts"
-
-    def test_taskset_rows_capture_analysis_fields(self):
-        ts = TaskSet([PeriodicTask(name="t", wcet=10, period=100)])
-        promoted = TaskSet([
-            PeriodicTask(name="t", wcet=10, period=100, promotion=50)
-        ])
-        assert fingerprint(taskset_rows(ts)) != fingerprint(taskset_rows(promoted))
 
 
 class TestRunCache:

@@ -11,7 +11,9 @@ import pytest
 import repro.experiments.figure4 as figure4
 from repro.experiments.figure4 import figure4_sweep
 from repro.experiments.runner import sweep
+from repro.obs.ledger import Ledger
 from repro.perf.cache import RunCache
+from repro.perf.executor import Telemetry
 from repro.simulators.batch import replicate
 
 
@@ -110,3 +112,62 @@ class TestFigure4Equivalence:
         assert warm == serial
         assert cache.stats()["hits"] == 2
         assert all(cell.real_s > cell.theoretical_s for cell in serial)
+
+
+class TestFigure4SpecKeys:
+    """Figure 4 cells are keyed by their spec: tag ``figure4``, every
+    ``run_cell`` argument (fidelity rung included) and the version."""
+
+    GRID = dict(cpus=(2,), utilizations=(0.40, 0.50))
+
+    def test_rungs_never_alias(self, tmp_path):
+        cache = RunCache(tmp_path)
+        tlm = figure4_sweep(fidelity="tlm", cache=cache, **self.GRID)
+        theoretical = figure4_sweep(fidelity="theoretical", cache=cache,
+                                    **self.GRID)
+        assert (cache.hits, cache.misses) == (0, 4)
+        assert all(cell.real_s == cell.theoretical_s for cell in theoretical)
+        assert all(cell.real_s > cell.theoretical_s for cell in tlm)
+
+    def test_unchanged_spec_hits_every_cell(self, tmp_path, monkeypatch):
+        cache = RunCache(tmp_path)
+        cold = figure4_sweep(fidelity="tlm", cache=cache, **self.GRID)
+
+        def exploding_cell(*args, **kwargs):
+            raise AssertionError("warm run must not simulate")
+
+        monkeypatch.setattr(figure4, "run_cell", exploding_cell)
+        warm = figure4_sweep(fidelity="tlm", cache=cache, **self.GRID)
+        assert warm == cold
+        assert (cache.hits, cache.misses) == (2, 2)
+
+    def test_changed_scale_misses_every_cell(self, tmp_path):
+        cache = RunCache(tmp_path)
+        figure4_sweep(fidelity="theoretical", cache=cache, **self.GRID)
+        figure4_sweep(fidelity="theoretical", cache=cache, scale=500,
+                      **self.GRID)
+        assert (cache.hits, cache.misses) == (0, 4)
+
+    def test_ledger_entry_and_span_tree(self, tmp_path):
+        ledger = Ledger(tmp_path / "ledger.jsonl")
+        telemetry = Telemetry()
+        cells = figure4_sweep(fidelity="tlm", telemetry=telemetry,
+                              ledger=ledger, **self.GRID)
+        (entry,) = ledger.entries()
+        assert (entry.kind, entry.label, entry.cells) == ("figure4", "figure4", 2)
+        slowdowns = [cell.slowdown_pct for cell in cells]
+        assert entry.results == {
+            "max_slowdown_pct": round(max(slowdowns), 4),
+            "mean_slowdown_pct": round(sum(slowdowns) / len(slowdowns), 4),
+        }
+
+        spans = list(telemetry.spans)
+        (root,) = [span for span in spans if span.parent_id is None]
+        assert (root.name, root.attrs["tag"]) == ("sweep", "figure4")
+        cell_spans = [span for span in spans if span.name == "cell"]
+        assert len(cell_spans) == 2
+        for cell in cell_spans:
+            assert cell.parent_id == root.span_id
+            children = [span.name for span in spans
+                        if span.parent_id == cell.span_id]
+            assert children == ["measure"]

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.perf.executor import chunk_indices, default_workers, picklable, pmap
+from repro.perf.cache import RunCache
+from repro.perf.executor import (
+    cached_pmap,
+    chunk_indices,
+    default_workers,
+    picklable,
+    pmap,
+)
 
 
 def square(x):
@@ -75,3 +82,22 @@ class TestPicklable:
 
     def test_lambda_is_not(self):
         assert not picklable(lambda: None)
+
+
+class TestCachedPmap:
+    def test_mismatched_keys_rejected(self, tmp_path):
+        cache = RunCache(tmp_path)
+        with pytest.raises(ValueError, match="got 1 keys for 3 items"):
+            cached_pmap(abs, [-1, -2, -3], cache=cache, keys=["k1"])
+        with pytest.raises(ValueError, match="got 0 keys for 2 items"):
+            cached_pmap(abs, [-1, -2], cache=cache)
+        assert cache.hits == cache.misses == 0
+
+    def test_computes_only_misses_in_item_order(self, tmp_path):
+        cache = RunCache(tmp_path)
+        assert cached_pmap(square, [2, 3], cache=cache, keys=["a", "b"]) == [4, 9]
+        assert cached_pmap(boom, [2], cache=cache, keys=["b"]) == [9]
+        grown = cached_pmap(square, [2, 3, 4], max_workers=2, cache=cache,
+                            keys=["a", "b", "c"])
+        assert grown == [4, 9, 16]
+        assert (cache.hits, cache.misses) == (3, 3)
