@@ -16,9 +16,7 @@ import sys
 
 from repro import CLOCK_HZ, cycles_to_seconds
 from repro.experiments.figure4 import TICK
-from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
-from repro.simulators.theoretical import TheoreticalSimulator
-from repro.trace.metrics import compute_metrics
+from repro.simulators import make_simulator, mean_response
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
     automotive_bindings,
@@ -43,23 +41,16 @@ def main() -> None:
 
     arrivals = {AUTOMOTIVE_APERIODIC: [arrival]}
 
-    theo = TheoreticalSimulator(taskset, n_cpus, tick=TICK, overhead=0.02,
-                                aperiodic_arrivals=arrivals)
+    theo = make_simulator("theoretical", taskset, n_cpus, tick=TICK,
+                          aperiodic_arrivals=arrivals)
     theo.run(horizon)
-    theo_metrics = compute_metrics(theo.finished_jobs, horizon)
-    theo_resp = theo_metrics.response_of(AUTOMOTIVE_APERIODIC).mean
+    theo_resp, _ = mean_response(theo, horizon, AUTOMOTIVE_APERIODIC)
 
-    proto = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale),
-        bindings=automotive_bindings(),
-        aperiodic_arrivals=arrivals,
-    )
+    proto = make_simulator("prototype", taskset, n_cpus, tick=TICK, scale=scale,
+                           bindings=automotive_bindings(),
+                           aperiodic_arrivals=arrivals)
     proto.run(horizon)
-    proto_metrics = compute_metrics(proto.finished_jobs, horizon // scale)
-    proto_resp = proto.to_full_scale(
-        int(proto_metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-    )
+    proto_resp, _ = mean_response(proto, horizon, AUTOMOTIVE_APERIODIC)
 
     print("== results ==")
     print(f"susan/large standalone execution:   "

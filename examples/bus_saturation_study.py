@@ -13,8 +13,7 @@ Run:  python examples/bus_saturation_study.py
 from repro import CLOCK_HZ
 from repro.experiments.figure4 import TICK
 from repro.hw.monitor import BusMonitor
-from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
-from repro.trace.metrics import compute_metrics
+from repro.simulators import make_simulator, mean_response
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
     automotive_bindings,
@@ -31,9 +30,8 @@ def run_config(n_cpus: int, utilization: float = 0.5):
     )
     arrival = int(1.0 * CLOCK_HZ)
     horizon = arrival + int(16.0 * CLOCK_HZ)
-    proto = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=SCALE),
+    proto = make_simulator(
+        "prototype", taskset, n_cpus, tick=TICK, scale=SCALE,
         bindings=automotive_bindings(),
         aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
     )
@@ -42,10 +40,7 @@ def run_config(n_cpus: int, utilization: float = 0.5):
     )
     monitor.start()
     proto.run(horizon)
-    metrics = compute_metrics(proto.finished_jobs, horizon // SCALE)
-    response = proto.to_full_scale(
-        int(metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-    )
+    response, _ = mean_response(proto, horizon, AUTOMOTIVE_APERIODIC)
     return monitor, response / CLOCK_HZ
 
 

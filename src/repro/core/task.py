@@ -358,6 +358,23 @@ class TaskSet:
         """Sorted list of processor indices used by the partition."""
         return sorted({t.cpu for t in self.periodic})
 
+    def arrivals_with(
+        self, extra: Optional[Dict[str, Sequence[int]]] = None
+    ) -> Dict[str, List[int]]:
+        """Every aperiodic task's arrivals: its own, then ``extra``'s.
+
+        Keys follow ``self.aperiodic`` order and times are left as
+        given (callers order them).  An ``extra`` name that is not in
+        the set raises ``KeyError``; a periodic one ``TypeError``.
+        """
+        merged = {task.name: list(task.arrivals) for task in self.aperiodic}
+        for name, times in (extra or {}).items():
+            if name not in merged:
+                self.by_name(name)  # KeyError for an unknown name
+                raise TypeError(f"{name} is not an aperiodic task")
+            merged[name].extend(times)
+        return merged
+
     # -- transforms ---------------------------------------------------------------
     def with_deadline_monotonic_priorities(self) -> "TaskSet":
         """Assign both band priorities deadline-monotonically.

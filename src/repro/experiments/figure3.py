@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
+from repro.simulators.ladder import make_simulator
 from repro.simulators.theoretical import TheoreticalSimulator
 from repro.trace.gantt import render_gantt, render_interval_table
 from repro.trace.recorder import TraceRecorder
@@ -79,8 +80,8 @@ def figure3_taskset(with_aperiodics: bool) -> TaskSet:
 
 def _run(taskset: TaskSet) -> Tuple[TheoreticalSimulator, TraceRecorder]:
     trace = TraceRecorder()
-    sim = TheoreticalSimulator(
-        taskset, n_cpus=2, tick=SLICE, overhead=0.0, trace=trace
+    sim = make_simulator(
+        "theoretical", taskset, 2, tick=SLICE, overhead=0.0, trace=trace
     )
     sim.run(HORIZON_SLICES * SLICE)
     return sim, trace

@@ -28,9 +28,7 @@ from repro.experiments.runner import sweep
 from repro.obs.ledger import Ledger
 from repro.perf.cache import RunCache
 from repro.perf.executor import Telemetry
-from repro.simulators.prototype import FIDELITIES, PrototypeConfig, PrototypeSimulator
-from repro.simulators.theoretical import TheoreticalSimulator
-from repro.trace.metrics import compute_metrics
+from repro.simulators.ladder import FIDELITIES, make_simulator, mean_response
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
     automotive_bindings,
@@ -107,8 +105,6 @@ def run_cell(
     self-comparison (slowdown ~0) and is mostly useful as a sanity
     anchor.
     """
-    if fidelity not in FIDELITIES:
-        raise ValueError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
     taskset = build_automotive_taskset(utilization, n_cpus)
     taskset = prepare_taskset(taskset, n_cpus, tick=TICK)
 
@@ -117,46 +113,18 @@ def run_cell(
     for arrival_s in arrival_phases_s:
         arrival = int(arrival_s * CLOCK_HZ)
         horizon = arrival + int(horizon_margin_s * CLOCK_HZ)
-        arrivals = {AUTOMOTIVE_APERIODIC: [arrival]}
-
-        theoretical = TheoreticalSimulator(
-            taskset, n_cpus, tick=TICK, overhead=0.02, aperiodic_arrivals=arrivals
-        )
-        theoretical.run(horizon)
-        theo_metrics = compute_metrics(theoretical.finished_jobs, horizon)
-        theo_samples.append(theo_metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-
-        if fidelity == "theoretical":
-            real_samples.append(theo_samples[-1])
-        elif fidelity == "tlm":
-            from repro.simulators.tlm import TLMSimulator
-
-            tlm = TLMSimulator(
-                taskset,
-                n_cpus,
-                tick=TICK,
+        samples = []
+        # The theoretical rung, then the real one (run once if the same).
+        for rung in dict.fromkeys(("theoretical", fidelity)):
+            sim = make_simulator(
+                rung, taskset, n_cpus, scale=scale,
                 bindings=automotive_bindings(),
-                aperiodic_arrivals=arrivals,
+                aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
             )
-            tlm.run(horizon)
-            tlm_metrics = compute_metrics(tlm.finished_jobs, horizon)
-            real_samples.append(tlm_metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-        else:
-            prototype = PrototypeSimulator(
-                taskset,
-                PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale),
-                bindings=automotive_bindings(),
-                aperiodic_arrivals=arrivals,
-            )
-            prototype.run(horizon)
-            proto_metrics = compute_metrics(
-                prototype.finished_jobs, horizon // scale
-            )
-            real_samples.append(
-                prototype.to_full_scale(
-                    int(proto_metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-                )
-            )
+            sim.run(horizon)
+            samples.append(mean_response(sim, horizon, AUTOMOTIVE_APERIODIC)[0])
+        theo_samples.append(samples[0])
+        real_samples.append(samples[-1])
 
     mean_theo = sum(theo_samples) / len(theo_samples)
     mean_real = sum(real_samples) / len(real_samples)

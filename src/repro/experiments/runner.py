@@ -26,8 +26,7 @@ from repro.lint.tasks import check_taskset
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.perf.cache import RunCache, cache_key, fingerprint
 from repro.perf.executor import Telemetry, cached_pmap, current_telemetry
-from repro.simulators.prototype import FIDELITIES, PrototypeConfig, PrototypeSimulator
-from repro.trace.metrics import compute_metrics
+from repro.simulators.ladder import FIDELITIES, make_simulator, mean_response
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
     automotive_bindings,
@@ -167,7 +166,7 @@ def sweep(
     the measure's behaviour depends on state the point does not encode.
 
     ``fidelity`` picks a simulation rung
-    (:data:`repro.simulators.prototype.FIDELITIES`) for the whole
+    (:data:`repro.simulators.FIDELITIES`) for the whole
     sweep: it becomes a parameter column on every row -- and thereby
     part of every cell's cache key, so rungs never alias -- and is
     passed to ``measure`` as a keyword, which must accept it
@@ -277,6 +276,16 @@ def _sweep_ledger_results(result: SweepResult) -> Dict[str, Any]:
 
 
 # --------------------------------------------------------------- measurements
+#: The rung counters a :func:`prototype_response_s` row carries, in
+#: column order after ``response_s`` and ``misses``.
+_RUNG_COLUMNS = {
+    "theoretical": ("context_switches",),
+    "tlm": ("context_switches", "tlm_transactions",
+            "tlm_contention_wait_cycles"),
+    "prototype": ("bus_utilization", "context_switches", "mpic_timeouts"),
+}
+
+
 def prototype_response_s(
     n_cpus: int = 2,
     utilization: float = 0.5,
@@ -303,77 +312,23 @@ def prototype_response_s(
     check_taskset(taskset, n_cpus, tick=TICK)
     arrival = int(arrival_s * CLOCK_HZ)
     horizon = arrival + int(horizon_margin_s * CLOCK_HZ)
-    arrivals = {AUTOMOTIVE_APERIODIC: [arrival]}
-
-    if fidelity == "theoretical":
-        from repro.simulators.theoretical import TheoreticalSimulator
-
-        theo = TheoreticalSimulator(
-            taskset, n_cpus, tick=TICK, overhead=0.02, aperiodic_arrivals=arrivals
-        )
-        with _pipeline_span("simulate", fidelity=fidelity, horizon=horizon):
-            theo.run(horizon)
-        metrics = compute_metrics(theo.finished_jobs, horizon)
-        return {
-            "response_s": cycles_to_seconds(
-                metrics.response_of(AUTOMOTIVE_APERIODIC).mean
-            ),
-            "misses": metrics.deadline_misses,
-            "context_switches": theo.context_switches,
-        }
-
-    if fidelity == "tlm":
-        from repro.simulators.tlm import TLMSimulator
-
-        sim = TLMSimulator(
-            taskset,
-            n_cpus,
-            tick=TICK,
-            bindings=bindings if bindings is not None else automotive_bindings(),
-            aperiodic_arrivals=arrivals,
-            costs=costs or KernelCosts(),
-        )
-        with _pipeline_span("simulate", fidelity=fidelity, horizon=horizon):
-            sim.run(horizon)
-        metrics = compute_metrics(sim.finished_jobs, horizon)
-        stats = sim.stats()
-        return {
-            "response_s": cycles_to_seconds(
-                metrics.response_of(AUTOMOTIVE_APERIODIC).mean
-            ),
-            "misses": metrics.deadline_misses,
-            "context_switches": stats["context_switches"],
-            "tlm_transactions": stats["tlm_transactions"],
-            "tlm_contention_wait_cycles": stats["tlm_contention_wait_cycles"],
-        }
-
-    if fidelity != "prototype":
-        raise ValueError(
-            f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
-        )
-    proto = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale,
-                        costs=costs or KernelCosts()),
+    sim = make_simulator(
+        fidelity, taskset, n_cpus, scale=scale,
         bindings=bindings if bindings is not None else automotive_bindings(),
-        aperiodic_arrivals=arrivals,
+        costs=costs, aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
     )
-    if mpic_ack_timeout is not None:
-        proto.soc.intc.ack_timeout = mpic_ack_timeout
+    if fidelity == "prototype" and mpic_ack_timeout is not None:
+        sim.soc.intc.ack_timeout = mpic_ack_timeout
     with _pipeline_span("simulate", fidelity=fidelity, horizon=horizon):
-        proto.run(horizon)
-    metrics = compute_metrics(proto.finished_jobs, horizon // scale)
-    response = proto.to_full_scale(
-        int(metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-    )
-    stats = proto.stats()
-    return {
-        "response_s": cycles_to_seconds(response),
-        "misses": metrics.deadline_misses,
-        "bus_utilization": round(stats["bus_utilization"], 4),
-        "context_switches": stats["context_switches"],
-        "mpic_timeouts": stats["mpic_timeouts"],
-    }
+        sim.run(horizon)
+    response, metrics = mean_response(sim, horizon, AUTOMOTIVE_APERIODIC)
+    row = {"response_s": cycles_to_seconds(response),
+           "misses": metrics.deadline_misses}
+    stats = sim.stats()
+    row.update((column, stats[column]) for column in _RUNG_COLUMNS[fidelity])
+    if "bus_utilization" in row:
+        row["bus_utilization"] = round(row["bus_utilization"], 4)
+    return row
 
 
 # ------------------------------------------------------------- observability
@@ -416,18 +371,15 @@ def prototype_run_report(
     check_taskset(taskset, n_cpus, tick=TICK)
     arrival = int(arrival_s * CLOCK_HZ)
     horizon = arrival + int(horizon_margin_s * CLOCK_HZ)
-    proto = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale),
+    proto = make_simulator(
+        "prototype", taskset, n_cpus, scale=scale,
         bindings=automotive_bindings(),
         aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
-        trace=trace,
-        metrics=registry,
+        trace=trace, metrics=registry,
     )
-    scaled_horizon = horizon // scale
     monitor = BusMonitor(
         proto.soc.sim, proto.soc.bus,
-        window=max(1, scaled_horizon // max(1, monitor_windows)),
+        window=max(1, horizon // scale // max(1, monitor_windows)),
     )
     monitor.start()
     proto.run(horizon)
@@ -438,10 +390,7 @@ def prototype_run_report(
     if run_cache is not None:
         fold_run_cache(registry, run_cache)
 
-    metrics = compute_metrics(proto.finished_jobs, scaled_horizon, trace=trace)
-    response = proto.to_full_scale(
-        int(metrics.response_of(AUTOMOTIVE_APERIODIC).mean)
-    )
+    response, metrics = mean_response(proto, horizon, AUTOMOTIVE_APERIODIC)
     registry.gauge("aperiodic_response_s",
                    help="mean aperiodic response time (full-scale seconds)").set(
         round(cycles_to_seconds(response), 6))
@@ -593,18 +542,12 @@ def _fault_campaign_cell(
     until: int,
     n_faults: int,
     min_gap: int,
-    fidelity: str = "prototype",
 ) -> Dict[str, Any]:
     """One campaign run (module-level so ``pmap`` can pickle it).
 
     The plan is regenerated from the seed inside the cell, so the cell
     is a pure function of its (cache-keyed) parameters.
     """
-    if fidelity != "prototype":
-        raise ValueError(
-            "fault campaigns drive the kernel-on-SoC rung; the "
-            f"{fidelity!r} rung has no kernel fault surface"
-        )
     from repro.faults.plan import random_plan
     from repro.faults.scenarios import campaign_cell, demo_taskset
 
@@ -630,7 +573,6 @@ def fault_campaign(
     max_workers: int = 1,
     cache: Optional[RunCache] = None,
     perfetto_out: Optional[str] = None,
-    fidelity: str = "prototype",
     telemetry: Optional[Telemetry] = None,
     ledger: Optional[Ledger] = None,
 ) -> SweepResult:
@@ -649,9 +591,8 @@ def fault_campaign(
     mark every injection, consumed fault, retry, shed and deadline
     miss.
 
-    ``fidelity`` is threaded for cache-key/column uniformity with the
-    other sweeps, but only the ``prototype`` rung carries the
-    kernel-level fault surface, so any other value raises.
+    Campaigns always run the prototype rung: it is the only one with a
+    kernel-level fault surface.
 
     ``telemetry`` / ``ledger`` behave as in :func:`sweep`; campaign
     ledger entries are recorded under kind ``campaign``.
@@ -668,7 +609,6 @@ def fault_campaign(
         max_workers=max_workers,
         cache=cache,
         cache_tag="fault_campaign",
-        fidelity=fidelity,
         telemetry=telemetry,
         ledger=ledger,
         ledger_kind="campaign",

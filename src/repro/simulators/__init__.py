@@ -16,21 +16,22 @@ points (:data:`FIDELITIES`, fastest first):
   (partitioned fixed-priority with background aperiodics, global
   fixed-priority, global EDF) for the ablation benchmarks.
 
-:func:`make_simulator` dispatches a :class:`PrototypeConfig` on its
-``fidelity`` field so sweeps pick a rung per query.
+:func:`make_simulator` (:mod:`repro.simulators.ladder`) is the one
+way onto a rung: it builds any of :data:`FIDELITIES` by name, and
+:func:`mean_response` reads a run back at full scale whatever the
+rung's time base.
 """
 
-from typing import Any, Dict, Optional, Sequence
-
-from repro.core.task import TaskSet
 from repro.simulators.batch import ReplicationSummary, compare, replicate
 from repro.simulators.theoretical import TheoreticalSimulator
 from repro.simulators.validation import TaskComparison, ValidationResult, validate
-from repro.simulators.prototype import (
+from repro.simulators.ladder import (
     FIDELITIES,
-    PrototypeConfig,
-    PrototypeSimulator,
+    make_simulator,
+    mean_response,
+    run_metrics,
 )
+from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
 from repro.simulators.tlm import (
     ANCHOR_CELLS,
     DEFAULT_COST_TABLE,
@@ -49,6 +50,8 @@ from repro.simulators.baselines import (
 __all__ = [
     "FIDELITIES",
     "make_simulator",
+    "mean_response",
+    "run_metrics",
     "TheoreticalSimulator",
     "TLMSimulator",
     "TLMCostTable",
@@ -69,60 +72,3 @@ __all__ = [
     "ValidationResult",
     "TaskComparison",
 ]
-
-
-def make_simulator(
-    taskset: TaskSet,
-    config: PrototypeConfig,
-    bindings: Optional[Dict[str, Any]] = None,
-    aperiodic_arrivals: Optional[Dict[str, Sequence[int]]] = None,
-    trace=None,
-    metrics=None,
-    overhead: float = 0.02,
-    table: TLMCostTable = DEFAULT_COST_TABLE,
-):
-    """Instantiate the simulator for ``config.fidelity``.
-
-    One construction point for the whole ladder: ``theoretical`` and
-    ``tlm`` ignore ``config.scale`` (they run full-size workloads --
-    there is no per-cycle work to amortise) and the theoretical rung
-    additionally ignores ``bindings``/``metrics`` (idealised hardware
-    has no contention profile to bind).  ``overhead`` is the
-    theoretical rung's uniform inflation; ``table`` the TLM rung's
-    calibrated contention parameters.
-
-    Note the returned simulators differ in time base: the prototype
-    runs the workload scaled by ``config.scale`` (use its
-    ``to_full_scale``), the other rungs always at full scale.
-    """
-    if config.fidelity == "theoretical":
-        return TheoreticalSimulator(
-            taskset,
-            config.n_cpus,
-            tick=config.tick,
-            overhead=overhead,
-            aperiodic_arrivals=aperiodic_arrivals,
-            trace=trace,
-        )
-    if config.fidelity == "tlm":
-        return TLMSimulator(
-            taskset,
-            config.n_cpus,
-            tick=config.tick,
-            bindings=bindings,
-            aperiodic_arrivals=aperiodic_arrivals,
-            trace=trace,
-            metrics=metrics,
-            costs=config.costs,
-            table=table,
-        )
-    if config.fidelity == "prototype":
-        return PrototypeSimulator(
-            taskset,
-            config,
-            bindings=bindings,
-            aperiodic_arrivals=aperiodic_arrivals,
-            trace=trace,
-            metrics=metrics,
-        )
-    raise ValueError(f"unknown fidelity {config.fidelity!r}")  # pragma: no cover

@@ -122,18 +122,9 @@ class MultiprocessorSimulator:
             Job(task, task.offset, index=0) for task in taskset.periodic
         ]
         arrivals: List[Tuple[int, AperiodicTask]] = []
-        merged: Dict[str, List[int]] = {
-            task.name: list(task.arrivals) for task in taskset.aperiodic
-        }
-        for name, times in (aperiodic_arrivals or {}).items():
+        for name, times in taskset.arrivals_with(aperiodic_arrivals).items():
             task = taskset.by_name(name)
-            if not isinstance(task, AperiodicTask):
-                raise TypeError(f"{name} is not an aperiodic task")
-            merged.setdefault(name, []).extend(times)
-        for name, times in merged.items():
-            task = taskset.by_name(name)
-            for time in times:
-                arrivals.append((time, task))
+            arrivals.extend((time, task) for time in times)
         arrivals.sort(key=lambda item: item[0])
         self._arrivals = arrivals
         self._aper_index: Dict[str, int] = {}

@@ -18,7 +18,7 @@ Python.  ``scale=1`` runs the full-size system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro import TICK
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
@@ -34,14 +34,6 @@ from repro.trace.recorder import TraceRecorder
 #: scaled tick so a slice never spans a whole scheduling period.
 DEFAULT_CHUNK_CYCLES = 2_000
 
-#: The simulation ladder, slowest/most faithful last.  ``theoretical``
-#: is the paper's idealised baseline (flat 2 % overhead), ``tlm`` the
-#: calibrated transaction-level rung (:mod:`repro.simulators.tlm`) and
-#: ``prototype`` the cycle-approximate kernel-on-SoC run.  Defined here
-#: (rather than in the package ``__init__``) so the config dataclass
-#: can validate without an import cycle.
-FIDELITIES = ("theoretical", "tlm", "prototype")
-
 
 @dataclass(frozen=True)
 class PrototypeConfig:
@@ -50,12 +42,6 @@ class PrototypeConfig:
     ``chunk_cycles=None`` (the default) picks
     :data:`DEFAULT_CHUNK_CYCLES` clamped against the scaled tick; an
     explicit value is used verbatim -- a user override always wins.
-
-    ``fidelity`` names the simulation rung the config is meant for;
-    :func:`repro.simulators.make_simulator` dispatches on it and
-    experiment cache keys include it, so a TLM run can never alias a
-    prototype result.  The prototype simulator itself only accepts
-    ``fidelity="prototype"`` configs.
     """
 
     n_cpus: int = 2
@@ -63,7 +49,6 @@ class PrototypeConfig:
     scale: int = 1
     chunk_cycles: Optional[int] = None
     costs: KernelCosts = field(default_factory=KernelCosts)
-    fidelity: str = "prototype"
 
     def __post_init__(self):
         if self.scale < 1:
@@ -72,10 +57,6 @@ class PrototypeConfig:
             raise ValueError("tick must be divisible by scale")
         if self.chunk_cycles is not None and self.chunk_cycles <= 0:
             raise ValueError("chunk_cycles must be positive")
-        if self.fidelity not in FIDELITIES:
-            raise ValueError(
-                f"fidelity must be one of {FIDELITIES}, got {self.fidelity!r}"
-            )
 
 
 def scale_taskset(taskset: TaskSet, scale: int) -> TaskSet:
@@ -130,12 +111,6 @@ class PrototypeSimulator:
         metrics=None,
         recovery=None,
     ):
-        if config.fidelity != "prototype":
-            raise ValueError(
-                f"PrototypeSimulator requires fidelity='prototype' "
-                f"(got {config.fidelity!r}); use "
-                f"repro.simulators.make_simulator to dispatch on fidelity"
-            )
         self.config = config
         self.scale = config.scale
         self.taskset = scale_taskset(taskset, config.scale)
@@ -178,11 +153,10 @@ class PrototypeSimulator:
             recovery=recovery,
         )
 
-        merged: Dict[str, List[int]] = {
-            task.name: [a for a in task.arrivals] for task in self.taskset.aperiodic
-        }
-        for name, times in (aperiodic_arrivals or {}).items():
-            merged.setdefault(name, []).extend(t // config.scale for t in times)
+        merged = self.taskset.arrivals_with({
+            name: [t // config.scale for t in times]
+            for name, times in (aperiodic_arrivals or {}).items()
+        })
         for name, times in merged.items():
             if not times:
                 continue

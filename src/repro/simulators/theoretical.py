@@ -50,10 +50,14 @@ class TheoreticalSimulator:
         Fractional execution-time inflation standing in for context
         switches and contention (paper: 0.02).
     aperiodic_arrivals:
-        Mapping task name -> list of absolute arrival cycles.  Tasks
-        must exist in ``taskset.aperiodic``; arrivals given there are
-        honoured too.
+        Mapping task name -> list of absolute arrival cycles, merged
+        with the arrivals on the task objects
+        (:meth:`~repro.core.task.TaskSet.arrivals_with`).
     """
+
+    #: Structural scale: idealised hardware has no per-cycle work to
+    #: amortise, so the workload always runs full-size.
+    scale = 1
 
     def __init__(
         self,
@@ -82,18 +86,9 @@ class TheoreticalSimulator:
         self._inflated: set = set()
 
         arrivals: List[Tuple[int, AperiodicTask]] = []
-        merged: Dict[str, List[int]] = {
-            task.name: list(task.arrivals) for task in taskset.aperiodic
-        }
-        for name, times in (aperiodic_arrivals or {}).items():
+        for name, times in taskset.arrivals_with(aperiodic_arrivals).items():
             task = taskset.by_name(name)
-            if not isinstance(task, AperiodicTask):
-                raise TypeError(f"{name} is not an aperiodic task")
-            merged.setdefault(name, []).extend(times)
-        for name, times in merged.items():
-            task = taskset.by_name(name)
-            for time in times:
-                arrivals.append((time, task))
+            arrivals.extend((time, task) for time in times)
         arrivals.sort(key=lambda item: item[0])
         self._arrivals = arrivals
         self._aper_index: Dict[str, int] = {}
@@ -212,6 +207,10 @@ class TheoreticalSimulator:
     @property
     def finished_jobs(self) -> List[Job]:
         return self.policy.finished_jobs
+
+    def to_full_scale(self, cycles):
+        """Already full-scale (see :attr:`scale`)."""
+        return cycles
 
     def stats(self) -> dict:
         return {

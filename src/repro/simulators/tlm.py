@@ -134,10 +134,11 @@ class TLMSimulator:
     """Event-driven MPDP run with per-transaction-window contention.
 
     Drop-in peer of :class:`~repro.simulators.theoretical.TheoreticalSimulator`
-    and :class:`~repro.simulators.prototype.PrototypeSimulator`: same
-    constructor shape, same trace vocabulary, same ``finished_jobs`` /
-    ``stats()`` queries.  Runs the workload at full scale (``scale`` is
-    structurally 1 -- there is no per-cycle work to amortise).
+    and :class:`~repro.simulators.prototype.PrototypeSimulator`: built
+    by :func:`repro.simulators.make_simulator`, same trace vocabulary,
+    same ``finished_jobs`` / ``stats()`` / ``to_full_scale`` queries.
+    Runs the workload at full scale (``scale`` is structurally 1 --
+    there is no per-cycle work to amortise).
 
     Parameters
     ----------
@@ -159,6 +160,10 @@ class TLMSimulator:
     table:
         Calibrated contention parameters.
     """
+
+    #: Structural scale: nothing steps per cycle, so the workload
+    #: always runs full-size.
+    scale = 1
 
     def __init__(
         self,
@@ -182,9 +187,6 @@ class TLMSimulator:
         self.policy = MPDPScheduler(taskset, n_cpus, promotion_granularity="tick")
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.sim = Simulator()
-        #: Structural scale (kept for interface parity with the
-        #: prototype; the TLM rung always runs full-size workloads).
-        self.scale = 1
 
         self.bindings = dict(bindings or {})
         self._default_binding = TaskBinding()
@@ -278,14 +280,7 @@ class TLMSimulator:
             ).set(table.residual)
 
         # Aperiodic arrivals at exact instants through the event queue.
-        merged: Dict[str, List[int]] = {
-            task.name: list(task.arrivals) for task in taskset.aperiodic
-        }
-        for name, times in (aperiodic_arrivals or {}).items():
-            task = taskset.by_name(name)
-            if not isinstance(task, AperiodicTask):
-                raise TypeError(f"{name} is not an aperiodic task")
-            merged.setdefault(name, []).extend(times)
+        merged = taskset.arrivals_with(aperiodic_arrivals)
         for name in sorted(merged):
             task = taskset.by_name(name)
             for time in sorted(merged[name]):
@@ -306,8 +301,8 @@ class TLMSimulator:
     def finished_jobs(self) -> List[Job]:
         return self.policy.finished_jobs
 
-    def to_full_scale(self, cycles: int) -> int:
-        """Interface parity with the prototype (TLM is already full-scale)."""
+    def to_full_scale(self, cycles):
+        """Already full-scale (see :attr:`scale`)."""
         return cycles
 
     def stats(self) -> dict:
@@ -616,8 +611,19 @@ def per_task_wcrt(jobs: Sequence[Job]) -> Dict[str, int]:
     return wcrt
 
 
-def _anchor_setup(n_cpus: int, utilization: float):
+def _anchor_run(
+    fidelity: str,
+    n_cpus: int,
+    utilization: float,
+    scale: int = 1,
+    table: TLMCostTable = DEFAULT_COST_TABLE,
+    trace: Optional[TraceRecorder] = None,
+    metrics=None,
+) -> Dict[str, Any]:
+    """One run of an anchor cell -> per-task WCRTs (full-scale cycles)
+    + verdict, so every rung compares directly with every other."""
     from repro import CLOCK_HZ
+    from repro.simulators.ladder import make_simulator, run_metrics
     from repro.workloads.automotive import (
         AUTOMOTIVE_APERIODIC,
         automotive_bindings,
@@ -630,42 +636,25 @@ def _anchor_setup(n_cpus: int, utilization: float):
     )
     arrival = int(1.0 * CLOCK_HZ)
     horizon = arrival + int(17.0 * CLOCK_HZ)
-    return (
-        taskset,
-        automotive_bindings(),
-        {AUTOMOTIVE_APERIODIC: [arrival]},
-        horizon,
+    sim = make_simulator(
+        fidelity, taskset, n_cpus, scale=scale, bindings=automotive_bindings(),
+        aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
+        trace=trace, metrics=metrics, table=table,
     )
+    sim.run(horizon)
+    return {
+        "wcrt": {name: sim.to_full_scale(value)
+                 for name, value in per_task_wcrt(sim.finished_jobs).items()},
+        "misses": run_metrics(sim, horizon).deadline_misses,
+        "finished": len(sim.finished_jobs),
+    }
 
 
 def anchor_prototype_reference(
     n_cpus: int, utilization: float, scale: int = 1_000
 ) -> Dict[str, Any]:
-    """One prototype run of an anchor cell -> per-task WCRTs + verdict.
-
-    WCRTs are reported in full-scale cycles so they compare directly
-    with the (scale-free) TLM rung.
-    """
-    from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
-    from repro.trace.metrics import compute_metrics
-
-    taskset, bindings, arrivals, horizon = _anchor_setup(n_cpus, utilization)
-    proto = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=scale),
-        bindings=bindings,
-        aperiodic_arrivals=arrivals,
-    )
-    proto.run(horizon)
-    metrics = compute_metrics(proto.finished_jobs, horizon // scale)
-    return {
-        "wcrt": {
-            name: proto.to_full_scale(value)
-            for name, value in per_task_wcrt(proto.finished_jobs).items()
-        },
-        "misses": metrics.deadline_misses,
-        "finished": len(proto.finished_jobs),
-    }
+    """One prototype run of an anchor cell -> per-task WCRTs + verdict."""
+    return _anchor_run("prototype", n_cpus, utilization, scale=scale)
 
 
 def anchor_tlm_run(
@@ -676,26 +665,8 @@ def anchor_tlm_run(
     metrics=None,
 ) -> Dict[str, Any]:
     """One TLM run of an anchor cell -> per-task WCRTs + verdict."""
-    from repro.trace.metrics import compute_metrics
-
-    taskset, bindings, arrivals, horizon = _anchor_setup(n_cpus, utilization)
-    sim = TLMSimulator(
-        taskset,
-        n_cpus,
-        tick=TICK,
-        bindings=bindings,
-        aperiodic_arrivals=arrivals,
-        table=table,
-        trace=trace,
-        metrics=metrics,
-    )
-    sim.run(horizon)
-    schedule_metrics = compute_metrics(sim.finished_jobs, horizon)
-    return {
-        "wcrt": per_task_wcrt(sim.finished_jobs),
-        "misses": schedule_metrics.deadline_misses,
-        "finished": len(sim.finished_jobs),
-    }
+    return _anchor_run("tlm", n_cpus, utilization, table=table, trace=trace,
+                       metrics=metrics)
 
 
 def _wcrt_deviation(

@@ -14,9 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.task import TaskSet
 from repro.kernel.microkernel import TaskBinding
-from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
-from repro.simulators.theoretical import TheoreticalSimulator
-from repro.trace.metrics import compute_metrics
+from repro.simulators.ladder import make_simulator, run_metrics
 
 
 @dataclass(frozen=True)
@@ -86,21 +84,19 @@ def validate(
     All times (tick, horizon, arrivals) are full-scale cycles; the
     prototype is scaled internally and reports back at full scale.
     """
-    theoretical = TheoreticalSimulator(
-        taskset, n_cpus, tick=tick, overhead=overhead,
+    theoretical = make_simulator(
+        "theoretical", taskset, n_cpus, tick=tick, overhead=overhead,
         aperiodic_arrivals=aperiodic_arrivals,
     )
     theoretical.run(horizon)
-    theo_metrics = compute_metrics(theoretical.finished_jobs, horizon)
+    theo_metrics = run_metrics(theoretical, horizon)
 
-    prototype = PrototypeSimulator(
-        taskset,
-        PrototypeConfig(n_cpus=n_cpus, tick=tick, scale=scale),
-        bindings=bindings,
-        aperiodic_arrivals=aperiodic_arrivals,
+    prototype = make_simulator(
+        "prototype", taskset, n_cpus, tick=tick, scale=scale,
+        bindings=bindings, aperiodic_arrivals=aperiodic_arrivals,
     )
     prototype.run(horizon)
-    proto_metrics = compute_metrics(prototype.finished_jobs, horizon // scale)
+    proto_metrics = run_metrics(prototype, horizon)
 
     comparisons: List[TaskComparison] = []
     periodic_names = {t.name for t in taskset.periodic}
@@ -111,8 +107,8 @@ def validate(
             TaskComparison(
                 task=name,
                 is_periodic=name in periodic_names,
-                theoretical_mean=theo.mean,
-                prototype_mean=float(proto.mean * scale),
+                theoretical_mean=theoretical.to_full_scale(theo.mean),
+                prototype_mean=prototype.to_full_scale(proto.mean),
                 jobs_theoretical=theo.count,
                 jobs_prototype=proto.count,
             )

@@ -182,6 +182,24 @@ class TestTaskSet:
         ts = TaskSet([make_task(name="a", cpu=0), make_task(name="b", cpu=1)])
         assert [t.name for t in ts.on_cpu(1)] == ["b"]
 
+    def test_arrivals_with_merges_own_then_extra(self):
+        ts = TaskSet([make_task(name="p")], [
+            AperiodicTask(name="y", wcet=1, arrivals=(10, 50)),
+            AperiodicTask(name="x", wcet=1),
+        ])
+        merged = ts.arrivals_with({"y": [5], "x": [7, 3]})
+        assert merged == {"y": [10, 50, 5], "x": [7, 3]}
+        assert list(merged) == ["y", "x"]  # task-set order, times as given
+        assert ts.arrivals_with() == {"y": [10, 50], "x": []}
+        assert ts.aperiodic[0].arrivals == (10, 50)
+
+    def test_arrivals_with_rejects_unknown_and_periodic_names(self):
+        ts = TaskSet([make_task(name="p")], [AperiodicTask(name="x", wcet=1)])
+        with pytest.raises(KeyError):
+            ts.arrivals_with({"nope": [1]})
+        with pytest.raises(TypeError, match="p is not an aperiodic task"):
+            ts.arrivals_with({"p": [1]})
+
     def test_summary_contains_tasks(self):
         ts = TaskSet([make_task(name="abc")], [AperiodicTask(name="xyz", wcet=5)])
         text = ts.summary()

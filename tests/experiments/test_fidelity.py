@@ -4,7 +4,10 @@ Guards the invariant that runs of *different* simulation rungs can
 never alias each other in the run cache, and that mixed-fidelity
 sweeps stay legible (the fidelity column survives the CSV round
 trip).  Figure 4's per-rung cache keys are covered by
-``tests/perf/test_equivalence.py::TestFigure4SpecKeys``.
+``tests/perf/test_equivalence.py::TestFigure4SpecKeys``.  Also holds
+``make_simulator``/``mean_response`` to one construction and time-base
+contract on every rung, and every simulator to rejecting a bad arrival
+map when it is built.
 """
 
 import csv
@@ -12,23 +15,27 @@ import io
 
 import pytest
 
-from repro import TICK
-from repro.experiments.runner import (
-    SweepResult,
-    fault_campaign,
-    prototype_response_s,
-    sweep,
-)
+from repro import CLOCK_HZ, TICK
+from repro.experiments.runner import prototype_response_s, sweep
+from repro.kernel.costs import KernelCosts
 from repro.perf.cache import cache_key
 from repro.simulators import (
     FIDELITIES,
-    PrototypeConfig,
+    GlobalEDFPolicy,
+    MultiprocessorSimulator,
     PrototypeSimulator,
     TheoreticalSimulator,
+    TLMCostTable,
     TLMSimulator,
     make_simulator,
+    mean_response,
 )
-from repro.workloads.automotive import build_automotive_taskset, prepare_taskset
+from repro.workloads.automotive import (
+    AUTOMOTIVE_APERIODIC,
+    automotive_bindings,
+    build_automotive_taskset,
+    prepare_taskset,
+)
 
 
 def _taskset(n_cpus=2, utilization=0.40):
@@ -108,10 +115,6 @@ class TestMeasureDispatch:
         with pytest.raises(ValueError, match="fidelity"):
             prototype_response_s(fidelity="gate-level")
 
-    def test_fault_campaign_requires_prototype(self):
-        with pytest.raises(ValueError, match="fault"):
-            fault_campaign(n_runs=1, until=100_000, fidelity="tlm")
-
 
 class TestMakeSimulator:
     def test_dispatch(self):
@@ -121,19 +124,70 @@ class TestMakeSimulator:
             "tlm": TLMSimulator,
             "prototype": PrototypeSimulator,
         }
+        assert tuple(expected) == FIDELITIES
         for fidelity, cls in expected.items():
-            config = PrototypeConfig(
-                n_cpus=2, tick=TICK,
-                scale=1_000 if fidelity == "prototype" else 1,
-                fidelity=fidelity,
-            )
-            assert isinstance(make_simulator(taskset, config), cls)
+            sim = make_simulator(fidelity, taskset, 2, scale=1_000)
+            assert isinstance(sim, cls)
+            # Only the prototype divides its workload; every rung maps
+            # its own time base back through the same contract.
+            assert sim.scale == (1_000 if fidelity == "prototype" else 1)
+            assert sim.to_full_scale(7) == 7 * sim.scale
 
-    def test_config_validates_fidelity(self):
-        with pytest.raises(ValueError, match="fidelity"):
-            PrototypeConfig(fidelity="spice")
+    def test_options_reach_their_rung(self):
+        taskset = _taskset()
+        table = TLMCostTable(wait_gain=0.3, base_overhead=0.01)
+        costs = KernelCosts(context_primitive=123)
+        tlm = make_simulator("tlm", taskset, 2, costs=costs, table=table)
+        assert tlm.table is table and tlm.costs is costs
+        proto = make_simulator("prototype", taskset, 2, scale=500, costs=costs)
+        assert proto.config.scale == 500
+        assert proto.config.costs is costs
+        theo = make_simulator("theoretical", taskset, 2, overhead=0.05)
+        assert theo.overhead == 0.05
 
-    def test_prototype_rejects_other_rungs(self):
-        config = PrototypeConfig(n_cpus=2, tick=TICK, fidelity="tlm")
-        with pytest.raises(ValueError, match="prototype"):
-            PrototypeSimulator(_taskset(), config)
+    def test_unknown_fidelity_lists_the_rungs(self):
+        with pytest.raises(ValueError) as info:
+            make_simulator("spice", _taskset(), 2)
+        assert "spice" in str(info.value)
+        assert str(FIDELITIES) in str(info.value)
+
+    def test_mean_response_is_full_scale_on_every_rung(self):
+        taskset = _taskset()
+        horizon = int(14.0 * CLOCK_HZ)
+        arrivals = {AUTOMOTIVE_APERIODIC: [CLOCK_HZ]}
+        for fidelity in FIDELITIES:
+            sim = make_simulator(fidelity, taskset, 2, scale=1_000,
+                                 bindings=automotive_bindings(),
+                                 aperiodic_arrivals=arrivals)
+            sim.run(horizon)
+            mean, metrics = mean_response(sim, horizon, AUTOMOTIVE_APERIODIC)
+            assert metrics.horizon == horizon // sim.scale
+            scaled = metrics.response_of(AUTOMOTIVE_APERIODIC).mean
+            assert mean == scaled * sim.scale
+            # Full-scale means land near the 10.1 s standalone run.
+            assert 10.0 * CLOCK_HZ < mean < 13.0 * CLOCK_HZ
+
+
+class TestArrivalValidation:
+    """Every rung rejects a bad arrival map when it is built, not
+    somewhere inside ``run()``."""
+
+    @staticmethod
+    def _build(rung, taskset, arrivals):
+        if rung == "baseline":
+            return MultiprocessorSimulator(taskset, 2, GlobalEDFPolicy(),
+                                           aperiodic_arrivals=arrivals)
+        return make_simulator(rung, taskset, 2, scale=1_000,
+                              aperiodic_arrivals=arrivals)
+
+    @pytest.mark.parametrize("rung", FIDELITIES + ("baseline",))
+    def test_unknown_name(self, rung):
+        with pytest.raises(KeyError, match="nope"):
+            self._build(rung, _taskset(), {"nope": [CLOCK_HZ]})
+
+    @pytest.mark.parametrize("rung", FIDELITIES + ("baseline",))
+    def test_periodic_name(self, rung):
+        taskset = _taskset()
+        periodic = taskset.periodic[0].name
+        with pytest.raises(TypeError, match="not an aperiodic task"):
+            self._build(rung, taskset, {periodic: [CLOCK_HZ]})
