@@ -174,23 +174,10 @@ def breakdown_utilization(
         return 0.0
     base = sum(t.utilization for t in tasks)
     low_factor, high_factor = 0.05, 1.0
+    taskset = TaskSet(tasks)
 
     def feasible(factor: float) -> bool:
-        scaled = []
-        for t in tasks:
-            period = max(t.wcet, int(round(t.period * factor)))
-            deadline = max(t.wcet, min(period, int(round(t.deadline * factor))))
-            scaled.append(
-                PeriodicTask(
-                    name=t.name,
-                    wcet=t.wcet,
-                    period=period,
-                    deadline=deadline,
-                    low_priority=t.low_priority,
-                    high_priority=t.high_priority,
-                    cpu=t.cpu,
-                )
-            )
+        scaled = taskset.scale(factor).periodic
         return all(r.schedulable for r in response_time_table(scaled))
 
     if not feasible(high_factor):

@@ -64,18 +64,11 @@ class MPDPScheduler:
         ``cpu`` assigned).
     n_cpus:
         Number of processors.
-    promotion_granularity:
-        ``"exact"`` promotes jobs at exactly release + U_i (the model in
-        the MPDP paper); ``"tick"`` promotes only when a scheduling
-        cycle observes the promotion time passed, reproducing the
-        prototype where the system timer triggers promotions.
     """
 
-    def __init__(self, taskset: TaskSet, n_cpus: int, promotion_granularity: str = "exact"):
+    def __init__(self, taskset: TaskSet, n_cpus: int):
         if n_cpus < 1:
             raise ValueError("n_cpus must be >= 1")
-        if promotion_granularity not in ("exact", "tick"):
-            raise ValueError("promotion_granularity must be 'exact' or 'tick'")
         taskset.require_analysed()
         for task in taskset.periodic:
             if not 0 <= task.cpu < n_cpus:
@@ -84,7 +77,6 @@ class MPDPScheduler:
                 )
         self.taskset = taskset
         self.n_cpus = n_cpus
-        self.promotion_granularity = promotion_granularity
 
         self.waiting = WaitingPeriodicQueue()
         self.periodic_ready = PeriodicReadyQueue()
@@ -120,6 +112,11 @@ class MPDPScheduler:
 
     def promote_due(self, now: int) -> List[Job]:
         """Promote every unpromoted periodic job whose U_i has passed.
+
+        Promotion is tick-granular: every rung calls this only at its
+        scheduling ticks, so a job is promoted at the first tick that
+        observes release + U_i passed, as on the prototype where the
+        system timer triggers the scheduling phase.
 
         Covers both queued jobs (PRQ) and jobs currently running in the
         lower band; the latter stay in ``running`` but flip to the upper

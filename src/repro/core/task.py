@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -127,20 +127,7 @@ class PeriodicTask:
         return self._replace(low_priority=low, high_priority=high)
 
     def _replace(self, **changes) -> "PeriodicTask":
-        values = dict(
-            name=self.name,
-            wcet=self.wcet,
-            period=self.period,
-            deadline=self.deadline,
-            low_priority=self.low_priority,
-            high_priority=self.high_priority,
-            cpu=self.cpu,
-            promotion=self.promotion,
-            offset=self.offset,
-            acet=self.acet,
-        )
-        values.update(changes)
-        return PeriodicTask(**values)
+        return replace(self, **changes)
 
     def release_times(self, until: int) -> Iterator[int]:
         """Yield absolute release times strictly below ``until``."""
@@ -405,7 +392,11 @@ class TaskSet:
             )
 
     def scale(self, factor: float) -> "TaskSet":
-        """Scale every period/deadline by ``factor`` (utilization knob)."""
+        """Scale every period/deadline by ``factor`` (utilization knob).
+
+        Every other field carries over, except the promotion delay,
+        which must be re-analysed.
+        """
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         periodic = []
@@ -413,17 +404,7 @@ class TaskSet:
             period = max(t.wcet, int(round(t.period * factor)))
             deadline = max(t.wcet, min(period, int(round(t.deadline * factor))))
             periodic.append(
-                PeriodicTask(
-                    name=t.name,
-                    wcet=t.wcet,
-                    period=period,
-                    deadline=deadline,
-                    low_priority=t.low_priority,
-                    high_priority=t.high_priority,
-                    cpu=t.cpu,
-                    promotion=None,  # must be re-analysed
-                    offset=t.offset,
-                )
+                t._replace(period=period, deadline=deadline, promotion=None)
             )
         return TaskSet(periodic, self.aperiodic)
 

@@ -21,39 +21,26 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import CLOCK_HZ, TICK, cycles_to_seconds
 from repro.experiments.runner import sweep
+from repro.experiments.tables import (
+    PAPER_APERIODIC_EXEC_S as APERIODIC_STANDALONE_S,
+    PAPER_APERIODIC_WORST_S as APERIODIC_THEORETICAL_WORST_S,
+    PAPER_SLOWDOWN_MATRIX as PAPER_SLOWDOWNS,
+)
 from repro.obs.ledger import Ledger
 from repro.perf.cache import RunCache
 from repro.perf.executor import Telemetry
 from repro.simulators.ladder import FIDELITIES, make_simulator, mean_response
+from repro.simulators.prototype import DEFAULT_SCALE
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
     automotive_bindings,
     build_automotive_taskset,
     prepare_taskset,
 )
-
-#: The paper's slowdown matrix (real vs theoretical), (n_cpus, util) -> %.
-PAPER_SLOWDOWNS: Dict[Tuple[int, float], float] = {
-    (2, 0.40): 7.0,
-    (2, 0.50): 8.0,
-    (2, 0.60): 12.0,
-    (3, 0.40): 15.0,
-    (3, 0.50): 22.0,
-    (3, 0.60): 27.0,
-    # 4 processors: "almost the same results obtained with 3
-    # MicroBlazes, even slightly better"; at 60% about 25%.
-    (4, 0.60): 25.0,
-}
-
-#: Standalone execution time of the aperiodic task (paper: ~10.1 s).
-APERIODIC_STANDALONE_S = 10.1
-#: Paper's worst-case theoretical response including switch overheads.
-APERIODIC_THEORETICAL_WORST_S = 10.32
-
 
 @dataclass
 class Figure4Cell:
@@ -86,7 +73,7 @@ ARRIVAL_PHASES_S = (1.0, 3.55, 7.3)
 def run_cell(
     n_cpus: int,
     utilization: float,
-    scale: int = 1_000,
+    scale: int = DEFAULT_SCALE,
     arrival_phases_s: Sequence[float] = ARRIVAL_PHASES_S,
     horizon_margin_s: float = 25.0,
     fidelity: str = "prototype",
@@ -146,7 +133,7 @@ def _measure_cell(**spec) -> Dict[str, float]:
 def figure4_sweep(
     cpus: Sequence[int] = (2, 3, 4),
     utilizations: Sequence[float] = (0.40, 0.50, 0.60),
-    scale: int = 1_000,
+    scale: int = DEFAULT_SCALE,
     max_workers: int = 1,
     cache: Optional[RunCache] = None,
     fidelity: str = "prototype",
@@ -171,9 +158,9 @@ def figure4_sweep(
     """
     grid = {"n_cpus": list(cpus), "utilization": list(utilizations),
             "scale": [scale], "arrival_phases_s": [ARRIVAL_PHASES_S],
-            "horizon_margin_s": [25.0]}
+            "horizon_margin_s": [25.0], "fidelity": [fidelity]}
     result = sweep(_measure_cell, grid, max_workers=max_workers, cache=cache,
-                   cache_tag="figure4", fidelity=fidelity, telemetry=telemetry,
+                   cache_tag="figure4", telemetry=telemetry,
                    ledger=ledger, ledger_kind="figure4")
     return [Figure4Cell(row["n_cpus"], row["utilization"],
                         row["theoretical_s"], row["real_s"])
@@ -202,7 +189,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--utilizations", type=float, nargs="+", default=[0.40, 0.50, 0.60]
     )
-    parser.add_argument("--scale", type=int, default=1_000)
+    parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (0 = one per CPU)")
     parser.add_argument("--cache", metavar="DIR", default=None,

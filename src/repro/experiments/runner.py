@@ -26,7 +26,8 @@ from repro.lint.tasks import check_taskset
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.perf.cache import RunCache, cache_key, fingerprint
 from repro.perf.executor import Telemetry, cached_pmap, current_telemetry
-from repro.simulators.ladder import FIDELITIES, make_simulator, mean_response
+from repro.simulators.ladder import make_simulator, mean_response
+from repro.simulators.prototype import DEFAULT_SCALE
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
     automotive_bindings,
@@ -146,7 +147,6 @@ def sweep(
     max_workers: int = 1,
     cache: Optional[RunCache] = None,
     cache_tag: Optional[str] = None,
-    fidelity: Optional[str] = None,
     telemetry: Optional[Telemetry] = None,
     ledger: Optional[Ledger] = None,
     ledger_kind: str = "sweep",
@@ -165,12 +165,13 @@ def sweep(
     defaults to the measure's qualified name; pass an explicit tag if
     the measure's behaviour depends on state the point does not encode.
 
-    ``fidelity`` picks a simulation rung
-    (:data:`repro.simulators.FIDELITIES`) for the whole
-    sweep: it becomes a parameter column on every row -- and thereby
-    part of every cell's cache key, so rungs never alias -- and is
-    passed to ``measure`` as a keyword, which must accept it
-    (:func:`prototype_response_s` does).
+    A simulation rung (:data:`repro.simulators.FIDELITIES`) is a grid
+    column like any other: ``"fidelity": [rung]`` (last, by
+    convention) puts it on every row and in every cell's cache key, so
+    rungs never alias, and passes it to ``measure`` as a keyword
+    (:func:`prototype_response_s` accepts it and rejects an unknown
+    rung).  A fidelity column holding one value also labels the
+    sweep's ledger entry.
 
     ``telemetry`` turns on pipeline observability: the sweep runs
     under a ``sweep`` span, every computed cell records ``cell`` /
@@ -183,22 +184,10 @@ def sweep(
     metrics digest.
     """
     started = time.perf_counter()
-    grid_names = list(grid.keys())
-    names = list(grid_names)
-    extra: Dict[str, Any] = {}
-    if fidelity is not None:
-        if fidelity not in FIDELITIES:
-            raise ValueError(
-                f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
-            )
-        if "fidelity" in grid:
-            raise ValueError("pass fidelity either in the grid or as the "
-                             "sweep argument, not both")
-        names.append("fidelity")
-        extra["fidelity"] = fidelity
+    names = list(grid.keys())
     points = [
-        dict(zip(grid_names, values), **extra)
-        for values in itertools.product(*(grid[name] for name in grid_names))
+        dict(zip(names, values))
+        for values in itertools.product(*(grid[name] for name in names))
     ]
     tag = cache_tag or _measure_tag(measure)
     result = SweepResult(parameters=names)
@@ -236,14 +225,14 @@ def sweep(
             "hit_rate": round(hits / total, 4) if total else 0.0,
         }
     if ledger is not None:
+        rungs = list(grid.get("fidelity", ()))
         ledger.append(LedgerEntry(
             kind=ledger_kind,
             label=tag,
             config_hash=fingerprint(
-                {"tag": tag, "grid": {k: list(v) for k, v in grid.items()},
-                 "fidelity": fidelity}
+                {"tag": tag, "grid": {k: list(v) for k, v in grid.items()}}
             ),
-            fidelity=fidelity,
+            fidelity=rungs[0] if len(rungs) == 1 else None,
             wall_time_s=round(time.perf_counter() - started, 4),
             cells=len(points),
             cache=result.cache_stats,
@@ -289,7 +278,7 @@ _RUNG_COLUMNS = {
 def prototype_response_s(
     n_cpus: int = 2,
     utilization: float = 0.5,
-    scale: int = 1_000,
+    scale: int = DEFAULT_SCALE,
     costs: KernelCosts = None,
     bindings: Dict[str, TaskBinding] = None,
     mpic_ack_timeout: int = None,
@@ -335,7 +324,7 @@ def prototype_response_s(
 def prototype_run_report(
     n_cpus: int = 2,
     utilization: float = 0.5,
-    scale: int = 1_000,
+    scale: int = DEFAULT_SCALE,
     arrival_s: float = 1.0,
     horizon_margin_s: float = 17.0,
     monitor_windows: int = 50,
@@ -421,7 +410,7 @@ def context_cost_sweep(
 ) -> SweepResult:
     """Response vs context-switch cost (primitive + regfile scaled)."""
 
-    def measure(multiplier: int, fidelity: str = "prototype") -> Dict[str, Any]:
+    def measure(multiplier: int, fidelity: str) -> Dict[str, Any]:
         base = KernelCosts()
         costs = KernelCosts(
             context_primitive=base.context_primitive * multiplier,
@@ -429,9 +418,9 @@ def context_cost_sweep(
         )
         return prototype_response_s(costs=costs, fidelity=fidelity)
 
-    return sweep(measure, {"multiplier": list(multipliers)},
-                 cache=cache, cache_tag="context_cost_sweep",
-                 fidelity=fidelity)
+    return sweep(measure, {"multiplier": list(multipliers),
+                           "fidelity": [fidelity]},
+                 cache=cache, cache_tag="context_cost_sweep")
 
 
 def traffic_intensity_sweep(
@@ -442,7 +431,7 @@ def traffic_intensity_sweep(
     """Response vs shared-memory traffic density (x the characterised
     profiles; 1.0 = calibrated)."""
 
-    def measure(traffic: float, fidelity: str = "prototype") -> Dict[str, Any]:
+    def measure(traffic: float, fidelity: str) -> Dict[str, Any]:
         bindings = {}
         for name, binding in automotive_bindings().items():
             period = max(20, int(round(binding.profile.access_period / traffic)))
@@ -453,9 +442,8 @@ def traffic_intensity_sweep(
             )
         return prototype_response_s(bindings=bindings, fidelity=fidelity)
 
-    return sweep(measure, {"traffic": list(scales)},
-                 cache=cache, cache_tag="traffic_intensity_sweep",
-                 fidelity=fidelity)
+    return sweep(measure, {"traffic": list(scales), "fidelity": [fidelity]},
+                 cache=cache, cache_tag="traffic_intensity_sweep")
 
 
 def processor_scaling_sweep(
@@ -467,13 +455,13 @@ def processor_scaling_sweep(
 ) -> SweepResult:
     """Response vs processor count at fixed per-cpu utilization."""
     measure = functools.partial(_scaling_measure, utilization=utilization)
-    return sweep(measure, {"n_cpus": list(cpus)}, max_workers=max_workers,
-                 cache=cache, cache_tag="processor_scaling_sweep",
-                 fidelity=fidelity)
+    return sweep(measure, {"n_cpus": list(cpus), "fidelity": [fidelity]},
+                 max_workers=max_workers,
+                 cache=cache, cache_tag="processor_scaling_sweep")
 
 
 def _scaling_measure(
-    n_cpus: int, utilization: float, fidelity: str = "prototype"
+    n_cpus: int, utilization: float, fidelity: str
 ) -> Dict[str, Any]:
     return prototype_response_s(
         n_cpus=n_cpus, utilization=utilization, fidelity=fidelity

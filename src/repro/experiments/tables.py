@@ -45,6 +45,8 @@ PAPER_SLOWDOWN_MATRIX: Dict[Tuple[int, float], float] = {
     (3, 0.40): 15.0,
     (3, 0.50): 22.0,
     (3, 0.60): 27.0,
+    # 4 processors: "almost the same results obtained with 3
+    # MicroBlazes, even slightly better"; at 60% about 25%.
     (4, 0.60): 25.0,
 }
 

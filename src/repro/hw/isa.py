@@ -466,8 +466,8 @@ class ISAExecutor:
         iteration counts.  Forces ``mode="reference"`` (per-pc counts
         are per-instruction accounting by definition).
     mode:
-        ``"block"`` or ``"reference"`` (see the module docstring).
-        Defaults to the core's ``isa_mode``.
+        ``"block"`` (the default) or ``"reference"`` (see the module
+        docstring).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; block-mode
         runs record ``isa_windows_total`` / ``isa_window_instructions_total``
@@ -480,7 +480,7 @@ class ISAExecutor:
         program: Program,
         trace=None,
         count_pcs: bool = False,
-        mode: Optional[str] = None,
+        mode: str = "block",
         metrics=None,
     ):
         self.core = core
@@ -491,17 +491,17 @@ class ISAExecutor:
         self.icache_misses = 0
         self.data_accesses = 0
         self.pc_counts: Optional[Dict[int, int]] = {} if count_pcs else None
-        resolved = mode or getattr(core, "isa_mode", "block")
-        if resolved not in ISA_MODES:
-            raise ValueError(f"unknown isa_mode {resolved!r}")
+        if mode not in ISA_MODES:
+            raise ValueError(
+                f"unknown ISA mode {mode!r}; expected one of {ISA_MODES}")
         if count_pcs:
-            resolved = "reference"
-        self.mode = resolved
+            mode = "reference"
+        self.mode = mode
         self.metrics = metrics
         # Decode (and validate) once for both interpreters.
         self._decoded = _decode_program(program, core.icache)
         self._blocks = (_compile_blocks(program, core.icache)
-                        if resolved == "block" else None)
+                        if mode == "block" else None)
         # Block-interpreter observability: executed windows, the
         # instructions they coalesced, and fault-invalidated replays.
         self.windows = 0

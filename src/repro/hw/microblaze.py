@@ -98,12 +98,9 @@ class MicroBlaze:
         local_mem: Optional[LocalBRAM] = None,
         icache: Optional[DirectMappedICache] = None,
         chunk_cycles: int = 2_000,
-        isa_mode: str = "block",
     ):
         if chunk_cycles <= 0:
             raise ValueError("chunk_cycles must be positive")
-        if isa_mode not in ("block", "reference"):
-            raise ValueError(f"unknown isa_mode {isa_mode!r}")
         self.sim = sim
         self.cpu_id = cpu_id
         self.bus = bus
@@ -111,11 +108,6 @@ class MicroBlaze:
         self.local_mem = local_mem or LocalBRAM(cpu_id)
         self.icache = icache or DirectMappedICache(cpu_id)
         self.chunk_cycles = chunk_cycles
-        #: Interpreter used by :class:`~repro.hw.isa.ISAExecutor` for
-        #: programs on this core: ``"block"`` (predecoded basic-block,
-        #: coalesced engine events) or ``"reference"`` (one event per
-        #: instruction, the sentinel oracle).
-        self.isa_mode = isa_mode
         #: Optional callable returning the absolute cycle of the next
         #: known preemption point (the SoC wires it to the system
         #: timer's ``next_tick``).  When set, :meth:`execute` expands

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro import TICK, cycles_to_seconds
 from repro.hw.bus import OPBBus
 from repro.hw.cache import DirectMappedICache
 from repro.hw.crossbar import Crossbar
@@ -28,41 +29,30 @@ from repro.sim.engine import Simulator
 class SoCConfig:
     """Build-time parameters of the prototype.
 
-    Defaults follow the paper: 50 MHz clock, scheduling tick 0.1 s
-    (= 5,000,000 cycles), per-core I-cache, DDR latency 12 cycles.
-    ``scale`` divides all *workload* times (not the structure) so that
-    full experiments stay tractable in pure Python while every ratio
-    the paper reports is preserved; scale=1 is the full-size system.
+    Defaults follow the paper: scheduling tick 0.1 s (= 5,000,000
+    cycles of the fixed 50 MHz clock, :data:`repro.CLOCK_HZ`) and a
+    per-core I-cache.  Memory sizes are the defaults of
+    :class:`~repro.hw.memory.LocalBRAM` and
+    :class:`~repro.hw.memory.DDRMemory`.
     """
 
     n_cpus: int = 2
-    clock_hz: int = 50_000_000
-    tick_cycles: int = 5_000_000
+    tick_cycles: int = TICK
     mpic_ack_timeout: int = 500
     icache_lines: int = 256
     icache_line_words: int = 8
-    local_mem_bytes: int = 64 * 1024
-    ddr_bytes: int = 16 * 1024 * 1024
     chunk_cycles: int = 2_000
     #: When True (the default), cores expand execution slices up to the
     #: system timer's next tick (see ``MicroBlaze.preemption_hint``)
     #: instead of stepping in fixed ``chunk_cycles`` strides.  Set
     #: False to reproduce the fixed-stride bus-interleaving granularity.
     adaptive_chunking: bool = True
-    #: ISA interpreter for ``run_program``-style execution on the
-    #: cores: ``"block"`` (predecoded basic-block interpreter with
-    #: coalesced engine events, the default) or ``"reference"`` (one
-    #: event per instruction; the oracle the perf tier's ISA
-    #: determinism sentinel compares against).
-    isa_mode: str = "block"
 
     def __post_init__(self):
         if self.n_cpus < 1:
             raise ValueError("n_cpus must be >= 1")
         if self.tick_cycles <= 0:
             raise ValueError("tick_cycles must be positive")
-        if self.isa_mode not in ("block", "reference"):
-            raise ValueError(f"unknown isa_mode {self.isa_mode!r}")
 
 
 class SoC:
@@ -75,7 +65,7 @@ class SoC:
         self.metrics = metrics
 
         self.bus = OPBBus(self.sim, name="opb")
-        self.ddr = DDRMemory(size=config.ddr_bytes)
+        self.ddr = DDRMemory()
         self.boot_bram = SharedBRAM()
         self.sync_engine = SynchronizationEngine(self.sim, metrics=metrics)
         self.crossbar = Crossbar(self.sim, n_ports=config.n_cpus)
@@ -91,14 +81,13 @@ class SoC:
                 cpu_id=cpu,
                 bus=self.bus,
                 ddr=self.ddr,
-                local_mem=LocalBRAM(cpu, size=config.local_mem_bytes),
+                local_mem=LocalBRAM(cpu),
                 icache=DirectMappedICache(
                     cpu,
                     n_lines=config.icache_lines,
                     line_words=config.icache_line_words,
                 ),
                 chunk_cycles=config.chunk_cycles,
-                isa_mode=config.isa_mode,
             )
             self.intc.connect_cpu(cpu, core.on_interrupt_line)
             core.add_enable_listener(
@@ -142,5 +131,5 @@ class SoC:
         return rows
 
     def seconds(self, cycles: int) -> float:
-        """Convert cycles to wall seconds at the configured clock."""
-        return cycles / self.config.clock_hz
+        """Convert cycles to wall seconds at the 50 MHz prototype clock."""
+        return cycles_to_seconds(cycles)

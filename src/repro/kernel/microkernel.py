@@ -98,9 +98,7 @@ class DualPriorityMicrokernel:
         self.sim = soc.sim
         self.taskset = taskset
         self.n_cpus = soc.config.n_cpus
-        self.policy = MPDPScheduler(
-            taskset, self.n_cpus, promotion_granularity="tick"
-        )
+        self.policy = MPDPScheduler(taskset, self.n_cpus)
         self.bindings = dict(bindings or {})
         self.costs = costs or KernelCosts()
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)

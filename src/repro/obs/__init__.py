@@ -66,8 +66,6 @@ from repro.obs.sinks import (
     JsonlFileSink,
     ListSink,
     RingBufferSink,
-    event_from_dict,
-    event_to_dict,
     trace_from_jsonl,
 )
 from repro.obs.spans import Span, SpanEvent, SpanRecorder, spans_from_jsonl
@@ -87,8 +85,6 @@ __all__ = [
     "ListSink",
     "RingBufferSink",
     "JsonlFileSink",
-    "event_to_dict",
-    "event_from_dict",
     "trace_from_jsonl",
     "trace_to_chrome",
     "chrome_trace_json",

@@ -31,6 +31,8 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.simulators.prototype import DEFAULT_SCALE
+
 
 # --------------------------------------------------------------------- report
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -85,7 +87,6 @@ def _load_trace(path: str):
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    from repro.obs.sinks import event_to_dict
     from repro.trace.export import trace_to_csv, trace_to_json
     from repro.obs.perfetto import chrome_trace_json
 
@@ -103,7 +104,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         text = trace_to_csv(trace)
     else:  # jsonl
         text = "".join(
-            json.dumps(event_to_dict(e), separators=(",", ":")) + "\n"
+            json.dumps(e.to_dict(), separators=(",", ":")) + "\n"
             for e in trace
         )
 
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--cpus", type=int, default=2)
     report.add_argument("--util", type=float, default=0.5)
-    report.add_argument("--scale", type=int, default=1_000,
+    report.add_argument("--scale", type=int, default=DEFAULT_SCALE,
                         help="workload time divisor (1 = full size)")
     report.add_argument("--horizon-margin", type=float, default=17.0,
                         help="seconds simulated past the aperiodic arrival")

@@ -27,31 +27,8 @@ __all__ = [
     "ListSink",
     "RingBufferSink",
     "JsonlFileSink",
-    "event_to_dict",
-    "event_from_dict",
     "trace_from_jsonl",
 ]
-
-
-def event_to_dict(event: TraceEvent) -> dict:
-    """Stable-key-order dictionary for one event."""
-    return {
-        "time": event.time,
-        "kind": event.kind,
-        "job": event.job,
-        "cpu": event.cpu,
-        "info": event.info,
-    }
-
-
-def event_from_dict(row: dict) -> TraceEvent:
-    return TraceEvent(
-        time=row["time"],
-        kind=row["kind"],
-        job=row.get("job"),
-        cpu=row.get("cpu"),
-        info=row.get("info"),
-    )
 
 
 class RingBufferSink(TraceSink):
@@ -103,7 +80,7 @@ class JsonlFileSink(TraceSink):
         if self._handle is None:
             raise RuntimeError(f"sink for {self.path} is closed")
         self.emitted += 1
-        line = json.dumps(event_to_dict(event), separators=(",", ":")) + "\n"
+        line = json.dumps(event.to_dict(), separators=(",", ":")) + "\n"
         self._handle.write(line)
         self.bytes_written += len(line)
 
@@ -126,5 +103,5 @@ def trace_from_jsonl(path: Union[str, os.PathLike]) -> TraceRecorder:
         for line in handle:
             line = line.strip()
             if line:
-                trace.events.append(event_from_dict(json.loads(line)))
+                trace.events.append(TraceEvent.from_dict(json.loads(line)))
     return trace

@@ -23,6 +23,8 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.simulators.prototype import DEFAULT_SCALE
+
 
 def _cmd_calibrate_tlm(args: argparse.Namespace) -> int:
     import json
@@ -84,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate-tlm",
         help="refit the TLM per-transaction cost table against fresh "
         "prototype runs on the anchor cells")
-    calibrate.add_argument("--scale", type=int, default=1_000,
+    calibrate.add_argument("--scale", type=int, default=DEFAULT_SCALE,
                            help="prototype time-scale divisor for the "
-                           "reference runs (default 1000)")
+                           "reference runs (default %(default)s)")
     calibrate.add_argument("--json", action="store_true",
                            help="emit the fitted table as JSON")
     calibrate.set_defaults(func=_cmd_calibrate_tlm)

@@ -196,7 +196,7 @@ def run_kernel(
     if name not in KERNEL_DRIVERS:
         raise ValueError(f"unknown kernel {name!r} (have {sorted(KERNEL_DRIVERS)})")
     iters = DEFAULT_ITERS[name] if iterations is None else iterations
-    soc = SoC(SoCConfig(n_cpus=1, isa_mode=mode))
+    soc = SoC(SoCConfig(n_cpus=1))
     program = link(KERNEL_DRIVERS[name].format(iters=iters), [name])
     for i in range(DATA_WORDS):
         program.data[DATA_BASE + 4 * i] = (0x0101 * (i + 1)) & 0xFFFFFFFF
@@ -213,7 +213,8 @@ def run_kernel(
             core.icache.fill_line(program.address_of(index))
     if plan is not None:
         _arm_plan(soc, plan)
-    executor = ISAExecutor(core, program, trace=trace_rec, count_pcs=count_pcs)
+    executor = ISAExecutor(core, program, trace=trace_rec, count_pcs=count_pcs,
+                           mode=mode)
     soc.sim.process(executor.run(max_instructions), name=f"isa-{name}")
     soc.sim.run()
     state = executor.state

@@ -29,25 +29,24 @@ from repro.kernel.microkernel import DualPriorityMicrokernel, TaskBinding
 from repro.trace.recorder import TraceRecorder
 
 
-#: Execution-chunk stride used when ``PrototypeConfig.chunk_cycles`` is
-#: left unset; scaled runs additionally clamp it to a tenth of the
-#: scaled tick so a slice never spans a whole scheduling period.
+#: Execution-chunk stride of the prototype's cores; scaled runs clamp
+#: it to a tenth of the scaled tick so a slice never spans a whole
+#: scheduling period.
 DEFAULT_CHUNK_CYCLES = 2_000
+
+#: Workload scale of the Figure-4 experiments, the TLM calibration and
+#: the per-run reports: a full-size cell divided by 1000 runs in
+#: seconds of pure Python while keeping every reported ratio.
+DEFAULT_SCALE = 1_000
 
 
 @dataclass(frozen=True)
 class PrototypeConfig:
-    """Run parameters for the prototype simulator.
-
-    ``chunk_cycles=None`` (the default) picks
-    :data:`DEFAULT_CHUNK_CYCLES` clamped against the scaled tick; an
-    explicit value is used verbatim -- a user override always wins.
-    """
+    """Run parameters for the prototype simulator."""
 
     n_cpus: int = 2
     tick: int = TICK
     scale: int = 1
-    chunk_cycles: Optional[int] = None
     costs: KernelCosts = field(default_factory=KernelCosts)
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class PrototypeConfig:
             raise ValueError("scale must be >= 1")
         if self.tick % self.scale:
             raise ValueError("tick must be divisible by scale")
-        if self.chunk_cycles is not None and self.chunk_cycles <= 0:
-            raise ValueError("chunk_cycles must be positive")
 
 
 def scale_taskset(taskset: TaskSet, scale: int) -> TaskSet:
@@ -116,14 +113,10 @@ class PrototypeSimulator:
         self.taskset = scale_taskset(taskset, config.scale)
 
         scaled_tick = config.tick // config.scale
-        if config.chunk_cycles is not None:
-            chunk_cycles = config.chunk_cycles  # explicit override wins
-        else:
-            chunk_cycles = min(DEFAULT_CHUNK_CYCLES, max(100, scaled_tick // 10))
         soc_config = SoCConfig(
             n_cpus=config.n_cpus,
             tick_cycles=scaled_tick,
-            chunk_cycles=chunk_cycles,
+            chunk_cycles=min(DEFAULT_CHUNK_CYCLES, max(100, scaled_tick // 10)),
         )
         self.metrics = metrics
         self.soc = SoC(soc_config, metrics=metrics)

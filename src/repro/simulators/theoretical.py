@@ -76,7 +76,7 @@ class TheoreticalSimulator:
         self.n_cpus = n_cpus
         self.tick = tick
         self.overhead = overhead
-        self.policy = MPDPScheduler(taskset, n_cpus, promotion_granularity="tick")
+        self.policy = MPDPScheduler(taskset, n_cpus)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.now = 0
         # The tick grid is state, not restarted by each run() call.

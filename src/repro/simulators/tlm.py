@@ -46,6 +46,7 @@ from repro.kernel.context import BURST_WORDS
 from repro.kernel.costs import KernelCosts
 from repro.kernel.microkernel import TaskBinding
 from repro.sim.engine import Simulator
+from repro.simulators.prototype import DEFAULT_SCALE
 from repro.trace.recorder import TraceRecorder
 
 __all__ = [
@@ -184,7 +185,7 @@ class TLMSimulator:
         self.tick = tick
         self.costs = costs or KernelCosts()
         self.table = table
-        self.policy = MPDPScheduler(taskset, n_cpus, promotion_granularity="tick")
+        self.policy = MPDPScheduler(taskset, n_cpus)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.sim = Simulator()
 
@@ -651,7 +652,7 @@ def _anchor_run(
 
 
 def anchor_prototype_reference(
-    n_cpus: int, utilization: float, scale: int = 1_000
+    n_cpus: int, utilization: float, scale: int = DEFAULT_SCALE
 ) -> Dict[str, Any]:
     """One prototype run of an anchor cell -> per-task WCRTs + verdict."""
     return _anchor_run("prototype", n_cpus, utilization, scale=scale)
@@ -692,7 +693,7 @@ CALIBRATION_SKEWS = (0.0, 0.25, 0.5, 0.75)
 
 def calibrate(
     anchors: Sequence[Tuple[int, float]] = ANCHOR_CELLS,
-    scale: int = 1_000,
+    scale: int = DEFAULT_SCALE,
     gains: Sequence[float] = CALIBRATION_GAINS,
     bases: Sequence[float] = CALIBRATION_BASES,
     skews: Sequence[float] = CALIBRATION_SKEWS,

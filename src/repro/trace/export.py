@@ -18,16 +18,7 @@ from repro.trace.recorder import TraceEvent, TraceRecorder
 
 def trace_to_dicts(trace: TraceRecorder) -> List[dict]:
     """Events as plain dictionaries (stable key order)."""
-    return [
-        {
-            "time": e.time,
-            "kind": e.kind,
-            "job": e.job,
-            "cpu": e.cpu,
-            "info": e.info,
-        }
-        for e in trace
-    ]
+    return [e.to_dict() for e in trace]
 
 
 def trace_to_json(trace: TraceRecorder, indent: Optional[int] = None) -> str:
@@ -39,15 +30,7 @@ def trace_from_json(text: str) -> TraceRecorder:
     """Rebuild a trace from :func:`trace_to_json` output."""
     trace = TraceRecorder()
     for row in json.loads(text):
-        trace.events.append(
-            TraceEvent(
-                time=row["time"],
-                kind=row["kind"],
-                job=row.get("job"),
-                cpu=row.get("cpu"),
-                info=row.get("info"),
-            )
-        )
+        trace.events.append(TraceEvent.from_dict(row))
     return trace
 
 
@@ -76,15 +59,13 @@ def trace_from_csv(text: str) -> TraceRecorder:
             f"not a trace CSV: header {reader.fieldnames} != {expected}"
         )
     for row in reader:
-        trace.events.append(
-            TraceEvent(
-                time=int(row["time"]),
-                kind=row["kind"],
-                job=row["job"] or None,
-                cpu=int(row["cpu"]) if row["cpu"] else None,
-                info=row["info"] or None,
-            )
-        )
+        trace.events.append(TraceEvent.from_dict({
+            "time": int(row["time"]),
+            "kind": row["kind"],
+            "job": row["job"] or None,
+            "cpu": int(row["cpu"]) if row["cpu"] else None,
+            "info": row["info"] or None,
+        }))
     return trace
 
 

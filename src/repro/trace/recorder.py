@@ -64,6 +64,20 @@ class TraceEvent:
         info = f" ({self.info})" if self.info else ""
         return f"[{self.time:>12}]{cpu} {self.kind}{job}{info}"
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain dictionary in the stable key order of every export."""
+        return {"time": self.time, "kind": self.kind, "job": self.job,
+                "cpu": self.cpu, "info": self.info}
+
+    @classmethod
+    def from_dict(cls, row: Dict[str, Any]) -> "TraceEvent":
+        """Inverse of :meth:`to_dict`; rejects an unknown ``kind`` the
+        way :meth:`TraceRecorder.record` does."""
+        if row["kind"] not in KINDS:
+            raise ValueError(f"unknown trace kind {row['kind']!r}")
+        return cls(time=row["time"], kind=row["kind"], job=row.get("job"),
+                   cpu=row.get("cpu"), info=row.get("info"))
+
 
 KINDS = {
     "release",

@@ -27,11 +27,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             scheduler([task("x", cpu=5)], n_cpus=2)
 
-    def test_rejects_bad_granularity(self):
-        ts = TaskSet([task("x")])
-        with pytest.raises(ValueError):
-            MPDPScheduler(ts, 1, promotion_granularity="bogus")
-
     def test_initial_jobs_parked(self):
         s = scheduler([task("a"), task("b")])
         assert len(s.waiting) == 2

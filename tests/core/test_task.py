@@ -178,6 +178,24 @@ class TestTaskSet:
         assert ts.periodic[0].promotion is None
         assert ts.periodic[0].period == 2000
 
+    def test_scale_keeps_every_other_field(self):
+        task = make_task(acet=60, offset=7, low_priority=1, high_priority=4,
+                         cpu=1, promotion=10)
+        scaled = TaskSet([task]).scale(2.0).periodic[0]
+        assert scaled == task._replace(period=2000, deadline=2000,
+                                       promotion=None)
+        assert scaled.acet == 60
+
+    def test_scale_keeps_automotive_acets(self):
+        from repro.workloads.automotive import build_automotive_taskset
+
+        taskset = build_automotive_taskset(0.5, 2)
+        scaled = {t.name: t for t in taskset.scale(2.0).periodic}
+        assert len(scaled) == 18
+        for task in taskset.periodic:
+            assert scaled[task.name].acet == task.acet
+        assert scaled["basicmath-sqrt-small"].acet == 3_000_000
+
     def test_on_cpu(self):
         ts = TaskSet([make_task(name="a", cpu=0), make_task(name="b", cpu=1)])
         assert [t.name for t in ts.on_cpu(1)] == ["b"]

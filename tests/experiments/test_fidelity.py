@@ -18,6 +18,7 @@ import pytest
 from repro import CLOCK_HZ, TICK
 from repro.experiments.runner import prototype_response_s, sweep
 from repro.kernel.costs import KernelCosts
+from repro.obs.ledger import Ledger
 from repro.perf.cache import cache_key
 from repro.simulators import (
     FIDELITIES,
@@ -63,18 +64,21 @@ class TestCacheKeys:
 
 
 class TestSweepFidelityColumns:
+    """A rung is an ordinary grid column, last by convention."""
+
     @staticmethod
     def _measure(x, fidelity):
         return {"y": x * 10}
 
     def test_fidelity_is_a_parameter_column(self):
-        result = sweep(self._measure, {"x": [1, 2]}, fidelity="tlm")
+        result = sweep(self._measure, {"x": [1, 2], "fidelity": ["tlm"]})
         assert result.parameters == ["x", "fidelity"]
+        assert result.rows[0] == {"x": 1, "fidelity": "tlm", "y": 10}
         assert result.column("fidelity") == ["tlm", "tlm"]
         assert "fidelity" in result.format().splitlines()[0]
 
     def test_csv_round_trip(self):
-        result = sweep(self._measure, {"x": [1, 2]}, fidelity="theoretical")
+        result = sweep(self._measure, {"x": [1, 2], "fidelity": ["theoretical"]})
         parsed = list(csv.DictReader(io.StringIO(result.to_csv())))
         assert len(parsed) == len(result.rows)
         for row, original in zip(parsed, result.rows):
@@ -83,12 +87,23 @@ class TestSweepFidelityColumns:
             assert int(row["y"]) == original["y"]
 
     def test_unknown_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="fidelity"):
-            sweep(self._measure, {"x": [1]}, fidelity="rtl")
+        with pytest.raises(ValueError) as info:
+            sweep(prototype_response_s, {"fidelity": ["rtl"]})
+        assert "'rtl'" in str(info.value)
+        assert str(FIDELITIES) in str(info.value)
 
-    def test_fidelity_grid_conflict_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            sweep(self._measure, {"fidelity": ["tlm"]}, fidelity="tlm")
+    def test_single_rung_labels_the_ledger_entry(self, tmp_path):
+        ledger = Ledger(tmp_path / "ledger.jsonl")
+        sweep(self._measure, {"x": [1], "fidelity": ["tlm"]}, ledger=ledger)
+        sweep(self._measure, {"x": [1], "fidelity": ["tlm", "theoretical"]},
+              ledger=ledger)
+        sweep(self._measure, {"x": [1], "fidelity": ["tlm"]}, ledger=ledger,
+              cache_tag="other")
+        single, mixed, retagged = ledger.entries()
+        assert single.fidelity == "tlm"
+        assert mixed.fidelity is None
+        assert single.config_hash != mixed.config_hash
+        assert single.config_hash != retagged.config_hash
 
     def test_no_fidelity_keeps_legacy_shape(self):
         result = sweep(lambda x: {"y": x}, {"x": [3]})

@@ -1,8 +1,8 @@
 """Block vs reference ISA interpreter: observable equivalence sweep.
 
-The predecoded basic-block interpreter (``isa_mode="block"``) coalesces
-core-private instruction runs into single engine events; these tests
-pin it bit-for-bit to the per-instruction reference across every asmlib
+The predecoded basic-block interpreter (``ISAExecutor(mode="block")``)
+coalesces core-private instruction runs into single engine events; these
+tests pin it bit-for-bit to the per-instruction reference across every asmlib
 kernel and every accounting/configuration axis: tracing, pc counting,
 cold vs pre-warmed I-cache, and seeded fault plans whose mid-kernel
 bit-flips must invalidate and replay in-flight blocks.
@@ -115,14 +115,14 @@ loop:
 def _run_local(mode, flip_at=None):
     from repro.hw.assembler import assemble
 
-    soc = SoC(SoCConfig(n_cpus=1, isa_mode=mode))
+    soc = SoC(SoCConfig(n_cpus=1))
     program = assemble(LOCAL_PROGRAM)
     core = soc.cores[0]
     if flip_at is not None:
         # Flip a bit of a local word the loop reads back later.
         soc.sim.schedule_at(flip_at,
                             lambda: core.local_mem.flip_bit(0x140, 2))
-    executor = ISAExecutor(core, program)
+    executor = ISAExecutor(core, program, mode=mode)
     soc.sim.process(executor.run())
     soc.sim.run()
     return (executor.cycles, soc.sim.now, tuple(executor.state.regs),
@@ -159,11 +159,11 @@ def test_injector_routes_local_bitflips():
 def _run_error(mode, source, max_instructions=1_000_000, data=None):
     from repro.hw.assembler import assemble
 
-    soc = SoC(SoCConfig(n_cpus=1, isa_mode=mode))
+    soc = SoC(SoCConfig(n_cpus=1))
     program = assemble(source)
     if data:
         program.data.update(data)
-    executor = ISAExecutor(soc.cores[0], program)
+    executor = ISAExecutor(soc.cores[0], program, mode=mode)
     caught = []
 
     def driver():
@@ -221,10 +221,8 @@ def test_bad_register_rejected_at_predecode():
 def test_invalid_mode_rejected():
     soc = SoC(SoCConfig(n_cpus=1))
     program = Program(instructions=[Instruction(op="halt")])
-    with pytest.raises(ValueError, match="isa_mode"):
+    with pytest.raises(ValueError, match="unknown ISA mode 'turbo'"):
         ISAExecutor(soc.cores[0], program, mode="turbo")
-    with pytest.raises(ValueError, match="isa_mode"):
-        SoCConfig(n_cpus=1, isa_mode="turbo")
 
 
 def test_block_mode_reports_window_counters():
@@ -297,15 +295,14 @@ def _programs(draw):
 
 def _run_program(mode, program, budget, warm):
     """Observable end state of ``program`` on a 2-line, 2-word I-cache."""
-    soc = SoC(SoCConfig(n_cpus=1, isa_mode=mode, icache_lines=2,
-                        icache_line_words=2))
+    soc = SoC(SoCConfig(n_cpus=1, icache_lines=2, icache_line_words=2))
     core = soc.cores[0]
     if warm:
         for index in range(len(program)):
             core.icache.fill_line(program.address_of(index))
     bus_log: list = []
     _probe_bus(soc.bus, bus_log)
-    executor = ISAExecutor(core, program)
+    executor = ISAExecutor(core, program, mode=mode)
     caught = []
 
     def driver():

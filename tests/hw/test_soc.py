@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro import CLOCK_HZ, TICK
 from repro.hw.soc import SoC, SoCConfig
 
 
 def test_default_config_matches_paper():
     config = SoCConfig()
-    assert config.clock_hz == 50_000_000
-    assert config.tick_cycles == 5_000_000          # 0.1 s at 50 MHz
-    assert config.tick_cycles / config.clock_hz == pytest.approx(0.1)
+    assert CLOCK_HZ == 50_000_000
+    assert config.tick_cycles == TICK == 5_000_000  # 0.1 s at 50 MHz
+    assert SoC(config).seconds(config.tick_cycles) == pytest.approx(0.1)
 
 
 def test_builds_requested_core_count():

@@ -7,8 +7,6 @@ import pytest
 from repro.obs.sinks import (
     JsonlFileSink,
     RingBufferSink,
-    event_from_dict,
-    event_to_dict,
     trace_from_jsonl,
 )
 from repro.trace.recorder import ListSink, TraceEvent, TraceRecorder
@@ -135,4 +133,18 @@ class TestDisabledRecorder:
 class TestEventDicts:
     def test_round_trip(self):
         event = TraceEvent(7, "acquire", cpu=1, info="lock=3")
-        assert event_from_dict(event_to_dict(event)) == event
+        assert TraceEvent.from_dict(event.to_dict()) == event
+
+    def test_key_order_is_stable(self):
+        event = TraceEvent(7, "acquire", cpu=1, info="lock=3")
+        assert list(event.to_dict()) == ["time", "kind", "job", "cpu", "info"]
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown trace kind 'bogus'"):
+            TraceEvent.from_dict({"time": 0, "kind": "bogus"})
+
+    def test_jsonl_reload_rejects_unknown_kind(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"time":0,"kind":"bogus"}\n')
+        with pytest.raises(ValueError, match="bogus"):
+            trace_from_jsonl(path)

@@ -70,6 +70,15 @@ def test_csv_rejects_foreign_header():
         trace_from_csv("a,b,c\n1,2,3\n")
 
 
+@pytest.mark.parametrize("load,text", [
+    (trace_from_json, '[{"time": 0, "kind": "bogus"}]'),
+    (trace_from_csv, "time,kind,job,cpu,info\n0,bogus,,,\n"),
+])
+def test_unknown_kind_rejected(load, text):
+    with pytest.raises(ValueError, match="unknown trace kind 'bogus'"):
+        load(text)
+
+
 def test_metrics_export():
     job = Job(PeriodicTask(name="t", wcet=10, period=100, promotion=0), release=0)
     job.remaining = 0
