@@ -7,8 +7,6 @@ particular execution substrate:
 - :mod:`repro.core.queues` -- the queue structures of Section 4.2
   (Periodic Ready Queue, Aperiodic Ready Queue, Waiting Periodic Queue,
   per-processor High Priority Local Ready Queues),
-- :mod:`repro.core.dual_priority` -- the uniprocessor dual-priority
-  model of Davis & Wellings that MPDP generalises,
 - :mod:`repro.core.mpdp` -- the Multiprocessor Dual Priority policy:
   promotion handling, global/local allocation, and the scheduling-cycle
   decision procedure used by both simulators and the microkernel.
@@ -28,7 +26,6 @@ from repro.core.queues import (
     PeriodicReadyQueue,
     WaitingPeriodicQueue,
 )
-from repro.core.admission import AdmissionVerdict, AperiodicAdmissionController
 from repro.core.mpdp import Allocation, MPDPScheduler
 
 __all__ = [
@@ -44,6 +41,4 @@ __all__ = [
     "HighPriorityLocalQueue",
     "MPDPScheduler",
     "Allocation",
-    "AperiodicAdmissionController",
-    "AdmissionVerdict",
 ]

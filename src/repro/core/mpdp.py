@@ -50,9 +50,6 @@ class Allocation:
     switches: List[int] = field(default_factory=list)
     preempted: List[Job] = field(default_factory=list)
 
-    def job_on(self, cpu: int) -> Optional[Job]:
-        return self.assignment[cpu]
-
 
 class MPDPScheduler:
     """State machine for MPDP scheduling decisions.

@@ -22,7 +22,6 @@ from repro.hw.intc import (
     InterruptSource,
     MultiprocessorInterruptController,
 )
-from repro.hw.ipcore import IPCore, OffloadJob
 from repro.hw.memory import DDRMemory, LocalBRAM, SharedBRAM
 from repro.hw.microblaze import MicroBlaze
 from repro.hw.monitor import BusMonitor, BusSample
@@ -48,8 +47,6 @@ __all__ = [
     "CANInterface",
     "InterruptingPeripheral",
     "MicroBlaze",
-    "IPCore",
-    "OffloadJob",
     "BusMonitor",
     "BusSample",
     "SoC",

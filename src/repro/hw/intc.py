@@ -236,10 +236,6 @@ class MultiprocessorInterruptController:
             raise ValueError("delay faults need arg > 0 cycles")
         self._ipi_fault = (mode, until, arg)
 
-    def clear_ipi_fault(self) -> None:
-        """Disarm any active IPI fault window."""
-        self._ipi_fault = None
-
     def _apply_ipi_fault(self, pending: PendingInterrupt, to_cpu: int) -> bool:
         """Apply the armed fault; returns True when normal delivery
         should still happen (window expired, or duplicate mode)."""

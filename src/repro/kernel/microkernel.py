@@ -197,10 +197,6 @@ class DualPriorityMicrokernel:
     def finished_jobs(self) -> List[Job]:
         return self.policy.finished_jobs
 
-    def release_aperiodic_via(self, peripheral_name: str, times) -> None:
-        """Program a CAN peripheral to release its task at these times."""
-        self.soc.peripherals[peripheral_name].program_frames(list(times))
-
     # ----------------------------------------------------------- interrupt glue
     def _wire_interrupt_hook(self, cpu: int) -> None:
         core = self.soc.cores[cpu]

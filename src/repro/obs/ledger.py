@@ -21,11 +21,12 @@ corrupt lines (counting them) instead of dying on a truncated tail.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import __version__
 
@@ -90,7 +91,10 @@ class LedgerEntry:
 
     @classmethod
     def from_dict(cls, row: Dict[str, Any]) -> "LedgerEntry":
-        return cls(
+        """Parse one row (missing fields default); ValueError on a bad type."""
+        if not isinstance(row, dict):
+            raise ValueError(f"ledger row must be an object, got {row!r}")
+        entry = cls(
             kind=row.get("kind", "?"),
             label=row.get("label", "?"),
             config_hash=row.get("config_hash", ""),
@@ -99,16 +103,32 @@ class LedgerEntry:
             cells=row.get("cells", 0),
             cache=row.get("cache"),
             metrics_digest=row.get("metrics_digest"),
-            results=dict(row.get("results") or {}),
+            results=row.get("results") or {},
             when=row.get("when", 0.0),
             version=row.get("version", "?"),
         )
+        for name, types in _FIELD_TYPES.items():
+            value = getattr(entry, name)
+            if (isinstance(value, bool) or not isinstance(value, types)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise ValueError(f"ledger field {name!r} has a bad value {value!r}")
+        return entry
 
     def timestamp(self) -> str:
         """``YYYY-mm-dd HH:MM:SS`` local time of the append."""
         if not self.when:
             return "-"
         return time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(self.when))
+
+
+#: Types :meth:`LedgerEntry.from_dict` accepts per field; a bool is
+#: never accepted and a float must be finite.
+_FIELD_TYPES = {
+    "kind": str, "label": str, "config_hash": str, "version": str,
+    "fidelity": (str, type(None)), "metrics_digest": (str, type(None)),
+    "cache": (dict, type(None)), "results": dict,
+    "wall_time_s": (int, float), "when": (int, float), "cells": int,
+}
 
 
 class Ledger:
@@ -156,7 +176,7 @@ class Ledger:
                         continue
                     try:
                         rows.append(LedgerEntry.from_dict(json.loads(line)))
-                    except (ValueError, TypeError, AttributeError):
+                    except ValueError:
                         self.corrupt += 1
         except OSError:
             return []

@@ -192,13 +192,6 @@ class Simulator:
     # documented and introspectable.
     _push = _push_heap
 
-    def _queue_event(self, event: Event) -> None:
-        """Queue a triggered event's callbacks to run at the current time."""
-        self._push(self.now, event)
-
-    def _schedule_timeout(self, event: Timeout, delay: int) -> None:
-        self._push(self.now + delay, event)
-
     # -- queue internals (bucket mode) ---------------------------------------
     def _scan_bucket_time(self) -> int:
         """Earliest occupied bucket instant (requires a non-empty window).

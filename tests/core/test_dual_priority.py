@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import assign_promotions, random_taskset
-from repro.core.dual_priority import DualPrioritySimulator
+from tests.simulators.reference_dual_priority import DualPrioritySimulator
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 
 

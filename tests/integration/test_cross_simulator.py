@@ -14,7 +14,6 @@ modelling assumptions coincide.  These tests pin those equivalences:
 import pytest
 
 from repro.analysis import assign_promotions, partition, random_taskset
-from repro.core.dual_priority import DualPrioritySimulator
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.hw.microblaze import ExecutionProfile
 from repro.kernel.costs import KernelCosts
@@ -22,6 +21,7 @@ from repro.kernel.microkernel import TaskBinding
 from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
 from repro.simulators.theoretical import TheoreticalSimulator
 from repro.trace.metrics import compute_metrics
+from tests.simulators.reference_dual_priority import DualPrioritySimulator
 
 TICK = 10_000
 

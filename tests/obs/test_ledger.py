@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.obs.cli import main
 from repro.obs.ledger import (
     LEDGER_ENV,
     Ledger,
@@ -82,6 +85,47 @@ class TestLedger:
         sparse = LedgerEntry.from_dict({"kind": "bench"})
         assert sparse.kind == "bench" and sparse.label == "?"
         assert sparse.results == {} and sparse.timestamp() == "-"
+
+
+#: Valid JSON whose field types are wrong: each must be a corrupt line.
+BAD_ROWS = [
+    {"kind": "sweep", "label": "a", "when": "yesterday"},
+    {"kind": "sweep", "label": "a", "when": True},
+    {"kind": "sweep", "label": "a", "when": float("inf")},
+    {"kind": "sweep", "label": "a", "wall_time_s": "1.5"},
+    {"kind": "sweep", "label": "a", "wall_time_s": None},
+    {"kind": "sweep", "label": "a", "cells": 4.0},
+    {"kind": "sweep", "label": "a", "cells": False},
+    {"kind": "sweep", "label": "a", "cells": "4"},
+    {"kind": 7, "label": "a"},
+    {"kind": "sweep", "label": ["a"]},
+    {"kind": "sweep", "label": "a", "config_hash": 123},
+    {"kind": "sweep", "label": "a", "cache": [1, 2]},
+    ["sweep", "a"],
+]
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("row", BAD_ROWS, ids=lambda row: json.dumps(row))
+    def test_from_dict_rejects_wrong_types(self, row):
+        with pytest.raises(ValueError):
+            LedgerEntry.from_dict(row)
+
+    @pytest.mark.parametrize("row", BAD_ROWS, ids=lambda row: json.dumps(row))
+    def test_history_skips_and_counts_the_line(self, row, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        Ledger(path).append(entry(label="good"))
+        with open(path, "a") as handle:
+            handle.write(json.dumps(row) + "\n")
+        assert main(["history", "--ledger", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "good" in out
+        assert "(1 corrupt line(s) skipped)" in out
+
+    def test_integer_seconds_are_accepted(self):
+        row = {"kind": "sweep", "label": "a", "wall_time_s": 2, "when": 1_700_000_000}
+        parsed = LedgerEntry.from_dict(row)
+        assert parsed.wall_time_s == 2 and parsed.timestamp() != "-"
 
 
 class TestFlatten:

@@ -1,12 +1,12 @@
-"""Uniprocessor dual-priority scheduling (Davis & Wellings, RTSS 1995).
+"""Test oracle: uniprocessor dual-priority scheduling (Davis & Wellings, RTSS 1995).
 
 The dual-priority model MPDP generalises: three priority bands, hard
 periodic tasks released in the lower band and promoted to the upper
 band at ``release + U_i``, soft aperiodic tasks served FIFO in the
-middle band.  This module provides an exact event-driven uniprocessor
-simulator used to validate the band semantics in isolation and as the
-reference that the multiprocessor model must degenerate to when
-``n_cpus == 1``.
+middle band.  :class:`DualPrioritySimulator` is an exact event-driven
+uniprocessor simulator.  Tests use it to validate the band semantics
+in isolation and as the reference that the multiprocessor model must
+degenerate to when ``n_cpus == 1``.
 """
 
 from __future__ import annotations

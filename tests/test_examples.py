@@ -57,17 +57,6 @@ def test_isa_playground():
     assert "icache" in out
 
 
-def test_offload_booking():
-    out = run_example("offload_booking.py")
-    assert "all CRCs verified" in out
-
-
-def test_can_network_study():
-    out = run_example("can_network_study.py")
-    assert "wire utilization" in out
-    assert "periodic deadline misses: 0" in out
-
-
 @pytest.mark.slow
 def test_automotive_case_study():
     out = run_example("automotive_case_study.py", argv=("prog", "2", "0.4"))
