@@ -193,3 +193,54 @@ def test_delivery_counts():
     intc.acknowledge(0)
     intc.complete(0)
     assert intc.delivered == 1
+
+
+def test_book_out_of_range_raises():
+    sim, intc, _ = setup()
+    src = intc.add_source("dev")
+    with pytest.raises(ValueError):
+        intc.book(src, 2)
+    assert src.mode is InterruptMode.DISTRIBUTE
+
+
+def test_booked_offer_not_rerouted_on_timeout():
+    sim, intc, lines = setup(timeout=50)
+    src = intc.add_source("dev")
+    intc.book(src, 1)
+    intc.raise_interrupt(src)
+    sim.run(until=200)
+    assert lines.state == [False, True]
+    assert intc.timeouts == 0
+
+
+def test_rebooking_moves_delivery():
+    sim, intc, lines = setup(n_cpus=3)
+    src = intc.add_source("dev")
+    intc.book(src, 2)
+    intc.raise_interrupt(src, payload="first")
+    assert lines.state == [False, False, True]
+    assert intc.acknowledge(2) == (src, "first")
+    intc.complete(2)
+    intc.book(src, 0)
+    intc.raise_interrupt(src, payload="second")
+    assert lines.state == [True, False, False]
+    assert intc.acknowledge(0) == (src, "second")
+
+
+def test_booked_offer_queues_behind_busy_cpu():
+    sim, intc, lines = setup()
+    src = intc.add_source("dev", mode=InterruptMode.BOOKED, booked_cpu=0)
+    intc.raise_interrupt(src)
+    intc.acknowledge(0)
+    intc.raise_interrupt(src)  # cpu0 busy: the booked offer waits, cpu1 never sees it
+    assert intc.pending_for(0) == 1
+    assert lines.state == [True, False]
+
+
+def test_raise_from_foreign_source_rejected():
+    sim, intc, _ = setup()
+    other = MultiprocessorInterruptController(Simulator(), 2)
+    other.add_source("a")
+    stranger = other.add_source("b")  # id 1: never registered with intc
+    with pytest.raises(ValueError):
+        intc.raise_interrupt(stranger)
