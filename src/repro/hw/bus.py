@@ -12,8 +12,9 @@ Two usage styles:
   :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated;
   ``count`` back-to-back transactions form one tenure that advances as
   engine queue callbacks, so the caller resumes once per batch.
-- ``bus.stats`` exposes utilization counters that the analytic
-  contention model in :mod:`repro.hw.contention` is calibrated against.
+- ``bus.stats`` exposes the utilization counters that the closed-form
+  wait model :func:`analytic_txn_wait` of the transaction-level rung
+  (:mod:`repro.simulators.tlm`) is calibrated against.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ class _Tenure:
     ``done``, the one event the calling process waits on.  Each entry
     sits at the instant, and in the insertion order, where the
     generator loop it replaces pushed its grant and hold, so schedules
-    are unchanged.  ``cancelled`` turns a stale grant or hold entry of
-    an interrupted batch into a no-op.
+    are unchanged.  Between other queue entries, :meth:`_complete`
+    plays out the following grants and holds of every contending
+    tenure itself and stands in for their entries (bus run-ahead).
+    ``cancelled`` turns a stale grant or hold entry of an interrupted
+    batch into a no-op.
     """
 
     __slots__ = ("bus", "master", "target", "latency", "left", "start",
@@ -116,28 +120,85 @@ class _Tenure:
                   self._complete_cb if self.left else self.done)
 
     def _complete(self) -> None:
-        """Intermediate hold entry: release, account, request the next."""
+        """Intermediate hold entry: end the transaction, then run ahead."""
         if self.cancelled:
             return
-        self.bus._hand_over()
-        self._account()
-        self._request()
+        self._hold_end(self.bus.sim.horizon())
 
-    def _account(self) -> None:
-        """Credit one finished transaction to ``BusStats``."""
-        stats = self.bus.stats
-        latency = self.latency
-        master = self.master
-        elapsed = self.bus.sim.now - self.start
-        stats.busy_cycles += latency
-        stats.transactions += 1
-        stats.wait_cycles[master] = (
-            stats.wait_cycles.get(master, 0) + elapsed - latency
-        )
-        stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + 1
-        name = self.target.name
-        stats.per_target[name] = stats.per_target.get(name, 0) + latency
-        self.spent += elapsed
+    def _hold_end(self, horizon: float) -> None:
+        """End this tenure's transaction at ``now``; run ahead up to
+        ``horizon``.
+
+        Each pass is what the per-transaction model's hold entry did at
+        ``now``: hand the bus to the head waiter (or free it), credit the
+        transaction to ``BusStats``, and re-request if transactions are
+        left.  That leaves at most one tenure's grant due at ``now`` (a
+        ``stall`` handed the bus has its ``Event`` succeeded, as before,
+        and ends the loop).  While ``now`` is before the horizon, that
+        grant runs here, and while its hold also ends strictly before
+        the horizon, so does the hold, as the next pass.  Nothing can
+        interleave: every other entry lies at or past the horizon, and
+        only processes and other entries push new ones.  Each entry
+        stood in for still takes its insertion id, so the one real
+        entry pushed on stopping (the grant, the next hold or the
+        batch's ``done``) keeps the per-transaction model's tie order.
+
+        The hold entry passes :meth:`Simulator.horizon`; the calling
+        process, ending its batch, passes ``now``: no run-ahead.  The
+        pass is written out in full, with no calls, because calls per
+        transaction were what the arbitration cost.
+        """
+        bus = self.bus
+        sim = bus.sim
+        stats = bus.stats
+        waits = stats.wait_cycles
+        counts = stats.transfer_cycles
+        per_target = stats.per_target
+        waiting = bus._waiting
+        tenure = self
+        now = sim.now
+        while True:
+            granted = None
+            if waiting:
+                waiter = heapq.heappop(waiting)[2]
+                bus._holder = waiter
+                if isinstance(waiter, Event):
+                    waiter.succeed()
+                else:
+                    granted = waiter
+            else:
+                bus._holder = None
+            latency = tenure.latency
+            master = tenure.master
+            elapsed = now - tenure.start
+            stats.busy_cycles += latency
+            stats.transactions += 1
+            waits[master] = waits.get(master, 0) + elapsed - latency
+            counts[master] = counts.get(master, 0) + 1
+            name = tenure.target.name
+            per_target[name] = per_target.get(name, 0) + latency
+            tenure.spent += elapsed
+            if tenure.left:
+                tenure.start = now
+                if bus._holder is None:
+                    bus._holder = granted = tenure
+                else:
+                    bus._seq += 1
+                    heapq.heappush(waiting, (master, bus._seq, tenure))
+            if granted is None:
+                return
+            if now >= horizon:
+                sim._push(now, granted._arm_cb)
+                return
+            sim._eid += 1  # the grant entry, run here
+            end = now + granted.latency
+            if granted.left == 1 or end >= horizon:
+                granted._arm()
+                return
+            granted.left -= 1
+            sim._eid += 1  # the hold entry, run here
+            sim.now = now = end
+            tenure = granted
 
 
 class OPBBus:
@@ -150,8 +211,10 @@ class OPBBus:
     :meth:`_request`/:meth:`_release` primitives), granted by
     succeeding it.  Either way a grant is one queue entry at the grant
     instant -- pushed inside the request when the bus is free, inside
-    the holder's hand-over otherwise -- and every transaction costs
-    exactly two queue entries (grant, hold).
+    the holder's hand-over otherwise -- and every transaction is two
+    queue entries (grant, hold).  During bus run-ahead
+    (:meth:`_Tenure._complete`) those entries are stood in for: played
+    out in place, in order, each still taking its insertion id.
 
     Parameters
     ----------
@@ -240,8 +303,7 @@ class OPBBus:
             tenure.cancelled = True
             self._release(tenure)
             raise
-        self._hand_over()
-        tenure._account()
+        tenure._hold_end(self.sim.now)
         return tenure.spent
 
     def stream(self, master: int, target: BusTarget, words: int, burst: int):

@@ -214,8 +214,10 @@ class MicroBlaze:
         Splits work into chunks; each chunk spends its local-compute
         portion as a plain timeout and issues its shared-memory
         transactions through the arbitrated bus.  Progress lands in
-        ``result`` after every chunk, so an interrupting caller can see
-        exactly how much nominal work completed (chunks are atomic).
+        ``result`` after every chunk.  An interrupt mid-chunk credits
+        the cycles the chunk has run so far as nominal progress (at
+        most the chunk's length; the rest counts as wait) before
+        re-raising, so the caller sees how much work was done.
         """
         if nominal_cycles < 0:
             raise ValueError("nominal_cycles must be non-negative")

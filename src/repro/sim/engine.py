@@ -89,6 +89,9 @@ class Simulator:
         self.now: int = 0
         self._eid = 0
         self._stopped = False
+        # ``until + 1`` while ``run(until)`` is active, else infinity:
+        # the first instant the current run will not dispatch.
+        self._limit = _INF
         if kind == "heap":
             self._heap: List[tuple] = []
             self._push = self._push_heap
@@ -240,22 +243,53 @@ class Simulator:
         return nbt, item
 
     # -- main loop -----------------------------------------------------------
-    def next_event_time(self) -> Optional[int]:
-        """The next scheduled instant, or None when the queue is empty.
+    def horizon(self) -> float:
+        """The earliest instant at which the engine will next dispatch
+        anything: the next queued entry, capped at ``until + 1`` inside
+        ``run(until)``; infinity when neither exists.
 
-        This is the instant an idle system fast-forwards to: callers
-        modelling quiescent hardware (all cores parked on interrupt
-        lines) can observe how far the clock will jump.
+        Both queues give the same answer, also from inside a callback
+        while the bucket of the current instant is being drained.  A
+        bare queue callback may therefore play out, in place, work that
+        would otherwise be queue entries strictly before the horizon,
+        advancing ``now`` as it goes: no other entry can be dispatched
+        in between (the bus run-ahead of :mod:`repro.hw.bus`).
         """
+        limit = self._limit
         if self.queue_kind == "heap":
-            return self._heap[0][0] if self._heap else None
-        nbt = self._next_bt
+            heap = self._heap
+            if heap and heap[0][0] < limit:
+                return heap[0][0]
+            return limit
         far = self._far
-        if far:
-            ft = far[0][0]
-            if nbt is None or ft < nbt:
-                return ft
-        return nbt
+        if far and far[0][0] < limit:
+            limit = far[0][0]
+        if self._bucket_count:
+            now = self.now
+            if self._buckets[now & _MASK]:
+                return now
+            nbt = self._next_bt
+            if nbt == now:
+                # Mid-drain, the cached minimum still names the drained
+                # instant, and its bit is still set: look past it.  The
+                # scan is inlined, as it runs once per bus run-ahead.
+                occ = self._occ
+                base = (now + 1) & _MASK
+                w = base >> 6
+                word = occ[w] >> (base & 63)
+                if word:
+                    nbt = now + (word & -word).bit_length()
+                else:
+                    for off in range(1, _WORDS + 1):
+                        wi = (w + off) & _WMASK
+                        word = occ[wi]
+                        if word:
+                            pos = (wi << 6) + (word & -word).bit_length() - 1
+                            nbt = now + 1 + ((pos - base) & _MASK)
+                            break
+            if nbt < limit:
+                return nbt
+        return limit
 
     def step(self) -> None:
         """Process the single next queue entry, advancing ``now``."""
@@ -278,10 +312,14 @@ class Simulator:
         even if no event is scheduled there, so back-to-back ``run``
         calls compose predictably.
         """
-        if self.queue_kind == "heap":
-            self._run_heap(until)
-        else:
-            self._run_bucket(until)
+        self._limit = _INF if until is None else until + 1
+        try:
+            if self.queue_kind == "heap":
+                self._run_heap(until)
+            else:
+                self._run_bucket(until)
+        finally:
+            self._limit = _INF
 
     def _run_heap(self, until: Optional[int]) -> None:
         self._stopped = False
@@ -299,7 +337,10 @@ class Simulator:
         # far heap's entries at that instant (strictly older insertion
         # ids -- see the module docstring), then the FIFO bucket.
         # Event dispatch is inlined (state flip + callback sweep) to
-        # keep per-event call overhead off the critical path.
+        # keep per-event call overhead off the critical path.  A
+        # callback that ran ahead (see ``horizon``) leaves ``now`` past
+        # ``t``; the drain then ends, since nothing else was due at
+        # ``t``, and anything left in the slot belongs to a later lap.
         self._stopped = False
         limit = _INF if until is None else until
         buckets = self._buckets
@@ -356,13 +397,24 @@ class Simulator:
                                     cb(item)
                     else:
                         item()
-                    if self._stopped:
+                    if self._stopped or self.now != t:
                         break
                 if not bucket:
                     occ[idx >> 6] &= ~(1 << (idx & 63))
-                    self._next_bt = (
-                        self._scan_bucket_time() if self._bucket_count else None
-                    )
+                    if self._bucket_count:
+                        # The first word of ``_scan_bucket_time``, inline:
+                        # the next instant is usually within it.
+                        now = self.now
+                        base = now & _MASK
+                        word = occ[base >> 6] >> (base & 63)
+                        self._next_bt = (
+                            now + (word & -word).bit_length() - 1 if word
+                            else self._scan_bucket_time()
+                        )
+                    else:
+                        self._next_bt = None
+                elif self.now != t:
+                    self._next_bt = self._scan_bucket_time()
         if until is not None and self.now < until:
             self.now = until
 

@@ -2,9 +2,10 @@
 
 from dataclasses import asdict
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.bus import OPBBus
+from repro.hw.bus import OPBBus, _Tenure
 from repro.hw.memory import DDRMemory
 from repro.sim import Interrupt, Simulator
 from tests.hw.reference_bus import ReferenceBus
@@ -110,13 +111,38 @@ WORDS = st.lists(st.integers(1, 8), min_size=4, max_size=4)
 STALLS = st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)), max_size=2)
 
 
-def run_plan(bus_cls, plan, words, stalls=()):
+#: Foreign entries: (on_bus, pick, lead).  ``pick`` chooses an
+#: instant at which the reference run granted or released the bus (if
+#: ``on_bus``) or any instant up to 2000; ``lead`` is how many cycles
+#: before it the entry is pushed -- at t=0 it is older than the bus
+#: entries there, pushed late it is newer.  The entry only records the
+#: bus state it sees.
+FOREIGN = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6),
+                             st.integers(0, 1500)), max_size=6)
+#: ``sim.run(until)`` slice lengths before the final ``sim.run()``.
+SLICES = st.lists(st.integers(1, 300), max_size=4)
+QUEUE = st.sampled_from(("bucket", "heap"))
+
+
+def run_plan(bus_cls, plan, words, stalls=(), foreign=(), slices=(),
+             queue=None):
     """Run ``plan`` (and ``stalls``) on a fresh ``bus_cls``; returns
-    (sim, bus, finishes), finishes in the order they happened."""
-    sim = Simulator()
+    (sim, bus, finishes, seen), finishes in the order they happened.
+
+    ``foreign`` lists (instant, lead) entries, each pushed at
+    ``instant - lead`` (or t=0), that record in ``seen`` the bus state
+    at their instant; the run goes through ``run(until)`` calls
+    ``slices`` cycles apart before running to the end."""
+    sim = Simulator(queue=queue)
     bus = bus_cls(sim)
     ddr = DDRMemory()
     finishes = []
+    seen = []
+
+    def look():
+        stats = bus.stats
+        seen.append((sim.now, stats.transactions, stats.busy_cycles,
+                     bus.busy, bus.queue_length))
 
     def master(index, mid, delay, count):
         try:
@@ -131,6 +157,9 @@ def run_plan(bus_cls, plan, words, stalls=()):
         yield from bus.stall(cycles)
         finishes.append((len(plan) + index, sim.now, "stall"))
 
+    for instant, lead in foreign:
+        sim.schedule_at(max(0, instant - lead),
+                        lambda instant=instant: sim.schedule_at(instant, look))
     for index, (start, cycles) in enumerate(stalls):
         sim.process(stall(index, start, cycles))
     for index, (mid, delay, count, irq_at) in enumerate(plan):
@@ -138,15 +167,31 @@ def run_plan(bus_cls, plan, words, stalls=()):
         if irq_at is not None:
             sim.schedule_at(irq_at, lambda proc=proc: proc.is_alive
                             and proc.interrupt("irq"))
+    until = 0
+    for length in slices:
+        until += length
+        sim.run(until=until)
     sim.run()
-    return sim, bus, finishes
+    return sim, bus, finishes, seen
+
+
+def bus_instants(plan, words, stalls):
+    """Every instant the reference arbiter granted or released the bus
+    on this plan, in order."""
+    ref = run_plan(ReferenceBus, plan, words, stalls)[1]
+    return sorted({instant for tenure in ref.tenures for instant in tenure[1:]})
 
 
 @settings(max_examples=80, deadline=None)
-@given(plan=PLAN, words=WORDS, stalls=STALLS)
-def test_batched_bus_matches_reference_arbiter(plan, words, stalls):
+@given(plan=PLAN, words=WORDS, stalls=STALLS, picks=FOREIGN, slices=SLICES,
+       queue=QUEUE)
+def test_batched_bus_matches_reference_arbiter(plan, words, stalls, picks,
+                                               slices, queue):
     """Random masters, start instants, bursts, batch sizes, interrupt
-    instants and injected stalls: ``OPBBus`` finishes every process at
+    instants, injected stalls, foreign entries on grant and hold-end
+    instants, ``run(until)`` slices, on either queue: ``OPBBus``
+    (running ahead between the foreign entries) shows every foreign
+    entry the same bus state, finishes every process at
     the same instant, in the same same-instant order, with the same
     return value and BusStats, and after pushing the same number of
     queue entries, as the reference arbiter serving each batch as
@@ -154,8 +199,15 @@ def test_batched_bus_matches_reference_arbiter(plan, words, stalls):
     the reference shows one holder at a time (it asserts so on every
     grant), every grant to the lowest (priority, arrival) waiter, busy
     time equal to the completed latencies, and a free bus at the end."""
-    sim, bus, finishes = run_plan(OPBBus, plan, words, stalls)
-    ref_sim, ref, ref_finishes = run_plan(ReferenceBus, plan, words, stalls)
+    instants = bus_instants(plan, words, stalls)
+    foreign = [(instants[pick % len(instants)] if on_bus and instants
+                else pick % 2000, lead)
+               for on_bus, pick, lead in picks]
+    sim, bus, finishes, seen = run_plan(OPBBus, plan, words, stalls,
+                                        foreign, slices, queue)
+    ref_sim, ref, ref_finishes, ref_seen = run_plan(
+        ReferenceBus, plan, words, stalls, foreign, slices, queue)
+    assert seen == ref_seen
     assert finishes == ref_finishes
     assert sim._eid == ref_sim._eid
     assert len(finishes) == len(plan) + len(stalls)
@@ -181,3 +233,54 @@ def test_batched_bus_matches_reference_arbiter(plan, words, stalls):
         counts[priority] = counts.get(priority, 0) + 1
     assert bus.stats.wait_cycles == waits
     assert bus.stats.transfer_cycles == counts
+
+
+def test_run_ahead_elides_contended_queue_entries(monkeypatch):
+    """Four masters, each with one 50-transaction batch, and nothing
+    else in the queue: the arbitration runs ahead through the contended
+    stretches, so fewer than one grant or hold callback per ten
+    transactions is dispatched from the queue -- with the reference
+    arbiter's schedule, stats and insertion-id count."""
+    dispatched = []
+    depth = [0]
+
+    def counting(method):
+        def wrapper(self):
+            if not depth[0]:
+                dispatched.append(method.__name__)
+            depth[0] += 1
+            try:
+                return method(self)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    plan = [(mid, 0, 50, None) for mid in range(4)]
+    words = [1, 2, 4, 8]
+    ref_sim, ref, ref_finishes, _ = run_plan(ReferenceBus, plan, words)
+    monkeypatch.setattr(_Tenure, "_arm", counting(_Tenure._arm))
+    monkeypatch.setattr(_Tenure, "_complete", counting(_Tenure._complete))
+    sim, bus, finishes, _ = run_plan(OPBBus, plan, words)
+    assert bus.stats.transactions == 200
+    assert 0 < len(dispatched) < 200 // 10
+    assert finishes == ref_finishes
+    assert sim._eid == ref_sim._eid
+    assert asdict(bus.stats) == asdict(ref.stats)
+
+
+@pytest.mark.parametrize("queue", ["bucket", "heap"])
+def test_run_ahead_across_a_full_ring_lap(queue):
+    """Two masters alternate 16-cycle transactions from t=16 on.  The
+    run-ahead from the first hold end stops at master 0's last grant
+    (the 65th transaction, at t=1024) and pushes its ``done`` for
+    t=1040: one full bucket-ring lap after the instant whose slot is
+    still being drained.  The entry must wait for t=1040."""
+    plan = [(0, 0, 33, None), (1, 0, 40, None)]
+    words = [3, 3, 3, 3]
+    sim, bus, finishes, _ = run_plan(OPBBus, plan, words, queue=queue)
+    ref_sim, ref, ref_finishes, _ = run_plan(ReferenceBus, plan, words,
+                                             queue=queue)
+    assert finishes[0] == (0, 65 * 16, 65 * 16)
+    assert finishes == ref_finishes
+    assert sim._eid == ref_sim._eid
+    assert asdict(bus.stats) == asdict(ref.stats)

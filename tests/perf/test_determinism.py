@@ -6,14 +6,32 @@ run must come out bit for bit the same on either -- finished jobs,
 trace, kernel and injector stats, final time -- with or without an
 injected fault plan.  Runs that crash on a known kernel defect count
 too: both queues must then raise the same error.
+
+The same holds for the bus: the run-ahead ``OPBBus`` and the unbatched
+per-transaction oracle ``tests.hw.reference_bus.ReferenceBus`` must
+give identical full-system runs, Figure-4 prototype cells included.
 """
+
+from dataclasses import asdict
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from repro import CLOCK_HZ, TICK
+import repro.hw.soc
 from repro.faults.plan import FAULT_KINDS, random_plan
 from repro.faults.scenarios import baseline_run, demo_taskset, run_scenario
+from repro.hw.bus import OPBBus
 from repro.sim.engine import Simulator
+from repro.simulators.ladder import make_simulator
+from repro.simulators.prototype import DEFAULT_SCALE
+from repro.workloads.automotive import (
+    AUTOMOTIVE_APERIODIC,
+    automotive_bindings,
+    build_automotive_taskset,
+    prepare_taskset,
+)
+from tests.hw.reference_bus import ReferenceBus
 
 DEMO_WCETS = {task.name: task.wcet for task in demo_taskset().periodic}
 
@@ -61,3 +79,76 @@ def test_fault_plan_runs_identical_on_heap_and_bucket(seed, n_faults, kinds,
     replay = on_queue("bucket", run_scenario, plan=plan, recovery=config)
     assert heap == bucket
     assert bucket == replay
+
+
+def on_bus(bus_cls, run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with every new SoC on a ``bus_cls`` bus.
+
+    Returns (result, the ``BusStats`` of every bus built, as dicts);
+    the result is ``(exception type name, message)`` when the run
+    raised, as in :func:`on_queue`.
+    """
+    stats = []
+
+    class Recorded(bus_cls):
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            stats.append(self.stats)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.hw.soc, "OPBBus", Recorded)
+        try:
+            result = run(*args, **kwargs)
+        except Exception as exc:
+            result = type(exc).__name__, str(exc)
+    return result, [asdict(bus_stats) for bus_stats in stats]
+
+
+def figure4_cell(n_cpus, utilization):
+    """One phase (arrival at 1.0 s) of a prototype Figure-4 cell:
+    finished jobs, kernel stats and final time."""
+    taskset = prepare_taskset(build_automotive_taskset(utilization, n_cpus),
+                              n_cpus, tick=TICK)
+    arrival = int(1.0 * CLOCK_HZ)
+    sim = make_simulator(
+        "prototype", taskset, n_cpus, scale=DEFAULT_SCALE,
+        bindings=automotive_bindings(),
+        aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
+    )
+    sim.run(arrival + 25 * CLOCK_HZ)
+    jobs = tuple(
+        (j.task.name, j.index, j.release, j.start_time, j.finish_time,
+         j.cpu, j.preemptions, j.migrations)
+        for j in sim.finished_jobs
+    )
+    return {"jobs": jobs, "stats": sim.stats(), "now": sim.soc.sim.now}
+
+
+@pytest.mark.parametrize("n_cpus, utilization", [(2, 0.4), (4, 0.6)],
+                         ids=["2P-40", "4P-60"])
+def test_figure4_cell_identical_on_reference_bus(n_cpus, utilization):
+    run_ahead = on_bus(OPBBus, figure4_cell, n_cpus, utilization)
+    reference = on_bus(ReferenceBus, figure4_cell, n_cpus, utilization)
+    assert run_ahead[0]["jobs"]
+    assert len(run_ahead[1]) == 1 and run_ahead[1][0]["transactions"]
+    assert run_ahead == reference
+
+
+def test_baseline_run_identical_on_reference_bus():
+    run_ahead = on_bus(OPBBus, baseline_run)
+    assert isinstance(run_ahead[0], dict), run_ahead[0]
+    assert run_ahead == on_bus(ReferenceBus, baseline_run)
+
+
+@settings(max_examples=6, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    seed=st.integers(0, 10_000),
+    n_faults=st.integers(1, 6),
+    kinds=st.sets(st.sampled_from(FAULT_KINDS)),
+)
+def test_bus_stall_plans_identical_on_reference_bus(seed, n_faults, kinds):
+    plan = random_plan(seed=seed, horizon=400_000, tasks=DEMO_WCETS,
+                       n_faults=n_faults, kinds=sorted(kinds | {"bus_stall"}))
+    run_ahead = on_bus(OPBBus, run_scenario, plan=plan)
+    assert run_ahead == on_bus(ReferenceBus, run_scenario, plan=plan)

@@ -70,14 +70,66 @@ def test_schedule_after_fast_forward(sim):
     assert fired == [5 * BUCKET_HORIZON + 5]
 
 
-def test_next_event_time_reports_earliest(sim):
-    assert sim.next_event_time() is None
+def test_horizon_reports_earliest(sim):
+    assert sim.horizon() == float("inf")
     sim.schedule(3 * BUCKET_HORIZON, lambda: None)  # far
-    assert sim.next_event_time() == 3 * BUCKET_HORIZON
+    assert sim.horizon() == 3 * BUCKET_HORIZON
     sim.schedule(9, lambda: None)  # near
-    assert sim.next_event_time() == 9
+    assert sim.horizon() == 9
     sim.run()
-    assert sim.next_event_time() is None
+    assert sim.horizon() == float("inf")
+
+
+def horizons_seen(sim, delays, probes):
+    """Schedule a no-op at each of ``delays``; the callbacks numbered in
+    ``probes`` record ``sim.horizon()`` instead.  Returns the records."""
+    seen = []
+    for index, delay in enumerate(delays):
+        if index in probes:
+            sim.schedule(delay, lambda: seen.append((sim.now, sim.horizon())))
+        else:
+            sim.schedule(delay, lambda: None)
+    return seen
+
+
+def test_horizon_mid_drain(sim):
+    """Called while an instant's bucket drains: the entry still due at
+    that instant, then, after the last one, the next instant -- not the
+    instant being drained."""
+    seen = horizons_seen(sim, [5, 5, 9, 3000], probes={0, 1})
+    sim.run()
+    assert seen == [(5, 5), (5, 9)]
+
+
+def test_horizon_sees_far_heap_entry(sim):
+    """A far-heap entry earlier than every bucketed one is the horizon,
+    also mid-drain."""
+    sim.schedule(BUCKET_HORIZON + 100, lambda: None)  # far
+    sim.run(until=BUCKET_HORIZON)
+    seen = horizons_seen(sim, [0, 150], probes={0})
+    assert sim.horizon() == BUCKET_HORIZON
+    sim.run()
+    assert seen == [(BUCKET_HORIZON, BUCKET_HORIZON + 100)]
+
+
+def test_horizon_after_ring_wraps(sim):
+    """The next instant sits at a lower ring slot than the one being
+    drained."""
+    sim.run(until=3 * BUCKET_HORIZON + 1000)
+    seen = horizons_seen(sim, [5, 5, BUCKET_HORIZON - 1], probes={1})
+    sim.run()
+    assert seen == [(3 * BUCKET_HORIZON + 1005, 4 * BUCKET_HORIZON + 999)]
+
+
+def test_horizon_caps_at_run_limit(sim):
+    """Inside ``run(until)`` nothing past ``until`` is dispatched; once
+    it returns, no limit applies."""
+    seen = horizons_seen(sim, [5, 9], probes={0})
+    sim.run(until=7)
+    assert seen == [(5, 8)]
+    assert sim.horizon() == 9
+    sim.run(until=20)
+    assert sim.horizon() == float("inf")
 
 
 def test_stop_then_resume_preserves_remaining_events(sim):
