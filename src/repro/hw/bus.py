@@ -44,7 +44,7 @@ class BusStats:
     busy_cycles: int = 0
     transactions: int = 0
     wait_cycles: Dict[int, int] = field(default_factory=dict)
-    transfer_cycles: Dict[int, int] = field(default_factory=dict)
+    transactions_by_master: Dict[int, int] = field(default_factory=dict)
     per_target: Dict[str, int] = field(default_factory=dict)
     stalls_injected: int = 0
     stall_cycles: int = 0
@@ -58,7 +58,7 @@ class BusStats:
     def mean_wait(self, master: int) -> float:
         """Average grant delay in cycles seen by ``master``."""
         waits = self.wait_cycles.get(master, 0)
-        count = self.transfer_cycles.get(master, 0)
+        count = self.transactions_by_master.get(master, 0)
         return waits / count if count else 0.0
 
 
@@ -74,9 +74,10 @@ class _Tenure:
     generator loop it replaces pushed its grant and hold, so schedules
     are unchanged.  Between other queue entries, :meth:`_complete`
     plays out the following grants and holds of every contending
-    tenure itself and stands in for their entries (bus run-ahead).
-    ``cancelled`` turns a stale grant or hold entry of an interrupted
-    batch into a no-op.
+    tenure itself and stands in for their entries (bus run-ahead); a
+    lone tenure's or two alternating tenures' steady stretch it settles
+    in one arithmetic step (bus epochs).  ``cancelled`` turns a stale
+    grant or hold entry of an interrupted batch into a no-op.
     """
 
     __slots__ = ("bus", "master", "target", "latency", "left", "start",
@@ -143,6 +144,13 @@ class _Tenure:
         entry pushed on stopping (the grant, the next hold or the
         batch's ``done``) keeps the per-transaction model's tie order.
 
+        Before the grant runs, a steady stretch is settled in one step
+        (bus epochs): a tenure that re-took a free bus repeats
+        wait-free transactions, and two tenures that lead every other
+        waiter alternate, each waiting for the other's hold.  The step
+        adds what its passes would have added and leaves the state the
+        last of them would have left; the pass then carries on.
+
         The hold entry passes :meth:`Simulator.horizon`; the calling
         process, ending its batch, passes ``now``: no run-ahead.  The
         pass is written out in full, with no calls, because calls per
@@ -152,7 +160,7 @@ class _Tenure:
         sim = bus.sim
         stats = bus.stats
         waits = stats.wait_cycles
-        counts = stats.transfer_cycles
+        counts = stats.transactions_by_master
         per_target = stats.per_target
         waiting = bus._waiting
         tenure = self
@@ -190,6 +198,64 @@ class _Tenure:
             if now >= horizon:
                 sim._push(now, granted._arm_cb)
                 return
+            if granted is tenure:
+                # Alone on the bus: every transaction whose hold ends
+                # before the horizon and is not the batch's last.
+                steps = tenure.left - 1
+                if now + steps * latency >= horizon:
+                    steps = (horizon - now - 1) // latency
+                if steps > 0:
+                    cycles = steps * latency
+                    stats.busy_cycles += cycles
+                    stats.transactions += steps
+                    counts[master] += steps
+                    per_target[name] += cycles
+                    tenure.spent += cycles
+                    tenure.left -= steps
+                    sim._eid += 2 * steps
+                    now += cycles
+                    sim.now = tenure.start = now
+            else:
+                # Alternation: the tenure heads the heap and every other
+                # waiter has a greater master id than the granted one,
+                # so each of the two is granted whenever the other's
+                # hold ends; a round is one transaction of each.
+                rounds = min(tenure.left, granted.left) - 1
+                if (rounds > 0 and waiting[0][2] is tenure
+                        and (len(waiting) < 2
+                             or waiting[1][0] > granted.master)
+                        and (len(waiting) < 3
+                             or waiting[2][0] > granted.master)):
+                    other = granted.latency
+                    period = latency + other
+                    if now + rounds * period >= horizon:
+                        rounds = (horizon - now - 1) // period
+                    if rounds > 0:
+                        # The granted tenure's first wait runs from its
+                        # request, every later one over a hold of ours.
+                        wait = now - granted.start + (rounds - 1) * latency
+                        stats.busy_cycles += rounds * period
+                        stats.transactions += 2 * rounds
+                        other_master = granted.master
+                        waits[other_master] = waits.get(other_master, 0) + wait
+                        counts[other_master] = (counts.get(other_master, 0)
+                                                + rounds)
+                        other_name = granted.target.name
+                        per_target[other_name] = (per_target.get(other_name, 0)
+                                                  + rounds * other)
+                        waits[master] += rounds * other
+                        counts[master] += rounds
+                        per_target[name] += rounds * latency
+                        granted.spent += wait + rounds * other
+                        tenure.spent += rounds * period
+                        granted.left -= rounds
+                        tenure.left -= rounds
+                        sim._eid += 4 * rounds
+                        bus._seq += 2 * rounds
+                        waiting[0] = (master, bus._seq, tenure)
+                        now += rounds * period
+                        sim.now = tenure.start = now
+                        granted.start = now - latency
             sim._eid += 1  # the grant entry, run here
             end = now + granted.latency
             if granted.left == 1 or end >= horizon:
@@ -214,7 +280,11 @@ class OPBBus:
     the holder's hand-over otherwise -- and every transaction is two
     queue entries (grant, hold).  During bus run-ahead
     (:meth:`_Tenure._complete`) those entries are stood in for: played
-    out in place, in order, each still taking its insertion id.
+    out in place, in order, each still taking its insertion id.  A
+    stretch in which one tenure re-takes a free bus, or two tenures
+    ahead of every other waiter alternate, is settled in one step that
+    adds the same integers to ``stats`` and the same counts to the
+    insertion ids and ``_seq`` as its transactions would (bus epochs).
 
     Parameters
     ----------

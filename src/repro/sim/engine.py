@@ -310,8 +310,15 @@ class Simulator:
 
         When ``until`` is given the clock is left exactly at ``until``
         even if no event is scheduled there, so back-to-back ``run``
-        calls compose predictably.
+        calls compose predictably.  ``until`` must be a whole cycle
+        count: a fractional one raises ``ValueError``.
         """
+        if until is not None:
+            whole = int(until)
+            if whole != until:
+                raise ValueError(
+                    f"run(until) needs a whole cycle count, got {until!r}")
+            until = whole
         self._limit = _INF if until is None else until + 1
         try:
             if self.queue_kind == "heap":

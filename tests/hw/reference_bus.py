@@ -80,7 +80,7 @@ class ReferenceBus(OPBBus):
         stats.busy_cycles += latency
         stats.transactions += 1
         stats.wait_cycles[master] = stats.wait_cycles.get(master, 0) + waited
-        stats.transfer_cycles[master] = stats.transfer_cycles.get(master, 0) + 1
+        stats.transactions_by_master[master] = stats.transactions_by_master.get(master, 0) + 1
         stats.per_target[target.name] = (
             stats.per_target.get(target.name, 0) + latency
         )

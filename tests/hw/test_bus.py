@@ -207,7 +207,7 @@ def test_cancel_while_waiting_leaves_queue():
     # counted.
     assert order == [("cancelled", 1, 1), 2]
     assert bus.stats.transactions == 2
-    assert 1 not in bus.stats.transfer_cycles
+    assert 1 not in bus.stats.transactions_by_master
     assert not bus.busy and bus.queue_length == 0
 
 
@@ -254,7 +254,7 @@ def test_batched_transfer_returns_total_cycles():
     sim.run()
     assert spent == [3 * ddr.access_latency(4)] == [sim.now]
     assert bus.stats.transactions == 3
-    assert bus.stats.transfer_cycles[0] == 3
+    assert bus.stats.transactions_by_master[0] == 3
 
 
 def test_batch_resumes_caller_once(monkeypatch):
@@ -323,7 +323,7 @@ def test_interrupt_before_grant_entry_cancels_tenure(queued):
         # The bus went straight on to master 2 at the cancelled grant.
         assert log == [(0, latency), (1, latency, "irq", True, 0),
                        (2, 2 * latency)]
-        assert 1 not in bus.stats.transfer_cycles
+        assert 1 not in bus.stats.transactions_by_master
     else:
         assert log == [(1, 5, "irq", False, 0)]
         assert asdict(bus.stats) == asdict(BusStats())

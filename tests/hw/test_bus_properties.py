@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.bus import OPBBus, _Tenure
+from repro.hw.bus import BusStats, OPBBus, _Tenure
 from repro.hw.memory import DDRMemory
 from repro.sim import Interrupt, Simulator
 from tests.hw.reference_bus import ReferenceBus
@@ -94,12 +94,14 @@ def test_fixed_priority_never_inverts_simultaneous_requests(holds):
 
 
 #: One plan entry: (master, start delay, transactions, interrupt instant).
+#: Long batches make solo and two-way stretches the bus settles in one
+#: step; the wide instants cut them mid-way.
 PLAN = st.lists(
     st.tuples(
         st.integers(0, 3),
         st.integers(0, 200),
-        st.integers(1, 6),
-        st.one_of(st.none(), st.integers(0, 500)),
+        st.one_of(st.integers(1, 6), st.integers(20, 80)),
+        st.one_of(st.none(), st.integers(0, 500), st.integers(0, 8000)),
     ),
     min_size=1,
     max_size=7,
@@ -108,19 +110,21 @@ PLAN = st.lists(
 #: priority alone.
 WORDS = st.lists(st.integers(1, 8), min_size=4, max_size=4)
 #: Injected bus stalls: (start instant, cycles).
-STALLS = st.lists(st.tuples(st.integers(0, 300), st.integers(1, 40)), max_size=2)
+STALLS = st.lists(st.tuples(st.one_of(st.integers(0, 300), st.integers(0, 5000)),
+                            st.integers(1, 40)), max_size=2)
 
 
 #: Foreign entries: (on_bus, pick, lead).  ``pick`` chooses an
 #: instant at which the reference run granted or released the bus (if
-#: ``on_bus``) or any instant up to 2000; ``lead`` is how many cycles
+#: ``on_bus``) or any instant up to 10000; ``lead`` is how many cycles
 #: before it the entry is pushed -- at t=0 it is older than the bus
 #: entries there, pushed late it is newer.  The entry only records the
 #: bus state it sees.
 FOREIGN = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6),
-                             st.integers(0, 1500)), max_size=6)
+                             st.integers(0, 3000)), max_size=6)
 #: ``sim.run(until)`` slice lengths before the final ``sim.run()``.
-SLICES = st.lists(st.integers(1, 300), max_size=4)
+SLICES = st.lists(st.one_of(st.integers(1, 300), st.integers(300, 3000)),
+                  max_size=4)
 QUEUE = st.sampled_from(("bucket", "heap"))
 
 
@@ -132,7 +136,8 @@ def run_plan(bus_cls, plan, words, stalls=(), foreign=(), slices=(),
     ``foreign`` lists (instant, lead) entries, each pushed at
     ``instant - lead`` (or t=0), that record in ``seen`` the bus state
     at their instant; the run goes through ``run(until)`` calls
-    ``slices`` cycles apart before running to the end."""
+    ``slices`` cycles apart before running to the end, and ``seen`` also
+    records the clock, ``BusStats`` and insertion-id count after each."""
     sim = Simulator(queue=queue)
     bus = bus_cls(sim)
     ddr = DDRMemory()
@@ -171,6 +176,7 @@ def run_plan(bus_cls, plan, words, stalls=(), foreign=(), slices=(),
     for length in slices:
         until += length
         sim.run(until=until)
+        seen.append((sim.now, asdict(bus.stats), sim._eid))
     sim.run()
     return sim, bus, finishes, seen
 
@@ -201,7 +207,7 @@ def test_batched_bus_matches_reference_arbiter(plan, words, stalls, picks,
     time equal to the completed latencies, and a free bus at the end."""
     instants = bus_instants(plan, words, stalls)
     foreign = [(instants[pick % len(instants)] if on_bus and instants
-                else pick % 2000, lead)
+                else pick % 10000, lead)
                for on_bus, pick, lead in picks]
     sim, bus, finishes, seen = run_plan(OPBBus, plan, words, stalls,
                                         foreign, slices, queue)
@@ -232,7 +238,7 @@ def test_batched_bus_matches_reference_arbiter(plan, words, stalls, picks,
         waits[priority] = waits.get(priority, 0) + granted - requested
         counts[priority] = counts.get(priority, 0) + 1
     assert bus.stats.wait_cycles == waits
-    assert bus.stats.transfer_cycles == counts
+    assert bus.stats.transactions_by_master == counts
 
 
 def test_run_ahead_elides_contended_queue_entries(monkeypatch):
@@ -284,3 +290,86 @@ def test_run_ahead_across_a_full_ring_lap(queue):
     assert finishes == ref_finishes
     assert sim._eid == ref_sim._eid
     assert asdict(bus.stats) == asdict(ref.stats)
+
+
+class CountingStats(BusStats):
+    """``BusStats`` that counts its writes of ``transactions``: one per
+    arbitration pass and one per steady stretch settled in one step."""
+
+    def __setattr__(self, name, value):
+        if name == "transactions":
+            self.__dict__["writes"] = self.__dict__.get("writes", 0) + 1
+        super().__setattr__(name, value)
+
+
+class CountingBus(OPBBus):
+    def __init__(self, sim, name="opb"):
+        super().__init__(sim, name)
+        self.stats = CountingStats()
+
+
+def arbitration_writes(plan, words, slices=()):
+    """Run ``plan`` on ``OPBBus`` and on the reference arbiter, require
+    the same finishes, slice-end states, insertion ids and ``BusStats``,
+    and return how often ``OPBBus`` wrote ``BusStats.transactions``."""
+    sim, bus, finishes, seen = run_plan(CountingBus, plan, words,
+                                        slices=slices)
+    ref_sim, ref, ref_finishes, ref_seen = run_plan(ReferenceBus, plan, words,
+                                                    slices=slices)
+    assert finishes == ref_finishes
+    assert seen == ref_seen
+    assert sim._eid == ref_sim._eid
+    assert asdict(bus.stats) == asdict(ref.stats)
+    return bus.stats.writes
+
+
+#: Bursts per master id: DDR latencies 12, 14 and 18 cycles.
+EPOCH_WORDS = [1, 2, 4, 4]
+
+
+def solo_plan(count):
+    return [(0, 0, count, None)]
+
+
+def two_way_plan(count):
+    """Masters 0 and 1 alternate from t=12; master 2 waits behind them
+    until a batch of theirs ends."""
+    return [(mid, 0, count, None) for mid in range(3)]
+
+
+@pytest.mark.parametrize("plan, count", [(solo_plan, 300), (two_way_plan, 200)],
+                         ids=["solo", "two-way"])
+def test_steady_stretches_cost_the_same_at_any_length(plan, count):
+    """One master alone for 300 transactions, or two contending for 200
+    each with a third behind them: the arbitration does as much work as
+    for a tenth of the batch, on the reference arbiter's schedule."""
+    long = arbitration_writes(plan(count), EPOCH_WORDS)
+    assert long == arbitration_writes(plan(count // 10), EPOCH_WORDS)
+    assert long < 20
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("plan, boundary", [
+    (solo_plan(300), 100 * 12),
+    (two_way_plan(200), 12 + 50 * (12 + 14)),
+], ids=["solo", "two-way"])
+def test_run_until_cuts_a_steady_stretch_at_its_round_boundary(plan, boundary,
+                                                               offset):
+    """``run(until)`` ending one cycle before, exactly at or one cycle
+    after the end of a transaction (solo) or of a round (two-way):
+    the step stops where the per-transaction passes would have, and
+    the stretch is still settled in steps on both sides of the cut."""
+    cut = arbitration_writes(plan, EPOCH_WORDS, slices=[boundary + offset])
+    assert cut < arbitration_writes(plan, EPOCH_WORDS) + 10
+
+
+def test_two_way_step_waits_for_a_same_master_waiter():
+    """Master 0 holds the bus while master 3, then two master-1 batches,
+    queue behind it, so the heap holds master 3 in its first child slot
+    and the second master-1 batch in its second.  Masters 0 and 1
+    alternate for one round only: at master 0's next hold end the bus
+    goes to that batch, whose request is older than the re-request of
+    the master-1 batch just served."""
+    plan = [(0, 0, 50, None), (3, 1, 5, None), (1, 2, 50, None),
+            (1, 3, 5, None)]
+    arbitration_writes(plan, EPOCH_WORDS)

@@ -202,7 +202,7 @@ def test_interrupt_mid_batch_matches_unbatched_loop(irq_at):
     assert ends[1] == irq_at and not results[1].completed
     assert results[0].completed and not bus.busy and bus.queue_length == 0
     # Only the transactions that finished before the interrupt count.
-    assert bus.stats.transfer_cycles.get(1, 0) < 150
+    assert bus.stats.transactions_by_master.get(1, 0) < 150
     assert asdict(bus.stats) == asdict(ref_bus.stats)
     assert ends == ref_ends
     for got, want in zip(results, ref_results):

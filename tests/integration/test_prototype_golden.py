@@ -80,7 +80,7 @@ def run_phase(n_cpus: int, utilization: float, arrival_s: float = 1.0) -> dict:
         "transactions": stats.transactions,
         "busy": stats.busy_cycles,
         "waits": stats.wait_cycles,
-        "per_master": stats.transfer_cycles,
+        "per_master": stats.transactions_by_master,
         "per_target": stats.per_target,
         "context_switches": proto.kernel.context_switches,
     }

@@ -124,8 +124,8 @@ def figure4_cell(n_cpus, utilization):
     return {"jobs": jobs, "stats": sim.stats(), "now": sim.soc.sim.now}
 
 
-@pytest.mark.parametrize("n_cpus, utilization", [(2, 0.4), (4, 0.6)],
-                         ids=["2P-40", "4P-60"])
+@pytest.mark.parametrize("n_cpus, utilization", [(2, 0.4), (3, 0.5), (4, 0.6)],
+                         ids=["2P-40", "3P-50", "4P-60"])
 def test_figure4_cell_identical_on_reference_bus(n_cpus, utilization):
     run_ahead = on_bus(OPBBus, figure4_cell, n_cpus, utilization)
     reference = on_bus(ReferenceBus, figure4_cell, n_cpus, utilization)

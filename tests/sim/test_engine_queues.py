@@ -54,6 +54,20 @@ def test_run_until_exact_event_time_includes_event(sim):
     assert sim.now == 100
 
 
+def test_run_until_rejects_fractional_cycle(sim):
+    """``until`` counts whole cycles: a fractional one is refused before
+    anything runs, and the clock and queue are left as they were."""
+    fired = []
+    sim.schedule(100, lambda: fired.append(sim.now))
+    with pytest.raises(ValueError, match="whole cycle"):
+        sim.run(until=100.5)
+    assert sim.now == 0 and fired == [] and sim.pending_count == 1
+    assert sim.horizon() == 100
+    sim.run(until=200.0)
+    assert fired == [100]
+    assert sim.now == 200 and type(sim.now) is int
+
+
 def test_run_until_idle_gap_fast_forwards(sim):
     """An empty stretch costs nothing and leaves the clock at until."""
     sim.run(until=7 * BUCKET_HORIZON)
