@@ -11,7 +11,9 @@ Two usage styles:
 - ``yield from bus.transfer(master, target, words, count)`` inside a
   :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated;
   ``count`` back-to-back transactions form one tenure that advances as
-  engine queue callbacks, so the caller resumes once per batch.
+  engine queue callbacks, so the caller resumes once per batch.  An
+  execution segment of :meth:`repro.hw.microblaze.MicroBlaze.execute`
+  re-arms one tenure chunk after chunk, and its caller resumes once.
 - ``bus.stats`` exposes the utilization counters that the closed-form
   wait model :func:`analytic_txn_wait` of the transaction-level rung
   (:mod:`repro.simulators.tlm`) is calibrated against.
@@ -21,10 +23,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
+from types import MethodType
 from typing import Dict, List, Optional, Protocol, Tuple, Union
 
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import PENDING, TRIGGERED, Event
 
 
 class BusTarget(Protocol):
@@ -62,29 +66,47 @@ class BusStats:
         return waits / count if count else 0.0
 
 
-class _Tenure:
-    """One :meth:`OPBBus.transfer` batch moving through the arbiter.
+#: Kinds of the entries the bus loop plays in place (see
+#: :meth:`OPBBus._run_ahead`): a grant, an intermediate hold end, the
+#: last hold end of a carried chunk, a carried chunk's lead-in end, and
+#: an entry the loop stops at (an ``Event`` a process or stall waits on).
+_ARM, _HOLD, _LAST, _LEAD, _STOP = range(5)
 
-    The batch's transactions advance as engine queue callbacks instead
-    of generator resumes: the grant entry is :meth:`_arm` (which pushes
-    the hold), every intermediate hold entry is :meth:`_complete`
-    (hand-over, stats, next request) and the last hold entry is
-    ``done``, the one event the calling process waits on.  Each entry
-    sits at the instant, and in the insertion order, where the
-    generator loop it replaces pushed its grant and hold, so schedules
-    are unchanged.  Between other queue entries, :meth:`_complete`
-    plays out the following grants and holds of every contending
-    tenure itself and stands in for their entries (bus run-ahead); a
-    lone tenure's or two alternating tenures' steady stretch it settles
-    in one arithmetic step (bus epochs).  ``cancelled`` turns a stale
-    grant or hold entry of an interrupted batch into a no-op.
+
+class _Tenure:
+    """One batch of back-to-back transactions of one master.
+
+    A batch advances as engine queue entries, not generator resumes: a
+    grant entry :meth:`_arm` (which pushes the hold), an intermediate
+    hold entry :meth:`_complete` (hand-over, stats, next request) and
+    the last hold entry ``last``.  For :meth:`OPBBus.transfer`, ``last``
+    is ``done``, the one event the calling process waits on, and the
+    process credits that transaction itself (:meth:`_close`).  Each
+    entry sits at the instant, and in the insertion order, where the
+    per-transaction generator loop it replaces pushed its grant and
+    hold, so schedules are unchanged.  Hold entries run the bus loop
+    :meth:`OPBBus._run_ahead`, which plays the following entries in
+    place (grants included) while nothing else can come first; a grant
+    entry only pushes its hold, as running ahead from it measured no
+    faster.  ``cancelled``
+    turns a stale entry of an interrupted batch into a no-op.
+
+    A tenure with an ``owner`` is re-armed chunk after chunk: it is the
+    bus side of an execution segment of
+    :meth:`repro.hw.microblaze.MicroBlaze.execute`.  It adds a lead-in
+    entry (``_lead_cb``), its ``last`` is its chunk-end entry
+    (``_last_cb``) until the final chunk, and ``owner._next(now)``
+    credits the chunk that ended and sizes the next one, setting
+    ``left`` and ``last`` and returning the lead-in length.  One class
+    serves both, so the bus loop's attribute accesses stay monomorphic.
     """
 
     __slots__ = ("bus", "master", "target", "latency", "left", "start",
-                 "spent", "done", "cancelled", "_arm_cb", "_complete_cb")
+                 "spent", "done", "last", "cancelled", "owner", "_arm_cb",
+                 "_complete_cb", "_lead_cb", "_last_cb")
 
     def __init__(self, bus: "OPBBus", master: int, target: BusTarget,
-                 latency: int, count: int):
+                 latency: int, count: int, owner=None):
         self.bus = bus
         self.master = master
         self.target = target
@@ -93,10 +115,18 @@ class _Tenure:
         self.start = 0
         self.spent = 0
         self.done = Event(bus.sim)
+        self.last = self.done
         self.cancelled = False
-        # Bound once: pushed into the queue once per transaction.
+        self.owner = owner
+        # Bound once: pushed into the queue once per transaction, and
+        # recognised by identity when the bus loop takes one back out.
         self._arm_cb = self._arm
         self._complete_cb = self._complete
+        if owner is None:
+            self._lead_cb = self._last_cb = None
+        else:
+            self._lead_cb = self._lead_in
+            self._last_cb = self._chunk_end
 
     def _request(self) -> None:
         """Queue for the bus; on a free bus the grant is an ``_arm`` entry
@@ -118,153 +148,42 @@ class _Tenure:
         self.left -= 1
         sim = self.bus.sim
         sim._push(sim.now + self.latency,
-                  self._complete_cb if self.left else self.done)
+                  self._complete_cb if self.left else self.last)
 
     def _complete(self) -> None:
         """Intermediate hold entry: end the transaction, then run ahead."""
-        if self.cancelled:
-            return
-        self._hold_end(self.bus.sim.horizon())
+        if not self.cancelled:
+            self.bus._run_ahead(_HOLD, self)
 
-    def _hold_end(self, horizon: float) -> None:
-        """End this tenure's transaction at ``now``; run ahead up to
-        ``horizon``.
+    def _lead_in(self) -> None:
+        """Lead-in entry: the chunk's local compute has run."""
+        if not self.cancelled:
+            self.bus._run_ahead(_LEAD, self)
 
-        Each pass is what the per-transaction model's hold entry did at
-        ``now``: hand the bus to the head waiter (or free it), credit the
-        transaction to ``BusStats``, and re-request if transactions are
-        left.  That leaves at most one tenure's grant due at ``now`` (a
-        ``stall`` handed the bus has its ``Event`` succeeded, as before,
-        and ends the loop).  While ``now`` is before the horizon, that
-        grant runs here, and while its hold also ends strictly before
-        the horizon, so does the hold, as the next pass.  Nothing can
-        interleave: every other entry lies at or past the horizon, and
-        only processes and other entries push new ones.  Each entry
-        stood in for still takes its insertion id, so the one real
-        entry pushed on stopping (the grant, the next hold or the
-        batch's ``done``) keeps the per-transaction model's tie order.
+    def _chunk_end(self) -> None:
+        """Chunk-end entry: the last hold of a chunk that is not final."""
+        if not self.cancelled:
+            self.bus._run_ahead(_LAST, self)
 
-        Before the grant runs, a steady stretch is settled in one step
-        (bus epochs): a tenure that re-took a free bus repeats
-        wait-free transactions, and two tenures that lead every other
-        waiter alternate, each waiting for the other's hold.  The step
-        adds what its passes would have added and leaves the state the
-        last of them would have left; the pass then carries on.
-
-        The hold entry passes :meth:`Simulator.horizon`; the calling
-        process, ending its batch, passes ``now``: no run-ahead.  The
-        pass is written out in full, with no calls, because calls per
-        transaction were what the arbitration cost.
-        """
+    def _close(self) -> None:
+        """The batch's last hold end, run by the process that waited on
+        ``done``: hand the bus over and credit the transaction (the bus
+        loop's pass, without running ahead)."""
         bus = self.bus
-        sim = bus.sim
+        bus._hand_over()
         stats = bus.stats
+        latency = self.latency
+        master = self.master
+        elapsed = bus.sim.now - self.start
+        stats.busy_cycles += latency
+        stats.transactions += 1
         waits = stats.wait_cycles
+        waits[master] = waits.get(master, 0) + elapsed - latency
         counts = stats.transactions_by_master
-        per_target = stats.per_target
-        waiting = bus._waiting
-        tenure = self
-        now = sim.now
-        while True:
-            granted = None
-            if waiting:
-                waiter = heapq.heappop(waiting)[2]
-                bus._holder = waiter
-                if isinstance(waiter, Event):
-                    waiter.succeed()
-                else:
-                    granted = waiter
-            else:
-                bus._holder = None
-            latency = tenure.latency
-            master = tenure.master
-            elapsed = now - tenure.start
-            stats.busy_cycles += latency
-            stats.transactions += 1
-            waits[master] = waits.get(master, 0) + elapsed - latency
-            counts[master] = counts.get(master, 0) + 1
-            name = tenure.target.name
-            per_target[name] = per_target.get(name, 0) + latency
-            tenure.spent += elapsed
-            if tenure.left:
-                tenure.start = now
-                if bus._holder is None:
-                    bus._holder = granted = tenure
-                else:
-                    bus._seq += 1
-                    heapq.heappush(waiting, (master, bus._seq, tenure))
-            if granted is None:
-                return
-            if now >= horizon:
-                sim._push(now, granted._arm_cb)
-                return
-            if granted is tenure:
-                # Alone on the bus: every transaction whose hold ends
-                # before the horizon and is not the batch's last.
-                steps = tenure.left - 1
-                if now + steps * latency >= horizon:
-                    steps = (horizon - now - 1) // latency
-                if steps > 0:
-                    cycles = steps * latency
-                    stats.busy_cycles += cycles
-                    stats.transactions += steps
-                    counts[master] += steps
-                    per_target[name] += cycles
-                    tenure.spent += cycles
-                    tenure.left -= steps
-                    sim._eid += 2 * steps
-                    now += cycles
-                    sim.now = tenure.start = now
-            else:
-                # Alternation: the tenure heads the heap and every other
-                # waiter has a greater master id than the granted one,
-                # so each of the two is granted whenever the other's
-                # hold ends; a round is one transaction of each.
-                rounds = min(tenure.left, granted.left) - 1
-                if (rounds > 0 and waiting[0][2] is tenure
-                        and (len(waiting) < 2
-                             or waiting[1][0] > granted.master)
-                        and (len(waiting) < 3
-                             or waiting[2][0] > granted.master)):
-                    other = granted.latency
-                    period = latency + other
-                    if now + rounds * period >= horizon:
-                        rounds = (horizon - now - 1) // period
-                    if rounds > 0:
-                        # The granted tenure's first wait runs from its
-                        # request, every later one over a hold of ours.
-                        wait = now - granted.start + (rounds - 1) * latency
-                        stats.busy_cycles += rounds * period
-                        stats.transactions += 2 * rounds
-                        other_master = granted.master
-                        waits[other_master] = waits.get(other_master, 0) + wait
-                        counts[other_master] = (counts.get(other_master, 0)
-                                                + rounds)
-                        other_name = granted.target.name
-                        per_target[other_name] = (per_target.get(other_name, 0)
-                                                  + rounds * other)
-                        waits[master] += rounds * other
-                        counts[master] += rounds
-                        per_target[name] += rounds * latency
-                        granted.spent += wait + rounds * other
-                        tenure.spent += rounds * period
-                        granted.left -= rounds
-                        tenure.left -= rounds
-                        sim._eid += 4 * rounds
-                        bus._seq += 2 * rounds
-                        waiting[0] = (master, bus._seq, tenure)
-                        now += rounds * period
-                        sim.now = tenure.start = now
-                        granted.start = now - latency
-            sim._eid += 1  # the grant entry, run here
-            end = now + granted.latency
-            if granted.left == 1 or end >= horizon:
-                granted._arm()
-                return
-            granted.left -= 1
-            sim._eid += 1  # the hold entry, run here
-            sim.now = now = end
-            tenure = granted
+        counts[master] = counts.get(master, 0) + 1
+        name = self.target.name
+        stats.per_target[name] = stats.per_target.get(name, 0) + latency
+        self.spent += elapsed
 
 
 class OPBBus:
@@ -278,13 +197,16 @@ class OPBBus:
     succeeding it.  Either way a grant is one queue entry at the grant
     instant -- pushed inside the request when the bus is free, inside
     the holder's hand-over otherwise -- and every transaction is two
-    queue entries (grant, hold).  During bus run-ahead
-    (:meth:`_Tenure._complete`) those entries are stood in for: played
-    out in place, in order, each still taking its insertion id.  A
-    stretch in which one tenure re-takes a free bus, or two tenures
-    ahead of every other waiter alternate, is settled in one step that
-    adds the same integers to ``stats`` and the same counts to the
-    insertion ids and ``_seq`` as its transactions would (bus epochs).
+    queue entries (grant, hold); an execution chunk adds its lead-in
+    end.  The bus loop :meth:`_run_ahead`, run from those entries,
+    stands in for the entries that follow: it plays them out in place,
+    in ``(time, insertion id)`` order, across every core it carries from
+    chunk to chunk, each entry still taking its insertion id, and queues
+    what is pending when it stops.  A stretch in which one tenure
+    re-takes a free bus, or two tenures ahead of every other waiter
+    alternate, is settled in one step that adds the same integers to
+    ``stats`` and the same counts to the insertion ids and ``_seq`` as
+    its transactions would (bus epochs).
 
     Parameters
     ----------
@@ -301,6 +223,281 @@ class OPBBus:
         self._waiting: List[Tuple[int, int, Union[Event, _Tenure]]] = []
         self._seq = 0
         self.stats = BusStats()
+        # Tenures of finished transfers, re-armed by later ones: nothing
+        # refers to a tenure once its ``done`` has run and it is closed.
+        self._spare: List[_Tenure] = []
+
+    def _run_ahead(self, kind: int, tenure: _Tenure) -> None:
+        """The bus loop, run from one dispatched entry of ours: play
+        ``kind`` of ``tenure`` at ``now``, then every entry that comes
+        next in ``(time, insertion id)`` order while that entry is ours.
+
+        Entries stood in for are kept in ``pend`` as ``(time, eid, kind,
+        tenure)``: each took its insertion id when the per-transaction,
+        per-chunk model would have pushed it.  The next entry is the
+        earlier of ``pend``'s first and the engine's queued head
+        (:meth:`Simulator._head`); a queued entry wins a tie, because
+        everything in ``pend`` was pushed after it.  A queued grant, hold,
+        chunk-end or lead-in entry of this bus is taken out of the queue
+        and played too; any other queued entry, a ``_STOP`` entry (the
+        ``Event`` a process or stall waits on) or the run limit ends the
+        loop.  Nothing is pushed into the queue while the loop runs, so
+        no process, and no entry that is not ours, can run in between.
+        On stopping, ``pend`` goes into the queue in insertion-id order,
+        each entry under the id it took, behind every entry already
+        queued (all older): the queue is the per-chunk model's.
+
+        Playing an entry is what its callback did at ``now``:
+
+        - a hold end (``_HOLD``, or ``_LAST`` for a segment's chunk)
+          hands the bus to the head waiter (or frees it), credits the
+          transaction to ``BusStats``, and re-requests if transactions
+          are left;
+        - a segment's chunk end (``_LAST``, or a ``_LEAD`` of a chunk
+          without transactions) credits the chunk and starts the next
+          one (``tenure.owner._next``): its lead-in entry, or its
+          request;
+        - a lead-in end (``_LEAD``) requests the bus;
+        - a grant (``_ARM``) holds the bus for one latency.
+
+        That leaves at most one grant due at ``now``.  It runs at once
+        if nothing else is due at ``now`` (``now < bound``, the earliest
+        pending or queued instant), and so does its hold end, as the
+        next pass, if it ends before ``bound``.  Before the grant runs,
+        a steady stretch is settled in one step (bus epochs): a tenure
+        that re-took a free bus repeats wait-free transactions, and two
+        tenures that lead every other waiter alternate, each waiting
+        for the other's hold.  The step adds what its passes would have
+        added, stops before ``bound`` and before either batch's last
+        transaction, and leaves the state the last pass would have left.
+
+        The pass is written out in full, with no calls, because calls per
+        transaction were what the arbitration cost; and a loop that stops
+        with only the entry it just took an id for pending queues it at
+        once, as most loops end that way.
+        """
+        sim = self.sim
+        stats = self.stats
+        waits = stats.wait_cycles
+        counts = stats.transactions_by_master
+        per_target = stats.per_target
+        waiting = self._waiting
+        heappush = heapq.heappush
+        pend: List[tuple] = []
+        rt, ritem = sim._head()
+        bound = rt
+        now = sim.now
+        while True:
+            granted = None
+            if tenure.cancelled:
+                pass
+            elif kind == _ARM:
+                granted = tenure
+            else:
+                request = kind == _HOLD
+                if kind != _LEAD:
+                    if waiting:
+                        waiter = heapq.heappop(waiting)[2]
+                        self._holder = waiter
+                        sim._eid += 1
+                        if isinstance(waiter, Event):
+                            # A stall's grant: its process runs next.
+                            waiter._ok = True
+                            waiter._state = TRIGGERED
+                            heappush(pend, (now, sim._eid, _STOP, waiter))
+                            bound = now
+                        else:
+                            granted = waiter
+                            grant_eid = sim._eid
+                    else:
+                        self._holder = None
+                    latency = tenure.latency
+                    master = tenure.master
+                    elapsed = now - tenure.start
+                    stats.busy_cycles += latency
+                    stats.transactions += 1
+                    waits[master] = waits.get(master, 0) + elapsed - latency
+                    counts[master] = counts.get(master, 0) + 1
+                    name = tenure.target.name
+                    per_target[name] = per_target.get(name, 0) + latency
+                    tenure.spent += elapsed
+                elif tenure.left:
+                    request = True
+                if kind != _HOLD and not request:
+                    # The chunk ends: credit it, start the next one.
+                    local = tenure.owner._next(now)
+                    if local:
+                        sim._eid += 1
+                        at = now + local
+                        if tenure.left or tenure.last is not tenure.done:
+                            heappush(pend, (at, sim._eid, _LEAD, tenure))
+                        else:  # a final chunk without transactions
+                            heappush(pend, (at, sim._eid, _STOP, tenure.done))
+                        if at < bound:
+                            bound = at
+                    else:
+                        request = True
+                if request:
+                    tenure.start = now
+                    if self._holder is None:
+                        self._holder = granted = tenure
+                        sim._eid += 1
+                        grant_eid = sim._eid
+                    else:
+                        self._seq += 1
+                        heappush(waiting, (tenure.master, self._seq, tenure))
+                if granted is not None:
+                    if now >= bound:
+                        if not pend and (type(ritem) is not MethodType
+                                         or not isinstance(ritem.__self__,
+                                                           _Tenure)):
+                            # The loop stops with this grant its only
+                            # entry, the newest: queue it as such.
+                            sim._eid -= 1
+                            sim._push(now, granted._arm_cb)
+                            return
+                        heappush(pend, (now, grant_eid, _ARM, granted))
+                        bound = now
+                        granted = None
+                    elif kind == _LEAD:
+                        pass
+                    elif granted is tenure:
+                        # Alone on the bus: every transaction whose hold
+                        # ends before the bound and is not the batch's last.
+                        steps = tenure.left - 1
+                        if now + steps * latency >= bound:
+                            steps = (bound - now - 1) // latency
+                        if steps > 0:
+                            cycles = steps * latency
+                            stats.busy_cycles += cycles
+                            stats.transactions += steps
+                            counts[master] += steps
+                            per_target[name] += cycles
+                            tenure.spent += cycles
+                            tenure.left -= steps
+                            sim._eid += 2 * steps
+                            now += cycles
+                            sim.now = tenure.start = now
+                    else:
+                        # Alternation: the tenure heads the heap and every
+                        # other waiter has a greater master id than the
+                        # granted one, so each of the two is granted
+                        # whenever the other's hold ends; a round is one
+                        # transaction of each.
+                        rounds = min(tenure.left, granted.left) - 1
+                        if (rounds > 0 and waiting and waiting[0][2] is tenure
+                                and (len(waiting) < 2
+                                     or waiting[1][0] > granted.master)
+                                and (len(waiting) < 3
+                                     or waiting[2][0] > granted.master)):
+                            other = granted.latency
+                            period = latency + other
+                            if now + rounds * period >= bound:
+                                rounds = (bound - now - 1) // period
+                            if rounds > 0:
+                                # The granted tenure's first wait runs from
+                                # its request, every later one over a hold
+                                # of ours.
+                                wait = now - granted.start + (rounds - 1) * latency
+                                stats.busy_cycles += rounds * period
+                                stats.transactions += 2 * rounds
+                                other_master = granted.master
+                                waits[other_master] = (waits.get(other_master, 0)
+                                                       + wait)
+                                counts[other_master] = (
+                                    counts.get(other_master, 0) + rounds)
+                                other_name = granted.target.name
+                                per_target[other_name] = (
+                                    per_target.get(other_name, 0)
+                                    + rounds * other)
+                                waits[master] += rounds * other
+                                counts[master] += rounds
+                                per_target[name] += rounds * latency
+                                granted.spent += wait + rounds * other
+                                tenure.spent += rounds * period
+                                granted.left -= rounds
+                                tenure.left -= rounds
+                                sim._eid += 4 * rounds
+                                self._seq += 2 * rounds
+                                waiting[0] = (master, self._seq, tenure)
+                                now += rounds * period
+                                sim.now = tenure.start = now
+                                granted.start = now - latency
+            if granted is not None:
+                # The grant runs here: hold the bus for one transaction.
+                left = granted.left - 1
+                granted.left = left
+                end = now + granted.latency
+                if left:
+                    kind = _HOLD
+                elif granted.last is granted.done:
+                    kind = _STOP
+                else:
+                    kind = _LAST
+                if end < bound and kind != _STOP:
+                    sim._eid += 1
+                    sim.now = now = end
+                    tenure = granted
+                    continue
+                if not pend and (end < rt or type(ritem) is not MethodType
+                                 or not isinstance(ritem.__self__, _Tenure)):
+                    # The loop stops with this hold its only entry.
+                    sim._push(end, granted._complete_cb if kind == _HOLD
+                              else granted.last)
+                    return
+                sim._eid += 1
+                heappush(pend, (end, sim._eid, kind,
+                                granted.done if kind == _STOP else granted))
+                if end < bound:
+                    bound = end
+            # The next entry: a pending one, or a queued one of ours.
+            if pend:
+                entry = pend[0]
+                if entry[0] < rt:
+                    if entry[2] == _STOP:
+                        break
+                    heapq.heappop(pend)
+                    now, _eid, kind, tenure = entry
+                    sim.now = now
+                    bound = pend[0][0] if pend and pend[0][0] < rt else rt
+                    continue
+            if ritem is None or type(ritem) is not MethodType:
+                break
+            tenure = ritem.__self__
+            if not isinstance(tenure, _Tenure) or tenure.bus is not self:
+                break
+            if ritem is tenure._arm_cb:
+                kind = _ARM
+            elif ritem is tenure._complete_cb:
+                kind = _HOLD
+            elif ritem is tenure._last_cb:
+                kind = _LAST
+            else:
+                kind = _LEAD
+            sim.now = now = rt
+            sim._pop_head(rt)
+            rt, ritem = sim._head()
+            bound = pend[0][0] if pend and pend[0][0] < rt else rt
+        if pend:
+            # Back into the queue, each under the id it took (``_push``
+            # takes ``_eid + 1``), in id order.
+            if len(pend) > 1:
+                pend.sort(key=itemgetter(1))
+            taken = sim._eid
+            push = sim._push
+            for time, eid, kind, obj in pend:
+                sim._eid = eid - 1
+                if kind == _ARM:
+                    push(time, obj._arm_cb)
+                elif kind == _HOLD:
+                    push(time, obj._complete_cb)
+                elif kind == _LAST:
+                    push(time, obj._last_cb)
+                elif kind == _LEAD:
+                    push(time, obj._lead_cb)
+                else:
+                    push(time, obj)
+            sim._eid = taken
 
     def _request(self, priority: int) -> Event:
         """Grant event for one tenure, queued in (priority, arrival) order.
@@ -360,20 +557,33 @@ class OPBBus:
         An interrupt thrown into the caller mid-batch releases the bus
         (or leaves the queue); the abandoned cycles are charged to the
         interrupt latency, and only completed transactions reach the
-        stats.
+        stats.  A batch that completed leaves its tenure to be re-armed
+        by a later call.
         """
         if count <= 0:
             return 0
-        tenure = _Tenure(self, master, target, target.access_latency(words),
-                         count)
+        spare = self._spare
+        if spare:
+            tenure = spare.pop()
+            tenure.master = master
+            tenure.target = target
+            tenure.latency = target.access_latency(words)
+            tenure.left = count
+            tenure.spent = 0
+            tenure.done._state = PENDING
+        else:
+            tenure = _Tenure(self, master, target,
+                             target.access_latency(words), count)
         tenure._request()
         try:
             yield tenure.done
         except BaseException:
+            # Its stale entries may still be queued: never re-armed.
             tenure.cancelled = True
             self._release(tenure)
             raise
-        tenure._hold_end(self.sim.now)
+        tenure._close()
+        spare.append(tenure)
         return tenure.spent
 
     def stream(self, master: int, target: BusTarget, words: int, burst: int):

@@ -70,6 +70,9 @@ class PendingInterrupt:
     offered_to: Optional[int] = None
     attempts: int = 0
     delivered_at: Optional[int] = None
+    #: ``(instant, callback)`` of the armed ack-timeout entry, if any.
+    timeout_entry: Optional[Tuple[int, Callable[[], None]]] = field(
+        default=None, compare=False, repr=False)
 
 
 class MultiprocessorInterruptController:
@@ -296,6 +299,11 @@ class MultiprocessorInterruptController:
         if not self._offers[cpu]:
             raise RuntimeError(f"cpu {cpu}: spurious interrupt acknowledge")
         pending = self._offers[cpu].popleft()
+        if pending.timeout_entry is not None:
+            # Claimed: its ack timeout can no longer re-route it, so the
+            # entry leaves the queue instead of running as a no-op.
+            self.sim.withdraw(*pending.timeout_entry)
+            pending.timeout_entry = None
         pending.delivered_at = self.sim.now
         self._in_service[cpu] = pending
         self.delivered += 1
@@ -343,6 +351,7 @@ class MultiprocessorInterruptController:
 
     def _arm_timeout(self, pending: PendingInterrupt, cpu: int) -> None:
         def on_timeout() -> None:
+            pending.timeout_entry = None
             # Still sitting unclaimed in this cpu's offer queue?
             if pending.delivered_at is None and pending in self._offers[cpu]:
                 self._offers[cpu].remove(pending)
@@ -352,7 +361,9 @@ class MultiprocessorInterruptController:
                     self._m_timeouts.inc()
                 self._distribute(pending, first_cpu=(cpu + 1) % self.n_cpus)
 
-        self.sim.schedule(self.ack_timeout, on_timeout)
+        at = self.sim.now + self.ack_timeout
+        self.sim.schedule_at(at, on_timeout)
+        pending.timeout_entry = (at, on_timeout)
 
     def _retry_parked(self) -> None:
         parked, self._parked = self._parked, deque()

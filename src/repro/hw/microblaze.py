@@ -20,7 +20,7 @@ fixed-priority-timeout scheme relies on.
 Execution comes in two flavours:
 
 - :meth:`execute` -- profile-driven nominal-cycle segments used by the
-  microkernel (interruptible, chunked);
+  microkernel (interruptible, chunked; the bus loop drives the chunks);
 - :meth:`run_program` -- instruction-accurate execution of
   :mod:`repro.hw.isa` programs, used by the substrate tests and the
   calibration microbenchmarks.
@@ -31,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.hw.bus import OPBBus
+from repro.hw.bus import OPBBus, _Tenure
 from repro.hw.cache import DirectMappedICache
 from repro.hw.memory import DDRMemory, LocalBRAM
 from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,9 @@ class MicroBlaze:
         self.nominal_cycles = 0
         self.stall_cycles = 0
         self._access_residue = 0.0
+        # The last finished execution segment, re-armed by the next
+        # execute() call.
+        self._spare_segment: Optional[_Segment] = None
         self.register_upsets = 0
         # Fault observers: notified after each register upset so a
         # temporally decoupled ISA interpreter can invalidate the
@@ -203,6 +206,29 @@ class MicroBlaze:
                 event.succeed()
 
     # ---------------------------------------------------------------- execution
+    def _chunk_size(self, remaining: int) -> int:
+        """Nominal cycles of the next execution chunk, at ``now``.
+
+        The fixed stride ``chunk_cycles``, or, while a preemption hint
+        is set and the interrupt line is quiet, up to the hinted
+        boundary, capped at ``ADAPTIVE_CAP_MULT`` strides (adaptive
+        chunking: no scheduler event can land before the boundary, and
+        an asserted line or an asynchronous IRQ still preempts the chunk
+        mid-flight).  Never more than ``remaining``.
+        """
+        chunk = self.chunk_cycles if self.chunk_cycles < remaining else remaining
+        hint = self.preemption_hint
+        if hint is not None and not self.line_asserted:
+            boundary = hint()
+            if boundary is not None:
+                headroom = boundary - self.sim.now
+                cap = self.chunk_cycles * ADAPTIVE_CAP_MULT
+                if headroom > cap:
+                    headroom = cap
+                if headroom > chunk:
+                    chunk = headroom if headroom < remaining else remaining
+        return chunk
+
     def execute(
         self,
         nominal_cycles: int,
@@ -211,72 +237,37 @@ class MicroBlaze:
     ):
         """Generator: execute ``nominal_cycles`` of task work.
 
-        Splits work into chunks; each chunk spends its local-compute
-        portion as a plain timeout and issues its shared-memory
-        transactions through the arbitrated bus.  Progress lands in
-        ``result`` after every chunk.  An interrupt mid-chunk credits
-        the cycles the chunk has run so far as nominal progress (at
-        most the chunk's length; the rest counts as wait) before
-        re-raising, so the caller sees how much work was done.
+        The work runs in chunks (:meth:`_chunk_size`).  Each chunk
+        spends its local-compute portion as a lead-in, then issues its
+        shared-memory transactions as one batch through the arbitrated
+        bus.  The chunks are one :class:`_Segment` that the bus loop
+        drives from chunk to chunk, so the calling process yields once,
+        and resumes when the last chunk ends.  Progress lands in
+        ``result`` (and the core's counters) after every chunk.  An
+        interrupt mid-chunk credits the cycles the chunk has run so far
+        as nominal progress (at most the chunk's length; the rest counts
+        as wait) before re-raising, so the caller sees how much work was
+        done.
         """
         if nominal_cycles < 0:
             raise ValueError("nominal_cycles must be non-negative")
         if result is None:
             result = SegmentResult()
-        txn_latency = self.ddr.access_latency(profile.access_words)
-        remaining = nominal_cycles
-        while remaining > 0:
-            chunk = min(self.chunk_cycles, remaining)
-            hint = self.preemption_hint
-            if hint is not None and not self.line_asserted:
-                boundary = hint()
-                if boundary is not None:
-                    # Adaptive chunking: no scheduler event can land
-                    # before ``boundary``, so run up to it, capped at
-                    # ADAPTIVE_CAP_MULT strides to keep bus-contention
-                    # granularity (an asserted line or an async IRQ
-                    # still preempts the slice through the except path
-                    # below).
-                    headroom = boundary - self.sim.now
-                    cap = self.chunk_cycles * ADAPTIVE_CAP_MULT
-                    if headroom > cap:
-                        headroom = cap
-                    if headroom > chunk:
-                        chunk = headroom if headroom < remaining else remaining
-            exact = chunk / profile.access_period + self._access_residue
-            n_txn = int(exact)
-            self._access_residue = exact - n_txn
-            bus_nominal = n_txn * txn_latency
-            local = max(0, chunk - bus_nominal)
-            start = self.sim.now
+        if nominal_cycles:
+            segment = self._spare_segment
+            if segment is None:
+                segment = _Segment(self)
+            else:
+                self._spare_segment = None
+            segment._begin(profile, nominal_cycles, result)
             try:
-                if local:
-                    yield self.sim.timeout(local)
-                if n_txn:
-                    yield from self.bus.transfer(
-                        self.cpu_id, self.ddr, profile.access_words, n_txn
-                    )
+                yield segment.tenure.done
             except BaseException:
-                # Interrupted mid-chunk: credit the nominal progress the
-                # elapsed time represents (a real core loses only the
-                # in-flight instruction, not the whole quantum).
-                elapsed = self.sim.now - start
-                done = min(chunk, elapsed)
-                result.nominal_done += done
-                result.real_cycles += elapsed
-                result.wait_cycles += max(0, elapsed - done)
-                self.busy_cycles += elapsed
-                self.nominal_cycles += done
-                self.stall_cycles += max(0, elapsed - done)
+                # Its stale entries may still be queued: never re-armed.
+                segment._abandon()
                 raise
-            elapsed = self.sim.now - start
-            remaining -= chunk
-            result.nominal_done += chunk
-            result.real_cycles += elapsed
-            result.wait_cycles += max(0, elapsed - chunk)
-            self.busy_cycles += elapsed
-            self.nominal_cycles += chunk
-            self.stall_cycles += max(0, elapsed - chunk)
+            segment._finish()
+            self._spare_segment = segment
         result.completed = True
         return result
 
@@ -300,3 +291,100 @@ class MicroBlaze:
 
     def __repr__(self) -> str:
         return f"<MicroBlaze cpu{self.cpu_id}>"
+
+
+class _Segment:
+    """One :meth:`MicroBlaze.execute` call: its chunks, carried by one
+    re-armed bus tenure.
+
+    A chunk is a lead-in (its local compute) followed by a batch of
+    ``txns`` transactions.  The tenure's entries are those the per-chunk
+    model queued: the lead-in end (``_lead_cb``, or ``done`` for a
+    final chunk without transactions), the grants and holds, and the
+    last hold (``_last_cb``, or ``done`` for the final chunk).  Played by
+    the bus loop (:meth:`OPBBus._run_ahead`), a chunk end credits the
+    chunk and starts the next (:meth:`_next`) in place, where the
+    per-chunk model resumed the calling process.  Only ``done`` resumes
+    it.
+    """
+
+    __slots__ = ("core", "result", "period", "remaining", "chunk", "txns",
+                 "chunk_start", "tenure")
+
+    def __init__(self, core: MicroBlaze):
+        self.core = core
+        self.tenure = _Tenure(core.bus, core.cpu_id, core.ddr, 0, 0, self)
+
+    def _credit(self, now: int) -> None:
+        """Credit the current chunk as run up to ``now``."""
+        chunk = self.chunk
+        elapsed = now - self.chunk_start
+        done = chunk if chunk < elapsed else elapsed
+        result = self.result
+        result.nominal_done += done
+        result.real_cycles += elapsed
+        result.wait_cycles += elapsed - done
+        core = self.core
+        core.busy_cycles += elapsed
+        core.nominal_cycles += done
+        core.stall_cycles += elapsed - done
+
+    def _next(self, now: int) -> int:
+        """Credit the chunk that ended at ``now`` (if any) and size the
+        next one; returns its lead-in cycles."""
+        if self.chunk:
+            self._credit(now)
+            self.remaining -= self.chunk
+        core = self.core
+        chunk = core._chunk_size(self.remaining)
+        exact = chunk / self.period + core._access_residue
+        txns = int(exact)
+        core._access_residue = exact - txns
+        self.chunk = chunk
+        self.txns = txns
+        self.chunk_start = now
+        tenure = self.tenure
+        tenure.left = txns
+        tenure.last = tenure.done if chunk == self.remaining else tenure._last_cb
+        local = chunk - txns * tenure.latency
+        return local if local > 0 else 0
+
+    def _begin(self, profile: ExecutionProfile, nominal_cycles: int,
+               result: SegmentResult) -> None:
+        """Arm for one execute() call and start its first chunk, from
+        the calling process."""
+        self.result = result
+        self.period = profile.access_period
+        self.remaining = nominal_cycles
+        self.chunk = 0
+        tenure = self.tenure
+        tenure.latency = self.core.ddr.access_latency(profile.access_words)
+        tenure.spent = 0
+        tenure.done._state = PENDING
+        sim = tenure.bus.sim
+        local = self._next(sim.now)
+        if not local:
+            tenure._request()
+        elif self.txns or tenure.last is not tenure.done:
+            sim._push(sim.now + local, tenure._lead_cb)
+        else:
+            sim._push(sim.now + local, tenure.done)
+
+    def _finish(self) -> None:
+        """``done`` has fired: end the final chunk, from the process."""
+        tenure = self.tenure
+        if self.txns:
+            tenure._close()
+        self._credit(tenure.bus.sim.now)
+
+    def _abandon(self) -> None:
+        """Interrupted: leave the bus (or its queue), credit the progress
+        the chunk's elapsed time represents (a real core loses only the
+        in-flight instruction, not the whole chunk)."""
+        tenure = self.tenure
+        tenure.cancelled = True
+        bus = tenure.bus
+        if bus._holder is tenure or any(entry[2] is tenure
+                                        for entry in bus._waiting):
+            bus._release(tenure)
+        self._credit(bus.sim.now)

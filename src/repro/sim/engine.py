@@ -30,7 +30,6 @@ Two interchangeable queue implementations back the loop:
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.sim.events import (
@@ -95,8 +94,13 @@ class Simulator:
         if kind == "heap":
             self._heap: List[tuple] = []
             self._push = self._push_heap
+            self._head = self._head_heap
         else:
-            self._buckets = [deque() for _ in range(BUCKET_HORIZON)]
+            # Plain lists, drained with ``pop(0)``: a bucket rarely
+            # holds more than a few entries, and an empty list costs 56
+            # bytes where a deque pre-allocates a 64-slot block, so the
+            # window takes about 60 KB instead of 0.8 MB per simulator.
+            self._buckets: List[list] = [[] for _ in range(BUCKET_HORIZON)]
             # One occupancy bit per bucket, 64 buckets per word, so the
             # scan for the next non-empty bucket skips empty stretches
             # in word-sized strides.
@@ -107,6 +111,7 @@ class Simulator:
             self._next_bt: Optional[int] = None
             self._far: List[tuple] = []
             self._push = self._push_bucket
+            self._head = self._head_bucket
 
     # -- event factories ----------------------------------------------------
     def event(self, name: Optional[str] = None) -> Event:
@@ -235,7 +240,7 @@ class Simulator:
             self._occ[idx >> 6] &= ~(1 << (idx & 63))
             self._next_bt = self._scan_bucket_time() if self._bucket_count else None
             return self._pop_next()
-        item = bucket.popleft()
+        item = bucket.pop(0)
         self._bucket_count -= 1
         if not bucket:
             self._occ[idx >> 6] &= ~(1 << (idx & 63))
@@ -255,41 +260,119 @@ class Simulator:
         advancing ``now`` as it goes: no other entry can be dispatched
         in between (the bus run-ahead of :mod:`repro.hw.bus`).
         """
-        limit = self._limit
-        if self.queue_kind == "heap":
-            heap = self._heap
-            if heap and heap[0][0] < limit:
-                return heap[0][0]
-            return limit
+        return self._head()[0]
+
+    def _head_heap(self) -> tuple:
+        """``(time, item)`` of the entry the engine dispatches next, or
+        ``(limit, None)`` when nothing is queued before the run limit
+        (``until + 1`` inside ``run(until)``, else infinity).
+
+        Valid from inside a callback, also mid-drain and after the
+        callback moved ``now`` past the instant being drained (run-ahead
+        never passes a queued entry, so every entry is at or after
+        ``now``).  Bound per instance to the selected queue, as ``_head``.
+        """
+        heap = self._heap
+        if heap and heap[0][0] < self._limit:
+            entry = heap[0]
+            return entry[0], entry[2]
+        return self._limit, None
+
+    def _head_bucket(self) -> tuple:
         far = self._far
-        if far and far[0][0] < limit:
-            limit = far[0][0]
         if self._bucket_count:
             now = self.now
-            if self._buckets[now & _MASK]:
-                return now
             nbt = self._next_bt
-            if nbt == now:
-                # Mid-drain, the cached minimum still names the drained
-                # instant, and its bit is still set: look past it.  The
-                # scan is inlined, as it runs once per bus run-ahead.
-                occ = self._occ
-                base = (now + 1) & _MASK
-                w = base >> 6
-                word = occ[w] >> (base & 63)
-                if word:
-                    nbt = now + (word & -word).bit_length()
+            if nbt <= now:
+                # Mid-drain the cached minimum still names the drained
+                # instant.  Every bucketed entry lies in [now, now +
+                # window), so a non-empty slot at ``now`` holds entries
+                # due now; an empty one loses its stale occupancy bit,
+                # and the cache is refreshed past it.
+                idx = now & _MASK
+                if self._buckets[idx]:
+                    nbt = now
                 else:
-                    for off in range(1, _WORDS + 1):
-                        wi = (w + off) & _WMASK
-                        word = occ[wi]
-                        if word:
-                            pos = (wi << 6) + (word & -word).bit_length() - 1
-                            nbt = now + 1 + ((pos - base) & _MASK)
-                            break
-            if nbt < limit:
-                return nbt
-        return limit
+                    occ = self._occ
+                    occ[idx >> 6] &= ~(1 << (idx & 63))
+                    word = occ[idx >> 6] >> (idx & 63)
+                    nbt = self._next_bt = (
+                        now + (word & -word).bit_length() - 1 if word
+                        else self._scan_bucket_time())
+            if far and far[0][0] <= nbt:
+                entry = far[0]
+                time, item = entry[0], entry[2]
+            else:
+                time, item = nbt, self._buckets[nbt & _MASK][0]
+        elif far:
+            entry = far[0]
+            time, item = entry[0], entry[2]
+        else:
+            return self._limit, None
+        if time < self._limit:
+            return time, item
+        return self._limit, None
+
+    # ``_head`` is bound per instance in ``__init__``, like ``_push``.
+    _head = _head_heap
+
+    def _pop_head(self, time: int) -> None:
+        """Remove the entry :meth:`_head` reported at ``time``; ``now``
+        must already be ``time``.  The caller runs it in place."""
+        if self.queue_kind == "heap":
+            heapq.heappop(self._heap)
+            return
+        far = self._far
+        if far and far[0][0] == time:
+            heapq.heappop(far)
+            return
+        idx = time & _MASK
+        bucket = self._buckets[idx]
+        bucket.pop(0)
+        self._bucket_count -= 1
+        if not bucket:
+            self._occ[idx >> 6] &= ~(1 << (idx & 63))
+            self._next_bt = self._scan_bucket_time() if self._bucket_count else None
+
+    def withdraw(self, time: int, callback: Callable[[], None]) -> None:
+        """Remove the queued bare ``callback`` due at ``time`` without
+        running it.
+
+        The other entries keep their order and ``_eid`` is unchanged, so
+        the schedule is as if the entry had run and done nothing -- except
+        that nothing is dispatched, and run-ahead is not cut at ``time``.
+        Raises ``ValueError`` when no such entry is queued.
+        """
+        if self.queue_kind == "heap":
+            heap = self._heap
+            for index, entry in enumerate(heap):
+                if entry[2] is callback and entry[0] == time:
+                    heap[index] = heap[-1]
+                    heap.pop()
+                    heapq.heapify(heap)
+                    return
+        else:
+            if time - self.now < BUCKET_HORIZON:
+                idx = time & _MASK
+                bucket = self._buckets[idx]
+                for index, item in enumerate(bucket):
+                    if item is callback:
+                        del bucket[index]
+                        self._bucket_count -= 1
+                        if not bucket:
+                            self._occ[idx >> 6] &= ~(1 << (idx & 63))
+                            if self._next_bt == time:
+                                self._next_bt = (self._scan_bucket_time()
+                                                 if self._bucket_count else None)
+                        return
+            far = self._far
+            for index, entry in enumerate(far):
+                if entry[2] is callback and entry[0] == time:
+                    far[index] = far[-1]
+                    far.pop()
+                    heapq.heapify(far)
+                    return
+        raise ValueError(f"no queued callback {callback!r} at {time}")
 
     def step(self) -> None:
         """Process the single next queue entry, advancing ``now``."""
@@ -392,7 +475,7 @@ class Simulator:
                 idx = t & _MASK
                 bucket = buckets[idx]
                 while bucket:
-                    item = bucket.popleft()
+                    item = bucket.pop(0)
                     self._bucket_count -= 1
                     if isinstance(item, event_cls):
                         item._state = PROCESSED

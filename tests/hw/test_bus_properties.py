@@ -3,12 +3,14 @@
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.hw.bus import BusStats, OPBBus, _Tenure
 from repro.hw.memory import DDRMemory
+from repro.hw.microblaze import ExecutionProfile, MicroBlaze, SegmentResult
 from repro.sim import Interrupt, Simulator
 from tests.hw.reference_bus import ReferenceBus
+from tests.hw.reference_core import ReferenceCore
 
 
 @settings(max_examples=40, deadline=None)
@@ -373,3 +375,142 @@ def test_two_way_step_waits_for_a_same_master_waiter():
     plan = [(0, 0, 50, None), (3, 1, 5, None), (1, 2, 50, None),
             (1, 3, 5, None)]
     arbitration_writes(plan, EPOCH_WORDS)
+
+
+#: One core's plan: (stride, access period, words, segments, interrupt
+#: instants).  Each segment is ``execute(k * stride + offset)`` after an
+#: idle gap, so its last chunk is often a cycle or two longer or shorter
+#: than a stride, or the segment is empty; a wide offset gives any
+#: length.  An interrupt asserts the core's line, throws into the
+#: segment it lands in, and the core carries on with the next one after
+#: a short handler that clears the line.  Short and long strides, and
+#: sparse and dense traffic.
+CORE = st.tuples(
+    st.one_of(st.integers(50, 400), st.integers(400, 3000)),
+    st.one_of(st.integers(5, 40), st.integers(40, 300)),
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(0, 300), st.integers(0, 10),
+                       st.one_of(st.integers(-2, 2), st.integers(0, 3000))),
+             min_size=1, max_size=3),
+    st.lists(st.one_of(st.integers(0, 2000), st.integers(0, 20000)),
+             max_size=2),
+)
+#: Preemption-hint period (a tick every so many cycles, as the system
+#: timer's), or None for the fixed stride.
+HINT = st.one_of(st.none(), st.integers(300, 6000))
+
+
+def run_cores(core_cls, bus_cls, cores, hint_period, stalls=(), foreign=(),
+              slices=(), queue=None):
+    """Run ``cores`` on ``core_cls`` cores over a ``bus_cls`` bus; returns
+    (sim, bus, the cores, finishes, seen).
+
+    ``finishes`` lists each segment's end: (core, segment, instant, its
+    ``SegmentResult``).  ``seen`` records the state -- every core's
+    utilization stats, access residue and current ``SegmentResult``, and
+    the ``BusStats`` -- at each ``foreign`` instant (an entry pushed
+    ``lead`` cycles before it, as in :func:`run_plan`) and after each
+    ``run(until)`` slice, with the clock and insertion-id count."""
+    sim = Simulator(queue=queue)
+    bus = bus_cls(sim)
+    ddr = DDRMemory()
+    finishes, seen, current = [], [], {}
+    ticker = {"next": None}
+    machines = [core_cls(sim, cpu, bus, ddr, chunk_cycles=stride)
+                for cpu, (stride, *_rest) in enumerate(cores)]
+
+    def state():
+        return ([(m.utilization_stats, m._access_residue) for m in machines],
+                sorted((cpu, dict(vars(result)))
+                       for cpu, result in current.items()),
+                asdict(bus.stats))
+
+    if hint_period is not None:
+        def tick():
+            ticker["next"] = sim.now + hint_period
+            if sim.now < 40_000:
+                sim.schedule(hint_period, tick)
+            else:
+                ticker["next"] = None
+
+        ticker["next"] = 0
+        sim.schedule_at(0, tick)
+        for machine in machines:
+            machine.preemption_hint = lambda: ticker["next"]
+
+    def run(cpu, period, words, segments):
+        machine = machines[cpu]
+        profile = ExecutionProfile(period, words)
+        for index, (gap, strides, offset) in enumerate(segments):
+            cycles = max(0, strides * machine.chunk_cycles + offset)
+            if gap:
+                yield from machine.idle(gap)
+            result = current[cpu] = SegmentResult()
+            try:
+                yield from machine.execute(cycles, profile, result)
+                finishes.append((cpu, index, sim.now, dict(vars(result))))
+            except Interrupt:
+                finishes.append((cpu, index, sim.now, "irq",
+                                 dict(vars(result))))
+                yield sim.timeout(7)
+                machine.on_interrupt_line(False)
+
+    def stall(start, cycles):
+        yield sim.timeout(start)
+        yield from bus.stall(cycles)
+
+    def irq(cpu, proc):
+        machines[cpu].on_interrupt_line(True)
+        if proc.is_alive:
+            proc.interrupt("irq")
+
+    for instant, lead in foreign:
+        sim.schedule_at(max(0, instant - lead), lambda instant=instant:
+                        sim.schedule_at(instant, lambda: seen.append(
+                            (sim.now, state()))))
+    for start, cycles in stalls:
+        sim.process(stall(start, cycles))
+    for cpu, (_stride, period, words, segments, irqs) in enumerate(cores):
+        proc = sim.process(run(cpu, period, words, segments))
+        for instant in irqs:
+            sim.schedule_at(instant, lambda cpu=cpu, proc=proc: irq(cpu, proc))
+    until = 0
+    for length in slices:
+        until += length
+        sim.run(until=until)
+        seen.append((sim.now, sim._eid, state()))
+    sim.run()
+    return sim, bus, machines, finishes, seen
+
+
+# No explain phase: on a failure it re-runs the shrunk example under
+# tracing, which on these runs takes minutes and gigabytes.
+@settings(max_examples=80, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(cores=st.lists(CORE, min_size=1, max_size=4), hint=HINT,
+       stalls=STALLS, foreign=FOREIGN, slices=SLICES, queue=QUEUE)
+def test_lead_in_run_ahead_matches_per_chunk_oracle(cores, hint, stalls,
+                                                    foreign, slices, queue):
+    """Random cores -- strides, traffic profiles, segments, interrupt
+    instants, adaptive hints -- with injected stalls, foreign entries
+    and ``run(until)`` slices, on either queue: the cores running their
+    chunks through the bus loop finish every segment at the same
+    instant, in the same order and with the same ``SegmentResult`` as
+    the per-chunk oracle on the reference arbiter.  Every foreign entry
+    and every slice end sees the same utilization stats, access
+    residues, segment results and ``BusStats``, and the run pushes the
+    same number of queue entries."""
+    foreign = [(pick % 30_000, lead) for _on_bus, pick, lead in foreign]
+    sim, bus, machines, finishes, seen = run_cores(
+        MicroBlaze, OPBBus, cores, hint, stalls, foreign, slices, queue)
+    ref_sim, ref_bus, ref_machines, ref_finishes, ref_seen = run_cores(
+        ReferenceCore, ReferenceBus, cores, hint, stalls, foreign, slices,
+        queue)
+    assert finishes == ref_finishes
+    assert seen == ref_seen
+    assert sim._eid == ref_sim._eid and sim.now == ref_sim.now
+    assert asdict(bus.stats) == asdict(ref_bus.stats)
+    for got, want in zip(machines, ref_machines):
+        assert got.utilization_stats == want.utilization_stats
+        assert got._access_residue == want._access_residue
+    assert not bus.busy and bus.queue_length == 0

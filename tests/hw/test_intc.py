@@ -244,3 +244,31 @@ def test_raise_from_foreign_source_rejected():
     stranger = other.add_source("b")  # id 1: never registered with intc
     with pytest.raises(ValueError):
         intc.raise_interrupt(stranger)
+
+
+def test_acknowledge_withdraws_the_ack_timeout_entry():
+    """A claimed offer's ack timeout can no longer fire: acknowledge
+    takes its entry out of the queue (same insertion-id count)."""
+    sim, intc, lines = setup(timeout=50)
+    src = intc.add_source("dev")
+    intc.raise_interrupt(src)
+    assert sim.pending_count == 1 and sim.horizon() == 50
+    eid = sim._eid
+    intc.acknowledge(0)
+    assert sim.pending_count == 0 and sim._eid == eid
+    sim.run(until=100)
+    assert intc.timeouts == 0
+
+
+def test_rerouted_offer_withdraws_only_its_live_timeout():
+    """After one timeout re-routes the offer to cpu1, acknowledging it
+    there withdraws the second timeout; the first already ran."""
+    sim, intc, lines = setup(timeout=50)
+    src = intc.add_source("dev")
+    intc.raise_interrupt(src)
+    sim.run(until=60)
+    assert intc.timeouts == 1 and sim.pending_count == 1
+    intc.acknowledge(1)
+    assert sim.pending_count == 0
+    sim.run(until=200)
+    assert intc.timeouts == 1

@@ -9,6 +9,7 @@ from repro.hw.memory import DDRMemory
 from repro.hw.microblaze import ExecutionProfile, MicroBlaze, SegmentResult
 from repro.sim import Interrupt, Simulator
 from tests.hw.reference_bus import ReferenceBus
+from tests.hw.reference_core import ReferenceCore
 
 
 def make_core(sim=None, cpu=0, chunk=1000):
@@ -168,12 +169,12 @@ def test_utilization_stats():
     assert stats["nominal"] == 1000
 
 
-def run_interrupted_pair(bus_cls, irq_at):
+def run_interrupted_pair(core_cls, bus_cls, irq_at):
     """Two cores contend; cpu1 is interrupted at ``irq_at`` mid-batch."""
     sim = Simulator()
     bus = bus_cls(sim)
     ddr = DDRMemory()
-    cores = [MicroBlaze(sim, cpu, bus, ddr, chunk_cycles=2000) for cpu in (0, 1)]
+    cores = [core_cls(sim, cpu, bus, ddr, chunk_cycles=2000) for cpu in (0, 1)]
     results = [SegmentResult(), SegmentResult()]
     ends = {}
 
@@ -192,9 +193,9 @@ def run_interrupted_pair(bus_cls, irq_at):
 
 @pytest.mark.parametrize("irq_at", [1101, 1350, 1500, 1777, 2899, 4321, 5000])
 def test_interrupt_mid_batch_matches_unbatched_loop(irq_at):
-    bus, cores, results, ends = run_interrupted_pair(OPBBus, irq_at)
+    bus, cores, results, ends = run_interrupted_pair(MicroBlaze, OPBBus, irq_at)
     ref_bus, ref_cores, ref_results, ref_ends = run_interrupted_pair(
-        ReferenceBus, irq_at)
+        ReferenceCore, ReferenceBus, irq_at)
     # Each chunk spends 1100 local cycles, then issues its 50
     # transactions as one batch; cpu1's batches span [1100, 2900) and
     # [4000, 5782), so every instant above lands inside one (holding

@@ -7,9 +7,12 @@ trace, kernel and injector stats, final time -- with or without an
 injected fault plan.  Runs that crash on a known kernel defect count
 too: both queues must then raise the same error.
 
-The same holds for the bus: the run-ahead ``OPBBus`` and the unbatched
-per-transaction oracle ``tests.hw.reference_bus.ReferenceBus`` must
-give identical full-system runs, Figure-4 prototype cells included.
+The same holds for the cores and the bus: the segment model
+(``MicroBlaze`` on the run-ahead ``OPBBus``) and the per-chunk,
+per-transaction oracle (``tests.hw.reference_core.ReferenceCore`` on
+``tests.hw.reference_bus.ReferenceBus``) must give identical
+full-system runs, Figure-4 prototype cells included, under the
+adaptive and the fixed stride and on both queues.
 """
 
 from dataclasses import asdict
@@ -22,6 +25,7 @@ import repro.hw.soc
 from repro.faults.plan import FAULT_KINDS, random_plan
 from repro.faults.scenarios import baseline_run, demo_taskset, run_scenario
 from repro.hw.bus import OPBBus
+from repro.hw.microblaze import MicroBlaze
 from repro.sim.engine import Simulator
 from repro.simulators.ladder import make_simulator
 from repro.simulators.prototype import DEFAULT_SCALE
@@ -32,6 +36,7 @@ from repro.workloads.automotive import (
     prepare_taskset,
 )
 from tests.hw.reference_bus import ReferenceBus
+from tests.hw.reference_core import ReferenceCore
 
 DEMO_WCETS = {task.name: task.wcet for task in demo_taskset().periodic}
 
@@ -81,27 +86,68 @@ def test_fault_plan_runs_identical_on_heap_and_bucket(seed, n_faults, kinds,
     assert bucket == replay
 
 
-def on_bus(bus_cls, run, *args, **kwargs):
-    """``run(*args, **kwargs)`` with every new SoC on a ``bus_cls`` bus.
+#: The segment model under test and the per-chunk, per-transaction
+#: oracle, as (core class, bus class).
+MODELS = {"segment": (MicroBlaze, OPBBus),
+          "per-chunk": (ReferenceCore, ReferenceBus)}
 
-    Returns (result, the ``BusStats`` of every bus built, as dicts);
-    the result is ``(exception type name, message)`` when the run
-    raised, as in :func:`on_queue`.
+
+def on_model(model, stride, queue, run, *args, **kwargs):
+    """``run(*args, **kwargs)`` with every new SoC built from ``model``'s
+    core and bus, at ``stride`` ("adaptive": the default, or "fixed":
+    as with ``adaptive_chunking=False``, the core ignores the hint the
+    SoC wires), with every new Simulator on queue ``kind``.
+
+    Returns (result, then per SoC: ``asdict(BusStats)``, each core's
+    ``utilization_stats``, the final clock and insertion-id count); the
+    result is ``(exception type name, message)`` when the run raised, as
+    in :func:`on_queue`.
     """
-    stats = []
+    core_cls, bus_cls = MODELS[model]
+    buses, cores = [], []
 
-    class Recorded(bus_cls):
+    class Bus(bus_cls):
         def __init__(self, *a, **k):
             super().__init__(*a, **k)
-            stats.append(self.stats)
+            buses.append(self)
+
+    class Core(core_cls):
+        if stride == "fixed":
+            preemption_hint = property(lambda self: None,
+                                       lambda self, hint: None)
+
+        def __init__(self, *a, **k):
+            super().__init__(*a, **k)
+            cores.append(self)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(repro.hw.soc, "OPBBus", Recorded)
+        patch.setattr(repro.hw.soc, "OPBBus", Bus)
+        patch.setattr(repro.hw.soc, "MicroBlaze", Core)
+        patch.setattr(Simulator, "DEFAULT_QUEUE", queue)
         try:
             result = run(*args, **kwargs)
         except Exception as exc:
             result = type(exc).__name__, str(exc)
-    return result, [asdict(bus_stats) for bus_stats in stats]
+    return result, [
+        (asdict(bus.stats),
+         [core.utilization_stats for core in cores if core.bus is bus],
+         bus.sim.now, bus.sim._eid)
+        for bus in buses
+    ]
+
+
+def same_on_oracle(run, *args, **kwargs):
+    """Run under both strides and on both queues, on the segment model
+    and on the oracle; require identical outcomes, and return the
+    segment model's outcomes."""
+    outcomes = []
+    for stride in ("adaptive", "fixed"):
+        for queue in ("bucket", "heap"):
+            got = on_model("segment", stride, queue, run, *args, **kwargs)
+            want = on_model("per-chunk", stride, queue, run, *args, **kwargs)
+            assert got == want, (stride, queue)
+            outcomes.append(got)
+    return outcomes
 
 
 def figure4_cell(n_cpus, utilization):
@@ -126,18 +172,20 @@ def figure4_cell(n_cpus, utilization):
 
 @pytest.mark.parametrize("n_cpus, utilization", [(2, 0.4), (3, 0.5), (4, 0.6)],
                          ids=["2P-40", "3P-50", "4P-60"])
-def test_figure4_cell_identical_on_reference_bus(n_cpus, utilization):
-    run_ahead = on_bus(OPBBus, figure4_cell, n_cpus, utilization)
-    reference = on_bus(ReferenceBus, figure4_cell, n_cpus, utilization)
-    assert run_ahead[0]["jobs"]
-    assert len(run_ahead[1]) == 1 and run_ahead[1][0]["transactions"]
-    assert run_ahead == reference
+def test_figure4_cell_identical_on_per_chunk_oracle(n_cpus, utilization):
+    outcomes = same_on_oracle(figure4_cell, n_cpus, utilization)
+    for result, socs in outcomes:
+        assert isinstance(result, dict), result
+        assert result["jobs"]
+        assert len(socs) == 1 and socs[0][0]["transactions"]
+    # The strides are different schedules; the queues are not.
+    assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
+    assert outcomes[0][1] != outcomes[2][1]
 
 
-def test_baseline_run_identical_on_reference_bus():
-    run_ahead = on_bus(OPBBus, baseline_run)
-    assert isinstance(run_ahead[0], dict), run_ahead[0]
-    assert run_ahead == on_bus(ReferenceBus, baseline_run)
+def test_baseline_run_identical_on_per_chunk_oracle():
+    for result, _socs in same_on_oracle(baseline_run):
+        assert isinstance(result, dict), result
 
 
 @settings(max_examples=6, deadline=None,
@@ -147,8 +195,7 @@ def test_baseline_run_identical_on_reference_bus():
     n_faults=st.integers(1, 6),
     kinds=st.sets(st.sampled_from(FAULT_KINDS)),
 )
-def test_bus_stall_plans_identical_on_reference_bus(seed, n_faults, kinds):
+def test_bus_stall_plans_identical_on_per_chunk_oracle(seed, n_faults, kinds):
     plan = random_plan(seed=seed, horizon=400_000, tasks=DEMO_WCETS,
                        n_faults=n_faults, kinds=sorted(kinds | {"bus_stall"}))
-    run_ahead = on_bus(OPBBus, run_scenario, plan=plan)
-    assert run_ahead == on_bus(ReferenceBus, run_scenario, plan=plan)
+    same_on_oracle(run_scenario, plan=plan)

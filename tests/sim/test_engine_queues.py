@@ -362,3 +362,111 @@ def test_pending_count_tracks_both_tiers():
     assert sim.pending_count == 2
     sim.run()
     assert sim.pending_count == 0
+
+
+# ------------------------------------------------------------ withdraw
+def logged(sim, log, tag):
+    return lambda: log.append((sim.now, tag))
+
+
+def test_withdraw_mid_drain_keeps_order_and_ids(sim):
+    """A callback withdraws an entry of the instant being drained: it
+    never runs, the rest of the instant runs in insertion order, the
+    insertion-id count is unchanged and the next instant follows."""
+    log = []
+    victim = logged(sim, log, "c")
+    sim.schedule(5, lambda: (log.append((sim.now, "a")),
+                             sim.withdraw(5, victim)))
+    sim.schedule(5, logged(sim, log, "b"))
+    sim.schedule(5, victim)
+    sim.schedule(5, logged(sim, log, "d"))
+    sim.schedule(9, logged(sim, log, "e"))
+    eid = sim._eid
+    sim.run()
+    assert log == [(5, "a"), (5, "b"), (5, "d"), (9, "e")]
+    assert sim._eid == eid and sim.pending_count == 0
+
+
+def test_withdraw_last_entry_of_the_drained_instant(sim):
+    """Withdrawing the only other entry of the instant being drained
+    empties its slot: the horizon moves on to the next instant."""
+    log = []
+    victim = logged(sim, log, "b")
+    sim.schedule(5, lambda: (sim.withdraw(5, victim),
+                             log.append((sim.now, sim.horizon()))))
+    sim.schedule(5, victim)
+    sim.schedule(700, logged(sim, log, "c"))
+    sim.run()
+    assert log == [(5, 700), (700, "c")]
+
+
+def test_withdraw_across_a_ring_lap(sim):
+    """The entry sits at a lower ring slot than ``now``'s: withdrawing
+    the earliest entry moves the horizon to the next one, past the
+    wrap, and the others still run in order."""
+    sim.run(until=3 * BUCKET_HORIZON + 1000)
+    now = sim.now
+    log = []
+    victim = logged(sim, log, "x")
+    sim.schedule(100, victim)  # slot (now + 100) & 1023 < now & 1023
+    sim.schedule(100, logged(sim, log, "y"))
+    sim.schedule(300, logged(sim, log, "z"))
+    sim.withdraw(now + 100, victim)
+    assert sim.horizon() == now + 100 and sim.pending_count == 2
+    sim.run()
+    assert log == [(now + 100, "y"), (now + 300, "z")]
+
+
+def test_withdraw_sole_earliest_entry_after_ring_lap(sim):
+    sim.run(until=3 * BUCKET_HORIZON + 1000)
+    now = sim.now
+    log = []
+    victim = logged(sim, log, "x")
+    sim.schedule(100, victim)
+    sim.schedule(300, logged(sim, log, "z"))
+    sim.withdraw(now + 100, victim)
+    assert sim.horizon() == now + 300
+    sim.run()
+    assert log == [(now + 300, "z")]
+
+
+def test_withdraw_from_the_far_heap(sim):
+    """An entry a full window or more ahead leaves the far heap; the
+    remaining far and near entries keep their order."""
+    log = []
+    victim = logged(sim, log, "far-victim")
+    sim.schedule(3 * BUCKET_HORIZON, victim)
+    sim.schedule(3 * BUCKET_HORIZON, logged(sim, log, "far"))
+    sim.schedule(2 * BUCKET_HORIZON, logged(sim, log, "far-earlier"))
+    sim.schedule(7, logged(sim, log, "near"))
+    eid = sim._eid
+    sim.withdraw(3 * BUCKET_HORIZON, victim)
+    assert sim.pending_count == 3
+    sim.run()
+    assert log == [(7, "near"), (2 * BUCKET_HORIZON, "far-earlier"),
+                   (3 * BUCKET_HORIZON, "far")]
+    assert sim._eid == eid
+
+
+def test_withdraw_a_far_entry_once_inside_the_window(sim):
+    """Pushed a window ahead, the entry stays in the far heap after the
+    clock has come within a window of it."""
+    log = []
+    victim = logged(sim, log, "x")
+    sim.schedule(2 * BUCKET_HORIZON, victim)
+    sim.run(until=2 * BUCKET_HORIZON - 10)
+    sim.withdraw(2 * BUCKET_HORIZON, victim)
+    sim.run()
+    assert log == [] and sim.pending_count == 0
+
+
+def test_withdraw_refuses_an_entry_not_queued(sim):
+    callback = lambda: None  # noqa: E731
+    sim.schedule(5, callback)
+    with pytest.raises(ValueError):
+        sim.withdraw(6, callback)
+    with pytest.raises(ValueError):
+        sim.withdraw(5, lambda: None)
+    sim.withdraw(5, callback)
+    with pytest.raises(ValueError):
+        sim.withdraw(5, callback)
