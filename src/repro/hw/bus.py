@@ -475,7 +475,7 @@ class OPBBus:
             else:
                 kind = _LEAD
             sim.now = now = rt
-            sim._pop_head(rt)
+            sim._pop_head()
             rt, ritem = sim._head()
             bound = pend[0][0] if pend and pend[0][0] < rt else rt
         if pend:
@@ -621,16 +621,6 @@ class OPBBus:
         self.stats.busy_cycles += cycles
         self.stats.stalls_injected += 1
         self.stats.stall_cycles += cycles
-
-    def read_word(self, master: int, target, addr: int):
-        """Generator: arbitrated single-word read returning the value."""
-        yield from self.transfer(master, target, words=1)
-        return target.read_word(addr)
-
-    def write_word(self, master: int, target, addr: int, value: int):
-        """Generator: arbitrated single-word write."""
-        yield from self.transfer(master, target, words=1)
-        target.write_word(addr, value)
 
     @property
     def queue_length(self) -> int:

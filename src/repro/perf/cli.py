@@ -11,7 +11,7 @@ residual (the accuracy bound the TLM tests enforce).  ``cache``
 reports on-disk run-cache usage and, with ``--gc``, evicts
 least-recently-used entries down to the given limits.
 The perf tier's invariants (parallel == serial, cold == warm cache,
-heap == bucket event queue) are tests: ``pytest -m perf``; timings
+replay == first run) are tests: ``pytest -m perf``; timings
 are the benchmark in ``bench/`` (see ``bench/README.md``).
 
 Exit status: 0 on success, 1 on any failure.

@@ -15,7 +15,7 @@ external simulation frameworks.  It provides:
 """
 
 from repro.sim.engine import Process, Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.resources import Store
 
 __all__ = [
@@ -24,7 +24,5 @@ __all__ = [
     "Event",
     "Timeout",
     "Interrupt",
-    "AnyOf",
-    "AllOf",
     "Store",
 ]

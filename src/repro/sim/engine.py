@@ -2,67 +2,26 @@
 
 Time is an integer number of clock cycles.  All hardware models in
 :mod:`repro.hw` and the microkernel in :mod:`repro.kernel` run on top of
-this loop.  Determinism matters for reproduction, so ties in the event
-queue are broken by insertion order.
-
-Two interchangeable queue implementations back the loop:
-
-- ``"bucket"`` (the default): a hybrid bucketed timer queue.  A
-  near-horizon window of :data:`BUCKET_HORIZON` per-cycle FIFO buckets
-  absorbs the short delays that dominate full-system runs (bus grants,
-  kernel costs, execution chunks) with O(1) pushes and pops; anything
-  scheduled at least a full window ahead overflows into a regular heap.
-  FIFO buckets make insertion order the tie order by construction, and
-  a heap entry at cycle ``T`` was necessarily pushed at least
-  ``BUCKET_HORIZON`` cycles before any bucketed entry at ``T``, so
-  draining the heap first at each instant reproduces the global
-  insertion order exactly.  When the window is empty the loop
-  fast-forwards ``now`` straight to the heap's next instant -- idle
-  stretches (all cores parked on their interrupt lines) cost zero
-  per-cycle work.
-- ``"heap"``: the original flat ``heapq`` with explicit insertion-id
-  tie-breaks.  Kept as the reference implementation; the determinism
-  sentinel ``tests/perf/test_determinism.py`` replays identical
-  workloads on both queues and requires bit-for-bit identical
-  schedules.
+this loop.  Determinism matters for reproduction, so the loop has one
+queue, a flat ``heapq`` of ``(time, insertion id, item)`` entries: an
+entry runs at its instant, and entries at the same instant run in the
+order they were pushed.  Popping the heap jumps ``now`` straight to the
+next queued instant, so idle stretches (all cores parked on their
+interrupt lines) cost no per-cycle work.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
-from repro.sim.events import (
-    PENDING,
-    PROCESSED,
-    TRIGGERED,
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Timeout,
-)
+from repro.sim.events import PENDING, PROCESSED, Event, Interrupt, Timeout
 
-#: Width (in cycles) of the bucketed near-horizon window.  Power of two
-#: so bucket indexing is a mask.  Delays shorter than this are O(1)
-#: pushes; longer ones take the heap path.
-BUCKET_HORIZON = 1024
-_MASK = BUCKET_HORIZON - 1
-_WORDS = BUCKET_HORIZON >> 6  # 64-bit occupancy words
-_WMASK = _WORDS - 1
 _INF = float("inf")
 
 
 class Simulator:
     """A deterministic discrete-event simulator with integer cycle time.
-
-    Parameters
-    ----------
-    queue:
-        ``"bucket"`` (default) or ``"heap"``; both produce identical
-        schedules (see the module docstring).  ``None`` selects
-        :attr:`DEFAULT_QUEUE`, which the perf tier's determinism
-        sentinel flips to A/B the implementations.
 
     Example
     -------
@@ -77,41 +36,14 @@ class Simulator:
     [5]
     """
 
-    #: Queue implementation used when the constructor gets ``queue=None``.
-    DEFAULT_QUEUE = "bucket"
-
-    def __init__(self, queue: Optional[str] = None):
-        kind = queue or Simulator.DEFAULT_QUEUE
-        if kind not in ("bucket", "heap"):
-            raise ValueError(f"unknown queue implementation: {kind!r}")
-        self.queue_kind = kind
+    def __init__(self):
         self.now: int = 0
         self._eid = 0
         self._stopped = False
         # ``until + 1`` while ``run(until)`` is active, else infinity:
         # the first instant the current run will not dispatch.
         self._limit = _INF
-        if kind == "heap":
-            self._heap: List[tuple] = []
-            self._push = self._push_heap
-            self._head = self._head_heap
-        else:
-            # Plain lists, drained with ``pop(0)``: a bucket rarely
-            # holds more than a few entries, and an empty list costs 56
-            # bytes where a deque pre-allocates a 64-slot block, so the
-            # window takes about 60 KB instead of 0.8 MB per simulator.
-            self._buckets: List[list] = [[] for _ in range(BUCKET_HORIZON)]
-            # One occupancy bit per bucket, 64 buckets per word, so the
-            # scan for the next non-empty bucket skips empty stretches
-            # in word-sized strides.
-            self._occ = [0] * _WORDS
-            self._bucket_count = 0
-            # Exact earliest bucketed instant (None <=> window empty);
-            # maintained eagerly so peeks are O(1).
-            self._next_bt: Optional[int] = None
-            self._far: List[tuple] = []
-            self._push = self._push_bucket
-            self._head = self._head_bucket
+        self._heap: List[tuple] = []
 
     # -- event factories ----------------------------------------------------
     def event(self, name: Optional[str] = None) -> Event:
@@ -153,14 +85,6 @@ class Simulator:
         """Spawn a cooperative process from a generator."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any child event fires."""
-        return AnyOf(self, list(events))
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when every child event has fired."""
-        return AllOf(self, list(events))
-
     # -- scheduling ----------------------------------------------------------
     def schedule_at(self, time: int, callback: Callable[[], None]) -> None:
         """Run ``callback()`` at absolute cycle ``time``."""
@@ -173,104 +97,32 @@ class Simulator:
         """Run ``callback()`` after ``delay`` cycles."""
         self.schedule_at(self.now + int(delay), callback)
 
-    def _push_heap(self, time: int, item: Any) -> None:
+    def _push(self, time: int, item: Any) -> None:
         self._eid += 1
         heapq.heappush(self._heap, (time, self._eid, item))
 
-    def _push_bucket(self, time: int, item: Any) -> None:
-        self._eid += 1
-        if time - self.now < BUCKET_HORIZON:
-            idx = time & _MASK
-            bucket = self._buckets[idx]
-            if not bucket:
-                # A non-empty bucket already holds entries at exactly
-                # this instant (the window spans less than one wrap), so
-                # the cached minimum only moves on empty-bucket pushes.
-                self._occ[idx >> 6] |= 1 << (idx & 63)
-                nbt = self._next_bt
-                if nbt is None or time < nbt:
-                    self._next_bt = time
-            bucket.append(item)
-            self._bucket_count += 1
-        else:
-            heapq.heappush(self._far, (time, self._eid, item))
-
-    # ``_push`` is bound per-instance in ``__init__`` to the selected
-    # implementation; this class-level alias keeps the attribute
-    # documented and introspectable.
-    _push = _push_heap
-
-    # -- queue internals (bucket mode) ---------------------------------------
-    def _scan_bucket_time(self) -> int:
-        """Earliest occupied bucket instant (requires a non-empty window).
-
-        Scans the occupancy bitmap from ``now`` forward, one 64-bucket
-        word at a time; a set bit at ring position ``p`` maps back to
-        the unique instant ``now + ((p - now) mod BUCKET_HORIZON)``.
-        """
-        occ = self._occ
-        base = self.now & _MASK
-        word = occ[base >> 6] >> (base & 63)
-        if word:
-            return self.now + ((word & -word).bit_length() - 1)
-        w = base >> 6
-        for off in range(1, _WORDS + 1):
-            wi = (w + off) & _WMASK
-            wd = occ[wi]
-            if wd:
-                pos = (wi << 6) + ((wd & -wd).bit_length() - 1)
-                return self.now + ((pos - base) & _MASK)
-        raise RuntimeError("bucket occupancy out of sync")  # pragma: no cover
-
-    def _pop_next(self) -> tuple:
-        """Remove and return ``(time, item)`` for the next queue entry."""
-        if self.queue_kind == "heap":
-            time, _eid, item = heapq.heappop(self._heap)
-            return time, item
-        nbt = self._next_bt
-        far = self._far
-        if far and (nbt is None or far[0][0] <= nbt):
-            entry = heapq.heappop(far)
-            return entry[0], entry[2]
-        if nbt is None:
-            raise IndexError("pop from an empty event queue")
-        idx = nbt & _MASK
-        bucket = self._buckets[idx]
-        if not bucket:  # stale cache after an exception mid-run: heal
-            self._occ[idx >> 6] &= ~(1 << (idx & 63))
-            self._next_bt = self._scan_bucket_time() if self._bucket_count else None
-            return self._pop_next()
-        item = bucket.pop(0)
-        self._bucket_count -= 1
-        if not bucket:
-            self._occ[idx >> 6] &= ~(1 << (idx & 63))
-            self._next_bt = self._scan_bucket_time() if self._bucket_count else None
-        return nbt, item
-
-    # -- main loop -----------------------------------------------------------
+    # -- queue access ----------------------------------------------------------
     def horizon(self) -> float:
         """The earliest instant at which the engine will next dispatch
         anything: the next queued entry, capped at ``until + 1`` inside
         ``run(until)``; infinity when neither exists.
 
-        Both queues give the same answer, also from inside a callback
-        while the bucket of the current instant is being drained.  A
-        bare queue callback may therefore play out, in place, work that
-        would otherwise be queue entries strictly before the horizon,
-        advancing ``now`` as it goes: no other entry can be dispatched
-        in between (the bus run-ahead of :mod:`repro.hw.bus`).
+        Valid from inside a callback too.  A bare queue callback may
+        therefore play out, in place, work that would otherwise be queue
+        entries strictly before the horizon, advancing ``now`` as it
+        goes: no other entry can be dispatched in between (the bus
+        run-ahead of :mod:`repro.hw.bus`).
         """
         return self._head()[0]
 
-    def _head_heap(self) -> tuple:
+    def _head(self) -> tuple:
         """``(time, item)`` of the entry the engine dispatches next, or
         ``(limit, None)`` when nothing is queued before the run limit
         (``until + 1`` inside ``run(until)``, else infinity).
 
-        Valid from inside a callback, also mid-drain and after the
-        callback moved ``now`` past the instant being drained (run-ahead
-        never passes a queued entry, so every entry is at or after
-        ``now``).  Bound per instance to the selected queue, as ``_head``.
+        Valid from inside a callback, also after the callback moved
+        ``now`` forward (run-ahead never passes a queued entry, so every
+        entry is at or after ``now``).
         """
         heap = self._heap
         if heap and heap[0][0] < self._limit:
@@ -278,61 +130,10 @@ class Simulator:
             return entry[0], entry[2]
         return self._limit, None
 
-    def _head_bucket(self) -> tuple:
-        far = self._far
-        if self._bucket_count:
-            now = self.now
-            nbt = self._next_bt
-            if nbt <= now:
-                # Mid-drain the cached minimum still names the drained
-                # instant.  Every bucketed entry lies in [now, now +
-                # window), so a non-empty slot at ``now`` holds entries
-                # due now; an empty one loses its stale occupancy bit,
-                # and the cache is refreshed past it.
-                idx = now & _MASK
-                if self._buckets[idx]:
-                    nbt = now
-                else:
-                    occ = self._occ
-                    occ[idx >> 6] &= ~(1 << (idx & 63))
-                    word = occ[idx >> 6] >> (idx & 63)
-                    nbt = self._next_bt = (
-                        now + (word & -word).bit_length() - 1 if word
-                        else self._scan_bucket_time())
-            if far and far[0][0] <= nbt:
-                entry = far[0]
-                time, item = entry[0], entry[2]
-            else:
-                time, item = nbt, self._buckets[nbt & _MASK][0]
-        elif far:
-            entry = far[0]
-            time, item = entry[0], entry[2]
-        else:
-            return self._limit, None
-        if time < self._limit:
-            return time, item
-        return self._limit, None
-
-    # ``_head`` is bound per instance in ``__init__``, like ``_push``.
-    _head = _head_heap
-
-    def _pop_head(self, time: int) -> None:
-        """Remove the entry :meth:`_head` reported at ``time``; ``now``
-        must already be ``time``.  The caller runs it in place."""
-        if self.queue_kind == "heap":
-            heapq.heappop(self._heap)
-            return
-        far = self._far
-        if far and far[0][0] == time:
-            heapq.heappop(far)
-            return
-        idx = time & _MASK
-        bucket = self._buckets[idx]
-        bucket.pop(0)
-        self._bucket_count -= 1
-        if not bucket:
-            self._occ[idx >> 6] &= ~(1 << (idx & 63))
-            self._next_bt = self._scan_bucket_time() if self._bucket_count else None
+    def _pop_head(self) -> None:
+        """Remove the entry :meth:`_head` reported; ``now`` must already
+        be its time.  The caller runs it in place."""
+        heapq.heappop(self._heap)
 
     def withdraw(self, time: int, callback: Callable[[], None]) -> None:
         """Remove the queued bare ``callback`` due at ``time`` without
@@ -343,51 +144,21 @@ class Simulator:
         that nothing is dispatched, and run-ahead is not cut at ``time``.
         Raises ``ValueError`` when no such entry is queued.
         """
-        if self.queue_kind == "heap":
-            heap = self._heap
-            for index, entry in enumerate(heap):
-                if entry[2] is callback and entry[0] == time:
-                    heap[index] = heap[-1]
-                    heap.pop()
-                    heapq.heapify(heap)
-                    return
-        else:
-            if time - self.now < BUCKET_HORIZON:
-                idx = time & _MASK
-                bucket = self._buckets[idx]
-                for index, item in enumerate(bucket):
-                    if item is callback:
-                        del bucket[index]
-                        self._bucket_count -= 1
-                        if not bucket:
-                            self._occ[idx >> 6] &= ~(1 << (idx & 63))
-                            if self._next_bt == time:
-                                self._next_bt = (self._scan_bucket_time()
-                                                 if self._bucket_count else None)
-                        return
-            far = self._far
-            for index, entry in enumerate(far):
-                if entry[2] is callback and entry[0] == time:
-                    far[index] = far[-1]
-                    far.pop()
-                    heapq.heapify(far)
-                    return
+        heap = self._heap
+        for index, entry in enumerate(heap):
+            if entry[2] is callback and entry[0] == time:
+                heap[index] = heap[-1]
+                heap.pop()
+                heapq.heapify(heap)
+                return
         raise ValueError(f"no queued callback {callback!r} at {time}")
 
-    def step(self) -> None:
-        """Process the single next queue entry, advancing ``now``."""
-        time, item = self._pop_next()
-        if time < self.now:  # pragma: no cover - defensive
-            raise RuntimeError("event queue time went backwards")
-        self.now = time
-        if isinstance(item, Event):
-            if item._state == PENDING:
-                # A timeout reaching its instant: trigger it now.
-                item._state = TRIGGERED
-            item._run_callbacks()
-        else:
-            item()
+    @property
+    def pending_count(self) -> int:
+        """Number of entries still in the queue (diagnostic)."""
+        return len(self._heap)
 
+    # -- main loop -----------------------------------------------------------
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or ``now`` would pass ``until``.
 
@@ -402,61 +173,20 @@ class Simulator:
                 raise ValueError(
                     f"run(until) needs a whole cycle count, got {until!r}")
             until = whole
-        self._limit = _INF if until is None else until + 1
-        try:
-            if self.queue_kind == "heap":
-                self._run_heap(until)
-            else:
-                self._run_bucket(until)
-        finally:
-            self._limit = _INF
-
-    def _run_heap(self, until: Optional[int]) -> None:
+        self._limit = limit = _INF if until is None else until + 1
         self._stopped = False
+        # The hot loop: one iteration per entry, with Event dispatch
+        # inlined (state flip + callback sweep) to keep per-event call
+        # overhead off the critical path.
         heap = self._heap
-        while heap and not self._stopped:
-            time = heap[0][0]
-            if until is not None and time > until:
-                break
-            self.step()
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_bucket(self, until: Optional[int]) -> None:
-        # The hot loop: one iteration per *instant*, draining first the
-        # far heap's entries at that instant (strictly older insertion
-        # ids -- see the module docstring), then the FIFO bucket.
-        # Event dispatch is inlined (state flip + callback sweep) to
-        # keep per-event call overhead off the critical path.  A
-        # callback that ran ahead (see ``horizon``) leaves ``now`` past
-        # ``t``; the drain then ends, since nothing else was due at
-        # ``t``, and anything left in the slot belongs to a later lap.
-        self._stopped = False
-        limit = _INF if until is None else until
-        buckets = self._buckets
-        occ = self._occ
-        far = self._far
         heappop = heapq.heappop
         event_cls = Event
-        while not self._stopped:
-            nbt = self._next_bt
-            if far:
-                ft = far[0][0]
-                if nbt is None:
-                    t = ft
-                else:
-                    t = ft if ft < nbt else nbt
-            elif nbt is None:
-                break  # queue drained
-            else:
-                t = nbt
-            if t > limit:
-                break
-            # Idle fast-forward: nothing is scheduled between now and t,
-            # so the clock jumps in one assignment.
-            self.now = t
-            while far and far[0][0] == t:
-                item = heappop(far)[2]
+        try:
+            while heap and not self._stopped:
+                if heap[0][0] >= limit:
+                    break
+                time, _eid, item = heappop(heap)
+                self.now = time
                 if isinstance(item, event_cls):
                     item._state = PROCESSED
                     callbacks = item.callbacks
@@ -467,57 +197,14 @@ class Simulator:
                                 cb(item)
                 else:
                     item()
-                if self._stopped:
-                    break
-            if self._stopped:
-                break
-            if self._next_bt == t:
-                idx = t & _MASK
-                bucket = buckets[idx]
-                while bucket:
-                    item = bucket.pop(0)
-                    self._bucket_count -= 1
-                    if isinstance(item, event_cls):
-                        item._state = PROCESSED
-                        callbacks = item.callbacks
-                        if callbacks:
-                            item.callbacks = []
-                            for cb in callbacks:
-                                if cb is not None:
-                                    cb(item)
-                    else:
-                        item()
-                    if self._stopped or self.now != t:
-                        break
-                if not bucket:
-                    occ[idx >> 6] &= ~(1 << (idx & 63))
-                    if self._bucket_count:
-                        # The first word of ``_scan_bucket_time``, inline:
-                        # the next instant is usually within it.
-                        now = self.now
-                        base = now & _MASK
-                        word = occ[base >> 6] >> (base & 63)
-                        self._next_bt = (
-                            now + (word & -word).bit_length() - 1 if word
-                            else self._scan_bucket_time()
-                        )
-                    else:
-                        self._next_bt = None
-                elif self.now != t:
-                    self._next_bt = self._scan_bucket_time()
+        finally:
+            self._limit = _INF
         if until is not None and self.now < until:
             self.now = until
 
     def stop(self) -> None:
         """Stop the loop after the current callback returns."""
         self._stopped = True
-
-    @property
-    def pending_count(self) -> int:
-        """Number of entries still in the queue (diagnostic)."""
-        if self.queue_kind == "heap":
-            return len(self._heap)
-        return self._bucket_count + len(self._far)
 
 
 class Process(Event):
@@ -593,8 +280,8 @@ class Process(Event):
             return
         # Detach from whatever we were waiting on (interrupt case).
         # Tombstone our recorded slot instead of list.remove: entries
-        # are append-only (only swapped out wholesale by
-        # _run_callbacks, which our recorded reference survives), so
+        # are append-only (only swapped out wholesale by the run
+        # loop's dispatch, which our recorded reference survives), so
         # the slot index stays valid and detach is O(1) even for
         # heavily-interrupted processes.
         waiting = self._waiting_on

@@ -38,7 +38,7 @@ class Event:
     full-system runs create millions of them and the per-instance
     ``__dict__`` would dominate the allocation cost.  Entries in
     ``callbacks`` may be tombstoned to ``None`` by a detaching waiter
-    (see ``Process._resume``); ``_run_callbacks`` skips them.
+    (see ``Process._resume``); the simulator's run loop skips them.
 
     Parameters
     ----------
@@ -106,16 +106,6 @@ class Event:
         sim._push(sim.now, self)
         return self
 
-    # -- internal ----------------------------------------------------------
-    def _run_callbacks(self) -> None:
-        self._state = PROCESSED
-        callbacks = self.callbacks
-        if callbacks:
-            self.callbacks = []
-            for callback in callbacks:
-                if callback is not None:  # skip tombstoned (detached) waiters
-                    callback(self)
-
     def __repr__(self) -> str:
         label = self.name or self.__class__.__name__
         return f"<{label} state={self._state}>"
@@ -124,9 +114,8 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically ``delay`` cycles in the future.
 
-    It stays *pending* until its scheduled instant (so composite
-    AnyOf/AllOf conditions treat it correctly) and is triggered by the
-    simulator loop when its queue entry is reached.
+    It stays *pending* until its scheduled instant and is processed by
+    the simulator loop when its queue entry is reached.
 
     Timeouts are the single hottest allocation in full-system runs, so
     the constructor inlines the :class:`Event` field initialisation and
@@ -152,60 +141,3 @@ class Timeout(Event):
     def __repr__(self) -> str:
         label = self.name or f"Timeout({self.delay})"
         return f"<{label} state={self._state}>"
-
-
-class ConditionEvent(Event):
-    """Base for AnyOf / AllOf composite events."""
-
-    __slots__ = ("events", "_done")
-
-    def __init__(self, sim: "Simulator", events: List[Event], name: str):  # noqa: F821
-        super().__init__(sim, name=name)
-        self.events = list(events)
-        self._done = 0
-        if not self.events:
-            # Degenerate condition: trivially satisfied.
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.triggered:
-                self._on_child(event)
-            else:
-                event.callbacks.append(self._on_child)
-
-    def _satisfied(self) -> bool:
-        raise NotImplementedError
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._done += 1
-        if self._satisfied():
-            self.succeed({e: e.value for e in self.events if e.triggered and e.ok})
-
-
-class AnyOf(ConditionEvent):
-    """Fires when any constituent event fires."""
-
-    __slots__ = ()
-
-    def __init__(self, sim, events):
-        super().__init__(sim, events, name="AnyOf")
-
-    def _satisfied(self) -> bool:
-        return self._done >= 1
-
-
-class AllOf(ConditionEvent):
-    """Fires when all constituent events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, sim, events):
-        super().__init__(sim, events, name="AllOf")
-
-    def _satisfied(self) -> bool:
-        return self._done == len(self.events)

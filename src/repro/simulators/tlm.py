@@ -18,8 +18,8 @@ from the execution profiles of the cores running *concurrently*, and
 cycles (IRQ entry/exit, scheduling cycle, queue traffic, context
 moves, IPIs) the prototype kernel would spend at that event.  Ticks,
 aperiodic arrivals, promotions and completions are still delivered at
-exact instants through the existing :mod:`repro.sim.engine` bucketed
-event queue, so schedules stay bit-for-bit deterministic.
+exact instants through the existing :mod:`repro.sim.engine` event
+queue, so schedules stay bit-for-bit deterministic.
 
 Because nothing steps per cycle, the TLM rung is scale-free: it runs
 full-size workloads (scale=1) in milliseconds, ~2 orders of magnitude

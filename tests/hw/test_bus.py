@@ -110,20 +110,6 @@ def test_interrupted_holder_releases_bus():
     assert not bus.busy
 
 
-def test_read_write_word_helpers():
-    sim, bus, ddr = setup()
-    got = []
-
-    def master():
-        yield from bus.write_word(0, ddr, 0x4000_0000, 77)
-        value = yield from bus.read_word(0, ddr, 0x4000_0000)
-        got.append(value)
-
-    sim.process(master())
-    sim.run()
-    assert got == [77]
-
-
 def test_register_target_latency():
     reg = RegisterTarget(name="dev", latency=3)
     assert reg.access_latency(1) == 3

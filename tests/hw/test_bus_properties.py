@@ -12,8 +12,12 @@ from repro.sim import Interrupt, Simulator
 from tests.hw.reference_bus import ReferenceBus
 from tests.hw.reference_core import ReferenceCore
 
+# No explain phase: on a failure it re-runs the shrunk example under
+# tracing, which on simulation runs can take minutes and gigabytes.
+NO_EXPLAIN = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
 
-@settings(max_examples=40, deadline=None)
+
+@settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
 @given(
     plan=st.lists(
         st.tuples(
@@ -58,7 +62,7 @@ def test_bus_work_conservation(plan):
     assert sim.now >= expected_busy
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
 @given(
     delays=st.lists(st.integers(0, 500), min_size=2, max_size=20),
 )
@@ -74,7 +78,7 @@ def test_event_time_monotonicity(delays):
     assert sim.now == max(delays)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=NO_EXPLAIN)
 @given(
     holds=st.lists(st.integers(1, 50), min_size=2, max_size=8),
 )
@@ -127,11 +131,9 @@ FOREIGN = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6),
 #: ``sim.run(until)`` slice lengths before the final ``sim.run()``.
 SLICES = st.lists(st.one_of(st.integers(1, 300), st.integers(300, 3000)),
                   max_size=4)
-QUEUE = st.sampled_from(("bucket", "heap"))
 
 
-def run_plan(bus_cls, plan, words, stalls=(), foreign=(), slices=(),
-             queue=None):
+def run_plan(bus_cls, plan, words, stalls=(), foreign=(), slices=()):
     """Run ``plan`` (and ``stalls``) on a fresh ``bus_cls``; returns
     (sim, bus, finishes, seen), finishes in the order they happened.
 
@@ -140,7 +142,7 @@ def run_plan(bus_cls, plan, words, stalls=(), foreign=(), slices=(),
     at their instant; the run goes through ``run(until)`` calls
     ``slices`` cycles apart before running to the end, and ``seen`` also
     records the clock, ``BusStats`` and insertion-id count after each."""
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     bus = bus_cls(sim)
     ddr = DDRMemory()
     finishes = []
@@ -190,14 +192,13 @@ def bus_instants(plan, words, stalls):
     return sorted({instant for tenure in ref.tenures for instant in tenure[1:]})
 
 
-@settings(max_examples=80, deadline=None)
-@given(plan=PLAN, words=WORDS, stalls=STALLS, picks=FOREIGN, slices=SLICES,
-       queue=QUEUE)
+@settings(max_examples=80, deadline=None, phases=NO_EXPLAIN)
+@given(plan=PLAN, words=WORDS, stalls=STALLS, picks=FOREIGN, slices=SLICES)
 def test_batched_bus_matches_reference_arbiter(plan, words, stalls, picks,
-                                               slices, queue):
+                                               slices):
     """Random masters, start instants, bursts, batch sizes, interrupt
     instants, injected stalls, foreign entries on grant and hold-end
-    instants, ``run(until)`` slices, on either queue: ``OPBBus``
+    instants, ``run(until)`` slices: ``OPBBus``
     (running ahead between the foreign entries) shows every foreign
     entry the same bus state, finishes every process at
     the same instant, in the same same-instant order, with the same
@@ -212,9 +213,9 @@ def test_batched_bus_matches_reference_arbiter(plan, words, stalls, picks,
                 else pick % 10000, lead)
                for on_bus, pick, lead in picks]
     sim, bus, finishes, seen = run_plan(OPBBus, plan, words, stalls,
-                                        foreign, slices, queue)
+                                        foreign, slices)
     ref_sim, ref, ref_finishes, ref_seen = run_plan(
-        ReferenceBus, plan, words, stalls, foreign, slices, queue)
+        ReferenceBus, plan, words, stalls, foreign, slices)
     assert seen == ref_seen
     assert finishes == ref_finishes
     assert sim._eid == ref_sim._eid
@@ -276,18 +277,16 @@ def test_run_ahead_elides_contended_queue_entries(monkeypatch):
     assert asdict(bus.stats) == asdict(ref.stats)
 
 
-@pytest.mark.parametrize("queue", ["bucket", "heap"])
-def test_run_ahead_across_a_full_ring_lap(queue):
+def test_run_ahead_across_a_full_ring_lap():
     """Two masters alternate 16-cycle transactions from t=16 on.  The
     run-ahead from the first hold end stops at master 0's last grant
     (the 65th transaction, at t=1024) and pushes its ``done`` for
-    t=1040: one full bucket-ring lap after the instant whose slot is
-    still being drained.  The entry must wait for t=1040."""
+    t=1040: 1024 cycles after the instant whose entry is still being
+    run.  The entry must wait for t=1040."""
     plan = [(0, 0, 33, None), (1, 0, 40, None)]
     words = [3, 3, 3, 3]
-    sim, bus, finishes, _ = run_plan(OPBBus, plan, words, queue=queue)
-    ref_sim, ref, ref_finishes, _ = run_plan(ReferenceBus, plan, words,
-                                             queue=queue)
+    sim, bus, finishes, _ = run_plan(OPBBus, plan, words)
+    ref_sim, ref, ref_finishes, _ = run_plan(ReferenceBus, plan, words)
     assert finishes[0] == (0, 65 * 16, 65 * 16)
     assert finishes == ref_finishes
     assert sim._eid == ref_sim._eid
@@ -401,7 +400,7 @@ HINT = st.one_of(st.none(), st.integers(300, 6000))
 
 
 def run_cores(core_cls, bus_cls, cores, hint_period, stalls=(), foreign=(),
-              slices=(), queue=None):
+              slices=()):
     """Run ``cores`` on ``core_cls`` cores over a ``bus_cls`` bus; returns
     (sim, bus, the cores, finishes, seen).
 
@@ -411,7 +410,7 @@ def run_cores(core_cls, bus_cls, cores, hint_period, stalls=(), foreign=(),
     the ``BusStats`` -- at each ``foreign`` instant (an entry pushed
     ``lead`` cycles before it, as in :func:`run_plan`) and after each
     ``run(until)`` slice, with the clock and insertion-id count."""
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     bus = bus_cls(sim)
     ddr = DDRMemory()
     finishes, seen, current = [], [], {}
@@ -483,17 +482,14 @@ def run_cores(core_cls, bus_cls, cores, hint_period, stalls=(), foreign=(),
     return sim, bus, machines, finishes, seen
 
 
-# No explain phase: on a failure it re-runs the shrunk example under
-# tracing, which on these runs takes minutes and gigabytes.
-@settings(max_examples=80, deadline=None,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@settings(max_examples=80, deadline=None, phases=NO_EXPLAIN)
 @given(cores=st.lists(CORE, min_size=1, max_size=4), hint=HINT,
-       stalls=STALLS, foreign=FOREIGN, slices=SLICES, queue=QUEUE)
+       stalls=STALLS, foreign=FOREIGN, slices=SLICES)
 def test_lead_in_run_ahead_matches_per_chunk_oracle(cores, hint, stalls,
-                                                    foreign, slices, queue):
+                                                    foreign, slices):
     """Random cores -- strides, traffic profiles, segments, interrupt
     instants, adaptive hints -- with injected stalls, foreign entries
-    and ``run(until)`` slices, on either queue: the cores running their
+    and ``run(until)`` slices: the cores running their
     chunks through the bus loop finish every segment at the same
     instant, in the same order and with the same ``SegmentResult`` as
     the per-chunk oracle on the reference arbiter.  Every foreign entry
@@ -502,10 +498,9 @@ def test_lead_in_run_ahead_matches_per_chunk_oracle(cores, hint, stalls,
     same number of queue entries."""
     foreign = [(pick % 30_000, lead) for _on_bus, pick, lead in foreign]
     sim, bus, machines, finishes, seen = run_cores(
-        MicroBlaze, OPBBus, cores, hint, stalls, foreign, slices, queue)
+        MicroBlaze, OPBBus, cores, hint, stalls, foreign, slices)
     ref_sim, ref_bus, ref_machines, ref_finishes, ref_seen = run_cores(
-        ReferenceCore, ReferenceBus, cores, hint, stalls, foreign, slices,
-        queue)
+        ReferenceCore, ReferenceBus, cores, hint, stalls, foreign, slices)
     assert finishes == ref_finishes
     assert seen == ref_seen
     assert sim._eid == ref_sim._eid and sim.now == ref_sim.now

@@ -1,18 +1,16 @@
-"""Determinism sentinel: the bucket and heap event queues are interchangeable.
+"""Determinism sentinel: full-system runs replay bit for bit.
 
-The bucketed timer queue is the engine's default and the flat heap its
-reference (docs/PERF.md, "Determinism sentinel").  A full kernel-on-SoC
-run must come out bit for bit the same on either -- finished jobs,
-trace, kernel and injector stats, final time -- with or without an
-injected fault plan.  Runs that crash on a known kernel defect count
-too: both queues must then raise the same error.
+A kernel-on-SoC run, with or without an injected fault plan, must come
+out the same every time it is run -- finished jobs, trace, kernel and injector stats,
+final time.  Runs that crash on a known kernel defect count too: each
+replay must then raise the same error.
 
-The same holds for the cores and the bus: the segment model
-(``MicroBlaze`` on the run-ahead ``OPBBus``) and the per-chunk,
+The cores and the bus are held to their oracle as well: the segment
+model (``MicroBlaze`` on the run-ahead ``OPBBus``) and the per-chunk,
 per-transaction oracle (``tests.hw.reference_core.ReferenceCore`` on
 ``tests.hw.reference_bus.ReferenceBus``) must give identical
 full-system runs, Figure-4 prototype cells included, under the
-adaptive and the fixed stride and on both queues.
+adaptive and the fixed stride.
 """
 
 from dataclasses import asdict
@@ -26,7 +24,6 @@ from repro.faults.plan import FAULT_KINDS, random_plan
 from repro.faults.scenarios import baseline_run, demo_taskset, run_scenario
 from repro.hw.bus import OPBBus
 from repro.hw.microblaze import MicroBlaze
-from repro.sim.engine import Simulator
 from repro.simulators.ladder import make_simulator
 from repro.simulators.prototype import DEFAULT_SCALE
 from repro.workloads.automotive import (
@@ -41,30 +38,24 @@ from tests.hw.reference_core import ReferenceCore
 DEMO_WCETS = {task.name: task.wcet for task in demo_taskset().periodic}
 
 
-def on_queue(kind, run, *args, **kwargs):
-    """``run(*args, **kwargs)`` with every new Simulator on queue ``kind``.
-
-    Returns the result, or ``(exception type name, message)`` when the
-    run raised, so crashing runs can be compared like finished ones.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Simulator, "DEFAULT_QUEUE", kind)
-        assert Simulator().queue_kind == kind
-        try:
-            return run(*args, **kwargs)
-        except Exception as exc:
-            return type(exc).__name__, str(exc)
+def outcome(run, *args, **kwargs):
+    """``run(*args, **kwargs)``, or ``(exception type name, message)``
+    when the run raised, so crashing runs can be compared like finished
+    ones."""
+    try:
+        return run(*args, **kwargs)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
 
 
-def test_baseline_run_identical_on_heap_and_bucket():
-    heap = on_queue("heap", baseline_run)
-    bucket = on_queue("bucket", baseline_run)
-    assert isinstance(heap, dict), heap
-    assert heap["jobs"] and heap["trace"]
-    assert heap == bucket
+def test_baseline_run_replays_identically():
+    first = outcome(baseline_run)
+    assert isinstance(first, dict), first
+    assert first["jobs"] and first["trace"]
+    assert outcome(baseline_run) == first
 
 
-# Each example is three kernel runs, so a failure is reported as drawn
+# Each example is two kernel runs, so a failure is reported as drawn
 # (a seed and a few knobs reproduce it) instead of shrunk.
 @settings(max_examples=25, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -74,16 +65,13 @@ def test_baseline_run_identical_on_heap_and_bucket():
     kinds=st.sets(st.sampled_from(FAULT_KINDS), min_size=1),
     recovery=st.booleans(),
 )
-def test_fault_plan_runs_identical_on_heap_and_bucket(seed, n_faults, kinds,
-                                                       recovery):
+def test_fault_plan_runs_replay_identically(seed, n_faults, kinds, recovery):
     plan = random_plan(seed=seed, horizon=400_000, tasks=DEMO_WCETS,
                        n_faults=n_faults, kinds=sorted(kinds))
     config = {"enabled": True} if recovery else None
-    heap = on_queue("heap", run_scenario, plan=plan, recovery=config)
-    bucket = on_queue("bucket", run_scenario, plan=plan, recovery=config)
-    replay = on_queue("bucket", run_scenario, plan=plan, recovery=config)
-    assert heap == bucket
-    assert bucket == replay
+    first = outcome(run_scenario, plan=plan, recovery=config)
+    replay = outcome(run_scenario, plan=plan, recovery=config)
+    assert first == replay
 
 
 #: The segment model under test and the per-chunk, per-transaction
@@ -92,16 +80,16 @@ MODELS = {"segment": (MicroBlaze, OPBBus),
           "per-chunk": (ReferenceCore, ReferenceBus)}
 
 
-def on_model(model, stride, queue, run, *args, **kwargs):
+def on_model(model, stride, run, *args, **kwargs):
     """``run(*args, **kwargs)`` with every new SoC built from ``model``'s
     core and bus, at ``stride`` ("adaptive": the default, or "fixed":
     as with ``adaptive_chunking=False``, the core ignores the hint the
-    SoC wires), with every new Simulator on queue ``kind``.
+    SoC wires).
 
     Returns (result, then per SoC: ``asdict(BusStats)``, each core's
     ``utilization_stats``, the final clock and insertion-id count); the
     result is ``(exception type name, message)`` when the run raised, as
-    in :func:`on_queue`.
+    in :func:`outcome`.
     """
     core_cls, bus_cls = MODELS[model]
     buses, cores = [], []
@@ -123,11 +111,7 @@ def on_model(model, stride, queue, run, *args, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(repro.hw.soc, "OPBBus", Bus)
         patch.setattr(repro.hw.soc, "MicroBlaze", Core)
-        patch.setattr(Simulator, "DEFAULT_QUEUE", queue)
-        try:
-            result = run(*args, **kwargs)
-        except Exception as exc:
-            result = type(exc).__name__, str(exc)
+        result = outcome(run, *args, **kwargs)
     return result, [
         (asdict(bus.stats),
          [core.utilization_stats for core in cores if core.bus is bus],
@@ -137,16 +121,15 @@ def on_model(model, stride, queue, run, *args, **kwargs):
 
 
 def same_on_oracle(run, *args, **kwargs):
-    """Run under both strides and on both queues, on the segment model
-    and on the oracle; require identical outcomes, and return the
-    segment model's outcomes."""
+    """Run under both strides, on the segment model and on the oracle;
+    require identical outcomes, and return the segment model's
+    outcomes."""
     outcomes = []
     for stride in ("adaptive", "fixed"):
-        for queue in ("bucket", "heap"):
-            got = on_model("segment", stride, queue, run, *args, **kwargs)
-            want = on_model("per-chunk", stride, queue, run, *args, **kwargs)
-            assert got == want, (stride, queue)
-            outcomes.append(got)
+        got = on_model("segment", stride, run, *args, **kwargs)
+        want = on_model("per-chunk", stride, run, *args, **kwargs)
+        assert got == want, stride
+        outcomes.append(got)
     return outcomes
 
 
@@ -178,14 +161,14 @@ def test_figure4_cell_identical_on_per_chunk_oracle(n_cpus, utilization):
         assert isinstance(result, dict), result
         assert result["jobs"]
         assert len(socs) == 1 and socs[0][0]["transactions"]
-    # The strides are different schedules; the queues are not.
-    assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
-    assert outcomes[0][1] != outcomes[2][1]
+    # The strides are different schedules.
+    assert outcomes[0][1] != outcomes[1][1]
 
 
 def test_baseline_run_identical_on_per_chunk_oracle():
     for result, _socs in same_on_oracle(baseline_run):
         assert isinstance(result, dict), result
+        assert result["jobs"] and result["trace"]
 
 
 @settings(max_examples=6, deadline=None,

@@ -10,9 +10,13 @@ quietly stops carrying cores from chunk to chunk fails here even when
 every output matches.
 """
 
+import heapq
+from types import SimpleNamespace
+
 import pytest
 
 from repro import CLOCK_HZ, TICK
+import repro.sim.engine
 from repro.sim.engine import Simulator
 from repro.simulators.ladder import make_simulator
 from repro.simulators.prototype import DEFAULT_SCALE
@@ -26,28 +30,36 @@ from repro.workloads.automotive import (
 
 def dispatch_census(n_cpus, utilization):
     """(entries dispatched, insertion ids taken) of one phase (arrival
-    at 1.0 s) of a prototype cell on the heap queue, whose run loop
-    dispatches every entry through ``Simulator.step``."""
-    dispatched = [0]
-    step = Simulator.step
+    at 1.0 s) of a prototype cell.  The engine takes every entry off its
+    heap with ``heapq.heappop``: the run loop to dispatch it, or
+    ``Simulator._pop_head`` for a callback that runs it in place, so the
+    dispatches are the pops less the ``_pop_head`` calls."""
+    pops, in_place = [0], [0]
+    pop_head = Simulator._pop_head
 
-    def counting_step(self):
-        dispatched[0] += 1
-        step(self)
+    def counting_heappop(heap):
+        pops[0] += 1
+        return heapq.heappop(heap)
+
+    def counting_pop_head(self):
+        in_place[0] += 1
+        pop_head(self)
 
     taskset = prepare_taskset(build_automotive_taskset(utilization, n_cpus),
                               n_cpus, tick=TICK)
     arrival = int(1.0 * CLOCK_HZ)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Simulator, "DEFAULT_QUEUE", "heap")
-        patch.setattr(Simulator, "step", counting_step)
+        patch.setattr(repro.sim.engine, "heapq", SimpleNamespace(
+            heappop=counting_heappop, heappush=heapq.heappush,
+            heapify=heapq.heapify))
+        patch.setattr(Simulator, "_pop_head", counting_pop_head)
         sim = make_simulator(
             "prototype", taskset, n_cpus, scale=DEFAULT_SCALE,
             bindings=automotive_bindings(),
             aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
         )
         sim.run(arrival + 25 * CLOCK_HZ)
-    return dispatched[0], sim.soc.sim._eid
+    return pops[0] - in_place[0], sim.soc.sim._eid
 
 
 @pytest.mark.parametrize("n_cpus, utilization, eid, bound", [

@@ -220,32 +220,6 @@ def test_interrupted_timeout_does_not_resume_later():
     assert sim.now == 110
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    log = []
-
-    def worker():
-        yield sim.any_of([sim.timeout(10), sim.timeout(3)])
-        log.append(sim.now)
-
-    sim.process(worker())
-    sim.run()
-    assert log == [3]
-
-
-def test_all_of_waits_for_every_event():
-    sim = Simulator()
-    log = []
-
-    def worker():
-        yield sim.all_of([sim.timeout(10), sim.timeout(3)])
-        log.append(sim.now)
-
-    sim.process(worker())
-    sim.run()
-    assert log == [10]
-
-
 def test_stop_halts_loop():
     sim = Simulator()
     fired = []
@@ -371,3 +345,357 @@ def test_interrupt_then_wait_on_processed_event():
     sim.schedule(10, lambda: proc.interrupt())
     sim.run()
     assert log == [(10, "ready")]
+
+
+# --------------------------------------------------------------- advance
+def test_advance_recycles_a_consumed_sleeper():
+    sim = Simulator()
+    log = []
+
+    def worker():
+        sleeper = sim.advance(4)
+        yield sleeper
+        again = sim.advance(6, sleeper)
+        log.append(again is sleeper)
+        value = yield again
+        log.append((sim.now, value, again.delay))
+
+    sim.process(worker())
+    sim.run()
+    assert log == [True, (10, None, 6)]
+
+
+def test_advance_without_a_sleeper_gives_a_fresh_timeout():
+    sim = Simulator()
+    sleeper = sim.advance(3)
+    assert type(sleeper) is Timeout and sleeper.delay == 3
+    assert not sleeper.triggered
+    sim.run()
+    assert sleeper.processed and sim.now == 3
+
+
+def test_advance_rejects_a_negative_delay():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="negative"):
+        sim.advance(-1)
+    assert sim.pending_count == 0
+
+
+def test_advance_keeps_a_pending_sleeper():
+    """A sleeper whose entry has not run yet is not re-armed: the caller
+    gets a fresh timeout and the old one still fires at its instant."""
+    sim = Simulator()
+    old = sim.timeout(10)
+    new = sim.advance(3, old)
+    assert new is not old
+    fired = []
+    old.callbacks.append(lambda e: fired.append(("old", sim.now)))
+    new.callbacks.append(lambda e: fired.append(("new", sim.now)))
+    sim.run()
+    assert fired == [("new", 3), ("old", 10)]
+
+
+def test_advance_keeps_a_sleeper_that_still_has_callbacks():
+    sim = Simulator()
+    sleeper = sim.timeout(2)
+    sim.run()
+    sleeper.callbacks.append(lambda e: None)
+    assert sim.advance(5, sleeper) is not sleeper
+
+
+def test_advance_reuses_one_timeout_across_windows():
+    """The block-mode interpreter's pattern: one process, one sleeper,
+    many windows."""
+    sim = Simulator()
+    sleepers = set()
+
+    def worker():
+        sleeper = None
+        for window in range(1, 51):
+            sleeper = sim.advance(window, sleeper)
+            sleepers.add(id(sleeper))
+            yield sleeper
+
+    sim.process(worker())
+    sim.run()
+    assert len(sleepers) == 1
+    assert sim.now == sum(range(1, 51))
+
+
+@pytest.mark.parametrize("delay", [0, 1, 7, 1024])
+def test_advance_ties_like_a_fresh_timeout(delay):
+    """A re-armed sleeper takes its insertion id when it is re-armed, as
+    a fresh ``timeout(delay)`` would: against callbacks queued before
+    and after it at the same instants, the schedule is the same."""
+
+    def run(sleep):
+        sim = Simulator()
+        log = []
+
+        def worker():
+            sleeper = None
+            for window in range(4):
+                sim.schedule(delay, lambda w=window: log.append(
+                    (sim.now, "before", w)))
+                sleeper = sleep(sim, sleeper)
+                sim.schedule(delay, lambda w=window: log.append(
+                    (sim.now, "after", w)))
+                yield sleeper
+                log.append((sim.now, "wake", window))
+
+        sim.process(worker())
+        sim.run()
+        return log, sim._eid
+
+    recycled = run(lambda sim, sleeper: sim.advance(delay, sleeper))
+    fresh = run(lambda sim, sleeper: sim.timeout(delay))
+    assert recycled == fresh
+    assert [entry[1] for entry in recycled[0][:3]] == [
+        "before", "wake", "after"]
+
+
+# ---------------------------------------------------------- event states
+def test_event_flags_through_its_lifecycle():
+    sim = Simulator()
+    event = sim.event("ready")
+    assert (event.triggered, event.processed) == (False, False)
+    event.succeed(5)
+    assert (event.triggered, event.processed, event.ok) == (True, False, True)
+    assert event.value == 5 and sim.pending_count == 1
+    sim.run()
+    assert (event.triggered, event.processed) == (True, True)
+    assert "ready" in repr(event) and "processed" in repr(event)
+
+
+def test_failed_event_is_thrown_into_its_waiter():
+    sim = Simulator()
+    event = sim.event()
+    caught = []
+
+    def worker():
+        try:
+            yield event
+        except KeyError as exc:
+            caught.append((sim.now, exc))
+
+    sim.process(worker())
+    error = KeyError("gone")
+    sim.schedule(4, lambda: event.fail(error))
+    sim.run()
+    assert not event.ok and event.value is error
+    assert caught == [(4, error)]
+
+
+def test_timeout_delivers_its_value():
+    sim = Simulator()
+    got = []
+
+    def worker():
+        got.append((yield sim.timeout(6, value="tick")))
+        got.append(sim.now)
+
+    sim.process(worker())
+    sim.run()
+    assert got == ["tick", 6]
+
+
+def test_zero_timeout_runs_after_entries_already_at_the_instant():
+    sim = Simulator()
+    order = []
+    sim.schedule(0, lambda: order.append("queued"))
+    sim.timeout(0).callbacks.append(lambda e: order.append("timeout"))
+    sim.run()
+    assert order == ["queued", "timeout"] and sim.now == 0
+
+
+# -------------------------------------------------------------- run loop
+@pytest.mark.parametrize("until", [None, 100])
+def test_callback_exception_escapes_run_and_lifts_the_limit(until):
+    """A raising callback ends ``run`` at its instant; the run limit is
+    gone afterwards and a later ``run`` carries on with the queue."""
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.schedule(10, boom)
+    sim.schedule(200, lambda: fired.append(sim.now))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=until)
+    assert sim.now == 10
+    assert sim.horizon() == 200
+    sim.run()
+    assert fired == [200]
+
+
+def test_stop_before_run_does_not_halt_it():
+    sim = Simulator()
+    fired = []
+    sim.schedule(3, lambda: fired.append(sim.now))
+    sim.stop()
+    sim.run()
+    assert fired == [3]
+
+
+def test_stop_from_a_process_resumes_where_it_left_off():
+    sim = Simulator()
+    log = []
+
+    def worker():
+        for _ in range(3):
+            yield sim.timeout(5)
+            log.append(sim.now)
+            sim.stop()
+
+    sim.process(worker())
+    for expected in ([5], [5, 10], [5, 10, 15]):
+        sim.run()
+        assert log == expected and sim.now == expected[-1]
+
+
+def test_schedule_takes_whole_cycles():
+    sim = Simulator()
+    seen = []
+    sim.schedule_at(7.0, lambda: seen.append(sim.now))
+    sim.schedule(3.0, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [3, 7]
+    assert all(type(time) is int for time in seen)
+
+
+def test_schedule_at_now_joins_the_running_instant():
+    """From inside a callback, an entry for the current instant runs in
+    that instant, after the entries already queued there."""
+    sim = Simulator()
+    order = []
+    sim.schedule(5, lambda: sim.schedule_at(
+        sim.now, lambda: order.append(("joined", sim.now))))
+    sim.schedule(5, lambda: order.append(("queued", sim.now)))
+    sim.schedule(6, lambda: order.append(("next", sim.now)))
+    sim.run()
+    assert order == [("queued", 5), ("joined", 5), ("next", 6)]
+
+
+# ------------------------------------------------------------- processes
+def test_processes_start_in_construction_order():
+    sim = Simulator()
+    order = []
+
+    def worker(tag):
+        order.append((sim.now, tag))
+        yield sim.timeout(0)
+
+    sim.schedule(4, lambda: [sim.process(worker(t)) for t in "xyz"])
+    for tag in "abc":
+        sim.process(worker(tag))
+    sim.run()
+    assert order == [(0, "a"), (0, "b"), (0, "c"),
+                     (4, "x"), (4, "y"), (4, "z")]
+
+
+def test_process_name_defaults_to_the_generator_name():
+    sim = Simulator()
+
+    def sensor_poll():
+        yield sim.timeout(1)
+
+    assert sim.process(sensor_poll()).name == "sensor_poll"
+    assert sim.process(sensor_poll(), name="poll-0").name == "poll-0"
+
+
+def test_is_alive_until_the_generator_returns():
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(5)
+
+    proc = sim.process(worker())
+    sim.run(until=4)
+    assert proc.is_alive and not proc.triggered
+    sim.run()
+    assert not proc.is_alive and proc.processed
+
+
+def test_escaped_interrupt_ends_the_process_with_none():
+    sim = Simulator()
+    log = []
+
+    def victim():
+        yield sim.timeout(100)
+        log.append("not reached")
+
+    def parent(proc):
+        value = yield proc
+        log.append((sim.now, value))
+
+    proc = sim.process(victim())
+    sim.process(parent(proc))
+    sim.schedule(8, lambda: proc.interrupt("kill"))
+    sim.run()
+    assert log == [(8, None)]
+    assert not proc.is_alive and proc.ok
+
+
+def test_interrupt_guard_is_read_at_delivery():
+    """The guard is evaluated when the throw would land, not when the
+    interrupt is raised: closed right after ``interrupt()`` returns, it
+    drops the interrupt."""
+    sim = Simulator()
+    log = []
+    state = {"open": True}
+
+    def worker():
+        try:
+            yield sim.timeout(20)
+            log.append("completed")
+        except Interrupt:
+            log.append("interrupted")
+
+    proc = sim.process(worker())
+
+    def raise_then_close():
+        proc.interrupt("x", guard=lambda: state["open"])
+        state["open"] = False
+
+    sim.schedule(10, raise_then_close)
+    sim.run()
+    assert log == ["completed"]
+
+
+def test_triggered_event_is_queued_once():
+    sim = Simulator()
+    event = sim.event()
+    event.succeed()
+    assert sim.pending_count == 1
+    sim.run()
+    assert sim.pending_count == 0 and event.processed
+
+
+def test_interrupt_dropped_when_the_process_finished_first():
+    """The interrupt is queued behind the process's own wake-up at the
+    same instant; the process has returned by the time it would land."""
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(10)
+
+    proc = sim.process(worker())
+    sim.schedule(10, lambda: proc.interrupt("late"))
+    sim.run()
+    assert not proc.is_alive and proc.value is None
+
+
+def test_waiting_on_a_triggered_event_resumes_when_it_is_processed():
+    sim = Simulator()
+    log = []
+    event = sim.event()
+
+    def worker():
+        yield sim.timeout(3)
+        event.succeed("now")
+        log.append((sim.now, (yield event)))
+
+    sim.process(worker())
+    sim.run()
+    assert log == [(3, "now")]

@@ -1,33 +1,26 @@
-"""Queue-implementation invariants: bucket vs reference heap.
+"""Event-queue invariants of the engine.
 
-These pin the contracts the bucketed timer queue must preserve --
-clock composition of ``run(until=...)``, insertion-order ties (also
-across the bucket/far-heap boundary), already-triggered condition
-children, and same-cycle interrupt-vs-timeout ordering.  Most tests
-are parametrized over both implementations; several additionally
-require the two to produce identical observable schedules.
+These pin the contracts of the one queue, a heap ordered by ``(time,
+insertion id)``: clock composition of ``run(until=...)``, idle
+fast-forward, the horizon seen from inside callbacks, insertion-order
+ties (also between entries pushed long before their instant and
+entries pushed just before it), same-cycle interrupt-vs-timeout
+ordering, withdrawing a queued entry, and the head a callback reads and
+pops to run the next entry in place.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Interrupt, Simulator
-from repro.sim.engine import BUCKET_HORIZON
 
-QUEUES = ("bucket", "heap")
-
-
-@pytest.fixture(params=QUEUES)
-def sim(request):
-    return Simulator(queue=request.param)
+#: A delay far beyond the short ones the tests mix it with.
+LONG = 1024
 
 
-def test_unknown_queue_kind_rejected():
-    with pytest.raises(ValueError):
-        Simulator(queue="fibonacci")
-
-
-def test_default_queue_is_bucket():
-    assert Simulator().queue_kind == Simulator.DEFAULT_QUEUE == "bucket"
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 # ------------------------------------------------------- run(until) clock
@@ -70,25 +63,25 @@ def test_run_until_rejects_fractional_cycle(sim):
 
 def test_run_until_idle_gap_fast_forwards(sim):
     """An empty stretch costs nothing and leaves the clock at until."""
-    sim.run(until=7 * BUCKET_HORIZON)
-    assert sim.now == 7 * BUCKET_HORIZON
+    sim.run(until=7 * LONG)
+    assert sim.now == 7 * LONG
     assert sim.pending_count == 0
 
 
 def test_schedule_after_fast_forward(sim):
     """New events schedule correctly after the clock jumped far ahead."""
     fired = []
-    sim.run(until=5 * BUCKET_HORIZON + 3)
+    sim.run(until=5 * LONG + 3)
     sim.schedule(2, lambda: fired.append(sim.now))
     sim.run()
-    assert fired == [5 * BUCKET_HORIZON + 5]
+    assert fired == [5 * LONG + 5]
 
 
 def test_horizon_reports_earliest(sim):
     assert sim.horizon() == float("inf")
-    sim.schedule(3 * BUCKET_HORIZON, lambda: None)  # far
-    assert sim.horizon() == 3 * BUCKET_HORIZON
-    sim.schedule(9, lambda: None)  # near
+    sim.schedule(3 * LONG, lambda: None)
+    assert sim.horizon() == 3 * LONG
+    sim.schedule(9, lambda: None)
     assert sim.horizon() == 9
     sim.run()
     assert sim.horizon() == float("inf")
@@ -107,32 +100,32 @@ def horizons_seen(sim, delays, probes):
 
 
 def test_horizon_mid_drain(sim):
-    """Called while an instant's bucket drains: the entry still due at
+    """Called while an instant's entries run: the entry still due at
     that instant, then, after the last one, the next instant -- not the
-    instant being drained."""
+    instant being run."""
     seen = horizons_seen(sim, [5, 5, 9, 3000], probes={0, 1})
     sim.run()
     assert seen == [(5, 5), (5, 9)]
 
 
 def test_horizon_sees_far_heap_entry(sim):
-    """A far-heap entry earlier than every bucketed one is the horizon,
-    also mid-drain."""
-    sim.schedule(BUCKET_HORIZON + 100, lambda: None)  # far
-    sim.run(until=BUCKET_HORIZON)
+    """An entry pushed long before its instant and earlier than every
+    entry pushed since is the horizon, also from inside a callback."""
+    sim.schedule(LONG + 100, lambda: None)
+    sim.run(until=LONG)
     seen = horizons_seen(sim, [0, 150], probes={0})
-    assert sim.horizon() == BUCKET_HORIZON
+    assert sim.horizon() == LONG
     sim.run()
-    assert seen == [(BUCKET_HORIZON, BUCKET_HORIZON + 100)]
+    assert seen == [(LONG, LONG + 100)]
 
 
 def test_horizon_after_ring_wraps(sim):
-    """The next instant sits at a lower ring slot than the one being
-    drained."""
-    sim.run(until=3 * BUCKET_HORIZON + 1000)
-    seen = horizons_seen(sim, [5, 5, BUCKET_HORIZON - 1], probes={1})
+    """Far from t=0, with the next instant almost ``LONG`` cycles past
+    the one being run."""
+    sim.run(until=3 * LONG + 1000)
+    seen = horizons_seen(sim, [5, 5, LONG - 1], probes={1})
     sim.run()
-    assert seen == [(3 * BUCKET_HORIZON + 1005, 4 * BUCKET_HORIZON + 999)]
+    assert seen == [(3 * LONG + 1005, 4 * LONG + 999)]
 
 
 def test_horizon_caps_at_run_limit(sim):
@@ -159,100 +152,78 @@ def test_stop_then_resume_preserves_remaining_events(sim):
 
 
 # -------------------------------------------------------------- tie order
-def test_ties_across_bucket_far_boundary_preserve_insertion_order():
-    """Entries pushed far (heap) and near (bucket) landing on the same
-    cycle must still run in global insertion order -- on both queues."""
+def test_ties_between_early_and_late_pushes_preserve_insertion_order(sim):
+    """Entries pushed long before their instant and entries pushed just
+    before it, landing on the same cycle, run in insertion order."""
+    order = []
+    target = LONG + 50
+    sim.schedule(target, lambda: order.append("early-1"))
+    sim.schedule(target, lambda: order.append("early-2"))
 
-    def trace(kind):
-        sim = Simulator(queue=kind)
-        order = []
-        target = BUCKET_HORIZON + 50
-        # Pushed while target is beyond the horizon: far heap.
-        sim.schedule(target, lambda: order.append("far-1"))
-        sim.schedule(target, lambda: order.append("far-2"))
+    def late_pushes():
+        sim.schedule_at(target, lambda: order.append("late-1"))
+        sim.schedule_at(target, lambda: order.append("late-2"))
 
-        def late_pushes():
-            # Runs inside the horizon: bucket path, same instant.
-            sim.schedule_at(target, lambda: order.append("near-1"))
-            sim.schedule_at(target, lambda: order.append("near-2"))
-
-        sim.schedule(target - 10, late_pushes)
-        sim.run()
-        return order
-
-    expected = ["far-1", "far-2", "near-1", "near-2"]
-    assert trace("bucket") == expected
-    assert trace("heap") == expected
+    sim.schedule(target - 10, late_pushes)
+    sim.run()
+    assert order == ["early-1", "early-2", "late-1", "late-2"]
 
 
-def test_same_cycle_interrupt_vs_timeout_tie_ordering():
+def test_same_cycle_interrupt_vs_timeout_tie_ordering(sim):
     """A timeout expiring at the same cycle an interrupt is delivered:
-    queue insertion order decides, identically on both queues.
+    queue insertion order decides.
 
     The timeout's queue entry is pushed at schedule time (t=0), the
     interrupt's deliver callback at t=10 -- so the timeout entry is
     older and the process completes the wait before the (now-dropped)
     interrupt can land.
     """
+    log = []
 
-    def trace(kind):
-        sim = Simulator(queue=kind)
-        log = []
-
-        def worker():
-            while True:
-                try:
-                    yield sim.timeout(10)
-                    log.append((sim.now, "tick"))
-                    if sim.now >= 20:
-                        return
-                except Interrupt as interrupt:
-                    log.append((sim.now, interrupt.cause))
-
-        proc = sim.process(worker())
-        sim.schedule(10, lambda: proc.interrupt("same-cycle"))
-        sim.run()
-        return log
-
-    assert trace("bucket") == trace("heap")
-    # The t=10 tick precedes the interrupt: its entry was pushed first.
-    assert trace("bucket")[0] == (10, "tick")
-    assert (10, "same-cycle") in trace("bucket")
-
-
-def test_interrupt_delivered_before_later_timeout_entry():
-    """Flip of the above: interrupt pushed before the timeout entry at
-    the same cycle wins on both queues."""
-
-    def trace(kind):
-        sim = Simulator(queue=kind)
-        log = []
-
-        def worker():
+    def worker():
+        while True:
             try:
-                yield sim.timeout(30)
+                yield sim.timeout(10)
                 log.append((sim.now, "tick"))
+                if sim.now >= 20:
+                    return
             except Interrupt as interrupt:
                 log.append((sim.now, interrupt.cause))
 
-        proc = sim.process(worker())
-
-        def schedule_pair():
-            # At t=5: interrupt entry pushed first, then a same-cycle
-            # callback; the interrupt must land first.
-            proc.interrupt("first")
-            log.append((sim.now, "callback"))
-
-        sim.schedule(5, schedule_pair)
-        sim.run()
-        return log
-
-    assert trace("bucket") == trace("heap") == [
-        (5, "callback"), (5, "first")
-    ]
+    proc = sim.process(worker())
+    sim.schedule(10, lambda: proc.interrupt("same-cycle"))
+    sim.run()
+    # The t=10 tick precedes the interrupt: its entry was pushed first.
+    assert log[0] == (10, "tick")
+    assert (10, "same-cycle") in log
 
 
-def test_many_same_cycle_entries_fifo_within_bucket(sim):
+def test_interrupt_delivered_before_later_timeout_entry(sim):
+    """Flip of the above: interrupt pushed before the timeout entry at
+    the same cycle wins."""
+    log = []
+
+    def worker():
+        try:
+            yield sim.timeout(30)
+            log.append((sim.now, "tick"))
+        except Interrupt as interrupt:
+            log.append((sim.now, interrupt.cause))
+
+    proc = sim.process(worker())
+
+    def schedule_pair():
+        # At t=5: interrupt entry pushed first, then a same-cycle
+        # callback; the interrupt must land first.
+        proc.interrupt("first")
+        log.append((sim.now, "callback"))
+
+    sim.schedule(5, schedule_pair)
+    sim.run()
+    assert log == [(5, "callback"), (5, "first")]
+
+
+def test_many_same_cycle_entries_run_in_push_order(sim):
     order = []
     for i in range(200):
         sim.schedule(17, lambda i=i: order.append(i))
@@ -260,105 +231,66 @@ def test_many_same_cycle_entries_fifo_within_bucket(sim):
     assert order == list(range(200))
 
 
-# ------------------------------------------------- condition events
-def test_any_of_with_already_triggered_child(sim):
-    log = []
-    done = sim.event()
-    done.succeed("early")
+#: The entries one callback pushes: (delay, re-queued).  A re-queued
+#: entry takes its insertion id when it is drawn and is pushed under it
+#: at the end of the callback (``_eid`` set one below, as the bus
+#: run-ahead re-queues the entries it stood in for), newest id first.
+PUSHES = st.lists(st.tuples(st.one_of(st.integers(0, 3),
+                                      st.integers(0, 3 * LONG)),
+                            st.booleans()), max_size=3)
 
-    def worker():
-        result = yield sim.any_of([done, sim.timeout(50)])
-        log.append((sim.now, result[done]))
 
-    sim.process(worker())
+@settings(max_examples=200, deadline=None)
+@given(program=st.lists(PUSHES, min_size=1, max_size=40),
+       slices=st.lists(st.integers(0, 2 * LONG), max_size=3))
+def test_dispatch_order_is_time_then_push_order(program, slices):
+    """Entries pushed at set-up and from inside callbacks -- at the
+    instant being run, a few cycles or several ``LONG`` ahead, fresh or
+    re-queued under an id taken earlier -- run in the order of ``(time,
+    insertion id)``, each at its time, across ``run(until)`` slices."""
+    sim = Simulator()
+    steps = iter(program)
+    pushed, dispatched = [], []
+
+    def push(time, eid):
+        key = (time, eid)
+        pushed.append(key)
+
+        def fire():
+            assert sim.now == time
+            dispatched.append(key)
+            act()
+
+        taken = sim._eid
+        sim._eid = eid - 1
+        sim._push(time, fire)
+        sim._eid = max(taken, eid)
+
+    def act():
+        requeued = []
+        for delay, requeue in next(steps, ()):
+            sim._eid += 1
+            if requeue:
+                requeued.append((sim.now + delay, sim._eid))
+            else:
+                push(sim.now + delay, sim._eid)
+        for time, eid in reversed(requeued):
+            push(time, eid)
+
+    act()
+    until = 0
+    for length in slices:
+        until += length
+        sim.run(until=until)
+        assert sim.now == until
     sim.run()
-    assert log == [(0, "early")]
+    assert dispatched == sorted(pushed)
+    assert sim.pending_count == 0
 
 
-def test_all_of_with_already_triggered_children(sim):
-    log = []
-    first, second = sim.event(), sim.event()
-    first.succeed(1)
-    second.succeed(2)
-
-    def worker():
-        result = yield sim.all_of([first, second, sim.timeout(5)])
-        log.append((sim.now, sorted(result.values(), key=str)))
-
-    sim.process(worker())
-    sim.run()
-    assert log == [(5, [1, 2, None])]
-
-
-def test_all_of_mixed_triggered_and_failed_child(sim):
-    caught = []
-    done = sim.event()
-    done.succeed()
-    failing = sim.event()
-
-    def worker():
-        try:
-            yield sim.all_of([done, failing])
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    sim.process(worker())
-    sim.schedule(3, lambda: failing.fail(ValueError("child failed")))
-    sim.run()
-    assert caught == ["child failed"]
-
-
-def test_any_of_empty_is_immediately_satisfied(sim):
-    log = []
-
-    def worker():
-        yield sim.any_of([])
-        log.append(sim.now)
-
-    sim.process(worker())
-    sim.run()
-    assert log == [0]
-
-
-# ----------------------------------------------- cross-queue equivalence
-def test_bucket_and_heap_schedules_identical_under_churn():
-    def run_once(kind):
-        sim = Simulator(queue=kind)
-        log = []
-
-        def worker(tag, period):
-            while True:
-                try:
-                    yield sim.timeout(period)
-                    log.append((sim.now, tag, "tick"))
-                except Interrupt:
-                    log.append((sim.now, tag, "irq"))
-
-        victims = [
-            sim.process(worker(t, 2 + i * 3))
-            for i, t in enumerate("abcd")
-        ]
-
-        def hammer():
-            while True:
-                yield sim.timeout(BUCKET_HORIZON + 13)  # far-heap period
-                for victim in victims:
-                    if victim.is_alive:
-                        victim.interrupt("far")
-
-        sim.process(hammer())
-        sim.run(until=10 * BUCKET_HORIZON)
-        return log
-
-    bucket, heap = run_once("bucket"), run_once("heap")
-    assert bucket == heap
-    assert len(bucket) > 1_000
-
-
-def test_pending_count_tracks_both_tiers():
-    sim = Simulator(queue="bucket")
+def test_pending_count_counts_every_entry(sim):
     sim.schedule(5, lambda: None)
-    sim.schedule(2 * BUCKET_HORIZON, lambda: None)
+    sim.schedule(2 * LONG, lambda: None)
     assert sim.pending_count == 2
     sim.run()
     assert sim.pending_count == 0
@@ -370,7 +302,7 @@ def logged(sim, log, tag):
 
 
 def test_withdraw_mid_drain_keeps_order_and_ids(sim):
-    """A callback withdraws an entry of the instant being drained: it
+    """A callback withdraws an entry of the instant being run: it
     never runs, the rest of the instant runs in insertion order, the
     insertion-id count is unchanged and the next instant follows."""
     log = []
@@ -388,8 +320,8 @@ def test_withdraw_mid_drain_keeps_order_and_ids(sim):
 
 
 def test_withdraw_last_entry_of_the_drained_instant(sim):
-    """Withdrawing the only other entry of the instant being drained
-    empties its slot: the horizon moves on to the next instant."""
+    """Withdrawing the only other entry of the instant being run: the
+    horizon moves on to the next instant."""
     log = []
     victim = logged(sim, log, "b")
     sim.schedule(5, lambda: (sim.withdraw(5, victim),
@@ -401,14 +333,14 @@ def test_withdraw_last_entry_of_the_drained_instant(sim):
 
 
 def test_withdraw_across_a_ring_lap(sim):
-    """The entry sits at a lower ring slot than ``now``'s: withdrawing
-    the earliest entry moves the horizon to the next one, past the
-    wrap, and the others still run in order."""
-    sim.run(until=3 * BUCKET_HORIZON + 1000)
+    """Far from t=0: withdrawing one of two entries at the earliest
+    instant leaves the horizon there, and the others still run in
+    order."""
+    sim.run(until=3 * LONG + 1000)
     now = sim.now
     log = []
     victim = logged(sim, log, "x")
-    sim.schedule(100, victim)  # slot (now + 100) & 1023 < now & 1023
+    sim.schedule(100, victim)
     sim.schedule(100, logged(sim, log, "y"))
     sim.schedule(300, logged(sim, log, "z"))
     sim.withdraw(now + 100, victim)
@@ -418,7 +350,9 @@ def test_withdraw_across_a_ring_lap(sim):
 
 
 def test_withdraw_sole_earliest_entry_after_ring_lap(sim):
-    sim.run(until=3 * BUCKET_HORIZON + 1000)
+    """Far from t=0: withdrawing the sole earliest entry moves the
+    horizon to the next one."""
+    sim.run(until=3 * LONG + 1000)
     now = sim.now
     log = []
     victim = logged(sim, log, "x")
@@ -431,31 +365,31 @@ def test_withdraw_sole_earliest_entry_after_ring_lap(sim):
 
 
 def test_withdraw_from_the_far_heap(sim):
-    """An entry a full window or more ahead leaves the far heap; the
-    remaining far and near entries keep their order."""
+    """An entry several ``LONG`` ahead leaves the queue; the remaining
+    far and near entries keep their order."""
     log = []
     victim = logged(sim, log, "far-victim")
-    sim.schedule(3 * BUCKET_HORIZON, victim)
-    sim.schedule(3 * BUCKET_HORIZON, logged(sim, log, "far"))
-    sim.schedule(2 * BUCKET_HORIZON, logged(sim, log, "far-earlier"))
+    sim.schedule(3 * LONG, victim)
+    sim.schedule(3 * LONG, logged(sim, log, "far"))
+    sim.schedule(2 * LONG, logged(sim, log, "far-earlier"))
     sim.schedule(7, logged(sim, log, "near"))
     eid = sim._eid
-    sim.withdraw(3 * BUCKET_HORIZON, victim)
+    sim.withdraw(3 * LONG, victim)
     assert sim.pending_count == 3
     sim.run()
-    assert log == [(7, "near"), (2 * BUCKET_HORIZON, "far-earlier"),
-                   (3 * BUCKET_HORIZON, "far")]
+    assert log == [(7, "near"), (2 * LONG, "far-earlier"),
+                   (3 * LONG, "far")]
     assert sim._eid == eid
 
 
 def test_withdraw_a_far_entry_once_inside_the_window(sim):
-    """Pushed a window ahead, the entry stays in the far heap after the
-    clock has come within a window of it."""
+    """Pushed ``2 * LONG`` ahead, the entry is withdrawn once the clock
+    has come within a few cycles of it."""
     log = []
     victim = logged(sim, log, "x")
-    sim.schedule(2 * BUCKET_HORIZON, victim)
-    sim.run(until=2 * BUCKET_HORIZON - 10)
-    sim.withdraw(2 * BUCKET_HORIZON, victim)
+    sim.schedule(2 * LONG, victim)
+    sim.run(until=2 * LONG - 10)
+    sim.withdraw(2 * LONG, victim)
     sim.run()
     assert log == [] and sim.pending_count == 0
 
@@ -470,3 +404,100 @@ def test_withdraw_refuses_an_entry_not_queued(sim):
     sim.withdraw(5, callback)
     with pytest.raises(ValueError):
         sim.withdraw(5, callback)
+
+
+# ------------------------------------------------------- head and in-place
+def test_head_of_an_empty_queue_is_the_run_limit(sim):
+    assert sim._head() == (float("inf"), None)
+    seen = []
+    sim.schedule(10, lambda: seen.append(sim._head()))
+    sim.run(until=50)
+    assert seen == [(51, None)]
+    assert sim._head() == (float("inf"), None)
+
+
+def test_head_reports_the_next_entry_and_its_item(sim):
+    callback = lambda: None  # noqa: E731
+    sim.schedule(8, callback)
+    timeout = sim.timeout(3)
+    assert sim._head() == (3, timeout)
+    sim.run(until=3)
+    assert sim._head() == (8, callback)
+
+
+@pytest.mark.parametrize("until, head", [(7, 8), (8, 9), (9, 9)])
+def test_head_inside_run_until_stops_at_the_limit(sim, until, head):
+    """From a callback, an entry at 9 is the head only when ``run(until)``
+    will dispatch it; otherwise the head is the limit ``until + 1``."""
+    seen = []
+
+    def entry():
+        pass
+
+    sim.schedule(5, lambda: seen.append(sim._head()))
+    sim.schedule(9, entry)
+    sim.run(until=until)
+    assert seen == [(head, entry if until >= 9 else None)]
+
+
+def test_pop_head_lets_a_callback_run_the_next_entry_in_place(sim):
+    """The run-ahead pattern: a callback moves ``now`` to the head's
+    time, pops it and runs it itself; the queue then carries on as if
+    the engine had dispatched that entry."""
+    log = []
+
+    def later():
+        log.append(("later", sim.now))
+
+    def ahead():
+        log.append(("ahead", sim.now))
+        time, item = sim._head()
+        assert item is later
+        sim.now = time
+        sim._pop_head()
+        item()
+
+    sim.schedule(5, ahead)
+    sim.schedule(9, later)
+    sim.schedule(12, lambda: log.append(("last", sim.now)))
+    sim.run()
+    assert log == [("ahead", 5), ("later", 9), ("last", 12)]
+    assert sim.pending_count == 0
+
+
+def test_run_ahead_in_place_matches_engine_dispatch(sim):
+    """Playing the same-instant successors of an entry in place gives
+    the log and insertion-id count of letting the engine run them."""
+
+    def build(simulator, in_place):
+        log = []
+
+        def tagged(tag):
+            def run():
+                log.append((simulator.now, tag))
+                if tag == "a" and in_place:
+                    while simulator._head()[0] == simulator.now:
+                        _time, item = simulator._head()
+                        simulator._pop_head()
+                        item()
+            return run
+
+        for tag in "abc":
+            simulator.schedule(4, tagged(tag))
+        simulator.schedule(6, tagged("d"))
+        simulator.run()
+        return log, simulator._eid
+
+    assert build(sim, True) == build(Simulator(), False)
+
+
+def test_withdrawing_the_head_moves_it_to_the_next_entry(sim):
+    first = lambda: None  # noqa: E731
+    second = lambda: None  # noqa: E731
+    sim.schedule(4, first)
+    sim.schedule(4, second)
+    sim.schedule(6, lambda: None)
+    sim.withdraw(4, first)
+    assert sim._head() == (4, second)
+    sim.withdraw(4, second)
+    assert sim._head()[0] == 6
