@@ -22,7 +22,7 @@ Top-level convenience re-exports.  The subpackages are:
 from repro.core.mpdp import MPDPScheduler
 from repro.core.task import AperiodicTask, Job, PeriodicTask, TaskSet
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "PeriodicTask",

@@ -64,7 +64,7 @@ def dispatch_census(n_cpus, utilization):
 
 @pytest.mark.parametrize("n_cpus, utilization, eid, bound", [
     (2, 0.4, 61_479, 7_325),
-    (4, 0.6, 133_399, 20_216),
+    (4, 0.6, 116_258, 20_216),
 ], ids=["2P-40", "4P-60"])
 def test_lead_in_run_ahead_dispatches_fewer_entries(n_cpus, utilization, eid,
                                                     bound):
