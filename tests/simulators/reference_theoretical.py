@@ -57,7 +57,9 @@ class ReferenceTheoreticalSimulator(TheoreticalSimulator):
             if self.now == self._next_tick:
                 dirty |= self._process_tick()
                 self._next_tick += self.tick
-            dirty |= self._process_arrivals()
+            pending = len(self._arrivals)
+            self._process_arrivals()
+            dirty |= len(self._arrivals) < pending
             dirty |= self._process_completions()
             if dirty:
                 self._allocate()
