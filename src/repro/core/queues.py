@@ -26,9 +26,9 @@ class _SortedJobQueue:
 
     A parallel list of cached keys avoids recomputing ``_key`` for every
     resident job on each insertion -- the fold-back in
-    :meth:`repro.core.mpdp.MPDPScheduler.allocate` pushes at every
-    scheduling event, and a key never changes while a job sits in a
-    queue (promotion removes before re-inserting).
+    :meth:`repro.core.mpdp.MPDPScheduler.allocate` pushes every running
+    job back at each full allocation, and a key never changes while a
+    job sits in a queue (promotion removes before re-inserting).
     """
 
     def __init__(self):
@@ -74,10 +74,6 @@ class _SortedJobQueue:
 
     def __contains__(self, job: Job) -> bool:
         return job in self._jobs
-
-    def clear(self) -> None:
-        self._jobs.clear()
-        self._keys.clear()
 
 
 class PeriodicReadyQueue(_SortedJobQueue):
@@ -149,9 +145,6 @@ class AperiodicReadyQueue:
     def __contains__(self, job: Job) -> bool:
         return job in self._jobs
 
-    def clear(self) -> None:
-        self._jobs.clear()
-
 
 class WaitingPeriodicQueue:
     """Parked periodic jobs ordered by proximity to their release time.
@@ -184,10 +177,6 @@ class WaitingPeriodicQueue:
             released.append(job)
         return released
 
-    def next_release(self) -> Optional[int]:
-        """Earliest parked release time, or None when empty."""
-        return self._jobs[0].release if self._jobs else None
-
     def __len__(self) -> int:
         return len(self._jobs)
 
@@ -196,7 +185,3 @@ class WaitingPeriodicQueue:
 
     def __contains__(self, job: Job) -> bool:
         return job in self._jobs
-
-    def clear(self) -> None:
-        self._jobs.clear()
-        self._keys.clear()

@@ -64,15 +64,15 @@ class Simulator:
         place -- same queue entry shape, same tie ordering as a fresh
         ``timeout(delay)``, minus the allocation.  A sleeper is only
         reused when it was consumed normally (processed, no callbacks
-        left); anything else -- including an early-succeeded event whose
-        stale queue entry may still be in flight -- gets a fresh
-        Timeout, which is always safe.
+        left, never triggered early); anything else -- including an
+        early-succeeded timeout whose own queue entry is still in
+        flight -- gets a fresh Timeout, which is always safe.
         """
         delay = int(delay)
         if delay < 0:
             raise ValueError(f"negative advance delay: {delay}")
         if (sleeper is not None and sleeper._state == PROCESSED
-                and not sleeper.callbacks):
+                and not sleeper.callbacks and sleeper.delay is not None):
             sleeper._state = PENDING
             sleeper._value = None
             sleeper._ok = True

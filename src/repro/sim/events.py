@@ -121,6 +121,10 @@ class Timeout(Event):
     the constructor inlines the :class:`Event` field initialisation and
     leaves ``name`` unset (``repr`` derives a label lazily) instead of
     rendering an f-string per instance.
+
+    Triggered early with :meth:`succeed` or :meth:`fail`, a timeout
+    sets ``delay`` to None: its own queue entry is still in flight, so
+    :meth:`~repro.sim.engine.Simulator.advance` must never re-arm it.
     """
 
     __slots__ = ("delay",)
@@ -137,6 +141,14 @@ class Timeout(Event):
         self._state = PENDING
         self.delay = delay
         sim._push(sim.now + delay, self)
+
+    def succeed(self, value: Any = None) -> "Timeout":
+        self.delay = None
+        return Event.succeed(self, value)
+
+    def fail(self, exception: BaseException) -> "Timeout":
+        self.delay = None
+        return Event.fail(self, exception)
 
     def __repr__(self) -> str:
         label = self.name or f"Timeout({self.delay})"

@@ -128,7 +128,7 @@ class TestWaitingPeriodicQueue:
         early = pjob("early", release=100)
         q.push(late)
         q.push(early)
-        assert q.next_release() == 100
+        assert list(q) == [early, late]
 
     def test_pop_released_returns_due_jobs(self):
         q = WaitingPeriodicQueue()
@@ -146,9 +146,6 @@ class TestWaitingPeriodicQueue:
         q = WaitingPeriodicQueue()
         q.push(pjob(release=100))
         assert q.pop_released(now=50) == []
-
-    def test_next_release_empty(self):
-        assert WaitingPeriodicQueue().next_release() is None
 
     def test_rejects_aperiodic(self):
         with pytest.raises(TypeError):

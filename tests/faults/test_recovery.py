@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.scenarios import (
+    DEMO_HORIZON,
     baseline_run,
     crash_plan,
     run_scenario,
@@ -146,9 +147,6 @@ def test_kernel_stats_surface_fault_counters():
         assert key in stats
 
 
-# Known kernel defects (docs/FAULTS.md, "Known defects").  Each test
-# pins a plan that reaches the defect today; strict xfail turns green
-# into a failure once the kernel is fixed, so the marker must go then.
 def _demo_random_plan(seed, kind):
     from repro.faults.plan import random_plan
     from repro.faults.scenarios import demo_taskset
@@ -158,10 +156,22 @@ def _demo_random_plan(seed, kind):
                        kinds=[kind])
 
 
-@pytest.mark.xfail(strict=True, raises=ValueError,
-                   reason="KD-1: _arm_watchdog schedules a watchdog in the past")
-def test_timer_glitch_plan_arms_watchdog_in_the_past():
-    run_scenario(plan=_demo_random_plan(7, "timer_glitch"))
+def test_timer_glitch_plan_counts_a_job_released_past_its_deadline():
+    # A glitched timer delays a scheduling cycle until a job's deadline
+    # has passed before the job is released; its watchdog cannot be
+    # armed in the past, so the release counts the miss at once (KD-1,
+    # docs/FAULTS.md).
+    result = run_scenario(plan=_demo_random_plan(7, "timer_glitch"))
+    assert result["now"] == DEMO_HORIZON
+    assert result["injector"]["fired"] == 3
+    assert result["stats"]["deadline_misses"] == 1
+    misses = [event for event in result["trace"] if event.kind == "deadline_miss"]
+    assert len(misses) == 1
+
+
+# Known kernel defect (docs/FAULTS.md, "Known defects").  The test pins
+# a plan that reaches the defect today; strict xfail turns green into a
+# failure once the kernel is fixed, so the marker must go then.
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError,

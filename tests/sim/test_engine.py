@@ -395,6 +395,27 @@ def test_advance_keeps_a_pending_sleeper():
     assert fired == [("new", 3), ("old", 10)]
 
 
+def test_advance_keeps_a_sleeper_succeeded_before_its_instant():
+    """A timeout succeeded early still has its own entry queued at its
+    instant; re-arming the object would wake the process there."""
+    sim = Simulator()
+    sleeper = sim.timeout(10)
+    woke = []
+
+    def worker():
+        yield sleeper
+        woke.append(sim.now)
+        again = sim.advance(20, sleeper)
+        woke.append(again is sleeper)
+        yield again
+        woke.append(sim.now)
+
+    sim.process(worker())
+    sim.schedule(2, sleeper.succeed)
+    sim.run()
+    assert woke == [2, False, 22]
+
+
 def test_advance_keeps_a_sleeper_that_still_has_callbacks():
     sim = Simulator()
     sleeper = sim.timeout(2)
