@@ -6,6 +6,8 @@ prototype, with per-task worst-case response times within the
 calibrated tolerance.
 """
 
+import hashlib
+
 import pytest
 
 from repro import TICK
@@ -52,6 +54,36 @@ def _small_tlm(n_cpus=2, utilization=0.40, **kwargs):
     )
     horizon = arrival + int(17.0 * CLOCK_HZ)
     return sim, horizon
+
+
+#: Exact outcome of each anchor phase at the committed cost table:
+#: insertion ids taken, stats, and a digest of every finished job's
+#: (name, start, finish, preemptions, migrations).  The accuracy tests
+#: below tolerate drift up to the residual; this catches any drift.
+GOLDEN = {
+    (2, 0.40): (375, {"context_switches": 155, "ipis": 17, "promotions": 0,
+                      "tlm_contention_wait_cycles": 116_812_304},
+                "9b3267bc679bf491"),
+    (3, 0.50): (615, {"context_switches": 297, "ipis": 62, "promotions": 0,
+                      "tlm_contention_wait_cycles": 319_242_803},
+                "9e62cdebed74d576"),
+    (4, 0.60): (1_040, {"context_switches": 524, "ipis": 121, "promotions": 4,
+                        "tlm_contention_wait_cycles": 827_159_180},
+                "dc6ddfb792fd1e6f"),
+}
+
+
+@pytest.mark.parametrize("cell", ANCHOR_CELLS,
+                         ids=[f"{n}P-{u:.0%}" for n, u in ANCHOR_CELLS])
+def test_anchor_phase_is_bit_identical(cell):
+    sim, horizon = _small_tlm(*cell)
+    sim.run(horizon)
+    eid, stats, digest = GOLDEN[cell]
+    jobs = [(job.name, job.start_time, job.finish_time, job.preemptions,
+             job.migrations) for job in sim.finished_jobs]
+    assert sim.sim._eid == eid
+    assert {key: sim.stats()[key] for key in stats} == stats
+    assert hashlib.sha256(repr(jobs).encode()).hexdigest()[:16] == digest
 
 
 class TestCostTable:
