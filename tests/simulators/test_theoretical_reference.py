@@ -1,9 +1,10 @@
 """The incremental theoretical rung against its allocate-every-step oracle.
 
-:class:`TheoreticalSimulator` consults the MPDP policy only when a
-decision can change (a tick that moved a job, an arrival, a freed
-processor); :class:`ReferenceTheoreticalSimulator` recomputes the full
-assignment at every tick and event.  Both must produce the same jobs,
+:class:`TheoreticalSimulator` takes each decision from
+``MPDPScheduler.reschedule``, which recomputes the full assignment only
+when a job entered a band and otherwise refills freed processors;
+:class:`ReferenceTheoreticalSimulator` recomputes the full assignment
+at every tick and event.  Both must produce the same jobs,
 the same counters and the same trace, record for record.
 """
 
