@@ -231,7 +231,8 @@ class DualPriorityMicrokernel:
             job = self._current[cpu]
             if job is None:
                 self._state[cpu] = "idle"
-                self.trace.record(self.sim.now, "idle", cpu=cpu)
+                if self.trace.enabled:
+                    self.trace.record(self.sim.now, "idle", cpu=cpu)
                 yield core.irq_event()
                 self._enter_kernel(cpu)
                 yield from self._service_interrupts(cpu)
@@ -287,7 +288,8 @@ class DualPriorityMicrokernel:
                     "kernel_irqs_total", labels={"kind": str(kind)},
                     help="interrupts serviced by the kernel, by kind",
                 ).inc()
-            self.trace.record(self.sim.now, "irq", cpu=cpu, info=str(kind))
+            if self.trace.enabled:
+                self.trace.record(self.sim.now, "irq", cpu=cpu, info=str(kind))
 
             if kind == "timer":
                 yield from self._scheduling_cycle(cpu)
@@ -325,10 +327,11 @@ class DualPriorityMicrokernel:
         released = self.policy.release_due(now)
         promoted = self.policy.promote_due(now)
         moved = len(released) + len(promoted)
-        for job in released:
-            self.trace.record(now, "release", job=job.name)
-        for job in promoted:
-            self.trace.record(now, "promote", job=job.name)
+        if self.trace.enabled:
+            for job in released:
+                self.trace.record(now, "release", job=job.name)
+            for job in promoted:
+                self.trace.record(now, "promote", job=job.name)
         if self._shed_tasks:
             released = self._shed_released(released, now)
         for job in released:
@@ -339,7 +342,8 @@ class DualPriorityMicrokernel:
         allocation = self.policy.reschedule(self.sim.now)
         self.assigned = list(allocation.assignment)
         self.scheduling_cycles += 1
-        self.trace.record(self.sim.now, "tick", cpu=cpu)
+        if self.trace.enabled:
+            self.trace.record(self.sim.now, "tick", cpu=cpu)
         yield from self._notify_switches(cpu, allocation.switches)
         self._unlock_kernel(cpu)
         if self._m_sched is not None:
@@ -369,7 +373,9 @@ class DualPriorityMicrokernel:
         yield self.sim.timeout(self.costs.aperiodic_release)
         self.policy.add_aperiodic(job)
         self.aperiodic_releases += 1
-        self.trace.record(self.sim.now, "release", job=job.name, info="aperiodic")
+        if self.trace.enabled:
+            self.trace.record(self.sim.now, "release", job=job.name,
+                              info="aperiodic")
         yield from self._queue_traffic(cpu, 1)
 
         allocation = self.policy.reschedule(self.sim.now)
@@ -383,7 +389,8 @@ class DualPriorityMicrokernel:
         yield self.sim.timeout(self.costs.completion)
         if job.finish_time is None:
             self.policy.job_finished(job, self.sim.now)
-            self.trace.record(self.sim.now, "finish", job=job.name, cpu=cpu)
+            if self.trace.enabled:
+                self.trace.record(self.sim.now, "finish", job=job.name, cpu=cpu)
         else:
             # KD-3 (docs/FAULTS.md): this core loaded the job's context
             # while another core still executed it, and that core
@@ -440,8 +447,13 @@ class DualPriorityMicrokernel:
         self._record_fault(cpu, job, f"overrun+{extra}")
 
     def _complete_or_recover(self, cpu: int, job: Job):
-        """Completion gate: consume an armed crash fault, else finish."""
-        if self._faults_armed and self._pending_crashes.get(job.task.name):
+        """Completion gate: consume an armed crash fault, else finish.
+
+        A stale completion (KD-3: another core already finished the
+        job) consumes no crash; it stays armed for the task's next real
+        completion."""
+        if (self._faults_armed and job.finish_time is None
+                and self._pending_crashes.get(job.task.name)):
             yield from self._recover_crash(cpu, job)
             return
         yield from self._on_completion(cpu, job)
@@ -606,7 +618,9 @@ class DualPriorityMicrokernel:
             old_ctx = engine.context_of(
                 old.task.name, self._binding_of(old).stack_words
             )
-            self.trace.record(self.sim.now, "preempt", job=old.name, cpu=cpu)
+            if self.trace.enabled:
+                self.trace.record(self.sim.now, "preempt", job=old.name,
+                                  cpu=cpu)
         new_ctx: Optional[TaskContext] = None
         if new is not None:
             new_ctx = engine.context_of(
@@ -618,8 +632,10 @@ class DualPriorityMicrokernel:
             self.context_switches += 1
             if self._m_switches is not None:
                 self._m_switches.inc()
-            self.trace.record(self.sim.now, "switch", job=new.name, cpu=cpu)
-            self.trace.record(self.sim.now, "dispatch", job=new.name, cpu=cpu)
+            if self.trace.enabled:
+                self.trace.record(self.sim.now, "switch", job=new.name, cpu=cpu)
+                self.trace.record(self.sim.now, "dispatch", job=new.name,
+                                  cpu=cpu)
 
     # ----------------------------------------------------------------- utilities
     def _binding_of(self, job: Job) -> TaskBinding:

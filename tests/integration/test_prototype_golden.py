@@ -23,6 +23,7 @@ import pytest
 from repro import CLOCK_HZ, TICK, cycles_to_seconds
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.scenarios import run_scenario
+from repro.kernel.microkernel import RecoveryConfig
 from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
 from repro.trace.metrics import compute_metrics
 from repro.workloads.automotive import (
@@ -60,8 +61,10 @@ GOLDEN = {
 }
 
 
-def run_phase(n_cpus: int, utilization: float, arrival_s: float = 1.0) -> dict:
-    """One prototype run exactly as ``figure4.run_cell`` makes it."""
+def build_phase(n_cpus: int, utilization: float, arrival_s: float = 1.0,
+                recovery=None):
+    """One prototype run exactly as ``figure4.run_cell`` makes it, and
+    its horizon."""
     taskset = prepare_taskset(
         build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
     )
@@ -72,7 +75,13 @@ def run_phase(n_cpus: int, utilization: float, arrival_s: float = 1.0) -> dict:
         PrototypeConfig(n_cpus=n_cpus, tick=TICK, scale=SCALE),
         bindings=automotive_bindings(),
         aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
+        recovery=recovery,
     )
+    return proto, horizon
+
+
+def run_phase(n_cpus: int, utilization: float, arrival_s: float = 1.0) -> dict:
+    proto, horizon = build_phase(n_cpus, utilization, arrival_s)
     proto.run(horizon)
     metrics = compute_metrics(proto.finished_jobs, horizon // SCALE)
     response = proto.to_full_scale(
@@ -95,6 +104,36 @@ def run_phase(n_cpus: int, utilization: float, arrival_s: float = 1.0) -> dict:
 @pytest.mark.parametrize("cell", sorted(GOLDEN), ids=lambda c: f"{c[0]}P{round(c[1] * 100)}")
 def test_prototype_cell_is_bit_identical(cell):
     assert run_phase(*cell) == GOLDEN[cell]
+
+
+#: The first of 4P/60 %'s two stale completions: core 3 finishes
+#: ``bitcount-shift-large#9`` at 700,144 (scaled cycles), and core 0
+#: completes the same job again at 700,209.  The task's next real
+#: completion is ``#10``, at 775,127.
+STALE_TASK = "bitcount-shift-large"
+CRASH_BEFORE_STALE = 700_150
+
+
+@pytest.mark.parametrize("enabled", [False, True],
+                         ids=["recovery-off", "recovery-on"])
+def test_crash_fault_skips_a_stale_completion(enabled):
+    """A crash armed between a job's completion and its stale second
+    completion stays armed for the task's next real completion: with
+    recovery a finished job is not re-executed, and without it a
+    validly finished job is not marked invalid."""
+    proto, horizon = build_phase(4, 0.60,
+                                 recovery=RecoveryConfig(enabled=enabled))
+    kernel = proto.kernel
+    proto.soc.sim.schedule_at(CRASH_BEFORE_STALE,
+                              lambda: kernel.inject_crash(STALE_TASK))
+    proto.run(horizon)
+    hit = [job.name for job in proto.finished_jobs
+           if job.invalid or job.retries]
+    assert hit == [f"{STALE_TASK}#10"]
+    assert kernel.stale_completions >= 1
+    assert kernel.faults_injected == 1
+    assert (kernel.task_retries, kernel.crashes_unrecovered) == (
+        (1, 0) if enabled else (0, 1))
 
 
 #: Two bus stalls (one landing mid-transaction at an odd instant) and a
