@@ -1,47 +1,1 @@
 """Experiment drivers reproducing the paper's figures and tables."""
-
-from repro.experiments.figure3 import (
-    figure3_taskset,
-    run_schedule_a,
-    run_schedule_b,
-)
-from repro.experiments.figure4 import (
-    PAPER_SLOWDOWNS,
-    Figure4Cell,
-    figure4_sweep,
-    run_cell,
-    slowdown_table,
-)
-from repro.experiments.runner import (
-    SweepResult,
-    context_cost_sweep,
-    mpic_timeout_sweep,
-    processor_scaling_sweep,
-    sweep,
-    traffic_intensity_sweep,
-)
-from repro.experiments.tables import (
-    PAPER_SLOWDOWN_MATRIX,
-    format_slowdown_matrix,
-    format_task_table,
-)
-
-__all__ = [
-    "figure3_taskset",
-    "run_schedule_a",
-    "run_schedule_b",
-    "run_cell",
-    "figure4_sweep",
-    "slowdown_table",
-    "Figure4Cell",
-    "PAPER_SLOWDOWNS",
-    "sweep",
-    "SweepResult",
-    "context_cost_sweep",
-    "traffic_intensity_sweep",
-    "processor_scaling_sweep",
-    "mpic_timeout_sweep",
-    "PAPER_SLOWDOWN_MATRIX",
-    "format_task_table",
-    "format_slowdown_matrix",
-]

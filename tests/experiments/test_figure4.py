@@ -9,8 +9,13 @@ quickly and the paper's qualitative claims are asserted:
 - the real-vs-theoretical gap grows with periodic utilization.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.experiments.figure4 import (
     APERIODIC_STANDALONE_S,
     PAPER_SLOWDOWNS,
@@ -72,3 +77,20 @@ def test_cell_math():
     cell = Figure4Cell(n_cpus=2, utilization=0.5, theoretical_s=10.0, real_s=11.0)
     assert cell.slowdown_pct == pytest.approx(10.0)
     assert "2P" in cell.row()
+
+
+def test_module_entry_point_warns_nothing():
+    """``python -m repro.experiments.figure4`` runs without the
+    RuntimeWarning runpy gives when the package imports the module
+    before it executes as ``__main__``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.experiments.figure4", "--help"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "Figure 4" in done.stdout
