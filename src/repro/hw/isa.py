@@ -16,18 +16,22 @@ program on a :class:`~repro.hw.microblaze.MicroBlaze`, paying
 
 Two interpreters produce that timing model:
 
-- ``"block"`` (the default): a compiled basic-block interpreter.
-  At load the program is decoded once into flat per-pc tuples (opcode
-  kind, bound ALU/branch callable, register indices, cache line
-  index/tag), and each straight-line run of core-private instructions
-  (ALU, ALU-immediate, nop, up to and including one branch, ``br``,
-  ``brl`` or ``jr``) becomes one generated Python function, compiled
-  on first entry: inline register expressions, one I-cache tag check
-  per line, constant ``(next_pc, cycles, retired)`` exits.  Execution
-  then *temporally decouples* from the event engine: blocks run back
-  to back, only accumulating a cycle count, and a single coalesced
-  ``advance(n)`` sleep is emitted at the next *interaction point* --
-  a data access, an I-cache miss refill, halt, or an execution fault.
+- ``"block"`` (the default): a compiled-region interpreter.  At load
+  the program is decoded once into flat per-pc tuples (opcode kind,
+  bound ALU/branch callable, register indices, cache line index/tag).
+  A *block* is a straight-line run of core-private instructions (ALU,
+  ALU-immediate, nop, up to and including one branch, ``br``, ``brl``
+  or ``jr``), and the blocks reachable from an entry pc through static
+  edges form a *region*: one generated Python function, compiled on
+  first entry, with inline register expressions, one I-cache tag check
+  per line and ``(next_pc, cycles, retired)`` exits.  A region with a
+  loop runs it in a ``while`` loop that dispatches on pc and keeps
+  registers in locals, so a loop costs one call, not one per block
+  (:class:`_CompiledRegions`).  Execution then *temporally decouples*
+  from the event engine: regions run back to back, only accumulating
+  a cycle count, and a single coalesced ``advance(n)`` sleep is emitted
+  at the next *interaction point* -- a data access, an I-cache miss
+  refill, halt, or an execution fault.
   Memory traffic, bus arbitration and trace events still happen at
   their exact per-instruction instants, so the observable schedule is
   bit-for-bit identical to the reference.  Transient faults
@@ -42,7 +46,7 @@ Two interpreters produce that timing model:
 
 The ALU and branch semantics live in one table of expression templates
 (``_ALU_EXPRS`` / ``_BRANCH_EXPRS``); the reference's callables and the
-generated block code are both derived from it.
+generated region code are both derived from it.
 
 Used by the substrate unit tests, the MPIC/sync-engine integration
 tests and the bus-contention calibration microbenchmarks.
@@ -50,6 +54,7 @@ tests and the bus-contention calibration microbenchmarks.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -317,46 +322,93 @@ def _decode_program(program: Program, icache) -> list:
     return decoded
 
 
-#: Longest straight-line run one generated block covers.  Bounds the
-#: source compiled per entry pc, so resuming mid-run (a jump target, a
-#: line refill) never recompiles more than this many instructions.
+#: Longest straight-line run one block covers.  A block is the unit a
+#: region checks its remaining fuel against, and a budget that ends
+#: inside one runs a truncated copy, so this also bounds those copies.
 _BLOCK_MAX = 64
 
+#: Most instructions of reachable blocks one region compiles; blocks
+#: past it are exits, left to the regions entered there.
+_REGION_MAX = 1024
 
-def _operand(reg: int) -> str:
-    """Generated-code read of register ``reg`` (r0 is the constant 0)."""
+#: Most instructions one arm of a looping region chains inline through
+#: fall-throughs before it dispatches to the next block instead.
+_CHAIN_MAX = 64
+
+#: Most blocks one path of a loop-free region inlines.
+_NEST_MAX = 32
+
+
+def _in_list(reg: int) -> str:
+    """Generated-code read of register ``reg`` from the list ``r``."""
     return f"r[{reg}]" if reg else "0"
 
 
-class _CompiledBlocks:
-    """A decoded program's straight-line runs as generated functions.
+def _to_list(reg: int, expr: str) -> str:
+    """Generated-code write of ``expr`` to register ``reg`` of ``r``."""
+    return f"r[{reg}] = {expr}"
 
-    The block entered at pc ``p`` covers the core-private instructions
-    from ``p`` (ALU, ALU-immediate, nop) up to and including the first
-    control transfer, stopping before a memory op or halt and after
-    :data:`_BLOCK_MAX` instructions.  Its function ``block(r, t)``
-    executes that run against the register list ``r`` and returns
-    ``(next_pc, cycles, retired)``.  It checks the I-cache tag list
-    ``t`` once per line, before the line's first instruction: a miss
-    returns early with the retired prefix, so a miss at the entry line
-    returns ``(p, 0, 0)``.  Every exit is a constant tuple except a
-    ``jr``'s target.  Functions are compiled on first entry.
+
+class _CompiledRegions:
+    """A decoded program's core-private code as generated functions.
+
+    The *block* at pc ``p`` is the run of core-private instructions from
+    ``p`` (ALU, ALU-immediate, nop) up to and including the first
+    control transfer, stopping before a memory op, halt, branch target
+    or return site and after :data:`_BLOCK_MAX` instructions.  The
+    *region* entered at ``p`` is
+    the set of blocks reachable from it through static edges: a
+    conditional branch's target and fall-through, a ``br``'s target, a
+    ``brl``'s target and its return site, and the next block after a
+    run that the size cap ended.  Its function ``region(r, t, fuel,
+    pc)`` runs those blocks against the register list ``r`` from
+    ``pc`` on and returns ``(next_pc, cycles, retired)`` exactly where
+    a chain of blocks run one at a time would stop:
+
+    - before a memory op or halt, and at a ``jr`` or branch whose
+      target is outside the region;
+    - at an I-cache tag miss (the tag list ``t`` is checked once per
+      line), with the retired prefix, so a miss at the entry line
+      returns ``(pc, 0, 0)``;
+    - before a block that does not fit the remaining ``fuel``.  The
+      caller makes sure the entry block fits, and at the pc returned
+      runs the block cut to the fuel that is left (:meth:`truncated`).
+
+    A region without a cycle is one nest of straight-line code that
+    inlines every successor and works on ``r`` in place.  A region with
+    a cycle is a loop that dispatches on ``pc`` to *arms*.  The entry,
+    every branch target, every return site and every line a block
+    enters midway heads an arm, and an arm chains its fall-through
+    successors inline.  The loop keeps the
+    registers the region reads in locals and writes the ones it also
+    changes back at its one exit.  Every arm is an entry of the same
+    function, so a ``jr`` to a return site stays inside it.  Functions
+    are compiled on first entry.
     """
 
     def __init__(self, program: Program, decoded: list):
         self.instructions = program.instructions
         self.decoded = decoded
         n = len(decoded)
-        #: entry pc -> compiled block (None: not compiled, or an
-        #: interaction point that no block covers).
+        #: entry pc -> compiled region (None: not compiled, or an
+        #: interaction point that no region covers).
         self.entries: List = [None] * n
-        #: entry pc -> instructions the block retires when run to its end.
+        #: pc -> instructions the block at pc retires when run to its end.
         self.sizes = [0] * n
+        # Blocks end before the pcs a taken transfer reaches statically
+        # (branch targets and return sites), so one region compiles no
+        # code twice, and at the end of the program.
+        targets = [False] * n + [True]
+        for pc, (kind, _, _, _, b) in enumerate(op[:5] for op in decoded):
+            if _K_CBR <= kind <= _K_BRL and 0 <= b < n:
+                targets[b] = True
+            if kind == _K_BRL:
+                targets[pc + 1] = True
         for pc in range(n - 1, -1, -1):
             kind = decoded[pc][0]
             if kind >= _K_HALT:
                 continue
-            if _K_CBR <= kind <= _K_JR or pc + 1 == n:
+            if _K_CBR <= kind <= _K_JR or targets[pc + 1]:
                 self.sizes[pc] = 1
             else:
                 self.sizes[pc] = min(_BLOCK_MAX, 1 + self.sizes[pc + 1])
@@ -364,76 +416,302 @@ class _CompiledBlocks:
         self._truncated: Dict[Tuple[int, int], object] = {}
 
     def entry(self, pc: int):
-        """The block entered at ``pc``, compiling it on first use."""
-        block = self.entries[pc]
-        if block is None:
-            block = self.entries[pc] = self._build(pc, self.sizes[pc])
-        return block
+        """The region entered at ``pc``, compiling it on first use."""
+        region = self.entries[pc]
+        if region is None:
+            region = self._region(pc)
+        return region
 
     def truncated(self, pc: int, limit: int):
-        """The block entered at ``pc``, cut after ``limit`` instructions
-        (the instruction budget ends inside it)."""
+        """The block at ``pc`` cut after ``limit`` instructions (the
+        instruction budget ends inside it), as ``block(r, t)``."""
         block = self._truncated.get((pc, limit))
         if block is None:
-            block = self._truncated[pc, limit] = self._build(pc, limit)
+            body: List[str] = []
+            line = None
+            for p in range(pc, pc + limit):
+                index, tag = self.decoded[p][5:7]
+                if (index, tag) != line:
+                    line = (index, tag)
+                    body.append(f"if t[{index}] != {tag}: "
+                                f"return ({p}, {p - pc}, {p - pc})")
+                body += self._alu(p, _in_list, _to_list)
+            body.append(f"return ({pc + limit}, {limit}, {limit})")
+            block = self._truncated[pc, limit] = _define(
+                f"block_{pc}_{limit}", "r, t", body)
         return block
 
-    def _build(self, pc: int, limit: int):
-        name = f"block_{pc}_{limit}"
-        body = self._source(pc, limit)
-        source = f"def {name}(r, t):\n" + "".join(
-            f"    {line}\n" for line in body)
-        namespace: dict = {}
-        exec(_compile(source, "exec"), namespace)
-        return namespace[name]
+    # -------------------------------------------------------------- the graph
+    def _edges(self, q: int) -> Tuple[List[int], Optional[int]]:
+        """The static successors of the block at ``q``: the pcs a taken
+        transfer reaches (a ``brl``'s return site among them), and the
+        pc it falls through to, if it can."""
+        end = q + self.sizes[q] - 1
+        kind, _, _, _, b = self.decoded[end][:5]
+        if kind == _K_CBR:
+            return [b], end + 1
+        if kind == _K_BR:
+            return [b], None
+        if kind == _K_BRL:
+            return [b, end + 1], None
+        if kind == _K_JR:
+            return [], None
+        return [], end + 1
 
-    def _source(self, pc: int, limit: int) -> List[str]:
-        """Body lines of the block entered at ``pc``."""
+    def _successors(self, q: int) -> List[int]:
+        taken, fall = self._edges(q)
+        return taken if fall is None else taken + [fall]
+
+    def _private(self, pc: int) -> bool:
+        """True when a block starts at ``pc``: it is in the program and
+        neither a memory op nor halt."""
+        return 0 <= pc < len(self.decoded) and self.decoded[pc][0] < _K_HALT
+
+    def _reach(self, root: int) -> List[int]:
+        """The blocks of the region entered at ``root``, in visit order."""
+        nodes = [root]
+        seen = {root}
+        total = self.sizes[root]
+        for q in nodes:
+            for s in self._successors(q):
+                if (s not in seen and self._private(s)
+                        and total + self.sizes[s] <= _REGION_MAX):
+                    seen.add(s)
+                    nodes.append(s)
+                    total += self.sizes[s]
+        return nodes
+
+    def _cycles(self, nodes: List[int], inside: set) -> Dict[int, float]:
+        """The shortest cycle through each block of a region, in
+        instructions (inf: none).  Edges follow a call through its
+        routine: a ``brl`` leads to its target only, and a ``jr`` to
+        every return site of the region."""
+        sizes = self.sizes
+        tails = {q: self.decoded[q + sizes[q] - 1][0] for q in nodes}
+        returns = [q + sizes[q] for q in nodes if tails[q] == _K_BRL]
+        succ = {}
+        for q in nodes:
+            if tails[q] == _K_JR:
+                flow = returns
+            else:
+                flow = self._successors(q)[:1 if tails[q] == _K_BRL else 2]
+            succ[q] = [s for s in flow if s in inside]
+
+        def cycle(node: int) -> float:
+            heap = [(sizes[node], s) for s in succ[node]]
+            done = set()
+            while heap:
+                length, q = heapq.heappop(heap)
+                if q == node:
+                    return length
+                if q not in done:
+                    done.add(q)
+                    for s in succ[q]:
+                        heapq.heappush(heap, (length + sizes[q], s))
+            return float("inf")
+
+        return {q: cycle(q) for q in nodes}
+
+    # ------------------------------------------------------------ generation
+    def _alu(self, p: int, read, write) -> List[str]:
+        """The statement of the ALU op at ``p`` (none for a nop, a
+        control transfer or an r0 destination)."""
+        kind, _, rd, ra, b = self.decoded[p][:5]
+        if kind > _K_ALUI or not rd:
+            return []
+        op = self.instructions[p].op
+        expr = _ALU_EXPRS[op if kind == _K_ALU else op[:-1]]
+        rhs = read(b) if kind == _K_ALU else b
+        return [write(rd, expr.format(a=read(ra), b=rhs))]
+
+    def _test(self, p: int, read) -> str:
+        """The taken condition of the conditional branch at ``p``."""
+        return _BRANCH_EXPRS[self.instructions[p].op].format(
+            v=read(self.decoded[p][2]))
+
+    def _region(self, root: int):
+        """Compile the region entered at ``root``; register it at every
+        arm no other region claimed first."""
+        nodes = self._reach(root)
+        inside = set(nodes)
+        cycles = self._cycles(nodes, inside)
+        if min(cycles.values()) < float("inf"):
+            arms, body = self._looping(root, nodes, inside, cycles)
+        else:
+            arms, body = [root], self._flat(root, inside)
+        region = _define(f"region_{root}", "r, t, fuel, pc", body)
+        for arm in arms:
+            if self.entries[arm] is None:
+                self.entries[arm] = region
+        return region
+
+    def _flat(self, root: int, inside: set) -> List[str]:
+        """Body of a loop-free region: every successor inlined, the
+        taken side of a branch nested under its test."""
         body: List[str] = []
-        cycles = retired = 0
-        line = None
-        for p in range(pc, pc + limit):
-            kind, _, rd, ra, b, index, tag, _ = self.decoded[p]
-            if (index, tag) != line:
-                line = (index, tag)
-                body.append(f"if t[{index}] != {tag}: "
-                            f"return ({p}, {cycles}, {retired})")
-            cycles += 1
-            retired += 1
-            op = self.instructions[p].op
-            if kind == _K_ALU or kind == _K_ALUI:
-                if rd:
-                    expr = _ALU_EXPRS[op if kind == _K_ALU else op[:-1]]
-                    rhs = _operand(b) if kind == _K_ALU else str(b)
-                    body.append(
-                        f"r[{rd}] = {expr.format(a=_operand(ra), b=rhs)}")
-                continue
-            if kind == _K_NOP:
-                continue
-            target = _operand(rd) if kind == _K_JR else b
-            taken = f"return ({target}, {cycles + BRANCH_PENALTY}, {retired})"
+        budget = _REGION_MAX
+
+        def goto(s: int, dn: int, dc: int, line, pad: str, depth: int):
+            if s in inside and self.sizes[s] <= budget and depth < _NEST_MAX:
+                block(s, dn, dc, line, pad, depth + 1)
+            else:
+                body.append(f"{pad}return ({s}, {dc}, {dn})")
+
+        def block(q: int, dn: int, dc: int, line, pad: str, depth: int):
+            nonlocal budget
+            budget -= self.sizes[q]
+            if dn:
+                body.append(f"{pad}if fuel < {dn + self.sizes[q]}: "
+                            f"return ({q}, {dc}, {dn})")
+            for p in range(q, q + self.sizes[q]):
+                kind, _, rd, _, b, index, tag, _ = self.decoded[p]
+                if (index, tag) != line:
+                    line = (index, tag)
+                    body.append(f"{pad}if t[{index}] != {tag}: "
+                                f"return ({p}, {dc}, {dn})")
+                dn += 1
+                dc += 1
+                body.extend(pad + s for s in self._alu(p, _in_list, _to_list))
+            if kind == _K_JR:
+                body.append(f"{pad}return ({_in_list(rd)}, "
+                            f"{dc + BRANCH_PENALTY}, {dn})")
+                return
             if kind == _K_CBR:
-                test = _BRANCH_EXPRS[op].format(v=_operand(rd))
-                body.append(f"if {test}: {taken}")
-                break
-            if kind == _K_BRL and rd:
-                body.append(f"r[{rd}] = {p + 1}")
-            body.append(taken)
-            return body
-        body.append(f"return ({pc + retired}, {cycles}, {retired})")
+                body.append(f"{pad}if {self._test(p, _in_list)}:")
+                goto(b, dn, dc + BRANCH_PENALTY, line, pad + "    ", depth)
+            elif kind == _K_BR or kind == _K_BRL:
+                if kind == _K_BRL and rd:
+                    body.append(f"{pad}{_to_list(rd, p + 1)}")
+                goto(b, dn, dc + BRANCH_PENALTY, line, pad, depth)
+                return
+            goto(p + 1, dn, dc, line, pad, depth)
+
+        block(root, 0, 0, None, "", 0)
         return body
 
+    def _looping(self, root: int, nodes: List[int], inside: set,
+                 cycles: Dict[int, float]) -> Tuple[List[int], List[str]]:
+        """Arms and body of a region with a cycle: a dispatch loop whose
+        arms are tested inner loops first, in order of the shortest
+        cycle through them."""
+        decoded = self.decoded
+        sizes = self.sizes
+        reads: set = set()
+        writes: set = set()
+        for q in nodes:
+            for p in range(q, q + sizes[q]):
+                kind, _, rd, ra, b = decoded[p][:5]
+                if kind <= _K_ALUI:
+                    writes.add(rd)
+                    reads.update((ra, b) if kind == _K_ALU else (ra,))
+                elif kind == _K_CBR or kind == _K_JR:
+                    reads.add(rd)
+                elif kind == _K_BRL:
+                    writes.add(rd)
+        held = sorted(reads - {0})
+        spilled = [reg for reg in held if reg in writes]
 
-def _compile_blocks(program: Program, icache) -> _CompiledBlocks:
-    """The program's compiled blocks, cached on the program next to
+        def read(reg: int) -> str:
+            return f"r{reg}" if reg else "0"
+
+        def write(reg: int, expr) -> str:
+            return f"r{reg} = {expr}" if reg in reads else f"r[{reg}] = {expr}"
+
+        # Arms: the entry, the taken targets, and every line a block
+        # enters midway, where the region resumes after a refill.
+        arms = [root]
+        for q in nodes:
+            arms += [s for s in self._edges(q)[0]
+                     if s in inside and s not in arms]
+            arms += [p for p in range(q + 1, q + sizes[q])
+                     if decoded[p][5:7] != decoded[p - 1][5:7]
+                     and p not in arms]
+        heads = set(arms)
+
+        def leave(arm: int, p: int, dn: int, dc: int) -> str:
+            """Exit the region at ``p``, ``dn`` instructions and ``dc``
+            cycles into the arm."""
+            steps = [f"left -= {dn}"] if dn else []
+            steps += [f"c += {dc}"] if dc else []
+            steps += [f"pc = {p}"] if p != arm else []
+            return "; ".join(steps + ["break"])
+
+        def goto(s: int, dn: int, dc: int) -> str:
+            """Transfer to ``s``: dispatch to its arm or leave."""
+            return (f"left -= {dn}; c += {dc}; pc = {s}; "
+                    + ("continue" if s in heads else "break"))
+
+        def arm_body(arm: int) -> List[str]:
+            lines: List[str] = []
+            q, dn, dc, line = arm, 0, 0, None
+            while True:
+                lines.append(f"if left < {dn + sizes[q]}: "
+                             + leave(arm, q, dn, dc))
+                for p in range(q, q + sizes[q]):
+                    kind, _, rd, _, b, index, tag, _ = decoded[p]
+                    if (index, tag) != line:
+                        line = (index, tag)
+                        lines.append(f"if t[{index}] != {tag}: "
+                                     + leave(arm, p, dn, dc))
+                    dn += 1
+                    dc += 1
+                    lines += self._alu(p, read, write)
+                if kind == _K_JR:
+                    lines.append(f"left -= {dn}; c += {dc + BRANCH_PENALTY}; "
+                                 f"pc = {read(rd)}; continue")
+                    return lines
+                if kind == _K_BR or kind == _K_BRL:
+                    if kind == _K_BRL and rd:
+                        lines.append(write(rd, p + 1))
+                    lines.append(goto(b, dn, dc + BRANCH_PENALTY))
+                    return lines
+                if kind == _K_CBR:
+                    lines.append(f"if {self._test(p, read)}: "
+                                 + goto(b, dn, dc + BRANCH_PENALTY))
+                q = p + 1
+                if q in inside and q not in heads:
+                    if dn + sizes[q] <= _CHAIN_MAX:
+                        continue
+                    arms.append(q)
+                    heads.add(q)
+                lines.append(goto(q, dn, dc))
+                return lines
+
+        arm_code = {}
+        for arm in arms:  # grows as long chains are cut into new arms
+            arm_code[arm] = arm_body(arm)
+        body = [f"r{reg} = r[{reg}]" for reg in held]
+        body += ["left = fuel", "c = 0", "while True:"]
+        order = sorted(arms, key=lambda arm: (
+            cycles.get(arm, float("inf")), arm))
+        for index, arm in enumerate(order):
+            body.append(f"    {'el' if index else ''}if pc == {arm}:")
+            body += ["        " + line for line in arm_code[arm]]
+        body += ["    else:", "        break"]
+        body += [f"r[{reg}] = r{reg}" for reg in spilled]
+        body.append("return (pc, c, fuel - left)")
+        return arms, body
+
+
+def _define(name: str, params: str, body: List[str]):
+    """Compile generated function ``name`` from its body lines."""
+    source = f"def {name}({params}):\n" + "".join(
+        f"    {line}\n" for line in body)
+    namespace: dict = {}
+    exec(_compile(source, "exec"), namespace)
+    return namespace[name]
+
+
+def _compile_regions(program: Program, icache) -> _CompiledRegions:
+    """The program's compiled regions, cached on the program next to
     the decoded form under the same I-cache geometry key."""
     key = (icache.line_bytes, icache.n_lines)
-    cache = program.__dict__.setdefault("_block_cache", {})
-    blocks = cache.get(key)
-    if blocks is None:
-        blocks = cache[key] = _CompiledBlocks(
+    cache = program.__dict__.setdefault("_region_cache", {})
+    regions = cache.get(key)
+    if regions is None:
+        regions = cache[key] = _CompiledRegions(
             program, _decode_program(program, icache))
-    return blocks
+    return regions
 
 
 # Window-terminating interaction points for the block interpreter.
@@ -500,8 +778,8 @@ class ISAExecutor:
         self.metrics = metrics
         # Decode (and validate) once for both interpreters.
         self._decoded = _decode_program(program, core.icache)
-        self._blocks = (_compile_blocks(program, core.icache)
-                        if mode == "block" else None)
+        self._regions = (_compile_regions(program, core.icache)
+                         if mode == "block" else None)
         # Block-interpreter observability: executed windows, the
         # instructions they coalesced, and fault-invalidated replays.
         self.windows = 0
@@ -681,9 +959,9 @@ class ISAExecutor:
 
         A *window* is the run of core-private instructions (ALU,
         branches, nop) from one interaction point to the next.  The
-        inner loop runs a window's compiled blocks (see
-        :class:`_CompiledBlocks`) back to back against the register
-        list, accumulating their cycle cost in ``pending``; the single
+        inner loop runs a window's compiled regions (see
+        :class:`_CompiledRegions`) against the register list, one call
+        per region, accumulating their cycle cost in ``pending``; the single
         ``advance(pending)`` sleep at the window boundary replaces the
         reference interpreter's per-instruction timeouts.  Everything
         another bus master or a trace consumer could observe -- DDR
@@ -707,10 +985,10 @@ class ISAExecutor:
         ddr_base = ddr.base
         ddr_top = ddr.base + ddr.size
         decoded = self._decoded
-        blocks = self._blocks
-        entries = blocks.entries
-        sizes = blocks.sizes
-        longest = blocks.longest
+        regions = self._regions
+        entries = regions.entries
+        sizes = regions.sizes
+        longest = regions.longest
         n = len(decoded)
         regs = state.regs
         metrics = self.metrics
@@ -748,13 +1026,15 @@ class ISAExecutor:
                         err = ISAError(f"pc {pc} outside program")
                         sync = _S_ERROR
                         break
-                    block = entries[pc]
-                    if block is None and decoded[pc][0] < _K_HALT:
-                        block = blocks.entry(pc)
-                    if block is not None:
+                    region = entries[pc]
+                    if region is None and decoded[pc][0] < _K_HALT:
+                        region = regions.entry(pc)
+                    if region is not None:
                         if fuel < longest and sizes[pc] > fuel:
-                            block = blocks.truncated(pc, fuel)
-                        pc, cost, retired = block(regs, tags)
+                            pc, cost, retired = regions.truncated(
+                                pc, fuel)(regs, tags)
+                        else:
+                            pc, cost, retired = region(regs, tags, fuel, pc)
                         if retired:
                             fuel -= retired
                             pending += cost

@@ -1,10 +1,12 @@
-"""Generated block code vs the semantic callables of ``repro.hw.isa``.
+"""Generated region code vs the semantic callables of ``repro.hw.isa``.
 
-The block compiler's generated code and the callables the reference
+The region compiler's generated code and the callables the reference
 interpreter calls are both derived from one table of expression
 templates.  These tests pin the two derivations to each other, and both
 to the ISA's semantics written out plainly below, on edge operands and
-hypothesis-drawn 32-bit values.
+hypothesis-drawn 32-bit values.  Each instruction runs in both shapes of
+generated code: a loop-free region, which works on the register list in
+place, and a looping region, which keeps registers in locals.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from repro.hw.isa import (
     Program,
     _ALU_FUNCS,
     _BRANCH_TESTS,
-    _compile_blocks,
+    _compile_regions,
     _signed,
 )
 
@@ -60,38 +62,62 @@ def test_tables_cover_the_opcode_set():
     assert all(op in OPCODES for op in ALU_OPS + BRANCH_OPS)
 
 
-def _compiled(instruction):
-    """The compiled block at pc 0 of ``instruction; halt`` plus a tag
-    list that hits on its line."""
-    program = Program(instructions=[instruction, Instruction(op="halt")])
+def _compiled(*instructions):
+    """The region entered at pc 0 of ``instructions`` plus a tag list
+    that hits on every line."""
+    program = Program(instructions=list(instructions))
     icache = DirectMappedICache(0)
-    icache.fill_line(program.address_of(0))
-    return _compile_blocks(program, icache).entry(0), icache._tags
+    for index in range(len(program)):
+        icache.fill_line(program.address_of(index))
+    return _compile_regions(program, icache).entry(0), icache._tags
+
+
+def _run_alu(instruction, regs_in):
+    """Register 3 after ``instruction`` runs once in each region shape:
+    the loop-free ``instruction; halt`` and the looping ``instruction;
+    bnez r3 -> 0; halt``, where r3 is a local written back at the exit."""
+    results = []
+    for tail, exits in (
+            ("halt", [(1, 1, 1)]),
+            ("bnez", [(0, 2 + isa.BRANCH_PENALTY, 2), (2, 2, 2)]),
+    ):
+        region, tags = _compiled(instruction,
+                                 Instruction(op=tail, rd=3, imm=0),
+                                 Instruction(op="halt"))
+        regs = [0] * 32
+        for reg, value in regs_in.items():
+            regs[reg] = value
+        assert region(regs, tags, 2, 0) in exits
+        results.append(regs[3])
+    assert results[0] == results[1]
+    return results[0]
 
 
 def _alu_reg(op, a, b):
-    block, tags = _compiled(Instruction(op=op, rd=3, ra=1, rb=2))
-    regs = [0] * 32
-    regs[1], regs[2] = a, b
-    assert block(regs, tags) == (1, 1, 1)
-    return regs[3]
+    return _run_alu(Instruction(op=op, rd=3, ra=1, rb=2), {1: a, 2: b})
 
 
 def _alu_imm(op, a, imm):
-    block, tags = _compiled(Instruction(op=op + "i", rd=3, ra=1, imm=imm))
-    regs = [0] * 32
-    regs[1] = a
-    assert block(regs, tags) == (1, 1, 1)
-    return regs[3]
+    return _run_alu(Instruction(op=op + "i", rd=3, ra=1, imm=imm), {1: a})
 
 
 def _branch_taken(op, v):
-    block, tags = _compiled(Instruction(op=op, rd=1, imm=7))
-    regs = [0] * 32
-    regs[1] = v
-    exit_ = block(regs, tags)
-    assert exit_ in ((7, 1 + isa.BRANCH_PENALTY, 1), (1, 1, 1))
-    return exit_[0] == 7
+    """Whether ``op`` on r1 = ``v`` is taken, in each region shape: the
+    loop-free ``op; halt`` and the looping ``op; br 0``."""
+    taken = []
+    for tail in ("halt", "br"):
+        region, tags = _compiled(Instruction(op=op, rd=1, imm=2),
+                                 Instruction(op=tail, imm=0),
+                                 Instruction(op="halt"))
+        regs = [0] * 32
+        regs[1] = v
+        exit_ = region(regs, tags, 2, 0)
+        not_taken = (1, 1, 1) if tail == "halt" else (
+            0, 2 + isa.BRANCH_PENALTY, 2)
+        assert exit_ in ((2, 1 + isa.BRANCH_PENALTY, 1), not_taken)
+        taken.append(exit_[0] == 2)
+    assert taken[0] == taken[1]
+    return taken[0]
 
 
 @pytest.mark.parametrize("op", ALU_OPS)
@@ -139,17 +165,21 @@ def test_branch_agrees_on_drawn_words(op, v):
 
 
 def test_r0_reads_zero_and_discards_writes():
-    block, tags = _compiled(Instruction(op="add", rd=0, ra=0, rb=1))
-    regs = [0] * 32
-    regs[1] = 5
-    assert block(regs, tags) == (1, 1, 1)
-    assert regs[0] == 0
+    for tail, fuel in (("halt", 10), ("br", 2)):
+        region, tags = _compiled(Instruction(op="add", rd=0, ra=0, rb=1),
+                                 Instruction(op=tail, imm=0))
+        regs = [0] * 32
+        regs[1] = 5
+        region(regs, tags, fuel, 0)
+        assert regs == [0, 5] + [0] * 30
 
 
 def test_generated_code_is_charged_to_the_isa_module():
-    """Profilers attribute code by file name: generated blocks and the
+    """Profilers attribute code by file name: generated regions and the
     derived callables must name ``repro/hw/isa.py``, not ``<string>``."""
-    block, _ = _compiled(Instruction(op="addi", rd=3, ra=1, imm=4))
-    assert block.__code__.co_filename == isa.__file__
+    for tail in ("halt", "br"):
+        region, _ = _compiled(Instruction(op="addi", rd=3, ra=1, imm=4),
+                              Instruction(op=tail, imm=0))
+        assert region.__code__.co_filename == isa.__file__
     assert _ALU_FUNCS["add"].__code__.co_filename == isa.__file__
     assert _BRANCH_TESTS["beqz"].__code__.co_filename == isa.__file__
