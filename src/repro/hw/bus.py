@@ -14,6 +14,9 @@ Two usage styles:
   engine queue callbacks, so the caller resumes once per batch.  An
   execution segment of :meth:`repro.hw.microblaze.MicroBlaze.execute`
   re-arms one tenure chunk after chunk, and its caller resumes once.
+- ``bus.credit(master, target, start)`` for a transaction its master
+  played in place on a quiet bus, before anything else can run (the
+  block ISA interpreter's DDR accesses): stats only, no queue entries.
 - ``bus.stats`` exposes the utilization counters that the closed-form
   wait model :func:`analytic_txn_wait` of the transaction-level rung
   (:mod:`repro.simulators.tlm`) is calibrated against.
@@ -541,6 +544,28 @@ class OPBBus:
                 heapq.heapify(waiting)
                 return
         raise RuntimeError("release of a grant this bus never issued")
+
+    def credit(self, master: int, target: BusTarget, start: int,
+               words: int = 1) -> int:
+        """Account one transaction its master played in place.
+
+        The caller found the bus quiet (no holder, no waiter) and the
+        transaction, requested at ``start``, over before anything else
+        can run (:meth:`repro.sim.engine.Simulator.horizon`), so it is
+        granted at ``start`` and the stats gain what :meth:`transfer`
+        would credit, with no wait.  Returns the hold latency.
+        """
+        latency = target.access_latency(words)
+        stats = self.stats
+        stats.busy_cycles += latency
+        stats.transactions += 1
+        waits = stats.wait_cycles
+        waits[master] = waits.get(master, 0)
+        counts = stats.transactions_by_master
+        counts[master] = counts.get(master, 0) + 1
+        name = target.name
+        stats.per_target[name] = stats.per_target.get(name, 0) + latency
+        return latency
 
     def transfer(self, master: int, target: BusTarget, words: int = 1,
                  count: int = 1):

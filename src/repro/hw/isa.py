@@ -31,13 +31,15 @@ Two interpreters produce that timing model:
   from the event engine: regions run back to back, only accumulating
   a cycle count, and a single coalesced ``advance(n)`` sleep is emitted
   at the next *interaction point* -- a data access, an I-cache miss
-  refill, halt, or an execution fault.
+  refill, halt, or an execution fault.  A DDR access on a quiet bus
+  that ends before anything else can run is no interaction point: it
+  is played in place and the window goes on.
   Memory traffic, bus arbitration and trace events still happen at
   their exact per-instruction instants, so the observable schedule is
   bit-for-bit identical to the reference.  Transient faults
   (``WordStorage.flip_bit`` / ``MicroBlaze.register_upset``) landing
   inside a coalesced sleep invalidate the in-flight window: the
-  executor rolls back to the window's entry checkpoint and replays it
+  executor rolls back to the window's checkpoint and replays it
   per-instruction across the fault instant.
 - ``"reference"``: the original one-event-per-instruction loop,
   retained as the oracle the perf tier's ISA determinism sentinel
@@ -967,7 +969,11 @@ class ISAExecutor:
         another bus master or a trace consumer could observe -- DDR
         transactions, I-cache refills, local-memory effects, halt, and
         execution faults -- happens at the same absolute instant the
-        reference interpreter produces.
+        reference interpreter produces.  A DDR access plays in place,
+        inside the window, when the bus is quiet and the access ends
+        strictly before ``sim.horizon()``: until then nothing else runs,
+        so no one can contend for the bus or touch the word.  The fault
+        checkpoint then moves past it.
         """
         state = self.state
         if state.halted:
@@ -984,6 +990,9 @@ class ISAExecutor:
         local_latency = local_mem.access_latency(1)
         ddr_base = ddr.base
         ddr_top = ddr.base + ddr.size
+        ddr_latency = ddr.access_latency(1)
+        bus_credit = bus.credit
+        trace = self.trace
         decoded = self._decoded
         regions = self._regions
         entries = regions.entries
@@ -1003,11 +1012,20 @@ class ISAExecutor:
         try:
             while True:
                 tags = icache._tags  # re-read per window: invalidate() rebinds
+                now = sim.now
+                # A DDR access that ends before this many cycles from
+                # now, on a quiet bus, is played in place: nothing else
+                # can run, or reach the bus, before it ends.
+                room = (sim.horizon() - now
+                        if bus._holder is None and not bus._waiting else 0)
+                # The checkpoint a fault rolls back to: the window's
+                # entry, then past each access played in place.
                 ck_pc = pc
-                ck_fuel = fuel
-                ck_skip = filled_pc
+                w_fuel = ck_fuel = fuel
+                w_skip = ck_skip = filled_pc
                 filled_pc = -1
                 ck_regs = regs[:]
+                ck_pending = 0
                 pending = 0
                 sync = 0
                 err: Optional[ISAError] = None
@@ -1042,7 +1060,8 @@ class ISAExecutor:
                         op = decoded[pc]
                         sync = _S_FILL
                         break
-                    # memory op or halt: an interaction point
+                    # memory op or halt: an interaction point, unless a
+                    # DDR access that is played in place
                     op = decoded[pc]
                     if tags[op[5]] != op[6]:
                         sync = _S_FILL
@@ -1059,7 +1078,34 @@ class ISAExecutor:
                         pending += local_latency
                         sync = _S_LOCAL
                     elif ddr_base <= addr < ddr_top:
-                        sync = _S_DDR
+                        if addr & 3 or pending + ddr_latency >= room:
+                            sync = _S_DDR
+                            break
+                        # Requested at now + pending, granted at once.
+                        pending += bus_credit(cpu_id, ddr, now + pending)
+                        self.data_accesses += 1
+                        if trace is not None:
+                            trace.record(
+                                now + pending,
+                                "access",
+                                cpu=cpu_id,
+                                info=f"addr={addr:#x} "
+                                     f"op={'read' if kind <= 9 else 'write'}",
+                            )
+                        if kind <= 9:  # load
+                            value = ddr.read_word(addr)
+                            rd = op[2]
+                            if rd:
+                                regs[rd] = value
+                        else:
+                            ddr.write_word(addr, regs[op[2]])
+                        pc += 1
+                        ck_pc = pc
+                        ck_fuel = fuel
+                        ck_skip = -1
+                        ck_regs = regs[:]
+                        ck_pending = pending
+                        continue
                     else:
                         err = ISAError(
                             f"address {addr:#x} maps to no memory region"
@@ -1070,34 +1116,35 @@ class ISAExecutor:
                 # ---- window boundary: bulk-apply counters, one sleep
                 # Every fetch the window retired hit the I-cache, except
                 # a first fetch that the previous window's refill covered.
-                hits = ck_fuel - fuel - (ck_skip >= 0)
                 state.pc = pc
                 state.instructions_retired = max_instructions - fuel
                 self.windows += 1
-                self.window_instructions += ck_fuel - fuel
+                self.window_instructions += w_fuel - fuel
                 self.cycles += pending
-                icache.hits += hits
+                icache.hits += w_fuel - fuel - (w_skip >= 0)
                 if pending:
-                    flush_start = sim.now
                     sleep = sim.advance(pending, sleep)
                     self._sleep = sleep
                     yield sleep
                     self._sleep = None
                     if self._window_broken:
-                        # A fault landed inside the coalesced sleep.
+                        # A fault landed inside the coalesced sleep,
+                        # past the checkpoint: every access played in
+                        # place ended before anything else could run.
                         # The early-woken sleep leaves a stale queue
                         # entry behind; never re-arm it.
                         self._window_broken = False
                         sleep = None
                         self.replays += 1
+                        tail = pending - ck_pending
                         regs[:] = ck_regs
-                        self.cycles -= pending
-                        icache.hits -= hits
+                        self.cycles -= tail
+                        icache.hits -= ck_fuel - fuel - (ck_skip >= 0)
                         state.pc = ck_pc
                         state.instructions_retired = max_instructions - ck_fuel
                         state.halted = False
                         yield from self._replay(
-                            ck_pc, ck_skip, sim.now - flush_start, pending
+                            ck_pc, ck_skip, sim.now - now - ck_pending, tail
                         )
                         if (state.pc != pc
                                 or state.instructions_retired
@@ -1122,8 +1169,8 @@ class ISAExecutor:
                     yield from bus.transfer(cpu_id, ddr, words=1)
                     self.cycles += sim.now - start
                     load = op[0] <= 9
-                    if self.trace is not None:
-                        self.trace.record(
+                    if trace is not None:
+                        trace.record(
                             sim.now,
                             "access",
                             cpu=cpu_id,
@@ -1171,11 +1218,12 @@ class ISAExecutor:
         ``credit`` cycles of the window's coalesced sleep had already
         elapsed when the fault broke it, so the instants the reference
         interpreter has already passed apply instantly and the
-        remainder sleeps at per-instruction granularity.  Windows carry
-        no memory traffic, so the replay re-traces the identical path
-        from the checkpointed registers; the terminal interaction
-        point's cost is slept here but its *effect* stays with the
-        caller (at the exact boundary instant, after the fault).
+        remainder sleeps at per-instruction granularity.  A window
+        carries no memory traffic past its checkpoint, so the replay
+        re-traces the identical path from the checkpointed registers;
+        the terminal interaction point's cost is slept here but its
+        *effect* stays with the caller (at the exact boundary instant,
+        after the fault).
         """
         state = self.state
         regs = state.regs

@@ -85,6 +85,25 @@ def test_stats_accounting():
     assert bus.stats.per_target["ddr"] == 28
 
 
+@pytest.mark.parametrize("words", [1, 2, 8])
+def test_credit_accounts_as_a_transfer_on_a_quiet_bus(words):
+    """A transaction played in place credits the stats exactly as the
+    same transfer on a free bus does, and queues nothing."""
+    sim, bus, ddr = setup()
+
+    def master():
+        yield from bus.transfer(3, ddr, words=words)
+
+    sim.process(master())
+    sim.run()
+    played = OPBBus(Simulator())
+    eid = played.sim._eid
+    assert played.credit(3, ddr, start=40, words=words) == \
+        ddr.access_latency(words)
+    assert asdict(played.stats) == asdict(bus.stats)
+    assert played.sim._eid == eid and played._holder is None
+
+
 def test_interrupted_holder_releases_bus():
     """The regression behind the first kernel deadlock."""
     sim, bus, ddr = setup()
