@@ -20,11 +20,6 @@ from repro.analysis.schedulability import (
     liu_layland_bound,
     verify_partition,
 )
-from repro.analysis.hyperperiod import (
-    VerificationResult,
-    cross_check,
-    verify_by_simulation,
-)
 from repro.analysis.partitioning import PartitioningError, partition
 from repro.analysis.sensitivity import (
     critical_tasks,
@@ -61,9 +56,6 @@ __all__ = [
     "liu_layland_bound",
     "partition",
     "PartitioningError",
-    "verify_by_simulation",
-    "cross_check",
-    "VerificationResult",
     "wcet_scaling_factor",
     "sensitivity_report",
     "critical_tasks",

@@ -19,17 +19,26 @@ points (:data:`FIDELITIES`, fastest first):
 :func:`make_simulator` (:mod:`repro.simulators.ladder`) is the one
 way onto a rung: it builds any of :data:`FIDELITIES` by name, and
 :func:`mean_response` reads a run back at full scale whatever the
-rung's time base.
+rung's time base.  :func:`run_oracle` (:mod:`repro.simulators.oracle`)
+runs any rung and checks every periodic deadline of the run; exact
+hyperperiod verification, the analysis cross-check and the per-task
+theoretical-vs-prototype :class:`Comparison` read its result.
 """
 
 from repro.simulators.batch import ReplicationSummary, compare, replicate
 from repro.simulators.theoretical import TheoreticalSimulator
-from repro.simulators.validation import TaskComparison, ValidationResult, validate
 from repro.simulators.ladder import (
     FIDELITIES,
     make_simulator,
     mean_response,
     run_metrics,
+)
+from repro.simulators.oracle import (
+    Comparison,
+    OracleRun,
+    cross_check,
+    run_oracle,
+    verify_by_simulation,
 )
 from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
 from repro.simulators.tlm import (
@@ -68,7 +77,9 @@ __all__ = [
     "replicate",
     "compare",
     "ReplicationSummary",
-    "validate",
-    "ValidationResult",
-    "TaskComparison",
+    "run_oracle",
+    "OracleRun",
+    "verify_by_simulation",
+    "cross_check",
+    "Comparison",
 ]

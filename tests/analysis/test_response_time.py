@@ -223,3 +223,44 @@ class TestDivergenceGuard:
         hog = task("hog", 1, 1, high=5)
         result = busy_period_recurrence(1, [hog], limit=100)
         assert not result.schedulable
+
+
+class TestRTAExtensions:
+    def _hp(self, wcet, period, name="hp"):
+        return PeriodicTask(name=name, wcet=wcet, period=period, high_priority=5)
+
+    def test_blocking_adds_directly(self):
+        plain = busy_period_recurrence(30, [self._hp(20, 100)], limit=1_000)
+        blocked = busy_period_recurrence(
+            30, [self._hp(20, 100)], limit=1_000, blocking=15
+        )
+        assert blocked.value == plain.value + 15
+
+    def test_blocking_can_break_schedulability(self):
+        result = busy_period_recurrence(
+            50, [self._hp(40, 100)], limit=100, blocking=20
+        )
+        assert not result.schedulable
+
+    def test_jitter_adds_interference_hits(self):
+        # Without jitter: w = 30 + ceil(w/100)*20 -> 50.
+        plain = busy_period_recurrence(30, [self._hp(20, 100)], limit=1_000)
+        assert plain.value == 50
+        # Jitter 60: ceil((50+60)/100) = 2 hits -> w = 70;
+        # ceil((70+60)/100) = 2 -> stable at 70.
+        jittered = busy_period_recurrence(
+            30, [self._hp(20, 100)], limit=1_000, jitter={"hp": 60}
+        )
+        assert jittered.value == 70
+
+    def test_jitter_validation(self):
+        with pytest.raises(ValueError):
+            busy_period_recurrence(10, [], limit=100, jitter={"x": -1})
+        with pytest.raises(ValueError):
+            busy_period_recurrence(10, [], limit=100, blocking=-1)
+
+    def test_zero_jitter_is_identity(self):
+        hp = self._hp(20, 100)
+        plain = busy_period_recurrence(30, [hp], limit=1_000)
+        zeroed = busy_period_recurrence(30, [hp], limit=1_000, jitter={"hp": 0})
+        assert plain.value == zeroed.value

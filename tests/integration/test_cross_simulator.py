@@ -18,6 +18,7 @@ from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.hw.microblaze import ExecutionProfile
 from repro.kernel.costs import KernelCosts
 from repro.kernel.microkernel import TaskBinding
+from repro.simulators.oracle import run_oracle
 from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
 from repro.simulators.theoretical import TheoreticalSimulator
 from repro.trace.metrics import compute_metrics
@@ -113,12 +114,12 @@ def test_prototype_and_theoretical_same_schedulability_verdict():
     ts = assign_promotions(ts, 2, tick=TICK)
     horizon = 3_000_000
 
-    theo = TheoreticalSimulator(ts, 2, tick=TICK, overhead=0.0)
-    theo.run(horizon)
-    proto = PrototypeSimulator(ts, PrototypeConfig(n_cpus=2, tick=TICK, scale=1))
-    proto.run(horizon)
+    theo = run_oracle("theoretical", ts, 2, horizon, tick=TICK, overhead=0.0)
+    proto = run_oracle("prototype", ts, 2, horizon, tick=TICK)
 
-    assert not [j for j in theo.finished_jobs if j.missed_deadline]
-    assert not [j for j in proto.finished_jobs if j.missed_deadline]
+    assert theo.misses == []
+    assert proto.misses == []
     # Same job population within one period's slack.
-    assert abs(len(theo.finished_jobs) - len(proto.finished_jobs)) <= len(ts.periodic)
+    assert abs(
+        len(theo.sim.finished_jobs) - len(proto.sim.finished_jobs)
+    ) <= len(ts.periodic)
