@@ -279,6 +279,11 @@ class DualPriorityMicrokernel:
         while intc.pending_for(cpu):
             # Acknowledge: MPIC register read over the OPB.
             yield from core.bus.transfer(cpu, intc.REGISTERS, 1)
+            if not intc.pending_for(cpu):
+                # A stalled read outlived the ack timeout and the MPIC
+                # re-routed the offer: a spurious vector, no handler
+                # and no EOI.
+                break
             source, payload = intc.acknowledge(cpu)
             yield self.sim.timeout(self.costs.irq_entry)
             self.irqs_serviced += 1
