@@ -13,8 +13,8 @@ Top-level convenience re-exports.  The subpackages are:
   hardware model,
 - :mod:`repro.simulators` -- theoretical/prototype/baseline end-to-end
   simulators,
-- :mod:`repro.workloads` -- MiBench automotive kernels and the paper's
-  19-task workload,
+- :mod:`repro.workloads` -- the MiBench automotive characterisation
+  table and the paper's 19-task workload,
 - :mod:`repro.trace` -- trace recording, metrics and ASCII Gantt,
 - :mod:`repro.experiments` -- Figure 3 / Figure 4 reproduction.
 """

@@ -18,11 +18,9 @@ from repro.analysis.schedulability import (
     SchedulabilityReport,
     analyse_taskset,
     liu_layland_bound,
-    verify_partition,
 )
 from repro.analysis.partitioning import PartitioningError, partition
 from repro.analysis.sensitivity import (
-    critical_tasks,
     sensitivity_report,
     wcet_scaling_factor,
 )
@@ -51,14 +49,12 @@ __all__ = [
     "promotion_time",
     "assign_promotions",
     "analyse_taskset",
-    "verify_partition",
     "SchedulabilityReport",
     "liu_layland_bound",
     "partition",
     "PartitioningError",
     "wcet_scaling_factor",
     "sensitivity_report",
-    "critical_tasks",
     "uunifast",
     "random_periods",
     "random_taskset",

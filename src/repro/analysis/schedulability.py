@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.analysis.response_time import (
     fault_aware_response_time,
@@ -46,18 +46,6 @@ def liu_layland_bound(n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     return n * (2 ** (1.0 / n) - 1.0)
-
-
-def utilization_test(tasks: Sequence[PeriodicTask]) -> bool:
-    """Sufficient (not necessary) Liu & Layland test for one processor.
-
-    Only valid for implicit deadlines; with constrained deadlines it is
-    applied to C/D as a conservative approximation.
-    """
-    if not tasks:
-        return True
-    usage = sum(t.wcet / min(t.deadline, t.period) for t in tasks)
-    return usage <= liu_layland_bound(len(tasks))
 
 
 @dataclass
@@ -150,45 +138,3 @@ def analyse_taskset(
                 report.schedulable = False
         report.per_cpu[cpu] = rows
     return report
-
-
-def verify_partition(taskset: TaskSet, n_cpus: int) -> None:
-    """Raise ValueError with details when the partition is infeasible."""
-    report = analyse_taskset(taskset, n_cpus)
-    if not report.schedulable:
-        raise ValueError(
-            "partition not schedulable; failing tasks: "
-            + ", ".join(report.failing_tasks())
-        )
-
-
-def breakdown_utilization(
-    tasks: Sequence[PeriodicTask], step: float = 0.01
-) -> float:
-    """Largest uniform period-scaling utilization that stays schedulable.
-
-    Periods are shrunk (utilization grown) until the response-time test
-    fails; used by the ablation benchmarks to characterise headroom.
-    """
-    if not tasks:
-        return 0.0
-    base = sum(t.utilization for t in tasks)
-    low_factor, high_factor = 0.05, 1.0
-    taskset = TaskSet(tasks)
-
-    def feasible(factor: float) -> bool:
-        scaled = taskset.scale(factor).periodic
-        return all(r.schedulable for r in response_time_table(scaled))
-
-    if not feasible(high_factor):
-        return 0.0
-    # Binary search the smallest feasible scale factor.
-    for _ in range(40):
-        mid = (low_factor + high_factor) / 2
-        if feasible(mid):
-            high_factor = mid
-        else:
-            low_factor = mid
-        if high_factor - low_factor < 1e-6:
-            break
-    return min(1.0, base / high_factor)

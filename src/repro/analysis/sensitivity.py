@@ -79,12 +79,3 @@ def sensitivity_report(taskset: TaskSet, n_cpus: int) -> List[Dict]:
             }
         )
     return rows
-
-
-def critical_tasks(taskset: TaskSet, n_cpus: int, threshold: float = 1.1) -> List[str]:
-    """Tasks whose budgets tolerate less than ``threshold`` x growth."""
-    return [
-        row["task"]
-        for row in sensitivity_report(taskset, n_cpus)
-        if row["scaling_factor"] < threshold
-    ]

@@ -99,21 +99,3 @@ def random_taskset(
         wcet = aperiodic_wcet or max(1, int(rng.uniform(0.05, 0.3) * min_period))
         aperiodic.append(AperiodicTask(name=f"a{i}", wcet=wcet))
     return TaskSet(periodic, aperiodic).with_deadline_monotonic_priorities()
-
-
-def poisson_arrivals(
-    rate_per_cycle: float,
-    horizon: int,
-    rng: random.Random,
-) -> List[int]:
-    """Poisson arrival instants in [0, horizon) at the given rate."""
-    if rate_per_cycle <= 0:
-        raise ValueError("rate must be positive")
-    arrivals = []
-    t = 0.0
-    while True:
-        t += rng.expovariate(rate_per_cycle)
-        if t >= horizon:
-            break
-        arrivals.append(int(t))
-    return arrivals

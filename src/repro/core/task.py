@@ -337,10 +337,6 @@ class TaskSet:
             value = math.lcm(value, task.period)
         return value
 
-    def on_cpu(self, cpu: int) -> List[PeriodicTask]:
-        """The periodic tasks homed on ``cpu``."""
-        return [t for t in self.periodic if t.cpu == cpu]
-
     def cpus(self) -> List[int]:
         """Sorted list of processor indices used by the partition."""
         return sorted({t.cpu for t in self.periodic})
@@ -423,8 +419,3 @@ class TaskSet:
             lines.append(f"{t.name:<14}{t.wcet:>12}{'aperiodic':>12}")
         lines.append(f"total periodic utilization: {self.utilization:.3f}")
         return "\n".join(lines)
-
-
-def make_jobs(task: PeriodicTask, until: int) -> List[Job]:
-    """All jobs of ``task`` released strictly before ``until``."""
-    return [Job(task, release, index=i) for i, release in enumerate(task.release_times(until))]

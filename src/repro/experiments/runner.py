@@ -346,7 +346,9 @@ def prototype_run_report(
     """
     from repro.hw.monitor import BusMonitor
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.report import RunReport, fold_icaches, fold_run_cache
+    from repro.obs.report import (
+        RunReport, fold_bus_monitor, fold_icaches, fold_run_cache,
+    )
     from repro.obs.sinks import RingBufferSink
     from repro.trace.recorder import TraceRecorder
 
@@ -374,7 +376,7 @@ def prototype_run_report(
     proto.run(horizon)
     monitor.stop()
 
-    monitor.fold_into(registry)
+    fold_bus_monitor(registry, monitor)
     fold_icaches(registry, (core.icache for core in proto.soc.cores))
     if run_cache is not None:
         fold_run_cache(registry, run_cache)

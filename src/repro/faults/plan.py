@@ -154,10 +154,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.events
-
     def kernel_events(self) -> Tuple[FaultEvent, ...]:
         """Events consumed at the kernel level (see ``KERNEL_KINDS``)."""
         return tuple(e for e in self.events if e.kind in KERNEL_KINDS)

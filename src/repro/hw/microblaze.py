@@ -58,10 +58,6 @@ class ExecutionProfile:
         if self.access_words <= 0:
             raise ValueError("access_words must be positive")
 
-    def nominal_bus_share(self, ddr: DDRMemory) -> float:
-        """Fraction of the bus one core at this profile keeps busy."""
-        return ddr.access_latency(self.access_words) / self.access_period
-
 
 #: Default profile for code that was not characterised.
 DEFAULT_PROFILE = ExecutionProfile(access_period=120, access_words=4)

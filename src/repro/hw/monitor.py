@@ -92,13 +92,6 @@ class BusMonitor:
         self._last_busy, self._last_txn, self._last_wait = busy, txn, wait
         self.sim.schedule(self.window, self._sample)
 
-    def fold_into(self, metrics, prefix: str = "bus") -> None:
-        """Fold the sampled series into a metrics registry (peak and
-        steady-state gauges plus a per-window utilization histogram)."""
-        from repro.obs.report import fold_bus_monitor
-
-        fold_bus_monitor(metrics, self, prefix=prefix)
-
     # ------------------------------------------------------------------ views
     def utilization_series(self) -> List[float]:
         return [s.utilization for s in self.samples]

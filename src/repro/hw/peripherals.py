@@ -4,14 +4,13 @@
 systems, like for example Controller Area Networks (CANs) interfaces,
 widely used in automotive applications."  A peripheral here is a
 programmable interrupt generator: it raises its MPIC source at given
-instants (or from a stochastic arrival process fixed by seed) and
-carries a payload naming the aperiodic task to release -- exactly the
-camera/CAN event path that triggers the susan workload in the paper.
+instants and carries a payload naming the aperiodic task to release --
+exactly the camera/CAN event path that triggers the susan workload in
+the paper.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any, Iterable, List, Optional, Sequence
 
 from repro.hw.bus import RegisterTarget
@@ -50,9 +49,8 @@ class InterruptingPeripheral:
 class CANInterface(InterruptingPeripheral):
     """A CAN controller delivering frames that trigger aperiodic tasks.
 
-    Frames arrive either at explicit times (deterministic experiments,
-    as in Figure 4 where a single aperiodic release is measured) or as
-    a Poisson process with a seeded RNG (ablation studies).
+    Frames arrive at explicit times (as in Figure 4, where a single
+    aperiodic release is measured).
     """
 
     def __init__(
@@ -78,20 +76,3 @@ class CANInterface(InterruptingPeripheral):
                 "time": t,
             },
         )
-
-    def program_poisson(
-        self, rate_per_cycle: float, horizon: int, seed: int
-    ) -> List[int]:
-        """Poisson frame arrivals over [0, horizon); returns the times."""
-        if rate_per_cycle <= 0:
-            raise ValueError("rate must be positive")
-        rng = random.Random(seed)
-        times: List[int] = []
-        t = 0.0
-        while True:
-            t += rng.expovariate(rate_per_cycle)
-            if t >= horizon:
-                break
-            times.append(int(t))
-        self.program_frames(times)
-        return times

@@ -117,19 +117,6 @@ class SoC:
     def core(self, cpu: int) -> MicroBlaze:
         return self.cores[cpu]
 
-    def utilization_report(self) -> List[dict]:
-        """Per-core busy/idle/stall plus bus utilization."""
-        rows = [core.utilization_stats for core in self.cores]
-        rows.append(
-            {
-                "cpu": "bus",
-                "busy": self.bus.stats.busy_cycles,
-                "transactions": self.bus.stats.transactions,
-                "utilization": self.bus.stats.utilization(max(1, self.sim.now)),
-            }
-        )
-        return rows
-
     def seconds(self, cycles: int) -> float:
         """Convert cycles to wall seconds at the 50 MHz prototype clock."""
         return cycles_to_seconds(cycles)

@@ -16,85 +16,8 @@ diagnostic model (:class:`~repro.lint.diagnostics.Diagnostic`):
   Python for nondeterminism (wall clocks, unseeded RNGs, set order).
 
 ``repro-lint`` (:mod:`repro.lint.cli`) exposes all five on the command
-line; ``docs/LINT.md`` catalogues every rule code.
+line; ``docs/LINT.md`` catalogues every rule code.  The package
+re-exports nothing: import a pass from its submodule, so that loading
+one pass (the experiment runner's task-set check) does not load the
+others.
 """
-
-from repro.lint.absint import (
-    AbsintResult,
-    Annotations,
-    Interval,
-    KernelAudit,
-    RoutineAudit,
-    VerifiedWCET,
-    analyse,
-    audit_kernel,
-    audit_kernels,
-    audit_routine,
-    format_audit,
-    parse_annotations,
-    verified_wcet,
-)
-from repro.lint.asm import (
-    CALLING_CONVENTION_PARAMS,
-    CostModel,
-    MemoryRegion,
-    ProgramAnalysis,
-    WCETResult,
-    lint_program,
-    lint_source,
-    wcet_bound,
-)
-from repro.lint.concurrency import ConcurrencyChecker, lint_trace
-from repro.lint.determinism import lint_paths, lint_python_source
-from repro.lint.diagnostics import (
-    Diagnostic,
-    LintError,
-    LintReport,
-    Severity,
-    require_ok,
-)
-from repro.lint.tasks import (
-    check_fault_config,
-    check_taskset,
-    lint_fault_config,
-    lint_task_rows,
-    lint_taskset,
-)
-
-__all__ = [
-    "AbsintResult",
-    "Annotations",
-    "CALLING_CONVENTION_PARAMS",
-    "ConcurrencyChecker",
-    "CostModel",
-    "Diagnostic",
-    "Interval",
-    "KernelAudit",
-    "LintError",
-    "LintReport",
-    "MemoryRegion",
-    "ProgramAnalysis",
-    "RoutineAudit",
-    "Severity",
-    "VerifiedWCET",
-    "WCETResult",
-    "analyse",
-    "audit_kernel",
-    "audit_kernels",
-    "audit_routine",
-    "check_fault_config",
-    "check_taskset",
-    "format_audit",
-    "lint_fault_config",
-    "lint_paths",
-    "lint_program",
-    "lint_python_source",
-    "lint_source",
-    "lint_task_rows",
-    "lint_taskset",
-    "lint_trace",
-    "parse_annotations",
-    "require_ok",
-    "verified_wcet",
-    "wcet_bound",
-]

@@ -975,14 +975,6 @@ class AbsintResult:
     def ok(self) -> bool:
         return self.report.ok
 
-    def inferred_bounds(self) -> Dict[int, int]:
-        """Header index -> inferred trip count, for bounded counted loops."""
-        return {
-            header: summary.inferred
-            for header, summary in self.loops.items()
-            if summary.inferred is not None
-        }
-
 
 def stack_depths(analysis: ProgramAnalysis) -> Dict[int, int]:
     """Worst-case stack words per unit over the call DAG.

@@ -426,16 +426,6 @@ def lint_fault_config(
     return report
 
 
-def check_fault_config(
-    taskset: TaskSet, bindings: Mapping[str, object], n_cpus: int, recovery=None
-) -> LintReport:
-    """Fail-fast wrapper over :func:`lint_fault_config`."""
-    return require_ok(
-        lint_fault_config(taskset, bindings, n_cpus, recovery=recovery),
-        subject="fault config",
-    )
-
-
 def check_taskset(
     taskset: TaskSet, n_cpus: int, tick: Optional[int] = None
 ) -> LintReport:

@@ -81,10 +81,6 @@ class Span:
     attrs: Dict[str, Any] = field(default_factory=dict)
     events: List[SpanEvent] = field(default_factory=list)
 
-    @property
-    def duration_s(self) -> float:
-        return (self.end_s - self.start_s) if self.end_s is not None else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "span_id": self.span_id,
@@ -223,12 +219,6 @@ class SpanRecorder:
 
     def get(self, span_id: int) -> Optional[Span]:
         return self._by_id.get(span_id)
-
-    def of_name(self, name: str) -> List[Span]:
-        return [span for span in self.spans if span.name == name]
-
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
 
     def to_rows(self) -> List[Dict[str, Any]]:
         """Plain-dict rows in id order (the cross-process wire format)."""

@@ -3,7 +3,6 @@
 from repro.trace.recorder import ListSink, TraceEvent, TraceRecorder, TraceSink
 from repro.trace.metrics import ResponseStats, ScheduleMetrics, compute_metrics
 from repro.trace.export import (
-    metrics_to_json,
     trace_from_csv,
     trace_from_json,
     trace_to_csv,
@@ -24,5 +23,4 @@ __all__ = [
     "trace_from_json",
     "trace_to_csv",
     "trace_from_csv",
-    "metrics_to_json",
 ]

@@ -1,8 +1,8 @@
-"""Trace and metrics export (JSON / CSV).
+"""Trace export (JSON / CSV).
 
 The experiments print human-readable tables; downstream users often
-want machine-readable artefacts instead, so traces and metrics can be
-dumped and reloaded losslessly.
+want machine-readable artefacts instead, so traces can be dumped and
+reloaded losslessly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import io
 import json
 from typing import Dict, List, Optional
 
-from repro.trace.metrics import ScheduleMetrics
 from repro.trace.recorder import TraceEvent, TraceRecorder
 
 
@@ -67,31 +66,3 @@ def trace_from_csv(text: str) -> TraceRecorder:
             "info": row["info"] or None,
         }))
     return trace
-
-
-def metrics_to_dict(metrics: ScheduleMetrics) -> dict:
-    """Metrics as a JSON-ready dictionary."""
-    return {
-        "horizon": metrics.horizon,
-        "finished_jobs": metrics.finished_jobs,
-        "deadline_misses": metrics.deadline_misses,
-        "preemptions": metrics.preemptions,
-        "migrations": metrics.migrations,
-        "context_switches": metrics.context_switches,
-        "promotions": metrics.promotions,
-        "per_cpu_busy": {str(cpu): busy for cpu, busy in metrics.per_cpu_busy.items()},
-        "response": {
-            task: {
-                "count": stats.count,
-                "mean": stats.mean,
-                "min": stats.minimum,
-                "max": stats.maximum,
-                "stdev": stats.stdev,
-            }
-            for task, stats in metrics.response.items()
-        },
-    }
-
-
-def metrics_to_json(metrics: ScheduleMetrics, indent: Optional[int] = None) -> str:
-    return json.dumps(metrics_to_dict(metrics), indent=indent)

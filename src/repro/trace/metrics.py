@@ -71,11 +71,6 @@ class ScheduleMetrics:
                 f"no response stats for {task!r}; have {sorted(self.response)}"
             ) from None
 
-    def cpu_utilization(self, cpu: int) -> float:
-        if self.horizon <= 0:
-            return 0.0
-        return self.per_cpu_busy.get(cpu, 0) / self.horizon
-
 
 def compute_metrics(
     finished: Iterable[Job],

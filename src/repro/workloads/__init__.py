@@ -1,19 +1,15 @@
 """MiBench automotive workloads.
 
-Pure-Python implementations of the four MiBench automotive groups the
-paper runs (basicmath, bitcount, qsort, susan), synthetic small/large
-datasets, the calibrated WCET/traffic characterisation table, and the
-builder for the paper's 19-task evaluation workload (18 periodic + the
-susan/large aperiodic).
+The calibrated WCET/traffic/stack characterisation of the MiBench
+automotive programs the paper runs (basicmath, bitcount, qsort,
+susan), and the builder for the paper's 19-task evaluation workload
+(18 periodic + the susan/large aperiodic).
 """
 
 from repro.workloads.mibench import (
     BenchmarkSpec,
     MIBENCH_AUTOMOTIVE,
-    WorkResult,
     get_benchmark,
-    list_benchmarks,
-    run_benchmark,
 )
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
@@ -25,11 +21,8 @@ from repro.workloads.automotive import (
 
 __all__ = [
     "BenchmarkSpec",
-    "WorkResult",
     "MIBENCH_AUTOMOTIVE",
     "get_benchmark",
-    "list_benchmarks",
-    "run_benchmark",
     "build_automotive_taskset",
     "prepare_taskset",
     "automotive_bindings",

@@ -16,13 +16,13 @@ the total periodic utilization to the target.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.partitioning import partition
 from repro.analysis.promotion import assign_promotions
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.kernel.microkernel import TaskBinding
-from repro.workloads.mibench import MIBENCH_AUTOMOTIVE, get_benchmark
+from repro.workloads.mibench import get_benchmark
 
 #: The 18 periodic benchmark names (group x dataset mix).
 AUTOMOTIVE_PERIODIC: List[str] = (
@@ -63,13 +63,11 @@ def base_utilization() -> float:
 #: tasks actually execute; contention eats into that margin at runtime.
 WCET_MARGIN = 1.35
 
+#: Scaled periods are rounded down to a multiple of this many cycles.
+PERIOD_GRANULE = 10_000
 
-def build_automotive_taskset(
-    utilization_fraction: float,
-    n_cpus: int,
-    period_granule: int = 10_000,
-    wcet_margin: float = WCET_MARGIN,
-) -> TaskSet:
+
+def build_automotive_taskset(utilization_fraction: float, n_cpus: int) -> TaskSet:
     """The 19-task workload at the requested periodic utilization.
 
     ``utilization_fraction`` is the paper's x-axis value (0.40, 0.50,
@@ -79,24 +77,22 @@ def build_automotive_taskset(
     Utilization is computed on the padded WCET budgets (see
     :data:`WCET_MARGIN`); the jobs actually execute their calibrated
     ACET.  Periods are scaled uniformly from the base table and rounded
-    down to ``period_granule`` (rounding down errs towards slightly
+    down to :data:`PERIOD_GRANULE` (rounding down errs towards slightly
     more load, never less).
     """
     if not 0.0 < utilization_fraction < 1.0:
         raise ValueError("utilization_fraction must be in (0, 1)")
     if n_cpus < 1:
         raise ValueError("n_cpus must be >= 1")
-    if wcet_margin < 1.0:
-        raise ValueError("wcet_margin must be >= 1")
     target_total = utilization_fraction * n_cpus
-    factor = base_utilization() * wcet_margin / target_total
+    factor = base_utilization() * WCET_MARGIN / target_total
 
     periodic: List[PeriodicTask] = []
     for name in AUTOMOTIVE_PERIODIC:
         spec = get_benchmark(name)
         base = BASE_PERIODS[(spec.group, spec.dataset)]
-        wcet = int(spec.wcet_cycles * wcet_margin)
-        period = int(base * factor) // period_granule * period_granule
+        wcet = int(spec.wcet_cycles * WCET_MARGIN)
+        period = int(base * factor) // PERIOD_GRANULE * PERIOD_GRANULE
         period = max(period, wcet)
         periodic.append(
             PeriodicTask(name=name, wcet=wcet, period=period, acet=spec.wcet_cycles)
@@ -106,7 +102,7 @@ def build_automotive_taskset(
     aperiodic = [
         AperiodicTask(
             name=AUTOMOTIVE_APERIODIC,
-            wcet=int(aperiodic_spec.wcet_cycles * wcet_margin),
+            wcet=int(aperiodic_spec.wcet_cycles * WCET_MARGIN),
             acet=aperiodic_spec.wcet_cycles,
         )
     ]

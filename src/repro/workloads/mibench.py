@@ -1,35 +1,24 @@
-"""The MiBench automotive registry: runnable kernels + characterisation.
+"""The MiBench automotive characterisation the simulators consume.
 
-Each :class:`BenchmarkSpec` couples
-
-- a *runnable* Python implementation over a deterministic dataset
-  (used by the functional tests and the examples), and
-- the *characterisation* the simulators consume: a calibrated WCET in
-  50 MHz cycles, a shared-memory traffic profile and a stack
-  footprint.
+The paper runs the MiBench automotive binaries; the reproduction does
+not run any kernel.  Each :class:`BenchmarkSpec` is the table row a
+simulated task reads instead: a calibrated WCET in 50 MHz cycles, a
+shared-memory traffic profile and a stack footprint.
 
 WCET calibration: the paper pins one absolute number -- the aperiodic
 susan/large run "should execute in ~10.1 seconds with the given
 dataset at 50 MHz", i.e. about 505 M cycles -- and the remaining
 magnitudes follow MiBench's relative weights on a FPU-less soft core
-(susan >> qsort > basicmath > bitcount; large ~ 10x small).
+(susan >> qsort > basicmath > bitcount; large ~ 10x small).  The
+traffic profile and the stack size are per-group constants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.hw.microblaze import ExecutionProfile
-from repro.workloads import basicmath, bitcount, datasets, qsort_bench, susan
-
-
-@dataclass(frozen=True)
-class WorkResult:
-    """Outcome of actually running a kernel."""
-
-    checksum: object
-    work_units: int
 
 
 @dataclass(frozen=True)
@@ -42,84 +31,25 @@ class BenchmarkSpec:
     wcet_cycles: int
     profile: ExecutionProfile
     stack_words: int
-    runner: Callable[[], WorkResult]
-
-    def run(self) -> WorkResult:
-        """Execute the actual kernel (functional, not timed)."""
-        return self.runner()
 
 
 # ----------------------------------------------------------- traffic profiles
-#: susan streams image data from shared memory: heaviest bus load.
-PROFILE_SUSAN = ExecutionProfile(access_period=45, access_words=4)
-#: qsort moves vectors around shared buffers.
-PROFILE_QSORT = ExecutionProfile(access_period=24, access_words=4)
-#: basicmath is compute-bound with moderate table traffic.
-PROFILE_BASICMATH = ExecutionProfile(access_period=40, access_words=4)
-#: bitcount runs almost entirely out of registers and I-cache.
-PROFILE_BITCOUNT = ExecutionProfile(access_period=80, access_words=4)
-
 _PROFILES = {
-    "susan": PROFILE_SUSAN,
-    "qsort": PROFILE_QSORT,
-    "basicmath": PROFILE_BASICMATH,
-    "bitcount": PROFILE_BITCOUNT,
+    # susan streams image data from shared memory: heaviest bus load.
+    "susan": ExecutionProfile(access_period=45, access_words=4),
+    # qsort moves vectors around shared buffers.
+    "qsort": ExecutionProfile(access_period=24, access_words=4),
+    # basicmath is compute-bound with moderate table traffic.
+    "basicmath": ExecutionProfile(access_period=40, access_words=4),
+    # bitcount runs almost entirely out of registers and I-cache.
+    "bitcount": ExecutionProfile(access_period=80, access_words=4),
 }
 _STACKS = {"susan": 2048, "qsort": 1024, "basicmath": 512, "bitcount": 256}
 
 
-# ------------------------------------------------------------------- runners
-def _run_sqrt(dataset: str) -> WorkResult:
-    checksum, units = basicmath.square_roots(datasets.number_array(dataset))
-    return WorkResult(checksum, units)
-
-
-def _run_derivative(dataset: str) -> WorkResult:
-    value, units = basicmath.first_derivative(datasets.number_array(dataset))
-    return WorkResult(round(value, 6), units)
-
-
-def _run_angle(dataset: str) -> WorkResult:
-    value, units = basicmath.angle_conversions(datasets.number_array(dataset))
-    return WorkResult(round(value, 6), units)
-
-
-def _run_cubic(dataset: str) -> WorkResult:
-    total, units = basicmath.cubic_batch(datasets.cubic_coefficients(dataset))
-    return WorkResult(round(total, 6), units)
-
-
-def _run_bitcount(counter: str, dataset: str) -> WorkResult:
-    total, units = bitcount.count_batch(counter, datasets.integer_array(dataset))
-    return WorkResult(total, units)
-
-
-def _run_qsort(dataset: str) -> WorkResult:
-    if dataset == "large":
-        data, units = qsort_bench.sort_vectors(datasets.vector_array(dataset))
-        tail = data[-1]
-    else:
-        data, units = qsort_bench.sort_integers(datasets.integer_array(dataset))
-        tail = data[-1]
-    return WorkResult(tail, units)
-
-
-def _run_susan(mode: str, dataset: str) -> WorkResult:
-    image = datasets.synthetic_image(dataset)
-    if mode == "smoothing":
-        out, units = susan.smooth(image)
-        checksum = sum(sum(row) for row in out) & 0xFFFFFFFF
-    elif mode == "edges":
-        out, units = susan.edges(image)
-        checksum = sum(sum(row) for row in out) & 0xFFFFFFFF
-    else:
-        found, units = susan.corners(image)
-        checksum = len(found)
-    return WorkResult(checksum, units)
-
-
 # --------------------------------------------------------- calibrated WCETs
-#: (group, program, dataset) -> WCET in 50 MHz cycles.
+#: (group, program, dataset) -> WCET in 50 MHz cycles, one row per task
+#: of the 19-task automotive workload.
 WCET_TABLE: Dict[Tuple[str, str, str], int] = {
     ("basicmath", "sqrt", "small"): 3_000_000,
     ("basicmath", "sqrt", "large"): 30_000_000,
@@ -127,11 +57,6 @@ WCET_TABLE: Dict[Tuple[str, str, str], int] = {
     ("basicmath", "derivative", "large"): 20_000_000,
     ("basicmath", "angle", "small"): 1_500_000,
     ("basicmath", "angle", "large"): 15_000_000,
-    # SolveCubic is part of MiBench's basicmath; the paper's evaluation
-    # names only three programs, so cubic is registered but not part of
-    # the 19-task automotive workload.
-    ("basicmath", "cubic", "small"): 2_500_000,
-    ("basicmath", "cubic", "large"): 25_000_000,
     ("bitcount", "shift", "small"): 1_600_000,
     ("bitcount", "shift", "large"): 16_000_000,
     ("bitcount", "sparse", "small"): 1_200_000,
@@ -144,63 +69,23 @@ WCET_TABLE: Dict[Tuple[str, str, str], int] = {
     ("bitcount", "parallel", "large"): 8_000_000,
     ("qsort", "qsort", "small"): 5_000_000,
     ("qsort", "qsort", "large"): 50_000_000,
-    ("susan", "smoothing", "small"): 50_000_000,
     #: the paper's aperiodic task: ~10.1 s at 50 MHz.
     ("susan", "smoothing", "large"): 505_000_000,
-    ("susan", "edges", "small"): 30_000_000,
-    ("susan", "edges", "large"): 300_000_000,
-    ("susan", "corners", "small"): 25_000_000,
-    ("susan", "corners", "large"): 250_000_000,
 }
 
 
-def _spec(group: str, program: str, dataset: str, runner: Callable[[], WorkResult]) -> BenchmarkSpec:
-    return BenchmarkSpec(
+#: Every task of the automotive workload, by ``group-program-dataset``.
+MIBENCH_AUTOMOTIVE: Dict[str, BenchmarkSpec] = {
+    f"{group}-{program}-{dataset}": BenchmarkSpec(
         name=f"{group}-{program}-{dataset}",
         group=group,
         dataset=dataset,
-        wcet_cycles=WCET_TABLE[(group, program, dataset)],
+        wcet_cycles=wcet,
         profile=_PROFILES[group],
         stack_words=_STACKS[group],
-        runner=runner,
     )
-
-
-def _build_registry() -> Dict[str, BenchmarkSpec]:
-    registry: Dict[str, BenchmarkSpec] = {}
-
-    def add(spec: BenchmarkSpec) -> None:
-        registry[spec.name] = spec
-
-    for dataset in ("small", "large"):
-        add(_spec("basicmath", "sqrt", dataset, lambda d=dataset: _run_sqrt(d)))
-        add(_spec("basicmath", "derivative", dataset, lambda d=dataset: _run_derivative(d)))
-        add(_spec("basicmath", "angle", dataset, lambda d=dataset: _run_angle(d)))
-        add(_spec("basicmath", "cubic", dataset, lambda d=dataset: _run_cubic(d)))
-        for counter in ("shift", "sparse", "ntbl", "btbl", "parallel"):
-            add(
-                _spec(
-                    "bitcount",
-                    counter,
-                    dataset,
-                    lambda c=counter, d=dataset: _run_bitcount(c, d),
-                )
-            )
-        add(_spec("qsort", "qsort", dataset, lambda d=dataset: _run_qsort(d)))
-        for mode in ("smoothing", "edges", "corners"):
-            add(
-                _spec(
-                    "susan",
-                    mode,
-                    dataset,
-                    lambda m=mode, d=dataset: _run_susan(m, d),
-                )
-            )
-    return registry
-
-
-#: All (program, dataset) combinations of the automotive set.
-MIBENCH_AUTOMOTIVE: Dict[str, BenchmarkSpec] = _build_registry()
+    for (group, program, dataset), wcet in WCET_TABLE.items()
+}
 
 
 def get_benchmark(name: str) -> BenchmarkSpec:
@@ -208,17 +93,5 @@ def get_benchmark(name: str) -> BenchmarkSpec:
         return MIBENCH_AUTOMOTIVE[name]
     except KeyError:
         raise KeyError(
-            f"unknown benchmark {name!r}; see list_benchmarks()"
+            f"unknown benchmark {name!r}; have {sorted(MIBENCH_AUTOMOTIVE)}"
         ) from None
-
-
-def list_benchmarks(group: str = None) -> List[str]:
-    names = sorted(MIBENCH_AUTOMOTIVE)
-    if group is None:
-        return names
-    return [n for n in names if MIBENCH_AUTOMOTIVE[n].group == group]
-
-
-def run_benchmark(name: str) -> WorkResult:
-    """Actually execute a kernel (functional check, not timing)."""
-    return get_benchmark(name).run()

@@ -4,10 +4,7 @@ import pytest
 
 from repro.analysis.schedulability import (
     analyse_taskset,
-    breakdown_utilization,
     liu_layland_bound,
-    utilization_test,
-    verify_partition,
 )
 from repro.core.task import PeriodicTask, TaskSet
 
@@ -25,18 +22,6 @@ def test_liu_layland_classics():
 def test_liu_layland_invalid():
     with pytest.raises(ValueError):
         liu_layland_bound(0)
-
-
-def test_utilization_test_accepts_light_load():
-    assert utilization_test([task("a", 10, 100), task("b", 10, 100)])
-
-
-def test_utilization_test_rejects_heavy_load():
-    assert not utilization_test([task("a", 50, 100), task("b", 45, 100)])
-
-
-def test_utilization_test_empty():
-    assert utilization_test([])
 
 
 def test_analyse_taskset_reports_per_cpu():
@@ -61,26 +46,3 @@ def test_analyse_detects_failure():
     report = analyse_taskset(ts, 1)
     assert not report.schedulable
     assert report.failing_tasks() == ["b"]
-    with pytest.raises(ValueError):
-        verify_partition(ts, 1)
-
-
-def test_verify_partition_passes_good_set():
-    ts = TaskSet([task("a", 10, 100, cpu=0)])
-    verify_partition(ts, 1)
-
-
-def test_breakdown_utilization_single_task():
-    value = breakdown_utilization([task("a", 50, 1000)])
-    # A single implicit-deadline task is schedulable up to U = 1.
-    assert value == pytest.approx(1.0, abs=0.01)
-
-
-def test_breakdown_utilization_empty():
-    assert breakdown_utilization([]) == 0.0
-
-
-def test_breakdown_exceeds_current_utilization():
-    tasks = [task("a", 10, 1000, high=2), task("b", 10, 1000, high=1)]
-    value = breakdown_utilization(tasks)
-    assert value >= 0.02

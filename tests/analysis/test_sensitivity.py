@@ -3,12 +3,11 @@
 import pytest
 
 from repro.analysis.sensitivity import (
-    critical_tasks,
     sensitivity_report,
     wcet_scaling_factor,
 )
-from repro.analysis import assign_promotions, partition, random_taskset
-from repro.core.task import PeriodicTask, TaskSet
+from repro.analysis import partition, random_taskset
+from repro.core.task import PeriodicTask
 
 
 def task(name, wcet, period, deadline=None, high=0, cpu=0):
@@ -70,17 +69,6 @@ def test_sensitivity_report_shape():
     for row in rows:
         assert row["scaling_factor"] >= 1.0
         assert row["headroom_cycles"] >= 0
-
-
-def test_critical_tasks_filter():
-    a = task("tight", 490, 1_000, high=2)
-    b = task("loose", 10, 1_000, high=1)
-    ts = TaskSet([a, b])
-    critical = critical_tasks(ts, 1, threshold=1.05)
-    # 'loose' can grow enormously; 'tight' is near its W+interference cap?
-    # With both on one cpu: b after a: W_b = 10 + 490 = 500 <= 1000; both
-    # have real headroom, so nothing should be critical at 1.05.
-    assert "loose" not in critical
 
 
 def test_automotive_workload_has_headroom():

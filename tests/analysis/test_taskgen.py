@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.taskgen import (
-    poisson_arrivals,
     random_periods,
     random_taskset,
     uunifast,
@@ -78,16 +77,3 @@ def test_random_taskset_aperiodics():
     ts = random_taskset(4, 0.5, seed=1, n_aperiodic=3, aperiodic_wcet=777)
     assert len(ts.aperiodic) == 3
     assert all(t.wcet == 777 for t in ts.aperiodic)
-
-
-def test_poisson_arrivals_sorted_within_horizon():
-    arrivals = poisson_arrivals(1 / 1000, horizon=100_000, rng=random.Random(1))
-    assert arrivals == sorted(arrivals)
-    assert all(0 <= a < 100_000 for a in arrivals)
-    # Expect roughly horizon * rate arrivals.
-    assert 50 <= len(arrivals) <= 170
-
-
-def test_poisson_rate_validation():
-    with pytest.raises(ValueError):
-        poisson_arrivals(0, 100, random.Random(0))

@@ -6,10 +6,8 @@ from repro.core.task import (
     AperiodicTask,
     Band,
     Job,
-    JobState,
     PeriodicTask,
     TaskSet,
-    make_jobs,
 )
 
 
@@ -196,10 +194,6 @@ class TestTaskSet:
             assert scaled[task.name].acet == task.acet
         assert scaled["basicmath-sqrt-small"].acet == 3_000_000
 
-    def test_on_cpu(self):
-        ts = TaskSet([make_task(name="a", cpu=0), make_task(name="b", cpu=1)])
-        assert [t.name for t in ts.on_cpu(1)] == ["b"]
-
     def test_arrivals_with_merges_own_then_extra(self):
         ts = TaskSet([make_task(name="p")], [
             AperiodicTask(name="y", wcet=1, arrivals=(10, 50)),
@@ -222,10 +216,3 @@ class TestTaskSet:
         ts = TaskSet([make_task(name="abc")], [AperiodicTask(name="xyz", wcet=5)])
         text = ts.summary()
         assert "abc" in text and "xyz" in text
-
-
-def test_make_jobs():
-    jobs = make_jobs(make_task(period=250, promotion=0), until=1000)
-    assert [j.release for j in jobs] == [0, 250, 500, 750]
-    assert [j.index for j in jobs] == [0, 1, 2, 3]
-    assert all(j.state is JobState.WAITING for j in jobs)

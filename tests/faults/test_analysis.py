@@ -12,7 +12,7 @@ from repro.analysis.response_time import RecurrenceDivergenceError
 from repro.core.task import PeriodicTask
 from repro.faults.scenarios import demo_bindings, demo_taskset
 from repro.kernel.microkernel import RecoveryConfig, TaskBinding
-from repro.lint.tasks import check_fault_config, lint_fault_config
+from repro.lint.tasks import lint_fault_config
 
 
 def _pair():
@@ -88,8 +88,6 @@ def test_task010_rejects_oversized_retry_budget():
     report = lint_fault_config(demo_taskset(), bindings, 2)
     assert not report.ok
     assert any(d.rule == "TASK010" for d in report.diagnostics)
-    with pytest.raises(Exception):
-        check_fault_config(demo_taskset(), bindings, 2)
 
 
 def test_task011_warns_on_unknown_task():

@@ -58,7 +58,7 @@ def test_plan_json_round_trip():
     plan = random_plan(seed=3, horizon=200_000, tasks={"a": 5_000},
                        n_faults=3, name="rt")
     assert FaultPlan.from_json(plan.to_json()) == plan
-    assert len(plan) == 3 and not plan.is_empty
+    assert len(plan) == 3
 
 
 def test_same_seed_same_plan_different_seed_differs():

@@ -3,7 +3,7 @@
 from dataclasses import asdict
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.bus import BusStats, OPBBus, _Tenure
 from repro.hw.memory import DDRMemory
@@ -12,12 +12,7 @@ from repro.sim import Interrupt, Simulator
 from tests.hw.reference_bus import ReferenceBus
 from tests.hw.reference_core import ReferenceCore
 
-# No explain phase: on a failure it re-runs the shrunk example under
-# tracing, which on simulation runs can take minutes and gigabytes.
-NO_EXPLAIN = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
-
-
-@settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
+@settings(max_examples=40, deadline=None)
 @given(
     plan=st.lists(
         st.tuples(
@@ -62,7 +57,7 @@ def test_bus_work_conservation(plan):
     assert sim.now >= expected_busy
 
 
-@settings(max_examples=40, deadline=None, phases=NO_EXPLAIN)
+@settings(max_examples=40, deadline=None)
 @given(
     delays=st.lists(st.integers(0, 500), min_size=2, max_size=20),
 )
@@ -78,7 +73,7 @@ def test_event_time_monotonicity(delays):
     assert sim.now == max(delays)
 
 
-@settings(max_examples=30, deadline=None, phases=NO_EXPLAIN)
+@settings(max_examples=30, deadline=None)
 @given(
     holds=st.lists(st.integers(1, 50), min_size=2, max_size=8),
 )
@@ -192,7 +187,7 @@ def bus_instants(plan, words, stalls):
     return sorted({instant for tenure in ref.tenures for instant in tenure[1:]})
 
 
-@settings(max_examples=80, deadline=None, phases=NO_EXPLAIN)
+@settings(max_examples=80, deadline=None)
 @given(plan=PLAN, words=WORDS, stalls=STALLS, picks=FOREIGN, slices=SLICES)
 def test_batched_bus_matches_reference_arbiter(plan, words, stalls, picks,
                                                slices):
@@ -482,7 +477,7 @@ def run_cores(core_cls, bus_cls, cores, hint_period, stalls=(), foreign=(),
     return sim, bus, machines, finishes, seen
 
 
-@settings(max_examples=80, deadline=None, phases=NO_EXPLAIN)
+@settings(max_examples=80, deadline=None)
 @given(cores=st.lists(CORE, min_size=1, max_size=4), hint=HINT,
        stalls=STALLS, foreign=FOREIGN, slices=SLICES)
 def test_lead_in_run_ahead_matches_per_chunk_oracle(cores, hint, stalls,

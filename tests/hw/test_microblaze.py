@@ -26,12 +26,6 @@ def test_profile_validation():
         ExecutionProfile(access_words=0)
 
 
-def test_nominal_bus_share():
-    ddr = DDRMemory()
-    profile = ExecutionProfile(access_period=100, access_words=4)
-    assert profile.nominal_bus_share(ddr) == pytest.approx(0.18)
-
-
 def test_uncontended_execution_takes_nominal_time():
     sim, core = make_core()
     result = SegmentResult()

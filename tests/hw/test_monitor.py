@@ -128,15 +128,16 @@ def test_peak_on_empty_monitor_is_zero():
     assert monitor.utilization_series() == []
 
 
-def test_fold_into_registry():
+def test_fold_bus_monitor_into_registry():
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.report import fold_bus_monitor
 
     sim, bus = busy_system()
     monitor = BusMonitor(sim, bus, window=1_000)
     monitor.start()
     sim.run(until=10_000)
     registry = MetricsRegistry()
-    monitor.fold_into(registry)
+    fold_bus_monitor(registry, monitor)
     snap = registry.snapshot()
     assert snap["bus_window_utilization"]["series"][0]["count"] == len(monitor.samples)
     assert snap["bus_peak_utilization"]["series"][0]["value"] == pytest.approx(
@@ -145,14 +146,15 @@ def test_fold_into_registry():
         monitor.steady_state_utilization(), abs=1e-6)
 
 
-def test_fold_into_custom_prefix():
+def test_fold_bus_monitor_custom_prefix():
     from repro.obs.metrics import MetricsRegistry
+    from repro.obs.report import fold_bus_monitor
 
     sim = Simulator()
     bus = OPBBus(sim)
     monitor = BusMonitor(sim, bus, window=100)
     registry = MetricsRegistry()
-    monitor.fold_into(registry, prefix="opb")
+    fold_bus_monitor(registry, monitor, prefix="opb")
     assert "opb_peak_utilization" in registry
     assert "bus_peak_utilization" not in registry
 

@@ -101,53 +101,3 @@ def test_unclaimed_frame_rerouted_to_next_cpu():
     assert intc.timeouts == 1
     _, payload = intc.acknowledge(1)
     assert payload["time"] == 100
-
-
-@pytest.mark.parametrize("rate", [0.0, -1e-3])
-def test_poisson_rejects_non_positive_rate(rate):
-    sim, intc, _ = setup()
-    can = CANInterface(sim, intc)
-    with pytest.raises(ValueError):
-        can.program_poisson(rate, 10_000, seed=1)
-    assert can.frames == []
-
-
-def test_poisson_times_sorted_within_horizon():
-    sim, intc, _ = setup()
-    can = CANInterface(sim, intc)
-    times = can.program_poisson(1 / 2_000, 200_000, seed=3)
-    assert times
-    assert times == sorted(times)
-    assert all(0 <= t < 200_000 for t in times)
-    assert can.frames == times
-
-
-def test_poisson_empty_horizon_programs_nothing():
-    sim, intc, _ = setup()
-    can = CANInterface(sim, intc)
-    assert can.program_poisson(1 / 100, 0, seed=1) == []
-    sim.run(until=1_000)
-    assert can.events_raised == 0
-
-
-def test_poisson_seeds_differ():
-    sim, intc, _ = setup()
-    times_a = CANInterface(sim, intc, name="a").program_poisson(1 / 2_000, 200_000, seed=1)
-    times_b = CANInterface(sim, intc, name="b").program_poisson(1 / 2_000, 200_000, seed=2)
-    assert times_a != times_b
-
-
-def test_poisson_count_tracks_rate():
-    sim, intc, _ = setup()
-    can = CANInterface(sim, intc)
-    # Expected 2000 arrivals, standard deviation about 45.
-    times = can.program_poisson(1 / 1_000, 2_000_000, seed=7)
-    assert 1_800 < len(times) < 2_200
-
-
-def test_every_poisson_frame_raises_once():
-    sim, intc, _ = setup()
-    can = CANInterface(sim, intc)
-    times = can.program_poisson(1 / 5_000, 100_000, seed=4)
-    sim.run(until=100_000)
-    assert can.events_raised == len(times)

@@ -200,15 +200,32 @@ def test_every_rung_meets_every_deadline(validation_set, fidelity):
     assert set(run.response) == {"a", "b", "evt"}
 
 
-def test_analysis_imports_no_simulator_layer():
+def loaded_after(module, layers):
+    """Modules of ``layers`` (packages or modules) that a fresh
+    interpreter holds after ``import module``."""
     code = (
-        "import sys, repro.analysis\n"
-        "layers = ('repro.sim', 'repro.hw', 'repro.kernel', "
-        "'repro.simulators', 'repro.perf')\n"
+        f"import sys, {module}\n"
+        f"layers = {tuple(layers)!r}\n"
         "print(sorted(m for m in sys.modules "
         "if any(m == l or m.startswith(l + '.') for l in layers)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_analysis_imports_no_simulator_layer():
+    layers = ("repro.sim", "repro.hw", "repro.kernel", "repro.simulators",
+              "repro.perf")
+    assert loaded_after("repro.analysis", layers) == "[]"
+
+
+def test_sweep_loads_no_static_analyser_pass_and_no_kernel_model():
+    """A Figure-4 sweep checks its task sets with ``repro.lint.tasks``
+    only, and reads the workload from its characterisation table."""
+    layers = ("repro.lint.absint", "repro.lint.asm", "repro.lint.concurrency",
+              "repro.lint.determinism", "repro.workloads.basicmath",
+              "repro.workloads.bitcount", "repro.workloads.datasets",
+              "repro.workloads.qsort_bench", "repro.workloads.susan")
+    assert loaded_after("repro.experiments.figure4", layers) == "[]"

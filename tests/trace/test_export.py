@@ -1,20 +1,16 @@
-"""Tests for trace/metrics export."""
+"""Tests for trace export."""
 
 import json
 
 import pytest
 
-from repro.core.task import Job, PeriodicTask
 from repro.trace.export import (
-    metrics_to_dict,
-    metrics_to_json,
     trace_from_csv,
     trace_from_json,
     trace_to_csv,
     trace_to_dicts,
     trace_to_json,
 )
-from repro.trace.metrics import compute_metrics
 from repro.trace.recorder import TraceRecorder
 
 
@@ -77,15 +73,3 @@ def test_csv_rejects_foreign_header():
 def test_unknown_kind_rejected(load, text):
     with pytest.raises(ValueError, match="unknown trace kind 'bogus'"):
         load(text)
-
-
-def test_metrics_export():
-    job = Job(PeriodicTask(name="t", wcet=10, period=100, promotion=0), release=0)
-    job.remaining = 0
-    job.record_finish(30)
-    metrics = compute_metrics([job], horizon=100)
-    data = metrics_to_dict(metrics)
-    assert data["finished_jobs"] == 1
-    assert data["response"]["t"]["mean"] == 30
-    parsed = json.loads(metrics_to_json(metrics))
-    assert parsed == json.loads(json.dumps(data))

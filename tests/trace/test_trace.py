@@ -100,8 +100,6 @@ class TestMetrics:
         trace.record(40, "finish", job="a#0", cpu=0)
         metrics = compute_metrics([], horizon=100, trace=trace)
         assert metrics.per_cpu_busy[0] == 40
-        assert metrics.cpu_utilization(0) == pytest.approx(0.4)
-        assert metrics.cpu_utilization(3) == 0.0
 
 
 class TestGantt:
