@@ -11,7 +11,8 @@ Two usage styles:
 - ``yield from bus.transfer(master, target, words, count)`` inside a
   :class:`~repro.sim.engine.Process` -- fine-grained, arbitrated;
   ``count`` back-to-back transactions form one tenure that advances as
-  engine queue callbacks, so the caller resumes once per batch.  An
+  engine queue callbacks, so the caller resumes once per batch, or
+  plays in place on a quiet bus (see :meth:`OPBBus.transfer`).  An
   execution segment of :meth:`repro.hw.microblaze.MicroBlaze.execute`
   re-arms one tenure chunk after chunk, and its caller resumes once.
 - ``bus.credit(master, target, start)`` for a transaction its master
@@ -30,7 +31,7 @@ from operator import itemgetter
 from types import MethodType
 from typing import Dict, List, Optional, Protocol, Tuple, Union
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, push_only
 from repro.sim.events import PENDING, TRIGGERED, Event
 
 
@@ -144,6 +145,7 @@ class _Tenure:
             bus._seq += 1
             heapq.heappush(bus._waiting, (self.master, bus._seq, self))
 
+    @push_only
     def _arm(self) -> None:
         """Grant entry: hold the bus for one transaction's latency."""
         if self.cancelled:
@@ -584,22 +586,54 @@ class OPBBus:
         interrupt latency, and only completed transactions reach the
         stats.  A batch that completed leaves its tenure to be re-armed
         by a later call.
+
+        On a quiet bus, in a process that may play in place (see
+        :meth:`repro.sim.engine.Simulator.sleep`), a batch that ends
+        strictly before anything else could be dispatched plays in
+        place: it is credited with no wait, takes the ``2 * count``
+        insertion ids of its grants and holds, and returns without
+        yielding.
         """
         if count <= 0:
             return 0
+        sim = self.sim
+        latency = target.access_latency(words)
+        grant_eid = 0
+        if (sim._inplace and not sim._stopped and self._holder is None
+                and not self._waiting):
+            # The first grant's id comes before what push-only entries
+            # due at ``now`` push.
+            sim._eid += 1
+            grant_eid = sim._eid
+            spent = count * latency
+            if sim.now + spent < sim._head_past_push_only():
+                stats = self.stats
+                stats.busy_cycles += spent
+                stats.transactions += count
+                waits = stats.wait_cycles
+                waits[master] = waits.get(master, 0)
+                counts = stats.transactions_by_master
+                counts[master] = counts.get(master, 0) + count
+                name = target.name
+                stats.per_target[name] = stats.per_target.get(name, 0) + spent
+                sim._eid += 2 * count - 1
+                sim.now += spent
+                return spent
         spare = self._spare
         if spare:
             tenure = spare.pop()
             tenure.master = master
             tenure.target = target
-            tenure.latency = target.access_latency(words)
+            tenure.latency = latency
             tenure.left = count
             tenure.spent = 0
             tenure.done._state = PENDING
         else:
-            tenure = _Tenure(self, master, target,
-                             target.access_latency(words), count)
-        tenure._request()
+            tenure = _Tenure(self, master, target, latency, count)
+        if grant_eid:
+            sim._push_as(grant_eid, tenure._request)
+        else:
+            tenure._request()
         try:
             yield tenure.done
         except BaseException:

@@ -86,7 +86,7 @@ class ContextSwitchEngine:
         """Generator: save register file + stack to shared memory."""
         core = self.core
         start = core.sim.now
-        yield core.sim.timeout(self.primitive_overhead)
+        yield from core.sim.sleep(self.primitive_overhead)
         yield from core.bus.stream(core.cpu_id, core.ddr, context.total_words,
                                    BURST_WORDS)
         context.saved = True
@@ -98,7 +98,7 @@ class ContextSwitchEngine:
         """Generator: load register file, relocate stack to local BRAM."""
         core = self.core
         start = core.sim.now
-        yield core.sim.timeout(self.primitive_overhead)
+        yield from core.sim.sleep(self.primitive_overhead)
         yield from core.bus.stream(core.cpu_id, core.ddr, context.total_words,
                                    BURST_WORDS)
         context.restore_count += 1

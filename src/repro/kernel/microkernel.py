@@ -15,12 +15,11 @@ the aperiodic task release").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.mpdp import MPDPScheduler
 from repro.core.task import AperiodicTask, Job, TaskSet
-from repro.hw.intc import MultiprocessorInterruptController
 from repro.hw.microblaze import DEFAULT_PROFILE, ExecutionProfile, SegmentResult
 from repro.hw.soc import SoC
 from repro.kernel.context import BURST_WORDS, ContextSwitchEngine, TaskContext
@@ -54,6 +53,10 @@ class TaskBinding:
             raise ValueError("criticality must be non-negative")
         if self.retry_budget < 0:
             raise ValueError("retry_budget must be non-negative")
+
+
+#: The binding of a task without one (frozen, so one instance serves all).
+_DEFAULT_BINDING = TaskBinding()
 
 
 @dataclass(frozen=True)
@@ -285,7 +288,7 @@ class DualPriorityMicrokernel:
                 # and no EOI.
                 break
             source, payload = intc.acknowledge(cpu)
-            yield self.sim.timeout(self.costs.irq_entry)
+            yield from self.sim.sleep(self.costs.irq_entry)
             self.irqs_serviced += 1
             kind = (payload or {}).get("kind", source.name)
             if self._m_irqs is not None:
@@ -308,12 +311,17 @@ class DualPriorityMicrokernel:
             # End-of-interrupt: MPIC register write over the OPB.
             yield from core.bus.transfer(cpu, intc.REGISTERS, 1)
             intc.complete(cpu)
-            yield self.sim.timeout(self.costs.irq_exit)
+            yield from self.sim.sleep(self.costs.irq_exit)
 
     # -------------------------------------------------------------- kernel paths
     def _lock_kernel(self, cpu: int):
-        grant = self.soc.sync_engine.acquire(KERNEL_LOCK, cpu)
-        yield grant
+        """Generator: take the kernel lock.  A free lock with nothing else
+        due at ``now`` is taken in place, under the id its grant takes."""
+        engine = self.soc.sync_engine
+        if engine.owner(KERNEL_LOCK) is None and self.sim._play_now():
+            engine.try_acquire(KERNEL_LOCK, cpu)
+            return
+        yield engine.acquire(KERNEL_LOCK, cpu)
 
     def _unlock_kernel(self, cpu: int) -> None:
         self.soc.sync_engine.release(KERNEL_LOCK, cpu)
@@ -341,7 +349,7 @@ class DualPriorityMicrokernel:
             released = self._shed_released(released, now)
         for job in released:
             self._arm_watchdog(job)
-        yield self.sim.timeout(self.costs.scheduler_cycle(moved))
+        yield from self.sim.sleep(self.costs.scheduler_cycle(moved))
         yield from self._queue_traffic(cpu, moved)
 
         allocation = self.policy.reschedule(self.sim.now)
@@ -375,7 +383,7 @@ class DualPriorityMicrokernel:
         job = Job(task, release=self.sim.now, index=index)
 
         yield from self._lock_kernel(cpu)
-        yield self.sim.timeout(self.costs.aperiodic_release)
+        yield from self.sim.sleep(self.costs.aperiodic_release)
         self.policy.add_aperiodic(job)
         self.aperiodic_releases += 1
         if self.trace.enabled:
@@ -391,7 +399,7 @@ class DualPriorityMicrokernel:
     def _on_completion(self, cpu: int, job: Job):
         """Task finished: re-arm, self-serve the queues, notify peers."""
         yield from self._lock_kernel(cpu)
-        yield self.sim.timeout(self.costs.completion)
+        yield from self.sim.sleep(self.costs.completion)
         if job.finish_time is None:
             self.policy.job_finished(job, self.sim.now)
             if self.trace.enabled:
@@ -482,7 +490,7 @@ class DualPriorityMicrokernel:
             job.retries += 1
             self.task_retries += 1
             job.remaining = getattr(job.task, "acet", None) or job.task.wcet
-            yield self.sim.timeout(self.costs.completion)
+            yield from self.sim.sleep(self.costs.completion)
             self.trace.record(
                 self.sim.now, "retry", job=job.name, cpu=cpu,
                 info=f"attempt={job.retries}",
@@ -596,7 +604,7 @@ class DualPriorityMicrokernel:
             ).inc()
 
     def _binding_of_name(self, name: str) -> TaskBinding:
-        return self.bindings.get(name, TaskBinding())
+        return self.bindings.get(name, _DEFAULT_BINDING)
 
     def _notify_switches(self, scheduler_cpu: int, switches: List[int]):
         """IPI every processor whose assignment changed (except self)."""
@@ -604,7 +612,7 @@ class DualPriorityMicrokernel:
         for target in switches:
             if target == scheduler_cpu:
                 continue
-            yield self.sim.timeout(self.costs.ipi_raise)
+            yield from self.sim.sleep(self.costs.ipi_raise)
             yield from core.bus.transfer(scheduler_cpu, self.soc.intc.REGISTERS, 1)
             self.soc.intc.send_ipi(
                 scheduler_cpu, target, payload={"kind": "ipi"}
@@ -644,7 +652,7 @@ class DualPriorityMicrokernel:
 
     # ----------------------------------------------------------------- utilities
     def _binding_of(self, job: Job) -> TaskBinding:
-        return self.bindings.get(job.task.name, TaskBinding())
+        return self.bindings.get(job.task.name, _DEFAULT_BINDING)
 
     def stats(self) -> dict:
         """Kernel counters (used by experiments and tests)."""

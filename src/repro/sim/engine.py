@@ -7,17 +7,31 @@ queue, a flat ``heapq`` of ``(time, insertion id, item)`` entries: an
 entry runs at its instant, and entries at the same instant run in the
 order they were pushed.  Popping the heap jumps ``now`` straight to the
 next queued instant, so idle stretches (all cores parked on their
-interrupt lines) cost no per-cycle work.
+interrupt lines) cost no per-cycle work.  A step that ends before
+anything else could be dispatched may be played in place, under the
+insertion ids its entries would take, instead of through the queue
+(:meth:`Simulator.sleep`).
 """
 
 from __future__ import annotations
 
 import heapq
+from types import MethodType
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.sim.events import PENDING, PROCESSED, Event, Interrupt, Timeout
 
 _INF = float("inf")
+
+
+def push_only(func):
+    """Mark a method whose bound queue callback, run at its instant, only
+    pushes later entries and wakes no process (a bus grant, which pushes
+    its hold).  A process playing a step in place may pop and run such an
+    entry due at ``now`` ahead of its step (see :meth:`Simulator.sleep`):
+    the queue would have dispatched it first all the same."""
+    func.push_only = True
+    return func
 
 
 class Simulator:
@@ -44,6 +58,10 @@ class Simulator:
         # the first instant the current run will not dispatch.
         self._limit = _INF
         self._heap: List[tuple] = []
+        # While a process runs: True when it runs as the last callback
+        # of its dispatch and may play steps in place, else False (see
+        # ``Process._resume``); None while no process runs.
+        self._inplace: Optional[bool] = None
 
     # -- event factories ----------------------------------------------------
     def event(self, name: Optional[str] = None) -> Event:
@@ -81,6 +99,34 @@ class Simulator:
             return sleeper
         return Timeout(self, delay)
 
+    def sleep(self, delay: int):
+        """Generator: wait ``delay`` cycles, as ``yield sim.timeout(delay)``.
+
+        Called as ``yield from sim.sleep(delay)`` inside a process.  When
+        the process may play in place (it runs as the last callback of
+        its dispatch, in a run that is not stopped) and the sleep ends
+        strictly before anything else could be dispatched, the sleep
+        takes the insertion id its timeout would have taken and moves
+        ``now`` itself, without yielding; :func:`push_only` entries due
+        at ``now`` run first, as the queue would run them.  Otherwise it
+        yields a :class:`Timeout` under that same ``(time, insertion
+        id)`` key.
+        """
+        delay = int(delay)
+        if delay < 0:
+            raise ValueError(f"negative sleep delay: {delay}")
+        if self._inplace and not self._stopped:
+            self._eid += 1
+            eid = self._eid
+            end = self.now + delay
+            if end < self._head_past_push_only():
+                self.now = end
+                return
+            timeout = self._push_as(eid, Timeout, self, delay)
+        else:
+            timeout = Timeout(self, delay)
+        yield timeout
+
     def process(self, generator: Generator, name: Optional[str] = None) -> "Process":
         """Spawn a cooperative process from a generator."""
         return Process(self, generator, name=name)
@@ -107,11 +153,12 @@ class Simulator:
         anything: the next queued entry, capped at ``until + 1`` inside
         ``run(until)``; infinity when neither exists.
 
-        Valid from inside a callback too.  A bare queue callback may
+        Valid from inside a callback too.  A bare queue callback, or a
+        process running as the last callback of its dispatch, may
         therefore play out, in place, work that would otherwise be queue
         entries strictly before the horizon, advancing ``now`` as it
         goes: no other entry can be dispatched in between (the bus
-        run-ahead of :mod:`repro.hw.bus`).
+        run-ahead of :mod:`repro.hw.bus`, :meth:`sleep`).
         """
         return self._head()[0]
 
@@ -129,6 +176,44 @@ class Simulator:
             entry = heap[0]
             return entry[0], entry[2]
         return self._limit, None
+
+    def _head_past_push_only(self) -> float:
+        """:meth:`horizon`, after popping and running every
+        :func:`push_only` entry due at ``now`` at the head of the queue.
+
+        For a process playing a step in place that has taken its first
+        insertion id: the queue would have dispatched those entries
+        before the step's, and what they push takes later ids."""
+        heap = self._heap
+        now = self.now
+        while heap:
+            time, _eid, item = heap[0]
+            if (time != now or type(item) is not MethodType
+                    or not getattr(item.__func__, "push_only", False)):
+                break
+            self._pop_head()
+            item()
+        return self._head()[0]
+
+    def _play_now(self) -> bool:
+        """Whether the running process may play in place an entry due at
+        ``now`` that it would wait on (a grant): it may play in place and
+        nothing else is due at ``now``.  If so the entry's insertion id
+        is taken."""
+        if self._inplace and not self._stopped and self._head()[0] > self.now:
+            self._eid += 1
+            return True
+        return False
+
+    def _push_as(self, eid: int, make: Callable, *args) -> Any:
+        """``make(*args)``, whose single push goes in under the insertion
+        id ``eid`` taken earlier; ``_eid`` is left as it was."""
+        taken = self._eid
+        self._eid = eid - 1
+        try:
+            return make(*args)
+        finally:
+            self._eid = taken
 
     def _pop_head(self) -> None:
         """Remove the entry :meth:`_head` reported; ``now`` must already
@@ -223,6 +308,10 @@ class Process(Event):
     ordering -- and therefore the schedule -- is unchanged, but the
     allocation and callback-dispatch cost disappears from the hottest
     paths of full-system runs.
+
+    A process that runs as the last callback of its dispatch may play
+    steps in place (:meth:`Simulator.sleep`): nothing else is
+    dispatched before its next queue entry.
     """
 
     __slots__ = ("_generator", "_waiting_on", "_wait_list", "_wait_slot",
@@ -285,11 +374,23 @@ class Process(Event):
         # the slot index stays valid and detach is O(1) even for
         # heavily-interrupted processes.
         waiting = self._waiting_on
-        if waiting is not None and waiting is not event:
+        if waiting is None:
+            last = True  # a bare callback: start, or a processed target
+        elif waiting is not event:
             self._wait_list[self._wait_slot] = None
+            last = True  # a bare callback: interrupt delivery
+        else:
+            last = self._wait_slot == len(self._wait_list) - 1
         self._waiting_on = None
         self._wait_list = None
         generator = self._generator
+        # Running last in its dispatch, the process may play steps in
+        # place (``Simulator.sleep``): the engine would dispatch nothing
+        # else before its next queue entry.  Cleared when the generator
+        # yields, returns or raises, so a nested resume can only turn
+        # in-place play off.
+        sim = self.sim
+        sim._inplace = last if sim._inplace is None else False
         try:
             if throw is not None:
                 target = generator.throw(throw)
@@ -314,6 +415,8 @@ class Process(Event):
             else:
                 raise
             return
+        finally:
+            sim._inplace = None
         if not isinstance(target, Event):
             raise TypeError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Events"
@@ -326,5 +429,4 @@ class Process(Event):
             callbacks.append(self._resume_cb)
         else:
             # Already processed event: resume immediately via queue.
-            sim = self.sim
             sim._push(sim.now, lambda: self._resume(target))

@@ -262,10 +262,8 @@ def test_batched_transfer_returns_total_cycles():
     assert bus.stats.transactions_by_master[0] == 3
 
 
-def test_batch_resumes_caller_once(monkeypatch):
-    """A batch's transactions run as queue callbacks: on an idle bus the
-    caller wakes only when the last hold ends, not per grant and hold."""
-    sim, bus, ddr = setup()
+def count_resumes(monkeypatch, sim):
+    """The instants at which any process resumes, from now on."""
     resumes = []
     resume = Process._resume
 
@@ -274,6 +272,20 @@ def test_batch_resumes_caller_once(monkeypatch):
         return resume(self, event, throw)
 
     monkeypatch.setattr(Process, "_resume", counting)
+    return resumes
+
+
+@pytest.mark.parametrize("foreign", [False, True], ids=["quiet", "foreign"])
+def test_batch_resumes_caller_once(monkeypatch, foreign):
+    """On a quiet bus a batch that ends before anything else is due plays
+    in place: the caller never yields.  With a foreign entry due mid-batch
+    its transactions run as queue callbacks and the caller wakes once,
+    when the last hold ends, not per grant and hold."""
+    sim, bus, ddr = setup()
+    resumes = count_resumes(monkeypatch, sim)
+    end = 50 * ddr.access_latency(1)
+    if foreign:
+        sim.schedule(end // 2, lambda: None)
 
     def master():
         spent = yield from bus.transfer(0, ddr, words=1, count=50)
@@ -281,9 +293,11 @@ def test_batch_resumes_caller_once(monkeypatch):
 
     sim.process(master())
     sim.run()
-    # The process start, then the single wake-up.
-    assert resumes == [0, 50 * ddr.access_latency(1)]
+    # The process start, then (behind a foreign entry) the single wake-up.
+    assert resumes == ([0, end] if foreign else [0])
     assert bus.stats.transactions == 50
+    # The start, two entries per transaction, the process's finish.
+    assert sim._eid == 2 + 2 * 50 + foreign
 
 
 def run_cancelled_before_grant(bus_cls, queued):

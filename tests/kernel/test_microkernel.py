@@ -6,16 +6,19 @@ from repro.analysis import assign_promotions, partition, random_taskset
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.hw.soc import SoC, SoCConfig
 from repro.kernel import DualPriorityMicrokernel, TaskBinding
+from repro.sim import Simulator
 from repro.trace import TraceRecorder, compute_metrics
+from tests.sim.queued_engine import QueuedSimulator
 
 TICK = 20_000
 
 
-def build(tasks, aperiodic=(), n_cpus=2, tick=TICK, bindings=None):
+def build(tasks, aperiodic=(), n_cpus=2, tick=TICK, bindings=None, sim=None):
     ts = TaskSet(tasks, aperiodic).with_deadline_monotonic_priorities()
     ts = partition(ts, n_cpus)
     ts = assign_promotions(ts, n_cpus, tick=tick)
-    soc = SoC(SoCConfig(n_cpus=n_cpus, tick_cycles=tick, chunk_cycles=1_000))
+    soc = SoC(SoCConfig(n_cpus=n_cpus, tick_cycles=tick, chunk_cycles=1_000),
+              sim=sim)
     trace = TraceRecorder()
     kernel = DualPriorityMicrokernel(soc, ts, bindings=bindings, trace=trace)
     return soc, kernel, trace
@@ -179,3 +182,40 @@ class TestRandomWorkloads:
         misses = [j for j in kernel.finished_jobs if j.missed_deadline]
         assert misses == []
         kernel.policy.check_invariants()
+
+
+class TestKernelLockInPlace:
+    """A free kernel lock with nothing else due at ``now`` is taken in
+    place; otherwise its grant is queued.  Either way the log, lock
+    trace and insertion-id count are the queued engine's."""
+
+    @staticmethod
+    def lock_twice(engine, foreign, held):
+        soc, kernel, _trace = build([ptask("a", 1_000, 100_000)],
+                                    sim=engine())
+        sim = soc.sim
+        log = []
+        if held:
+            soc.sync_engine.try_acquire(0, 1)
+            sim.schedule(7, lambda: soc.sync_engine.release(0, 1))
+
+        def proc():
+            if foreign:
+                sim.schedule(0, lambda: log.append(("foreign", sim.now)))
+            yield from kernel._lock_kernel(0)
+            log.append(("locked", sim.now, sim._eid))
+            kernel._unlock_kernel(0)
+            yield from kernel._lock_kernel(0)
+            log.append(("locked", sim.now, sim._eid))
+
+        process = sim.process(proc())
+        sim.run()
+        return log, soc.sync_engine.acquisitions, sim._eid, process.processed
+
+    @pytest.mark.parametrize("foreign, held", [(False, False), (True, False),
+                                               (False, True)],
+                             ids=["free", "entry-due-now", "held"])
+    def test_lock_matches_queued_engine(self, foreign, held):
+        got = self.lock_twice(Simulator, foreign, held)
+        assert got == self.lock_twice(QueuedSimulator, foreign, held)
+        assert got[0][-1][0] == "locked" and got[3]

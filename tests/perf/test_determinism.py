@@ -10,7 +10,11 @@ model (``MicroBlaze`` on the run-ahead ``OPBBus``) and the per-chunk,
 per-transaction oracle (``tests.hw.reference_core.ReferenceCore`` on
 ``tests.hw.reference_bus.ReferenceBus``) must give identical
 full-system runs, Figure-4 prototype cells included, under the
-adaptive and the fixed stride.
+adaptive and the fixed stride.  So is the engine: processes that play
+kernel steps in place and the queued oracle
+(``tests.sim.queued_engine.QueuedSimulator``, every step a queue round
+trip) must give identical Figure-4 cells, traces included, and fault
+plan runs, under both strides.
 """
 
 from dataclasses import asdict
@@ -24,8 +28,10 @@ from repro.faults.plan import FAULT_KINDS, random_plan
 from repro.faults.scenarios import baseline_run, demo_taskset, run_scenario
 from repro.hw.bus import OPBBus
 from repro.hw.microblaze import MicroBlaze
+from repro.sim.engine import Simulator
 from repro.simulators.ladder import make_simulator
 from repro.simulators.prototype import DEFAULT_SCALE
+from repro.trace import TraceRecorder
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
     automotive_bindings,
@@ -34,6 +40,7 @@ from repro.workloads.automotive import (
 )
 from tests.hw.reference_bus import ReferenceBus
 from tests.hw.reference_core import ReferenceCore
+from tests.sim.queued_engine import QueuedSimulator
 
 DEMO_WCETS = {task.name: task.wcet for task in demo_taskset().periodic}
 
@@ -66,12 +73,15 @@ def test_baseline_run_replays_identically():
     recovery=st.booleans(),
 )
 def test_fault_plan_runs_replay_identically(seed, n_faults, kinds, recovery):
+    """Replays agree, and agree with the queued engine on both strides."""
     plan = random_plan(seed=seed, horizon=400_000, tasks=DEMO_WCETS,
                        n_faults=n_faults, kinds=sorted(kinds))
     config = {"enabled": True} if recovery else None
     first = outcome(run_scenario, plan=plan, recovery=config)
     replay = outcome(run_scenario, plan=plan, recovery=config)
     assert first == replay
+    outcomes = same_on_queued_engine(run_scenario, plan=plan, recovery=config)
+    assert outcomes[0][0] == first
 
 
 #: The segment model under test and the per-chunk, per-transaction
@@ -79,12 +89,16 @@ def test_fault_plan_runs_replay_identically(seed, n_faults, kinds, recovery):
 MODELS = {"segment": (MicroBlaze, OPBBus),
           "per-chunk": (ReferenceCore, ReferenceBus)}
 
+#: The engine under test, whose processes play steps in place, and the
+#: queued oracle.
+ENGINES = {"in-place": Simulator, "queued": QueuedSimulator}
 
-def on_model(model, stride, run, *args, **kwargs):
+
+def on_model(model, stride, run, *args, engine="in-place", **kwargs):
     """``run(*args, **kwargs)`` with every new SoC built from ``model``'s
-    core and bus, at ``stride`` ("adaptive": the default, or "fixed":
-    as with ``adaptive_chunking=False``, the core ignores the hint the
-    SoC wires).
+    core and bus on ``engine``'s simulator, at ``stride`` ("adaptive":
+    the default, or "fixed": as with ``adaptive_chunking=False``, the
+    core ignores the hint the SoC wires).
 
     Returns (result, then per SoC: ``asdict(BusStats)``, each core's
     ``utilization_stats``, the final clock and insertion-id count); the
@@ -111,6 +125,7 @@ def on_model(model, stride, run, *args, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(repro.hw.soc, "OPBBus", Bus)
         patch.setattr(repro.hw.soc, "MicroBlaze", Core)
+        patch.setattr(repro.hw.soc, "Simulator", ENGINES[engine])
         result = outcome(run, *args, **kwargs)
     return result, [
         (asdict(bus.stats),
@@ -133,16 +148,32 @@ def same_on_oracle(run, *args, **kwargs):
     return outcomes
 
 
-def figure4_cell(n_cpus, utilization):
+def same_on_queued_engine(run, *args, **kwargs):
+    """Run under both strides, on the engine and on the queued oracle;
+    require identical outcomes, and return the engine's outcomes."""
+    outcomes = []
+    for stride in ("adaptive", "fixed"):
+        got = on_model("segment", stride, run, *args, **kwargs)
+        want = on_model("segment", stride, run, *args, engine="queued",
+                        **kwargs)
+        assert got == want, stride
+        outcomes.append(got)
+    return outcomes
+
+
+def figure4_cell(n_cpus, utilization, traced=False):
     """One phase (arrival at 1.0 s) of a prototype Figure-4 cell:
-    finished jobs, kernel stats and final time."""
+    finished jobs, kernel stats and final time, and the trace events
+    when ``traced``."""
     taskset = prepare_taskset(build_automotive_taskset(utilization, n_cpus),
                               n_cpus, tick=TICK)
     arrival = int(1.0 * CLOCK_HZ)
+    trace = TraceRecorder() if traced else None
     sim = make_simulator(
         "prototype", taskset, n_cpus, scale=DEFAULT_SCALE,
         bindings=automotive_bindings(),
         aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
+        trace=trace,
     )
     sim.run(arrival + 25 * CLOCK_HZ)
     jobs = tuple(
@@ -150,7 +181,10 @@ def figure4_cell(n_cpus, utilization):
          j.cpu, j.preemptions, j.migrations)
         for j in sim.finished_jobs
     )
-    return {"jobs": jobs, "stats": sim.stats(), "now": sim.soc.sim.now}
+    result = {"jobs": jobs, "stats": sim.stats(), "now": sim.soc.sim.now}
+    if traced:
+        result["trace"] = tuple(trace.events)
+    return result
 
 
 @pytest.mark.parametrize("n_cpus, utilization", [(2, 0.4), (3, 0.5), (4, 0.6)],
@@ -163,6 +197,17 @@ def test_figure4_cell_identical_on_per_chunk_oracle(n_cpus, utilization):
         assert len(socs) == 1 and socs[0][0]["transactions"]
     # The strides are different schedules.
     assert outcomes[0][1] != outcomes[1][1]
+
+
+@pytest.mark.parametrize("n_cpus, utilization", [(2, 0.4), (3, 0.5), (4, 0.6)],
+                         ids=["2P-40", "3P-50", "4P-60"])
+def test_figure4_cell_identical_on_queued_engine(n_cpus, utilization):
+    outcomes = same_on_queued_engine(figure4_cell, n_cpus, utilization,
+                                     traced=True)
+    for result, socs in outcomes:
+        assert isinstance(result, dict), result
+        assert result["jobs"] and result["trace"]
+        assert len(socs) == 1 and socs[0][0]["transactions"]
 
 
 def test_baseline_run_identical_on_per_chunk_oracle():
