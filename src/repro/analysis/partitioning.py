@@ -9,7 +9,7 @@ partition is guaranteed feasible.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 from repro.analysis.response_time import response_time_table
 from repro.core.task import PeriodicTask, TaskSet

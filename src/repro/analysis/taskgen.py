@@ -8,7 +8,7 @@ seeds (determinism is a package-wide rule).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 

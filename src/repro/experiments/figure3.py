@@ -24,7 +24,7 @@ and renders both schedules as interval tables and ASCII Gantt charts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.simulators.ladder import make_simulator

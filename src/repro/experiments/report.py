@@ -25,7 +25,6 @@ from repro.experiments.figure4 import figure4_sweep
 from repro.experiments.tables import (
     PAPER_APERIODIC_EXEC_S,
     PAPER_APERIODIC_WORST_S,
-    PAPER_SLOWDOWN_MATRIX,
     format_slowdown_matrix,
     format_task_table,
 )

@@ -7,7 +7,7 @@ that prints our task tables in the paper's format.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro import CLOCK_HZ
 

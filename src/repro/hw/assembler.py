@@ -28,7 +28,7 @@ import difflib
 import re
 from typing import Dict, List, Optional, Tuple
 
-from repro.hw.isa import Instruction, ISAError, OPCODES, Program
+from repro.hw.isa import Instruction, OPCODES, Program
 
 _LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 

@@ -60,7 +60,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.hw.memory import DDRMemory, LocalBRAM, MemoryError_, WordStorage
+from repro.hw.memory import LocalBRAM, WordStorage
 from repro.hw.microblaze import MicroBlaze
 from repro.sim.events import PENDING
 

@@ -10,7 +10,7 @@ the latency interface.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 
 class MemoryError_(Exception):

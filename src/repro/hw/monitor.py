@@ -11,7 +11,7 @@ under added load -- can actually be observed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.hw.bus import OPBBus
 from repro.sim.engine import Simulator

@@ -9,14 +9,14 @@ controller, exactly mirroring the block diagram.  The microkernel in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro import TICK, cycles_to_seconds
 from repro.hw.bus import OPBBus
 from repro.hw.cache import DirectMappedICache
 from repro.hw.crossbar import Crossbar
-from repro.hw.intc import InterruptMode, MultiprocessorInterruptController
+from repro.hw.intc import MultiprocessorInterruptController
 from repro.hw.memory import DDRMemory, LocalBRAM, SharedBRAM
 from repro.hw.microblaze import MicroBlaze
 from repro.hw.peripherals import CANInterface

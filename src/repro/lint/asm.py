@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from repro.hw.cache import DirectMappedICache
 from repro.hw.isa import BRANCH_PENALTY, Instruction, Program
 from repro.hw.memory import DDRMemory, LocalBRAM, SharedBRAM
-from repro.lint.diagnostics import Diagnostic, LintReport, Severity
+from repro.lint.diagnostics import LintReport, Severity
 
 #: Conditional branches: test rd, fall through when the test fails.
 COND_BRANCHES = frozenset({"beqz", "bnez", "bltz", "blez", "bgtz", "bgez"})

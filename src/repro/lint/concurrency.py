@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.diagnostics import LintReport, Severity
-from repro.trace.recorder import TraceEvent, TraceRecorder
+from repro.trace.recorder import TraceEvent
 
 
 def _parse_info(info: Optional[str]) -> Dict[str, str]:

@@ -9,8 +9,8 @@ and a fix hint.  ``docs/LINT.md`` catalogues every rule code.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional
 
 
 class Severity(enum.IntEnum):

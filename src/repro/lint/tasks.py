@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.analysis.response_time import (
     RecurrenceDivergenceError,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.task import AperiodicTask, Job, PeriodicTask, TaskSet
+from repro.core.task import AperiodicTask, Job, TaskSet
 from repro.trace.recorder import TraceRecorder
 
 

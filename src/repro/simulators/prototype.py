@@ -22,7 +22,6 @@ from typing import Dict, Optional, Sequence
 
 from repro import TICK
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
-from repro.hw.microblaze import ExecutionProfile
 from repro.hw.soc import SoC, SoCConfig
 from repro.kernel.costs import KernelCosts
 from repro.kernel.microkernel import DualPriorityMicrokernel, TaskBinding

@@ -32,7 +32,7 @@ worst-case response times within the calibrated tolerance recorded in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.trace.recorder import TraceEvent, TraceRecorder
 

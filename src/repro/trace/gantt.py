@@ -8,7 +8,7 @@ occupied it.  Works from the ``busy_intervals`` reconstruction of a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.trace.recorder import TraceRecorder
 

@@ -6,6 +6,9 @@ walk follows imports (top-level and function-local) through ``ast``.
 A ``from pkg import name`` reaches the submodule that defines ``name``,
 not everything ``pkg/__init__.py`` re-exports, so a module kept alive
 only by a package re-export and its own tests shows up as unreached.
+It is a use only when the importing module reads ``name`` or re-exports
+it in ``__all__``, so a module kept alive only by an unread import shows
+up too; and no module of ``repro`` may import a name it never reads.
 """
 
 import ast
@@ -34,21 +37,57 @@ def is_package(name):
     return (SRC.joinpath(*name.split(".")) / "__init__.py").is_file()
 
 
+def used_names(tree):
+    """The names a module reads, and those its ``__all__`` re-exports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(element.value for element in node.value.elts)
+    return used
+
+
+def parsed_imports(path, package):
+    """``(module, aliases)`` for each import in ``path``, and the names
+    ``path`` uses.  Relative imports resolve against ``package``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None)
+            if isinstance(node, ast.ImportFrom) and node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                module = f"{base}.{module}" if module else base
+            found.append((module, node))
+    return found, used_names(tree)
+
+
 def imports_of(path, package):
     """``(module, names)`` for each import in ``path``; ``names`` is None
-    for a plain ``import module``.  Relative imports resolve against
-    ``package``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for node in ast.walk(tree):
+    for a plain ``import module``, and holds only the names ``path``
+    uses (see :func:`used_names`) for a ``from module import``."""
+    found, used = parsed_imports(path, package)
+    for module, node in found:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, None
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module
-            if node.level:
-                base = package.rsplit(".", node.level - 1)[0]
-                module = f"{base}.{module}" if module else base
-            yield module, [alias.name for alias in node.names]
+        else:
+            yield module, [alias.name for alias in node.names
+                           if (alias.asname or alias.name) in used]
+
+
+def unread_imports(path, package):
+    """``from module import name`` in ``path`` whose ``name`` it never
+    uses, as ``(module, name)``."""
+    found, used = parsed_imports(path, package)
+    return [(module, alias.name)
+            for module, node in found
+            if isinstance(node, ast.ImportFrom) and module != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name) not in used]
 
 
 def defining_modules(module, name):
@@ -122,3 +161,31 @@ def test_from_package_import_reaches_the_defining_submodule():
 
 def test_only_the_known_oracles_are_unreached():
     assert all_modules() - reached_modules() == EXPECTED_UNREACHED
+
+
+def test_an_unread_import_is_no_use(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "from repro.core import MPDPScheduler, TaskSet as Tasks\n"
+        "from repro.hw import isa\n"
+        "__all__ = ['isa']\n"
+        "def f(x: Tasks):\n"
+        "    return x\n")
+    assert list(imports_of(path, "pkg")) == [
+        ("__future__", []),
+        ("repro.core", ["TaskSet"]),
+        ("repro.hw", ["isa"]),
+    ]
+    assert unread_imports(path, "pkg") == [("repro.core", "MPDPScheduler")]
+
+
+def test_every_imported_name_is_read():
+    unread = {
+        ".".join(path.relative_to(SRC).with_suffix("").parts): names
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        for names in [unread_imports(path, ".".join(
+            path.relative_to(SRC).parts[:-1]))]
+        if names
+    }
+    assert unread == {}
