@@ -15,9 +15,10 @@ Two usage styles:
   plays in place on a quiet bus (see :meth:`OPBBus.transfer`).  An
   execution segment of :meth:`repro.hw.microblaze.MicroBlaze.execute`
   re-arms one tenure chunk after chunk, and its caller resumes once.
-- ``bus.credit(master, target, start)`` for a transaction its master
-  played in place on a quiet bus, before anything else can run (the
-  block ISA interpreter's DDR accesses): stats only, no queue entries.
+- ``bus.credit(master, target, starts)`` for the transactions its
+  master played in place on a quiet bus, before anything else can run
+  (the block ISA interpreter's DDR accesses, settled once per window):
+  stats only, no queue entries.
 - ``bus.stats`` exposes the utilization counters that the closed-form
   wait model :func:`analytic_txn_wait` of the transaction-level rung
   (:mod:`repro.simulators.tlm`) is calibrated against.
@@ -547,26 +548,30 @@ class OPBBus:
                 return
         raise RuntimeError("release of a grant this bus never issued")
 
-    def credit(self, master: int, target: BusTarget, start: int,
+    def credit(self, master: int, target: BusTarget, starts: List[int],
                words: int = 1) -> int:
-        """Account one transaction its master played in place.
+        """Account the transactions its master played in place, one per
+        request instant in ``starts``.
 
-        The caller found the bus quiet (no holder, no waiter) and the
-        transaction, requested at ``start``, over before anything else
-        can run (:meth:`repro.sim.engine.Simulator.horizon`), so it is
-        granted at ``start`` and the stats gain what :meth:`transfer`
-        would credit, with no wait.  Returns the hold latency.
+        The caller found the bus quiet (no holder, no waiter) and each
+        transaction over before anything else can run
+        (:meth:`repro.sim.engine.Simulator.horizon`), so each is granted
+        at its request and the stats gain what :meth:`transfer` would
+        credit, with no wait.  ``starts`` is not empty.  Returns the hold
+        latency of one transaction.
         """
         latency = target.access_latency(words)
+        count = len(starts)
+        spent = count * latency
         stats = self.stats
-        stats.busy_cycles += latency
-        stats.transactions += 1
+        stats.busy_cycles += spent
+        stats.transactions += count
         waits = stats.wait_cycles
         waits[master] = waits.get(master, 0)
         counts = stats.transactions_by_master
-        counts[master] = counts.get(master, 0) + 1
+        counts[master] = counts.get(master, 0) + count
         name = target.name
-        stats.per_target[name] = stats.per_target.get(name, 0) + latency
+        stats.per_target[name] = stats.per_target.get(name, 0) + spent
         return latency
 
     def transfer(self, master: int, target: BusTarget, words: int = 1,

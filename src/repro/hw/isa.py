@@ -973,7 +973,10 @@ class ISAExecutor:
         inside the window, when the bus is quiet and the access ends
         strictly before ``sim.horizon()``: until then nothing else runs,
         so no one can contend for the bus or touch the word.  The fault
-        checkpoint then moves past it.
+        checkpoint then moves past it.  The window reads or writes the
+        word directly and records its request instant; one
+        ``bus.credit`` at the window boundary, before the sleep, credits
+        all of the window's in-place accesses.
         """
         state = self.state
         if state.halted:
@@ -991,6 +994,7 @@ class ISAExecutor:
         ddr_base = ddr.base
         ddr_top = ddr.base + ddr.size
         ddr_latency = ddr.access_latency(1)
+        ddr_words = ddr._words
         bus_credit = bus.credit
         trace = self.trace
         decoded = self._decoded
@@ -1004,6 +1008,8 @@ class ISAExecutor:
         fuel = max_instructions - state.instructions_retired
         filled_pc = -1
         sleep = None
+        # Request instants of the window's DDR accesses played in place.
+        starts: List[int] = []
         pc = state.pc
         # Fault hooks: any flip/upset must invalidate the live window.
         local_mem.add_fault_listener(self._on_fault)
@@ -1081,9 +1087,10 @@ class ISAExecutor:
                         if addr & 3 or pending + ddr_latency >= room:
                             sync = _S_DDR
                             break
-                        # Requested at now + pending, granted at once.
-                        pending += bus_credit(cpu_id, ddr, now + pending)
-                        self.data_accesses += 1
+                        # Requested at now + pending, granted at once;
+                        # the bus is credited at the window boundary.
+                        starts.append(now + pending)
+                        pending += ddr_latency
                         if trace is not None:
                             trace.record(
                                 now + pending,
@@ -1092,13 +1099,15 @@ class ISAExecutor:
                                 info=f"addr={addr:#x} "
                                      f"op={'read' if kind <= 9 else 'write'}",
                             )
+                        # Aligned and in range: the word itself (registers
+                        # hold 32-bit values).
                         if kind <= 9:  # load
-                            value = ddr.read_word(addr)
                             rd = op[2]
                             if rd:
-                                regs[rd] = value
+                                regs[rd] = ddr_words.get(
+                                    (addr - ddr_base) >> 2, 0)
                         else:
-                            ddr.write_word(addr, regs[op[2]])
+                            ddr_words[(addr - ddr_base) >> 2] = regs[op[2]]
                         pc += 1
                         ck_pc = pc
                         ck_fuel = fuel
@@ -1122,6 +1131,10 @@ class ISAExecutor:
                 self.window_instructions += w_fuel - fuel
                 self.cycles += pending
                 icache.hits += w_fuel - fuel - (w_skip >= 0)
+                if starts:
+                    bus_credit(cpu_id, ddr, starts)
+                    self.data_accesses += len(starts)
+                    starts = []
                 if pending:
                     sleep = sim.advance(pending, sleep)
                     self._sleep = sleep

@@ -16,7 +16,7 @@ the aperiodic task release").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.mpdp import MPDPScheduler
 from repro.core.task import AperiodicTask, Job, TaskSet
@@ -119,6 +119,8 @@ class DualPriorityMicrokernel:
             for core in soc.cores
         ]
         self._aper_index: Dict[str, int] = {}
+        # Queued watchdog entries, ``(instant, callback)`` per job.
+        self._watchdogs: Dict[Job, Tuple[int, Callable[[], None]]] = {}
 
         # Statistics.
         self.context_switches = 0
@@ -315,11 +317,23 @@ class DualPriorityMicrokernel:
 
     # -------------------------------------------------------------- kernel paths
     def _lock_kernel(self, cpu: int):
-        """Generator: take the kernel lock.  A free lock with nothing else
-        due at ``now`` is taken in place, under the id its grant takes."""
+        """Generator: take the kernel lock.
+
+        A free lock, in a process that may play in place (see
+        :meth:`repro.sim.engine.Simulator.sleep`), takes the id its grant
+        takes and runs the push-only entries due at ``now`` first; with
+        nothing else then due it is taken in place, else the grant is
+        queued under that id."""
         engine = self.soc.sync_engine
-        if engine.owner(KERNEL_LOCK) is None and self.sim._play_now():
-            engine.try_acquire(KERNEL_LOCK, cpu)
+        sim = self.sim
+        if (engine.owner(KERNEL_LOCK) is None and sim._inplace
+                and not sim._stopped):
+            sim._eid += 1
+            eid = sim._eid
+            if sim._head_past_push_only() > sim.now:
+                engine.try_acquire(KERNEL_LOCK, cpu)
+                return
+            yield sim._push_as(eid, engine.acquire, KERNEL_LOCK, cpu)
             return
         yield engine.acquire(KERNEL_LOCK, cpu)
 
@@ -404,6 +418,7 @@ class DualPriorityMicrokernel:
             self.policy.job_finished(job, self.sim.now)
             if self.trace.enabled:
                 self.trace.record(self.sim.now, "finish", job=job.name, cpu=cpu)
+            self._withdraw_watchdog(job)
         else:
             # KD-3 (docs/FAULTS.md): this core loaded the job's context
             # while another core still executed it, and that core
@@ -577,9 +592,22 @@ class DualPriorityMicrokernel:
             # a glitched timer): a miss already.
             self._watchdog_check(job)
             return
-        self.sim.schedule_at(deadline + 1, lambda j=job: self._watchdog_check(j))
+        entry = (deadline + 1, lambda j=job: self._watchdog_check(j))
+        self._watchdogs[job] = entry
+        self.sim.schedule_at(*entry)
+
+    def _withdraw_watchdog(self, job: Job) -> None:
+        """A valid completion by the deadline: the job's watchdog would
+        find no miss, so its entry leaves the queue instead of running
+        as a no-op (a late or invalid job keeps it)."""
+        entry = self._watchdogs.get(job)
+        if (entry is not None and not job.invalid
+                and job.finish_time <= job.absolute_deadline):
+            del self._watchdogs[job]
+            self.sim.withdraw(*entry)
 
     def _watchdog_check(self, job: Job) -> None:
+        self._watchdogs.pop(job, None)
         if job.shed:
             return
         deadline = job.absolute_deadline

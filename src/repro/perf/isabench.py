@@ -3,8 +3,8 @@
 Runs the :mod:`repro.hw.asmlib` kernels under either ISA interpreter
 (``"block"`` or ``"reference"``, see :mod:`repro.hw.isa`) and returns
 a full *observable* record: cycles, architectural state, I-cache
-counters, trace events, the exact bus-transaction instants and the
-bus statistics.
+counters, trace events, a digest of the exact bus-transaction instants
+and the bus statistics.
 ``tests/hw/test_isa_blocks.py`` uses :func:`run_kernel` and
 :func:`observable` to prove the two interpreters bit-for-bit
 equivalent, including under fault plans and with tracing /
@@ -15,6 +15,8 @@ times block mode on the same drivers.
 from __future__ import annotations
 
 import functools
+import hashlib
+from array import array
 from typing import Dict, Optional, Tuple
 
 from repro.hw.asmlib import link
@@ -144,30 +146,37 @@ def bus_stats(stats) -> tuple:
     )
 
 
-def _probe_bus(bus, log: list) -> None:
-    """Log every bus transaction's request/completion instant.
+def _probe_bus(bus, log) -> None:
+    """Record every bus transaction's request instant and completion.
 
     Wraps the instance's ``transfer``, and its ``credit`` for the
     transactions a master plays in place, so the sentinel can compare
     the *exact instants* shared-bus traffic hits arbitration in each
-    mode, whichever path it takes.  A batched transfer logs its
-    ``count`` after ``words``; single transactions log ``(kind,
-    instant, master, words)``.
+    mode, whichever path it takes.  ``log`` (a list, or an integer
+    ``array``) gains five integers per transfer, or per credited
+    transaction: the request instant, appended at the request, then the
+    cycles from request to completion, master, words and count, appended
+    at the completion.
     """
     inner = bus.transfer
     inner_credit = bus.credit
+    sim = bus.sim
+    append = log.append
+    extend = log.extend
 
     def probed(master, target, words=1, count=1):
-        tag = (master, words) if count == 1 else (master, words, count)
-        log.append(("req", bus.sim.now) + tag)
+        start = sim.now
+        append(start)
         result = yield from inner(master, target, words, count)
-        log.append(("done", bus.sim.now) + tag)
+        extend((sim.now - start, master, words, count))
         return result
 
-    def probed_credit(master, target, start, words=1):
-        latency = inner_credit(master, target, start, words)
-        log.append(("req", start, master, words))
-        log.append(("done", start + latency, master, words))
+    def probed_credit(master, target, starts, words=1):
+        latency = inner_credit(master, target, starts, words)
+        # Each is granted at its request: one row per start.
+        record = array("q", (0, latency, master, words, 1)) * len(starts)
+        record[::5] = array("q", starts)
+        extend(record)
         return latency
 
     bus.transfer = probed
@@ -225,7 +234,9 @@ def run_kernel(
 
     Returns a summary dict: the :data:`OBSERVABLE_KEYS` projection both
     interpreters must agree on, plus per-run diagnostics (engine event
-    count, block windows/replays, pc counts).
+    count, block windows/replays, pc counts).  ``bus_log`` is the
+    :func:`_probe_bus` record's row count and SHA-256 (its integers as
+    signed 64-bit native-order words).
     """
     if name not in KERNEL_DRIVERS:
         raise ValueError(f"unknown kernel {name!r} (have {sorted(KERNEL_DRIVERS)})")
@@ -240,7 +251,7 @@ def run_kernel(
         from repro.trace.recorder import TraceRecorder
 
         trace_rec = TraceRecorder()
-    bus_log: list = []
+    bus_log = array("q")
     _probe_bus(soc.bus, bus_log)
     if warm_icache:
         for index in range(0, len(program), core.icache.line_words):
@@ -268,7 +279,7 @@ def run_kernel(
         "trace": tuple(
             (e.time, e.kind, e.cpu, e.info) for e in trace_rec.events
         ) if trace_rec is not None else None,
-        "bus_log": tuple(bus_log),
+        "bus_log": (len(bus_log) // 5, hashlib.sha256(bus_log).hexdigest()),
         "bus_stats": bus_stats(soc.bus.stats),
         "now": soc.sim.now,
         "events": soc.sim._eid,

@@ -195,16 +195,6 @@ class Simulator:
             item()
         return self._head()[0]
 
-    def _play_now(self) -> bool:
-        """Whether the running process may play in place an entry due at
-        ``now`` that it would wait on (a grant): it may play in place and
-        nothing else is due at ``now``.  If so the entry's insertion id
-        is taken."""
-        if self._inplace and not self._stopped and self._head()[0] > self.now:
-            self._eid += 1
-            return True
-        return False
-
     def _push_as(self, eid: int, make: Callable, *args) -> Any:
         """``make(*args)``, whose single push goes in under the insertion
         id ``eid`` taken earlier; ``_eid`` is left as it was."""

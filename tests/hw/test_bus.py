@@ -3,6 +3,7 @@
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.bus import BusStats, OPBBus, RegisterTarget
 from repro.hw.memory import DDRMemory
@@ -87,21 +88,44 @@ def test_stats_accounting():
 
 @pytest.mark.parametrize("words", [1, 2, 8])
 def test_credit_accounts_as_a_transfer_on_a_quiet_bus(words):
-    """A transaction played in place credits the stats exactly as the
-    same transfer on a free bus does, and queues nothing."""
+    """Transactions played in place credit the stats exactly as the same
+    transfers, one after another on a free bus, do, and queue nothing."""
     sim, bus, ddr = setup()
 
     def master():
-        yield from bus.transfer(3, ddr, words=words)
+        for _ in range(3):
+            yield from bus.transfer(3, ddr, words=words)
 
     sim.process(master())
     sim.run()
     played = OPBBus(Simulator())
     eid = played.sim._eid
-    assert played.credit(3, ddr, start=40, words=words) == \
-        ddr.access_latency(words)
+    latency = ddr.access_latency(words)
+    starts = [40, 40 + latency, 40 + 2 * latency]
+    assert played.credit(3, ddr, starts, words=words) == latency
     assert asdict(played.stats) == asdict(bus.stats)
     assert played.sim._eid == eid and played._holder is None
+
+
+_CREDITS = st.lists(st.tuples(
+    st.integers(0, 3), st.sampled_from(["ddr", "regs"]), st.integers(1, 8),
+    st.lists(st.integers(0, 10_000), min_size=1, max_size=6)), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(credits=_CREDITS)
+def test_batched_credit_adds_what_single_credits_add(credits):
+    """One ``credit`` of a batch of request instants adds to the stats
+    what one ``credit`` per instant adds."""
+    targets = {"ddr": DDRMemory(), "regs": RegisterTarget("regs", 3)}
+    single, batched = OPBBus(Simulator()), OPBBus(Simulator())
+    for master, name, words, starts in credits:
+        target = targets[name]
+        latency = target.access_latency(words)
+        for start in starts:
+            assert single.credit(master, target, [start], words) == latency
+        assert batched.credit(master, target, starts, words) == latency
+    assert asdict(batched.stats) == asdict(single.stats)
 
 
 def test_interrupted_holder_releases_bus():

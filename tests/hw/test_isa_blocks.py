@@ -8,6 +8,9 @@ cold vs pre-warmed I-cache, and seeded fault plans whose mid-kernel
 bit-flips must invalidate and replay in-flight blocks.
 """
 
+import hashlib
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,9 +157,9 @@ def _run_cores(mode, kernels, foreign=None, until=None):
     played = []
     credit = soc.bus.credit
 
-    def counted(master, target, start, words=1):
-        played.append(master)
-        return credit(master, target, start, words)
+    def counted(master, target, starts, words=1):
+        played.extend([master] * len(starts))
+        return credit(master, target, starts, words)
 
     soc.bus.credit = counted
     trace = TraceRecorder()
@@ -456,10 +459,31 @@ def test_bus_probe_forwards_batched_transfers():
     sim.run()
     batch = 3 * ddr.access_latency(2)
     assert log == [
-        ("req", 0, 0, 2, 3), ("done", batch, 0, 2, 3),
-        ("req", batch, 0, 1), ("done", batch + ddr.access_latency(1), 0, 1),
+        0, batch, 0, 2, 3,
+        batch, ddr.access_latency(1), 0, 1, 1,
     ]
     assert bus.stats.transactions == 4
+
+
+@pytest.mark.parametrize("mode", ["block", "reference"])
+def test_bus_log_is_the_digest_of_the_list_record(mode):
+    """``run_kernel``'s ``bus_log`` is the row count and the SHA-256 of
+    the record :func:`_probe_bus` writes into a plain list: five
+    integers per transaction, as signed 64-bit native words."""
+    summary = run_kernel("memcpy_words", mode, iterations=3)
+    soc = SoC(SoCConfig(n_cpus=1))
+    log: list = []
+    _probe_bus(soc.bus, log)
+    program = _driver("memcpy_words", 3)
+    for i in range(DATA_WORDS):
+        program.data[DATA_BASE + 4 * i] = 0x0101 * (i + 1)
+    executor = ISAExecutor(soc.cores[0], program, mode=mode)
+    soc.sim.process(executor.run())
+    soc.sim.run()
+    assert len(log) == 5 * soc.bus.stats.transactions
+    record = struct.pack(f"={len(log)}q", *log)
+    assert summary["bus_log"] == (soc.bus.stats.transactions,
+                                  hashlib.sha256(record).hexdigest())
 
 
 # --------------------------------------------------- random-program property

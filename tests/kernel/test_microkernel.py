@@ -7,6 +7,7 @@ from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.hw.soc import SoC, SoCConfig
 from repro.kernel import DualPriorityMicrokernel, TaskBinding
 from repro.sim import Simulator
+from repro.sim.engine import push_only
 from repro.trace import TraceRecorder, compute_metrics
 from tests.sim.queued_engine import QueuedSimulator
 
@@ -219,3 +220,83 @@ class TestKernelLockInPlace:
         got = self.lock_twice(Simulator, foreign, held)
         assert got == self.lock_twice(QueuedSimulator, foreign, held)
         assert got[0][-1][0] == "locked" and got[3]
+
+    def test_lock_taken_in_place_past_a_push_only_entry(self):
+        """A bus grant (push-only) due at ``now`` runs first; then the free
+        lock is taken in place, with the queued engine's log and ids."""
+
+        def lock(engine):
+            soc, kernel, _trace = build([ptask("a", 1_000, 100_000)],
+                                        sim=engine())
+            sim = soc.sim
+            log, waits = [], []
+
+            class Grant:
+                @push_only
+                def arm(self):
+                    sim.schedule(3, lambda: log.append(("hold", sim.now)))
+
+            def proc():
+                yield sim.timeout(5)
+                sim.schedule(0, Grant().arm)
+                for event in kernel._lock_kernel(0):
+                    waits.append(sim.now)
+                    yield event
+                log.append(("locked", sim.now, sim._eid))
+
+            sim.process(proc())
+            sim.run()
+            return log, sim._eid, waits
+
+        log, eid, waits = lock(Simulator)
+        queued_log, queued_eid, queued_waits = lock(QueuedSimulator)
+        assert (log, eid) == (queued_log, queued_eid)
+        assert log[0][0] == "locked" and log[1] == ("hold", 8)
+        assert waits == [] and queued_waits == [5]
+
+
+class TestWatchdog:
+    """A valid completion by the deadline withdraws the job's watchdog
+    entry; a late or invalid job keeps it, and it records the miss."""
+
+    DEADLINE = 40_000
+
+    def run(self, inject):
+        soc, kernel, trace = build(
+            [ptask("a", 5_000, 100_000, deadline=self.DEADLINE)])
+        withdrawn = []
+        withdraw = soc.sim.withdraw
+
+        def recording(time, callback):
+            withdrawn.append(time)
+            withdraw(time, callback)
+
+        soc.sim.withdraw = recording
+        inject(kernel)
+        kernel.run(until=99_999)
+        misses = [e.info for e in trace.events if e.kind == "deadline_miss"]
+        return withdrawn, misses, kernel.finished_jobs[0], kernel
+
+    def test_on_time_completion_withdraws_the_entry(self):
+        withdrawn, misses, job, kernel = self.run(lambda kernel: None)
+        assert job.finish_time <= self.DEADLINE and not job.invalid
+        assert withdrawn.count(self.DEADLINE + 1) == 1
+        assert all(entry[0] != self.DEADLINE + 1
+                   for entry in kernel.sim._heap)
+        assert misses == [] and kernel.deadline_misses == 0
+        assert kernel._watchdogs == {}
+
+    def test_late_job_keeps_the_entry_and_misses(self):
+        withdrawn, misses, job, kernel = self.run(
+            lambda kernel: kernel.inject_overrun("a", 50_000))
+        assert job.finish_time > self.DEADLINE
+        assert self.DEADLINE + 1 not in withdrawn
+        assert misses == ["late"] and kernel.deadline_misses == 1
+
+    def test_invalid_job_keeps_the_entry_and_misses(self):
+        withdrawn, misses, job, kernel = self.run(
+            lambda kernel: kernel.inject_crash("a"))
+        assert job.finish_time <= self.DEADLINE and job.invalid
+        assert self.DEADLINE + 1 not in withdrawn
+        assert misses == ["invalid"] and kernel.deadline_misses == 1
+        assert kernel._watchdogs == {}

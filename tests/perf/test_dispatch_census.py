@@ -6,11 +6,12 @@ process plays in place ("Kernel steps in place"): every entry played in
 place still takes its insertion id, so ``sim._eid`` is pinned exactly,
 while the number of entries the engine itself dispatches, and of
 process resumes, must stay below a bound.  The bounds sit halfway
-between the counts before kernel steps played in place (6,351 and
-14,101 dispatches, 3,530 and 7,453 resumes) and after (2,795 and 8,539,
-1,043 and 3,770), so a change that quietly stops carrying cores from
-chunk to chunk, or stops playing kernel steps in place, fails here even
-when every output matches.
+between the counts before on-time jobs withdrew their watchdog entries
+and free kernel locks were taken in place past push-only entries (2,795
+and 8,539 dispatches, 1,043 and 3,770 resumes) and after (2,482 and
+7,147, 984 and 3,396), so a change that quietly stops carrying cores
+from chunk to chunk, playing kernel steps in place or withdrawing
+no-op watchdogs fails here even when every output matches.
 """
 
 import heapq
@@ -73,8 +74,8 @@ def dispatch_census(n_cpus, utilization):
 
 
 @pytest.mark.parametrize("n_cpus, utilization, eid, bound, resume_bound", [
-    (2, 0.4, 61_479, 4_573, 2_286),
-    (4, 0.6, 116_258, 11_320, 5_611),
+    (2, 0.4, 61_479, 2_639, 1_014),
+    (4, 0.6, 116_258, 7_843, 3_583),
 ], ids=["2P-40", "4P-60"])
 def test_run_ahead_and_kernel_steps_dispatch_fewer_entries(
         n_cpus, utilization, eid, bound, resume_bound):
