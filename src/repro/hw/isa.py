@@ -138,8 +138,10 @@ BRANCH_PENALTY = 2
 #: Instruction semantics: one Python expression template per op, the
 #: single source of both the callables the reference interpreter calls
 #: and the code the block compiler generates.  ALU templates read the
-#: operands ``{a}``/``{b}`` (32-bit patterns: a register, or the masked
-#: immediate for the ``<op>i`` form) and yield the 32-bit result.
+#: operands ``{a}``/``{b}`` and shifts their amount ``{n}`` (``{b} &
+#: 31``), and yield the 32-bit result.  The operands must be 32-bit
+#: patterns, and are: every register write, memory word and decoded
+#: immediate is masked, so the generated code never masks an input.
 #: Branch templates read ``{v}``, the tested register's unsigned 32-bit
 #: pattern, and yield True when the branch is taken.
 _ALU_EXPRS: Dict[str, str] = {
@@ -150,13 +152,13 @@ _ALU_EXPRS: Dict[str, str] = {
     "and": "{a} & {b}",
     "or": "{a} | {b}",
     "xor": "{a} ^ {b}",
-    "sll": "({a} << ({b} & 31)) & 0xFFFFFFFF",
-    "srl": "({a} & 0xFFFFFFFF) >> ({b} & 31)",
-    # Signed forms: ((x & MASK32) ^ 0x80000000) - 0x80000000 is x as signed.
-    "sra": "(((({a} & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
-           " >> ({b} & 31)) & 0xFFFFFFFF",
-    "cmp": "((({b} & 0xFFFFFFFF) ^ 0x80000000)"
-           " - (({a} & 0xFFFFFFFF) ^ 0x80000000)) & 0xFFFFFFFF",
+    "sll": "({a} << {n}) & 0xFFFFFFFF",
+    "srl": "{a} >> {n}",
+    # (x ^ 0x80000000) - 0x80000000 is the pattern x as signed.
+    "sra": "((({a} ^ 0x80000000) - 0x80000000) >> {n}) & 0xFFFFFFFF",
+    # signed(rb) - signed(ra): the signed and unsigned differences are
+    # the same pattern modulo 2**32.
+    "cmp": "({b} - {a}) & 0xFFFFFFFF",
 }
 _BRANCH_EXPRS: Dict[str, str] = {
     "beqz": "{v} == 0",
@@ -167,6 +169,13 @@ _BRANCH_EXPRS: Dict[str, str] = {
     "bgez": "{v} < 0x80000000",
 }
 
+#: Ops whose result is operand ``a`` when ``b`` is 0, and ops whose
+#: result is ``b`` when ``a`` is 0: a region copies the operand.
+_B0_IDENTITY = frozenset({"add", "sub", "or", "xor", "sll", "srl", "sra"})
+_A0_IDENTITY = frozenset({"add", "rsub", "or", "xor", "cmp"})
+#: Ops that read ``b`` only as the amount ``{n}``.
+_SHIFTS = frozenset({"sll", "srl", "sra"})
+
 
 def _compile(source: str, mode: str):
     """Compile generated source under this module's file name, so
@@ -175,9 +184,11 @@ def _compile(source: str, mode: str):
 
 
 #: ALU semantics, one callable per op (shared by the register and
-#: immediate forms; ``<op>i`` uses the same entry as ``<op>``).
+#: immediate forms; ``<op>i`` uses the same entry as ``<op>``).  They
+#: mask their operands, so they hold on any integers.
 _ALU_FUNCS = {
-    op: eval(_compile(f"lambda a, b: {expr.format(a='a', b='b')}", "eval"))
+    op: eval(_compile("lambda a, b: " + expr.format(
+        a="(a & 0xFFFFFFFF)", b="(b & 0xFFFFFFFF)", n="(b & 31)"), "eval"))
     for op, expr in _ALU_EXPRS.items()
 }
 
@@ -381,11 +392,15 @@ class _CompiledRegions:
     a cycle is a loop that dispatches on ``pc`` to *arms*.  The entry,
     every branch target, every return site and every line a block
     enters midway heads an arm, and an arm chains its fall-through
-    successors inline.  The loop keeps the
-    registers the region reads in locals and writes the ones it also
-    changes back at its one exit.  Every arm is an entry of the same
-    function, so a ``jr`` to a return site stays inside it.  Functions
-    are compiled on first entry.
+    successors inline; an arm that transfers back to its own head runs
+    as an inner loop.  The loop keeps the registers the region reads in
+    locals and writes the ones it also changes back at its one exit.
+    Every arm is an entry of the same function, so a ``jr`` to a return
+    site stays inside it.  Functions are compiled on first entry.
+
+    The code trusts that registers and immediates hold 32-bit patterns,
+    so it masks no operand, and it folds the constant operands, r0 and
+    immediates (:meth:`_alu`).
     """
 
     def __init__(self, program: Program, decoded: list):
@@ -517,14 +532,31 @@ class _CompiledRegions:
     # ------------------------------------------------------------ generation
     def _alu(self, p: int, read, write) -> List[str]:
         """The statement of the ALU op at ``p`` (none for a nop, a
-        control transfer or an r0 destination)."""
+        control transfer, an r0 destination or a copy to itself).
+
+        Constant operands fold: r0 and immediates are known, so two of
+        them give a literal, an identity operand (``x + 0``, ``0 | x``,
+        a shift by 0, ...) a copy of the other, and a shift by an
+        immediate a literal amount."""
         kind, _, rd, ra, b = self.decoded[p][:5]
         if kind > _K_ALUI or not rd:
             return []
         op = self.instructions[p].op
-        expr = _ALU_EXPRS[op if kind == _K_ALU else op[:-1]]
-        rhs = read(b) if kind == _K_ALU else b
-        return [write(rd, expr.format(a=read(ra), b=rhs))]
+        if kind == _K_ALU and b:  # b is a register
+            rhs = read(b)
+            n = f"({rhs} & 31)"
+            src = b if not ra and op in _A0_IDENTITY else None
+        else:  # b is the immediate, or r0: 0
+            if kind == _K_ALUI:
+                op = op[:-1]
+            if not ra:
+                return [write(rd, _ALU_FUNCS[op](0, b))]
+            rhs = b
+            n = b & 31 if op in _SHIFTS else b
+            src = ra if op in _B0_IDENTITY and not n else None
+        if src is None:
+            return [write(rd, _ALU_EXPRS[op].format(a=read(ra), b=rhs, n=n))]
+        return [] if src == rd else [write(rd, read(src))]
 
     def _test(self, p: int, read) -> str:
         """The taken condition of the conditional branch at ``p``."""
@@ -638,17 +670,49 @@ class _CompiledRegions:
             steps += [f"pc = {p}"] if p != arm else []
             return "; ".join(steps + ["break"])
 
-        def goto(s: int, dn: int, dc: int) -> str:
-            """Transfer to ``s``: dispatch to its arm or leave."""
-            return (f"left -= {dn}; c += {dc}; pc = {s}; "
-                    + ("continue" if s in heads else "break"))
+        def chain(arm: int) -> List[int]:
+            """The blocks ``arm`` runs inline: it chains the fall-through
+            successors that head no arm, up to :data:`_CHAIN_MAX`
+            instructions."""
+            blocks = [arm]
+            dn = sizes[arm]
+            while True:
+                q = self._edges(blocks[-1])[1]
+                if (q is None or q not in inside or q in heads
+                        or dn + sizes[q] > _CHAIN_MAX):
+                    return blocks
+                blocks.append(q)
+                dn += sizes[q]
 
         def arm_body(arm: int) -> List[str]:
+            """The arm's code.  An arm whose chain transfers back to its
+            own head runs as an inner loop: the back edge checks only the
+            first block's fuel (no line is filled inside a region call,
+            so its tag still hits), and every other exit leaves the inner
+            loop and dispatches.  An exit that leaves the region there
+            reaches an arm with the same pc or none: that arm's own fuel
+            or tag check leaves it at once, with nothing retired."""
+            blocks = chain(arm)
+            loops = any(arm in self._edges(q)[0] for q in blocks)
+            # The statement that dispatches on pc; from an inner loop,
+            # leaving it does.
+            dispatch = "break" if loops else "continue"
+
+            def goto(s: int, dn: int, dc: int) -> str:
+                """Transfer to ``s``: run the arm again, dispatch to the
+                arm of ``s``, or leave."""
+                steps = f"left -= {dn}; c += {dc}; "
+                if loops and s == arm:
+                    return steps + "continue"
+                return steps + f"pc = {s}; " + (
+                    dispatch if s in heads else "break")
+
             lines: List[str] = []
-            q, dn, dc, line = arm, 0, 0, None
-            while True:
-                lines.append(f"if left < {dn + sizes[q]}: "
-                             + leave(arm, q, dn, dc))
+            dn, dc, line = 0, 0, None
+            for q in blocks:
+                if not (loops and q == arm):
+                    lines.append(f"if left < {dn + sizes[q]}: "
+                                 + leave(arm, q, dn, dc))
                 for p in range(q, q + sizes[q]):
                     kind, _, rd, _, b, index, tag, _ = decoded[p]
                     if (index, tag) != line:
@@ -660,24 +724,28 @@ class _CompiledRegions:
                     lines += self._alu(p, read, write)
                 if kind == _K_JR:
                     lines.append(f"left -= {dn}; c += {dc + BRANCH_PENALTY}; "
-                                 f"pc = {read(rd)}; continue")
-                    return lines
+                                 f"pc = {read(rd)}; {dispatch}")
+                    break
                 if kind == _K_BR or kind == _K_BRL:
                     if kind == _K_BRL and rd:
                         lines.append(write(rd, p + 1))
                     lines.append(goto(b, dn, dc + BRANCH_PENALTY))
-                    return lines
+                    break
                 if kind == _K_CBR:
                     lines.append(f"if {self._test(p, read)}: "
                                  + goto(b, dn, dc + BRANCH_PENALTY))
+            else:
                 q = p + 1
-                if q in inside and q not in heads:
-                    if dn + sizes[q] <= _CHAIN_MAX:
-                        continue
+                if q in inside and q not in heads:  # the chain was cut
                     arms.append(q)
                     heads.add(q)
                 lines.append(goto(q, dn, dc))
+            if not loops:
                 return lines
+            # lines[0] is the head's tag check; the loop tests its fuel.
+            return ([lines[0], f"while left >= {sizes[arm]}:"]
+                    + ["    " + line for line in lines[1:]]
+                    + ["else:", "    break"])
 
         arm_code = {}
         for arm in arms:  # grows as long chains are cut into new arms
@@ -1025,12 +1093,14 @@ class ISAExecutor:
                 room = (sim.horizon() - now
                         if bus._holder is None and not bus._waiting else 0)
                 # The checkpoint a fault rolls back to: the window's
-                # entry, then past each access played in place.
+                # entry, then past each access played in place.  Its
+                # registers are the live ones (ck_regs None) until a
+                # region or block writes them: only then are they copied.
                 ck_pc = pc
                 w_fuel = ck_fuel = fuel
                 w_skip = ck_skip = filled_pc
                 filled_pc = -1
-                ck_regs = regs[:]
+                ck_regs = None
                 ck_pending = 0
                 pending = 0
                 sync = 0
@@ -1054,6 +1124,8 @@ class ISAExecutor:
                     if region is None and decoded[pc][0] < _K_HALT:
                         region = regions.entry(pc)
                     if region is not None:
+                        if ck_regs is None:
+                            ck_regs = regs[:]
                         if fuel < longest and sizes[pc] > fuel:
                             pc, cost, retired = regions.truncated(
                                 pc, fuel)(regs, tags)
@@ -1112,7 +1184,7 @@ class ISAExecutor:
                         ck_pc = pc
                         ck_fuel = fuel
                         ck_skip = -1
-                        ck_regs = regs[:]
+                        ck_regs = None
                         ck_pending = pending
                         continue
                     else:
@@ -1150,7 +1222,8 @@ class ISAExecutor:
                         sleep = None
                         self.replays += 1
                         tail = pending - ck_pending
-                        regs[:] = ck_regs
+                        if ck_regs is not None:
+                            regs[:] = ck_regs
                         self.cycles -= tail
                         icache.hits -= ck_fuel - fuel - (ck_skip >= 0)
                         state.pc = ck_pc

@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hw.asmlib import ROUTINES, link
+from repro.hw.assembler import assemble
 from repro.hw.bus import OPBBus
 from repro.hw.isa import (
     OPCODES, ISAError, ISAExecutor, Program, Instruction, _ALU_EXPRS,
-    _BRANCH_EXPRS,
+    _BRANCH_EXPRS, _compile_regions,
 )
 from repro.hw.memory import DDRMemory
 from repro.hw.soc import SoC, SoCConfig
@@ -281,7 +282,6 @@ def test_run_limit_stops_mid_memcpy_like_the_reference(access, into):
 def test_misaligned_ddr_access_fails_like_the_reference():
     """A misaligned DDR word is never played in place: it raises after
     its bus transaction, at the reference's instant."""
-    from repro.hw.assembler import assemble
     from repro.hw.memory import MemoryError_
 
     source = """
@@ -322,8 +322,6 @@ loop:
 
 
 def _run_local(mode, flip_at=None):
-    from repro.hw.assembler import assemble
-
     soc = SoC(SoCConfig(n_cpus=1))
     program = assemble(LOCAL_PROGRAM)
     core = soc.cores[0]
@@ -366,8 +364,6 @@ def test_injector_routes_local_bitflips():
 
 # ------------------------------------------------------------- error parity
 def _run_error(mode, source, max_instructions=1_000_000, data=None):
-    from repro.hw.assembler import assemble
-
     soc = SoC(SoCConfig(n_cpus=1))
     program = assemble(source)
     if data:
@@ -578,10 +574,16 @@ def _loops(draw):
         Instruction("bnez", 5, imm=1)] + exits)
 
 
-def _run_program(mode, program, budget, warm, foreign=None):
-    """Observable end state of ``program`` on a 2-line, 2-word I-cache,
-    with an optional ``foreign`` event (:func:`_schedule_foreign`)."""
-    soc = SoC(SoCConfig(n_cpus=1, icache_lines=2, icache_line_words=2))
+def _run_program(mode, program, budget, warm, foreign=None,
+                 geometry=(2, 2), until=None):
+    """Observable end state of ``program`` on an I-cache of ``geometry``
+    (lines, words per line), by default 2 lines of 2 words, with an
+    optional ``foreign`` event (:func:`_schedule_foreign`).  With
+    ``until`` the run first stops there; what the bus, the memory and
+    the trace show at that instant is kept under ``"stopped"``."""
+    lines, words = geometry
+    soc = SoC(SoCConfig(n_cpus=1, icache_lines=lines,
+                        icache_line_words=words))
     core = soc.cores[0]
     if warm:
         for index in range(len(program)):
@@ -600,10 +602,17 @@ def _run_program(mode, program, budget, warm, foreign=None):
             caught.append(str(exc))
 
     soc.sim.process(driver())
+    stopped = None
+    if until is not None:
+        soc.sim.run(until)
+        stopped = (soc.sim.now, tuple(bus_log),
+                   sorted(soc.ddr._words.items()),
+                   [(e.time, e.info) for e in trace.events])
     soc.sim.run()
     state = executor.state
     return {
-        "error": caught, "cycles": executor.cycles, "now": soc.sim.now,
+        "stopped": stopped, "error": caught, "cycles": executor.cycles,
+        "now": soc.sim.now,
         "retired": state.instructions_retired, "pc": state.pc,
         "halted": state.halted, "regs": tuple(state.regs),
         "icache_hits": core.icache.hits, "icache_misses": core.icache.misses,
@@ -657,8 +666,6 @@ def test_no_access_plays_in_place_while_a_stall_holds_the_bus():
     stall's own end is the horizon.  The DDR load behind it would end
     before that horizon, but the bus is not quiet: it waits as in the
     reference."""
-    from repro.hw.assembler import assemble
-
     program = assemble("""
     addi r4, r0, 4
 loop:
@@ -685,3 +692,131 @@ def test_run_longer_than_one_block_matches_reference(budget, warm):
     program = Program(instructions=body + [Instruction("halt")])
     ref = _run_program("reference", program, budget, warm)
     assert _run_program("block", program, budget, warm) == ref
+
+
+# ------------------------------------------------------------ self-loop arms
+#: Loops whose arm transfers back to its own head, so the region runs
+#: the arm as an inner loop: through a conditional back edge, and through
+#: an unconditional one with the exit test in the middle.  A DDR store
+#: follows each loop.
+SELF_LOOPS = {
+    "conditional": """
+    addi r5, r0, 6
+loop:
+    addi r3, r3, 7
+    xori r4, r3, 5
+    add  r6, r6, r4
+    subi r5, r5, 1
+    bnez r5, loop
+    swi  r6, r0, 0x40080000
+    halt
+""",
+    "unconditional": """
+    addi r5, r0, 6
+loop:
+    addi r3, r3, 7
+    subi r5, r5, 1
+    beqz r5, done
+    xori r4, r3, 5
+    add  r6, r6, r4
+    br   loop
+done:
+    swi  r6, r0, 0x40080000
+    halt
+""",
+}
+
+#: I-cache geometries (lines, words per line): the loop fits one line;
+#: it spans two lines; its lines conflict with each other.
+SELF_LOOP_GEOMETRIES = [(16, 8), (4, 4), (2, 2)]
+
+#: A self-loop inside an outer loop, on 2 lines of 4 words: the inner
+#: loop's second line (pcs 8-11) shares its cache line with the outer
+#: loop's head (pcs 0-3), so every pass of the outer loop misses on it
+#: in the first iteration of the inner loop, after its first line hit.
+NESTED_SELF_LOOP = """
+    addi r6, r0, 3
+outer:
+    addi r5, r0, 4
+    nop
+    nop
+loop:
+    addi r3, r3, 1
+    xori r4, r3, 5
+    add  r7, r7, r4
+    nop
+    subi r5, r5, 1
+    bnez r5, loop
+    subi r6, r6, 1
+    bnez r6, outer
+    halt
+"""
+
+
+@pytest.mark.parametrize("geometry", SELF_LOOP_GEOMETRIES + [(2, 4)])
+@pytest.mark.parametrize("source", sorted(SELF_LOOPS) + ["nested"])
+def test_self_loop_programs_run_an_inner_loop(source, geometry,
+                                              region_sources):
+    """The self-loop programs do reach the inner-loop form: the region
+    that claims the loop's head runs that arm as a ``while`` loop."""
+    program = assemble(SELF_LOOPS.get(source, NESTED_SELF_LOOP))
+    lines, words = geometry
+    icache = SoC(SoCConfig(n_cpus=1, icache_lines=lines,
+                           icache_line_words=words)).cores[0].icache
+    loop = (program.symbols["loop"] - program.base) // 4
+    body = region_sources[
+        _compile_regions(program, icache).entry(loop).__name__]
+    arm = next(i for i, line in enumerate(body)
+               if line.endswith(f"if pc == {loop}:"))
+    assert body[arm + 2].startswith("        while left >= ")
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("geometry", SELF_LOOP_GEOMETRIES)
+@pytest.mark.parametrize("source", sorted(SELF_LOOPS))
+def test_self_loop_budget_ends_at_every_offset(source, geometry, warm):
+    """The instruction budget ends at every instruction of every pass
+    of the loop: the error, pc, registers, cycles and the rest of the
+    end state equal the reference's."""
+    program = assemble(SELF_LOOPS[source])
+    full = _run_program("reference", program, 1_000, warm, geometry=geometry)
+    assert full["halted"] and not full["error"]
+    for budget in range(1, full["retired"] + 1):
+        ref = _run_program("reference", program, budget, warm,
+                           geometry=geometry)
+        blk = _run_program("block", program, budget, warm, geometry=geometry)
+        assert blk == ref, budget
+        assert ref["error"] or budget == full["retired"]
+
+
+def test_self_loop_misses_on_its_second_line():
+    """The outer loop evicts the inner loop's second line, so each later
+    outer pass misses on it inside the inner loop's first iteration: the
+    run, and every budget that ends in it, equal the reference's."""
+    program = assemble(NESTED_SELF_LOOP)
+    full = _run_program("reference", program, 1_000, False, geometry=(2, 4))
+    # The outer head and the inner loop's two lines, then per later outer
+    # pass its head and the inner loop's second line again, then halt's
+    # line, which shares its cache line with the inner loop's first.
+    assert full["executor_misses"] == 3 + 2 * 2 + 1
+    for budget in list(range(1, full["retired"] + 1)) + [1_000]:
+        ref = _run_program("reference", program, budget, False,
+                           geometry=(2, 4))
+        blk = _run_program("block", program, budget, False, geometry=(2, 4))
+        assert blk == ref, budget
+
+
+@pytest.mark.parametrize("source", sorted(SELF_LOOPS))
+def test_run_until_inside_a_self_loop(source):
+    """``run(until)`` stops at every instant of the run, inside the loop
+    too: the clock, bus record, memory and trace then, and the end state
+    after the run goes on, equal the reference's."""
+    program = assemble(SELF_LOOPS[source])
+    full = _run_program("reference", program, 1_000, False, geometry=(16, 8))
+    for until in range(full["now"] + 1):
+        ref = _run_program("reference", program, 1_000, False,
+                           geometry=(16, 8), until=until)
+        blk = _run_program("block", program, 1_000, False, geometry=(16, 8),
+                           until=until)
+        assert blk["stopped"][0] == until
+        assert blk == ref, until

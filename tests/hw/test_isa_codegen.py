@@ -6,13 +6,23 @@ templates.  These tests pin the two derivations to each other, and both
 to the ISA's semantics written out plainly below, on edge operands and
 hypothesis-drawn 32-bit values.  Each instruction runs in both shapes of
 generated code: a loop-free region, which works on the register list in
-place, and a looping region, which keeps registers in locals.
+place, and a looping region, which keeps registers in locals and here
+runs its one arm as an inner loop.
+
+Generated code trusts that registers and immediates are 32-bit patterns
+and folds constant operands (r0 and immediates): every folded form, a
+literal, a copy or a literal shift amount, runs here against the same
+semantics.  The reference's callables mask their operands instead, and
+are checked on wider integers too.  The last test holds the generated
+code of every asmlib kernel program to that: no input mask, no run-time
+constant, and the divide loop of ``isqrt32`` as an inner loop.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hw import isa
+from repro.hw.asmlib import link
 from repro.hw.cache import DirectMappedICache
 from repro.hw.isa import (
     MASK32,
@@ -21,9 +31,12 @@ from repro.hw.isa import (
     Program,
     _ALU_FUNCS,
     _BRANCH_TESTS,
+    _CompiledRegions,
     _compile_regions,
+    _decode_program,
     _signed,
 )
+from repro.perf.isabench import KERNEL_DRIVERS
 
 EDGE = (0, 1, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
 WORDS = st.one_of(st.sampled_from(EDGE), st.integers(0, MASK32))
@@ -146,6 +159,60 @@ def test_branch_edges(op):
         assert _branch_taken(op, v) == expected, (op, v)
 
 
+#: Immediates a constant ``r0`` operand folds with: identities, the
+#: widest shift, a shift amount that wraps to 0, and all ones.
+FOLD_IMMS = (0, 31, 32, 0xFFFFFFFF)
+
+
+@pytest.mark.parametrize("op", ALU_OPS)
+def test_alu_folds_r0_operands(op):
+    """r0 as either register operand is a constant the region folds:
+    into a literal, a copy of the other operand, or an expression."""
+    for v in EDGE:
+        expected = EXPECTED_ALU[op](0, v)
+        assert _ALU_FUNCS[op](0, v) == expected, (op, v)
+        assert _run_alu(Instruction(op=op, rd=3, ra=0, rb=2),
+                        {2: v}) == expected, (op, v)
+        expected = EXPECTED_ALU[op](v, 0)
+        assert _ALU_FUNCS[op](v, 0) == expected, (op, v)
+        assert _run_alu(Instruction(op=op, rd=3, ra=1, rb=0),
+                        {1: v}) == expected, (op, v)
+        # rd = ra with rb = r0: a copy to itself, when it folds to one.
+        assert _run_alu(Instruction(op=op, rd=3, ra=3, rb=0),
+                        {3: v}) == expected, (op, v)
+    assert _run_alu(Instruction(op=op, rd=3, ra=0, rb=0), {3: 7}) == (
+        EXPECTED_ALU[op](0, 0))
+
+
+@pytest.mark.parametrize("op", IMM_OPS)
+def test_alu_folds_immediates(op):
+    """An immediate with r0, or with a register, folds to a literal, a
+    copy, or a literal shift amount."""
+    for imm in FOLD_IMMS:
+        expected = EXPECTED_ALU[op](0, imm)
+        assert _ALU_FUNCS[op](0, imm) == expected, (op, imm)
+        assert _run_alu(Instruction(op=op + "i", rd=3, ra=0, imm=imm),
+                        {3: 7}) == expected, (op, imm)
+        for a in EDGE:
+            assert _alu_imm(op, a, imm) == EXPECTED_ALU[op](a, imm), (
+                op, a, imm)
+            assert _run_alu(Instruction(op=op + "i", rd=3, ra=3, imm=imm),
+                            {3: a}) == EXPECTED_ALU[op](a, imm), (op, a, imm)
+
+
+@pytest.mark.parametrize("op", ALU_OPS)
+def test_alu_callables_mask_wide_operands(op):
+    """The reference's callables mask their operands themselves, so they
+    do not rely on the 32-bit invariant the generated code relies on."""
+    for a in EDGE:
+        for b in EDGE:
+            expected = EXPECTED_ALU[op](a, b)
+            for wide_a, wide_b in ((a + 2**32, b), (a, b + 5 * 2**32),
+                                   (a - 2**32, b - 2**40)):
+                assert _ALU_FUNCS[op](wide_a, wide_b) == expected, (
+                    op, wide_a, wide_b)
+
+
 @settings(max_examples=150, deadline=None)
 @given(op=st.sampled_from(ALU_OPS), a=WORDS, b=WORDS)
 def test_alu_agrees_on_drawn_words(op, a, b):
@@ -183,3 +250,32 @@ def test_generated_code_is_charged_to_the_isa_module():
         assert region.__code__.co_filename == isa.__file__
     assert _ALU_FUNCS["add"].__code__.co_filename == isa.__file__
     assert _BRANCH_TESTS["beqz"].__code__.co_filename == isa.__file__
+
+
+#: Generated-code fragments of work the 32-bit invariant and constant
+#: folding remove: an input mask before a shift or a sign flip, and an
+#: addition of a run-time zero.
+WASTE = ("& 0xFFFFFFFF) >>", "& 0xFFFFFFFF) ^ 0x80000000", "(0 + ",
+         "+ 0) & 0xFFFFFFFF")
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_DRIVERS))
+def test_kernel_regions_carry_no_waste(kernel, region_sources):
+    """Every region of every asmlib kernel program, compiled afresh, is
+    free of the fragments above, and the divide loop of ``isqrt32`` runs
+    as an inner loop of the first arm of the region that claims it."""
+    program = link(KERNEL_DRIVERS[kernel].format(iters=3), [kernel])
+    icache = DirectMappedICache(0)
+    regions = _CompiledRegions(program, _decode_program(program, icache))
+    for pc in range(len(program)):
+        if regions._private(pc) and regions.entries[pc] is None:
+            regions.entry(pc)
+    assert region_sources
+    for body in region_sources.values():
+        for line in body:
+            assert not any(waste in line for waste in WASTE), line
+    if kernel == "isqrt32":
+        div = (program.symbols["isqrt_div"] - program.base) // 4
+        body = region_sources[regions.entries[div].__name__]
+        arm = body.index(f"    if pc == {div}:")
+        assert body[arm + 2].startswith("        while left >= ")
