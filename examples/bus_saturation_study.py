@@ -40,7 +40,7 @@ def run_config(n_cpus: int, utilization: float = 0.5):
     )
     monitor.start()
     proto.run(horizon)
-    response, _ = mean_response(proto, horizon, AUTOMOTIVE_APERIODIC)
+    response = mean_response(proto, AUTOMOTIVE_APERIODIC)
     return monitor, response / CLOCK_HZ
 
 

@@ -25,27 +25,32 @@ def _fits(task: PeriodicTask, group: List[PeriodicTask]) -> bool:
     return all(result.schedulable for result in response_time_table(candidate))
 
 
-def _choose_first_fit(task, groups, loads):
-    for cpu, group in enumerate(groups):
-        if _fits(task, group):
+def _first_that_fits(task, groups, order):
+    """The first processor of ``order`` whose group still fits ``task``.
+
+    Each heuristic tries the processors in its own preference order, so
+    the exact test runs only until the preferred fitting one is found.
+    """
+    for cpu in order:
+        if _fits(task, groups[cpu]):
             return cpu
     return None
 
 
+def _choose_first_fit(task, groups, loads):
+    return _first_that_fits(task, groups, range(len(groups)))
+
+
 def _choose_best_fit(task, groups, loads):
-    best_cpu, best_load = None, -1.0
-    for cpu, group in enumerate(groups):
-        if _fits(task, group) and loads[cpu] > best_load:
-            best_cpu, best_load = cpu, loads[cpu]
-    return best_cpu
+    """Most loaded fitting processor; ties go to the lowest id."""
+    order = sorted(range(len(groups)), key=lambda cpu: (-loads[cpu], cpu))
+    return _first_that_fits(task, groups, order)
 
 
 def _choose_worst_fit(task, groups, loads):
-    best_cpu, best_load = None, 2.0
-    for cpu, group in enumerate(groups):
-        if _fits(task, group) and loads[cpu] < best_load:
-            best_cpu, best_load = cpu, loads[cpu]
-    return best_cpu
+    """Least loaded fitting processor; ties go to the lowest id."""
+    order = sorted(range(len(groups)), key=lambda cpu: (loads[cpu], cpu))
+    return _first_that_fits(task, groups, order)
 
 
 _HEURISTICS: Dict[str, Callable] = {

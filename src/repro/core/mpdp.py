@@ -31,8 +31,7 @@ processors, and nothing when nothing changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.queues import (
     AperiodicReadyQueue,
@@ -40,21 +39,37 @@ from repro.core.queues import (
     PeriodicReadyQueue,
     WaitingPeriodicQueue,
 )
-from repro.core.task import Job, JobState, TaskSet
+from repro.core.task import FINISHED, READY, Job, TaskSet
 
 
-@dataclass
 class Allocation:
     """Result of one scheduling decision.
 
     ``assignment[cpu]`` is the job that must run on ``cpu`` (None =
     idle).  ``switches`` lists the processors whose running job changed
     and therefore need an inter-processor interrupt and a context
-    switch.
+    switch; ``previous[cpu]`` is what ran on such a processor before.
+
+    ``assignment`` is the scheduler's own ``running`` list, not a copy:
+    read it before reporting the next event.  ``previous`` is the list
+    the decision replaced; when nothing was switched it is
+    ``assignment`` itself.
     """
 
-    assignment: List[Optional[Job]]
-    switches: List[int] = field(default_factory=list)
+    __slots__ = ("assignment", "switches", "previous")
+
+    def __init__(
+        self,
+        assignment: List[Optional[Job]],
+        switches: List[int],
+        previous: List[Optional[Job]],
+    ):
+        self.assignment = assignment
+        self.switches = switches
+        self.previous = previous
+
+    def __repr__(self) -> str:
+        return f"Allocation(assignment={self.assignment!r}, switches={self.switches!r})"
 
 
 class MPDPScheduler:
@@ -107,10 +122,11 @@ class MPDPScheduler:
     def release_due(self, now: int) -> List[Job]:
         """Move periodic jobs whose release time passed into the PRQ."""
         released = self.waiting.pop_released(now)
-        for job in released:
-            self.periodic_ready.push(job)
-            self.released_count += 1
         if released:
+            push = self.periodic_ready.push
+            for job in released:
+                push(job)
+            self.released_count += len(released)
             self._entered = True
         return released
 
@@ -118,7 +134,7 @@ class MPDPScheduler:
         """Enqueue a newly arrived aperiodic job (interrupt handler)."""
         if job.is_periodic:
             raise TypeError("add_aperiodic requires an aperiodic job")
-        job.state = JobState.READY
+        job.state = READY
         self.aperiodic_ready.push(job)
         self._entered = True
 
@@ -134,22 +150,20 @@ class MPDPScheduler:
         lower band; the latter stay in ``running`` but flip to the upper
         band, which may force a migration at the next allocation.
         """
-        promoted: List[Job] = []
-        # ``release + task.promotion`` inlined from Job.promotion_time:
-        # require_analysed() guaranteed promotion is set, and this scan
-        # runs every scheduling cycle.
-        for job in list(self.periodic_ready):
-            if job.release + job.task.promotion <= now:
-                self.periodic_ready.remove(job)
+        # require_analysed() guaranteed every periodic job its
+        # ``promotion_at``, and this scan runs every scheduling cycle.
+        promoted = self.periodic_ready.pop_promoted(now)
+        if promoted:
+            local = self.local
+            for job in promoted:
                 job.promoted = True
-                self.local[job.task.cpu].push(job)
-                promoted.append(job)
-        for cpu, job in enumerate(self.running):
+                local[job.task.cpu].push(job)
+        for job in self.running:
             if (
                 job is not None
                 and job.is_periodic
                 and not job.promoted
-                and job.release + job.task.promotion <= now
+                and job.promotion_at <= now
             ):
                 job.promoted = True
                 promoted.append(job)
@@ -171,15 +185,15 @@ class MPDPScheduler:
         Returns the next job instance for periodic tasks (already parked
         in the WPQ), or None for aperiodic jobs and repeated completions.
         """
-        if job.state is JobState.FINISHED:
+        if job.state is FINISHED:
             return None
         if job.remaining > 0:
             raise ValueError(f"{job.name} finished with {job.remaining} cycles left")
-        for cpu, running in enumerate(self.running):
-            if running is job:
-                self.running[cpu] = None
-                self._freed.append(cpu)
-                break
+        running = self.running
+        if job in running:  # identity: Job defines no __eq__
+            cpu = running.index(job)
+            running[cpu] = None
+            self._freed.append(cpu)
         else:  # not running: take it out of its ready queue
             if not job.is_periodic:
                 queue = self.aperiodic_ready
@@ -193,9 +207,10 @@ class MPDPScheduler:
         self.finished_jobs.append(job)
         if not job.is_periodic:
             return None
-        index = self._job_index[job.task.name] + 1
-        self._job_index[job.task.name] = index
-        next_job = Job(job.task, job.release + job.task.period, index=index)
+        task = job.task
+        index = self._job_index[task.name] + 1
+        self._job_index[task.name] = index
+        next_job = Job(task, job.release + task.period, index=index)
         self.waiting.push(next_job)
         return next_job
 
@@ -216,15 +231,20 @@ class MPDPScheduler:
         """
         if self._entered:
             return self.allocate(now)
+        running = self.running
         freed = self._freed
+        if not freed:
+            return Allocation(running, [], running)
+        self._freed = []
+        freed.sort()
+        # The table before the refills, in which every freed processor
+        # is idle: the refills below fill ``running`` in place.
+        previous = list(running)
         switches: List[int] = []
-        if freed:
-            self._freed = []
-            freed.sort()
-            for cpu in freed:
-                if self.refill(cpu, now) is not None:
-                    switches.append(cpu)
-        return Allocation(list(self.running), switches)
+        for cpu in freed:
+            if self.refill(cpu, now) is not None:
+                switches.append(cpu)
+        return Allocation(running, switches, previous)
 
     def allocate(self, now: int) -> Allocation:
         """Compute the MPDP assignment of ready jobs to processors.
@@ -239,82 +259,73 @@ class MPDPScheduler:
         """
         self._entered = False
         self._freed = []
-        previous = list(self.running)
+        previous = self.running
+        n_cpus = self.n_cpus
+        local = self.local
+        periodic_ready = self.periodic_ready
+        aperiodic_ready = self.aperiodic_ready
 
-        # Fold running jobs back into their logical queues.
-        for cpu, job in enumerate(self.running):
+        # Fold running jobs back into their logical queues.  ``previous``
+        # itself is left as it was: the decision builds a new list.
+        for job in previous:
             if job is None:
                 continue
-            if job.is_periodic and job.promoted:
-                self.local[job.task.cpu].push(job)
-            elif job.is_periodic:
-                self.periodic_ready.push(job)
+            if not job.is_periodic:
+                aperiodic_ready.requeue_front(job)
+            elif job.promoted:
+                local[job.task.cpu].push(job)
             else:
-                self.aperiodic_ready.requeue_front(job)
-            self.running[cpu] = None
-
-        assignment: List[Optional[Job]] = [None] * self.n_cpus
+                periodic_ready.push(job)
 
         # Rule 1: local queues bind their processor.
-        for cpu in range(self.n_cpus):
-            if len(self.local[cpu]):
-                assignment[cpu] = self.local[cpu].pop()
-
-        slots = sum(1 for cpu in range(self.n_cpus) if assignment[cpu] is None)
+        assignment: List[Optional[Job]] = [
+            queue.pop() if len(queue) else None for queue in local
+        ]
+        free = [cpu for cpu in range(n_cpus) if assignment[cpu] is None]
 
         # Rule 2: aperiodic jobs, oldest first, onto free processors.
-        chosen: List[Job] = []
-        for job in self.aperiodic_ready:
-            if slots == 0:
-                break
-            chosen.append(job)
-            slots -= 1
-
         # Rule 3: unpromoted periodic jobs by lower-band priority.
-        for job in self.periodic_ready:
-            if slots == 0:
-                break
-            chosen.append(job)
+        # Chosen jobs leave their queue here.
+        slots = len(free)
+        chosen: List[Job] = []
+        while slots and len(aperiodic_ready):
+            chosen.append(aperiodic_ready.pop())
+            slots -= 1
+        while slots and len(periodic_ready):
+            chosen.append(periodic_ready.pop())
             slots -= 1
 
         # Place chosen global jobs, honouring affinity with the previous
         # assignment to minimise context switches/migrations.
-        free = [cpu for cpu in range(self.n_cpus) if assignment[cpu] is None]
         remaining: List[Job] = []
         for job in chosen:
-            prev_cpu = self._previous_cpu(job, previous)
-            if prev_cpu is not None and prev_cpu in free:
+            prev_cpu = previous.index(job) if job in previous else None
+            if prev_cpu in free:
                 assignment[prev_cpu] = job
                 free.remove(prev_cpu)
             else:
                 remaining.append(job)
-        for job in remaining:
-            assignment[free.pop(0)] = job
-
-        # Remove placed jobs from the global queues.
-        for cpu, job in enumerate(assignment):
-            if job is None:
-                continue
-            if job.is_periodic and not job.promoted and job in self.periodic_ready:
-                self.periodic_ready.remove(job)
-            elif not job.is_periodic and job in self.aperiodic_ready:
-                self.aperiodic_ready.remove(job)
+        for job, cpu in zip(remaining, free):
+            assignment[cpu] = job
 
         # Diff with the previous assignment.
-        switches: List[int] = []
-        for cpu in range(self.n_cpus):
-            if assignment[cpu] is not previous[cpu]:
-                switches.append(cpu)
-        placed = set(id(j) for j in assignment if j is not None)
-        for job in previous:
-            if job is not None and id(job) not in placed and job.remaining > 0:
+        switches = [
+            cpu for cpu in range(n_cpus) if assignment[cpu] is not previous[cpu]
+        ]
+        for cpu in switches:
+            job = previous[cpu]
+            if (
+                job is not None
+                and job.remaining > 0
+                and job not in assignment
+            ):
                 job.record_preemption()
 
-        self.running = list(assignment)
+        self.running = assignment
         for cpu, job in enumerate(assignment):
             if job is not None:
                 job.record_dispatch(cpu, now)
-        return Allocation(assignment=assignment, switches=switches)
+        return Allocation(assignment, switches, previous)
 
     def refill(self, cpu: int, now: int) -> Optional[Job]:
         """Incremental allocation after ``cpu`` alone went free.
@@ -349,12 +360,6 @@ class MPDPScheduler:
         self.running[cpu] = job
         job.record_dispatch(cpu, now)
         return job
-
-    def _previous_cpu(self, job: Job, previous: Sequence[Optional[Job]]) -> Optional[int]:
-        for cpu, prev in enumerate(previous):
-            if prev is job:
-                return cpu
-        return None
 
     # ---------------------------------------------------------------- queries
     def check_invariants(self) -> None:

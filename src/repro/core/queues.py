@@ -14,18 +14,20 @@ simulator and the full-system microkernel reuse them unchanged.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Deque, Iterator, List, Optional, Tuple
 
-from repro.core.task import Job, JobState
+from repro.core.task import READY, WAITING, Job
 
 
 class _SortedJobQueue:
-    """Base: a list kept sorted by a job key, largest key first.
+    """Base: a list kept sorted by a job key, highest priority first.
 
-    A parallel list of cached keys avoids recomputing ``_key`` for every
-    resident job on each insertion -- the fold-back in
+    ``_key`` is the *negated* priority, so the parallel list of cached
+    keys ascends and :func:`bisect.bisect_right` finds each insertion
+    point.  Caching avoids recomputing the key of every resident job on
+    each insertion -- the fold-back in
     :meth:`repro.core.mpdp.MPDPScheduler.allocate` pushes every running
     job back at each full allocation, and a key never changes while a
     job sits in a queue (promotion removes before re-inserting).
@@ -41,13 +43,9 @@ class _SortedJobQueue:
     def push(self, job: Job) -> None:
         """Insert maintaining order (stable for equal keys)."""
         key = self._key(job)
-        for i, other_key in enumerate(self._keys):
-            if other_key < key:
-                self._jobs.insert(i, job)
-                self._keys.insert(i, key)
-                return
-        self._jobs.append(job)
-        self._keys.append(key)
+        index = bisect_right(self._keys, key)
+        self._jobs.insert(index, job)
+        self._keys.insert(index, key)
 
     def pop(self) -> Job:
         """Remove and return the highest-priority job."""
@@ -84,7 +82,29 @@ class PeriodicReadyQueue(_SortedJobQueue):
             raise TypeError("PeriodicReadyQueue only holds periodic jobs")
         if job.promoted:
             raise ValueError(f"{job.name} is promoted; belongs in a local queue")
-        return (job.task.low_priority, -job.release, -job.uid)
+        return (-job.task.low_priority, job.release, job.uid)
+
+    def pop_promoted(self, now: int) -> List[Job]:
+        """Remove and return, in queue order, every job whose promotion
+        instant has passed."""
+        jobs = self._jobs
+        for job in jobs:
+            if job.promotion_at <= now:
+                break
+        else:
+            return []
+        due: List[Job] = []
+        kept: List[Job] = []
+        kept_keys: List[tuple] = []
+        for job, key in zip(jobs, self._keys):
+            if job.promotion_at <= now:
+                due.append(job)
+            else:
+                kept.append(job)
+                kept_keys.append(key)
+        self._jobs = kept
+        self._keys = kept_keys
+        return due
 
 
 class HighPriorityLocalQueue(_SortedJobQueue):
@@ -106,7 +126,7 @@ class HighPriorityLocalQueue(_SortedJobQueue):
         super().push(job)
 
     def _key(self, job: Job):
-        return (job.task.high_priority, -job.release, -job.uid)
+        return (-job.task.high_priority, job.release, job.uid)
 
 
 class AperiodicReadyQueue:
@@ -161,7 +181,7 @@ class WaitingPeriodicQueue:
     def push(self, job: Job) -> None:
         if not job.is_periodic:
             raise TypeError("WaitingPeriodicQueue only holds periodic jobs")
-        job.state = JobState.WAITING
+        job.state = WAITING
         key = (job.release, job.uid)
         index = bisect_left(self._keys, key)
         self._keys.insert(index, key)
@@ -169,12 +189,18 @@ class WaitingPeriodicQueue:
 
     def pop_released(self, now: int) -> List[Job]:
         """Remove and return every job whose release time has passed."""
-        released: List[Job] = []
-        while self._jobs and self._jobs[0].release <= now:
-            job = self._jobs.pop(0)
-            del self._keys[0]
-            job.state = JobState.READY
-            released.append(job)
+        jobs = self._jobs
+        count = 0
+        for job in jobs:
+            if job.release > now:
+                break
+            job.state = READY
+            count += 1
+        if not count:
+            return []
+        released = jobs[:count]
+        del jobs[:count]
+        del self._keys[:count]
         return released
 
     def __len__(self) -> int:

@@ -12,6 +12,7 @@ task.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -32,6 +33,14 @@ class JobState(enum.Enum):
     READY = "ready"          # released, not running
     RUNNING = "running"
     FINISHED = "finished"
+
+
+# Module-level aliases: the schedulers set and test job states on every
+# event, and a global read is cheaper than an enum member lookup.
+WAITING = JobState.WAITING
+READY = JobState.READY
+RUNNING = JobState.RUNNING
+FINISHED = JobState.FINISHED
 
 
 @dataclass(frozen=True)
@@ -176,19 +185,28 @@ class Job:
     a tuple ordered so that larger compares greater.
     """
 
-    _seq = 0
+    __slots__ = (
+        "uid", "task", "release", "index", "is_periodic", "promotion_at",
+        "remaining", "state", "promoted", "start_time", "finish_time", "cpu",
+        "preemptions", "migrations", "_last_cpu", "retries", "invalid", "shed",
+    )
+
+    _uids = itertools.count(1)
 
     def __init__(self, task, release: int, index: int = 0):
-        Job._seq += 1
-        self.uid = Job._seq
+        self.uid = next(Job._uids)
         self.task = task
         self.release = release
         self.index = index
-        # Plain attribute, not a property: the task never changes after
-        # construction and the schedulers test this in their hot loops.
-        self.is_periodic = isinstance(task, PeriodicTask)
-        self.remaining = getattr(task, "acet", None) or task.wcet
-        self.state = JobState.WAITING
+        # Plain attributes, not properties: the task never changes after
+        # construction and the schedulers test these in their hot loops.
+        self.is_periodic = periodic = isinstance(task, PeriodicTask)
+        promotion = task.promotion if periodic else None
+        #: Absolute promotion instant (release + U_i), or None for an
+        #: aperiodic job or an unanalysed periodic task.
+        self.promotion_at = None if promotion is None else release + promotion
+        self.remaining = task.acet
+        self.state = WAITING
         self.promoted = False
         self.start_time: Optional[int] = None
         self.finish_time: Optional[int] = None
@@ -219,9 +237,9 @@ class Job:
         """Absolute time at which this job moves to the upper band."""
         if not self.is_periodic:
             return None
-        if self.task.promotion is None:
+        if self.promotion_at is None:
             raise ValueError(f"{self.task.name}: promotion not analysed")
-        return self.release + self.task.promotion
+        return self.promotion_at
 
     @property
     def band(self) -> Band:
@@ -250,18 +268,18 @@ class Job:
             self.migrations += 1
         self._last_cpu = cpu
         self.cpu = cpu
-        self.state = JobState.RUNNING
+        self.state = RUNNING
 
     def record_preemption(self) -> None:
         """Note that the job was preempted while it still has work."""
         self.preemptions += 1
-        self.state = JobState.READY
+        self.state = READY
         self.cpu = None
 
     def record_finish(self, now: int) -> None:
         """Note completion."""
         self.finish_time = now
-        self.state = JobState.FINISHED
+        self.state = FINISHED
         self.cpu = None
 
     @property

@@ -109,7 +109,7 @@ def run_cell(
                 aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [arrival]},
             )
             sim.run(horizon)
-            samples.append(mean_response(sim, horizon, AUTOMOTIVE_APERIODIC)[0])
+            samples.append(mean_response(sim, AUTOMOTIVE_APERIODIC))
         theo_samples.append(samples[0])
         real_samples.append(samples[-1])
 

@@ -26,7 +26,7 @@ from repro.lint.tasks import check_taskset
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.perf.cache import RunCache, cache_key, fingerprint
 from repro.perf.executor import Telemetry, cached_pmap, current_telemetry
-from repro.simulators.ladder import make_simulator, mean_response
+from repro.simulators.ladder import make_simulator, mean_response, run_metrics
 from repro.simulators.prototype import DEFAULT_SCALE
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
@@ -310,9 +310,9 @@ def prototype_response_s(
         sim.soc.intc.ack_timeout = mpic_ack_timeout
     with _pipeline_span("simulate", fidelity=fidelity, horizon=horizon):
         sim.run(horizon)
-    response, metrics = mean_response(sim, horizon, AUTOMOTIVE_APERIODIC)
+    response = mean_response(sim, AUTOMOTIVE_APERIODIC)
     row = {"response_s": cycles_to_seconds(response),
-           "misses": metrics.deadline_misses}
+           "misses": run_metrics(sim, horizon).deadline_misses}
     stats = sim.stats()
     row.update((column, stats[column]) for column in _RUNG_COLUMNS[fidelity])
     if "bus_utilization" in row:
@@ -381,7 +381,8 @@ def prototype_run_report(
     if run_cache is not None:
         fold_run_cache(registry, run_cache)
 
-    response, metrics = mean_response(proto, horizon, AUTOMOTIVE_APERIODIC)
+    response = mean_response(proto, AUTOMOTIVE_APERIODIC)
+    metrics = run_metrics(proto, horizon)
     registry.gauge("aperiodic_response_s",
                    help="mean aperiodic response time (full-scale seconds)").set(
         round(cycles_to_seconds(response), 6))

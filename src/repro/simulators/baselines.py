@@ -16,6 +16,9 @@ aperiodic response times side by side under identical workloads.
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.task import AperiodicTask, Job, TaskSet
@@ -91,6 +94,12 @@ class MultiprocessorSimulator:
     quantisation -- baselines are given their best case).  An optional
     ``switch_penalty`` charges cycles whenever a job is (re)dispatched
     after not running, approximating context-switch costs.
+
+    Pending periodic releases wait in a heap ordered by release time,
+    then by the order they were queued in, so releases due together are
+    admitted (and traced) in that order.
+    ``tests/simulators/reference_baselines.py`` keeps the list-scanning
+    loop this must reproduce exactly.
     """
 
     def __init__(
@@ -118,9 +127,11 @@ class MultiprocessorSimulator:
         self.finished: List[Job] = []
         self.context_switches = 0
 
-        self._pending_releases: List[Job] = [
-            Job(task, task.offset, index=0) for task in taskset.periodic
-        ]
+        #: ``(release, queue order, job)`` heap of parked periodic jobs.
+        self._pending_releases: List[Tuple[int, int, Job]] = []
+        self._queued = itertools.count()
+        for task in taskset.periodic:
+            self._park(Job(task, task.offset, index=0))
         arrivals: List[Tuple[int, AperiodicTask]] = []
         for name, times in taskset.arrivals_with(aperiodic_arrivals).items():
             task = taskset.by_name(name)
@@ -130,69 +141,89 @@ class MultiprocessorSimulator:
         self._aper_index: Dict[str, int] = {}
 
     # ----------------------------------------------------------------- stepping
+    def _park(self, job: Job) -> None:
+        heapq.heappush(self._pending_releases,
+                       (job.release, next(self._queued), job))
+
     def _admit_due(self) -> bool:
-        dirty = False
-        still: List[Job] = []
-        for job in self._pending_releases:
-            if job.release <= self.now:
-                self.ready.append(job)
-                self.trace.record(self.now, "release", job=job.name)
-                dirty = True
-            else:
-                still.append(job)
-        self._pending_releases = still
-        while self._arrivals and self._arrivals[0][0] <= self.now:
-            _t, task = self._arrivals.pop(0)
+        now = self.now
+        pending = self._pending_releases
+        arrivals = self._arrivals
+        if not (pending and pending[0][0] <= now
+                or arrivals and arrivals[0][0] <= now):
+            return False
+        trace = self.trace if self.trace.enabled else None
+        due = []
+        while pending and pending[0][0] <= now:
+            due.append(heapq.heappop(pending))
+        due.sort(key=itemgetter(1))
+        for _release, _order, job in due:
+            self.ready.append(job)
+            if trace is not None:
+                trace.record(now, "release", job=job.name)
+        while arrivals and arrivals[0][0] <= now:
+            _t, task = arrivals.pop(0)
             index = self._aper_index.get(task.name, 0)
             self._aper_index[task.name] = index + 1
-            job = Job(task, release=self.now, index=index)
+            job = Job(task, release=now, index=index)
             self.ready.append(job)
-            self.trace.record(self.now, "release", job=job.name, info="aperiodic")
-            dirty = True
-        return dirty
+            if trace is not None:
+                trace.record(now, "release", job=job.name, info="aperiodic")
+        return True
 
     def _complete_due(self) -> bool:
         dirty = False
-        for cpu, job in enumerate(self.running):
+        running = self.running
+        for cpu, job in enumerate(running):
             if job is not None and job.remaining == 0:
-                self.running[cpu] = None
+                running[cpu] = None
                 job.record_finish(self.now)
                 self.finished.append(job)
-                self.trace.record(self.now, "finish", job=job.name, cpu=cpu)
+                if self.trace.enabled:
+                    self.trace.record(self.now, "finish", job=job.name, cpu=cpu)
                 if job.is_periodic:
-                    self._pending_releases.append(
-                        Job(job.task, job.release + job.task.period, index=job.index + 1)
-                    )
+                    task = job.task
+                    self._park(Job(task, job.release + task.period,
+                                   index=job.index + 1))
                 dirty = True
         return dirty
 
     def _schedule(self) -> None:
-        """Recompute the assignment greedily by policy key."""
-        pool = list(self.ready)
-        previous = list(self.running)
-        for job in previous:
-            if job is not None:
-                pool.append(job)
-        pool.sort(key=lambda job: self.policy.job_key(job, self.now), reverse=True)
+        """Recompute the assignment greedily by policy key.
 
+        With no job ready, every running job keeps its processor (a
+        pinned job already runs on its pin, a global one takes its
+        previous processor back), so nothing changes.
+        """
+        ready = self.ready
+        if not ready:
+            return
+        now = self.now
+        previous = self.running
+        pool = ready + [job for job in previous if job is not None]
+        job_key = self.policy.job_key
+        pool.sort(key=lambda job: job_key(job, now), reverse=True)
+
+        eligible_cpu = self.policy.eligible_cpu
         assignment: List[Optional[Job]] = [None] * self.n_cpus
         free = set(range(self.n_cpus))
-        deferred: List[Tuple[Job, Optional[int]]] = []
+        deferred: List[Job] = []
         for job in pool:
             if not free:
                 break
-            pinned = self.policy.eligible_cpu(job)
+            pinned = eligible_cpu(job)
             if pinned is not None:
                 if pinned in free:
                     assignment[pinned] = job
                     free.remove(pinned)
                 continue
-            deferred.append((job, self._cpu_of(job, previous)))
+            deferred.append(job)
 
         # Global jobs: prefer their previous cpu, then any free one.
         rest: List[Job] = []
-        for job, prev_cpu in deferred:
-            if prev_cpu is not None and prev_cpu in free:
+        for job in deferred:
+            prev_cpu = previous.index(job) if job in previous else None
+            if prev_cpu in free:
                 assignment[prev_cpu] = job
                 free.remove(prev_cpu)
             else:
@@ -203,53 +234,65 @@ class MultiprocessorSimulator:
             assignment[free.pop()] = job
 
         # Apply the diff.
-        placed = {id(j) for j in assignment if j is not None}
+        trace = self.trace if self.trace.enabled else None
         for cpu, job in enumerate(previous):
-            if job is not None and id(job) not in placed and job.remaining > 0:
+            if job is not None and job.remaining > 0 and job not in assignment:
                 job.record_preemption()
-                self.trace.record(self.now, "preempt", job=job.name, cpu=cpu)
-                if job not in self.ready:
-                    self.ready.append(job)
+                if trace is not None:
+                    trace.record(now, "preempt", job=job.name, cpu=cpu)
+                if job not in ready:
+                    ready.append(job)
         for cpu, job in enumerate(assignment):
-            if job is None:
+            if job is None or previous[cpu] is job:
                 continue
-            if job in self.ready:
-                self.ready.remove(job)
-            if previous[cpu] is not job:
-                self.context_switches += 1
-                if self.switch_penalty and job.remaining > 0:
-                    job.remaining += self.switch_penalty
-                job.record_dispatch(cpu, self.now)
-                self.trace.record(self.now, "dispatch", job=job.name, cpu=cpu)
+            if job in ready:
+                ready.remove(job)
+            self.context_switches += 1
+            if self.switch_penalty and job.remaining > 0:
+                job.remaining += self.switch_penalty
+            job.record_dispatch(cpu, now)
+            if trace is not None:
+                trace.record(now, "dispatch", job=job.name, cpu=cpu)
         self.running = assignment
 
-    def _cpu_of(self, job: Job, previous: Sequence[Optional[Job]]) -> Optional[int]:
-        for cpu, prev in enumerate(previous):
-            if prev is job:
-                return cpu
-        return None
+    def _next_event(self) -> Optional[int]:
+        """The earliest release, arrival or completion after ``now``."""
+        now = self.now
+        next_time = None
+        pending = self._pending_releases
+        if pending:
+            next_time = pending[0][0]
+            if next_time <= now:
+                # A job that finished past its next release re-armed in
+                # the past; it is admitted at the next step.
+                next_time = min(
+                    (release for release, _order, _job in pending
+                     if release > now),
+                    default=None,
+                )
+        if self._arrivals:
+            arrival = self._arrivals[0][0]
+            if next_time is None or arrival < next_time:
+                next_time = arrival
+        for job in self.running:
+            if job is not None:
+                finish = now + job.remaining
+                if next_time is None or finish < next_time:
+                    next_time = finish
+        return next_time
 
     # --------------------------------------------------------------------- run
     def run(self, until: int) -> List[Job]:
         """Simulate up to ``until``; returns finished jobs."""
         while self.now < until:
             dirty = self._admit_due()
-            dirty |= self._complete_due()
-            if dirty:
+            if self._complete_due() or dirty:
                 self._schedule()
-
-            candidates: List[int] = []
-            candidates.extend(
-                job.release for job in self._pending_releases if job.release > self.now
-            )
-            if self._arrivals:
-                candidates.append(self._arrivals[0][0])
-            for job in self.running:
-                if job is not None:
-                    candidates.append(self.now + job.remaining)
-            if not candidates:
+            next_time = self._next_event()
+            if next_time is None:
                 break
-            next_time = min(min(candidates), until)
+            if next_time > until:
+                next_time = until
             if next_time <= self.now:
                 break
             delta = next_time - self.now

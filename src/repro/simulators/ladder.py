@@ -9,7 +9,8 @@ time base back to full-scale cycles.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import statistics
+from typing import Dict, Optional, Sequence
 
 from repro import TICK
 from repro.core.task import TaskSet
@@ -80,8 +81,15 @@ def run_metrics(sim, horizon: int) -> ScheduleMetrics:
     return compute_metrics(sim.finished_jobs, horizon // sim.scale)
 
 
-def mean_response(sim, horizon: int, task: str) -> Tuple[float, ScheduleMetrics]:
-    """``task``'s mean response time in full-scale cycles, and the
-    run's :func:`run_metrics`."""
-    metrics = run_metrics(sim, horizon)
-    return sim.to_full_scale(metrics.response_of(task).mean), metrics
+def mean_response(sim, task: str) -> float:
+    """``task``'s mean response time over the run's finished jobs, in
+    full-scale cycles (the mean :func:`run_metrics` reports for it,
+    without folding every other task and job)."""
+    responses = [
+        job.response_time
+        for job in sim.finished_jobs
+        if job.task.name == task and job.finish_time is not None
+    ]
+    if not responses:
+        raise KeyError(f"no finished jobs of {task!r}")
+    return sim.to_full_scale(statistics.fmean(responses))

@@ -79,7 +79,6 @@ class TheoreticalSimulator:
         self._next_tick = 0
         self.context_switches = 0
         self.scheduling_cycles = 0
-        self._inflated: set = set()
 
         arrivals: List[Tuple[int, AperiodicTask]] = []
         for name, times in taskset.arrivals_with(aperiodic_arrivals).items():
@@ -91,10 +90,8 @@ class TheoreticalSimulator:
 
     # -------------------------------------------------------------- inflation
     def _inflate(self, job: Job) -> None:
-        """Apply the uniform overhead to a job exactly once."""
-        if job.uid in self._inflated:
-            return
-        self._inflated.add(job.uid)
+        """Apply the uniform overhead to a job; every job enters the
+        policy once (released or arrived), so it is inflated once."""
         job.remaining = int(round(job.remaining * (1.0 + self.overhead)))
 
     # ------------------------------------------------------------------- events
@@ -105,13 +102,13 @@ class TheoreticalSimulator:
         for job in released:
             self._inflate(job)
         promoted = self.policy.promote_due(now)
+        self.scheduling_cycles += 1
         if self.trace.enabled:
             for job in released:
                 self.trace.record(now, "release", job=job.name)
             for job in promoted:
                 self.trace.record(now, "promote", job=job.name)
-        self.scheduling_cycles += 1
-        self.trace.record(now, "tick")
+            self.trace.record(now, "tick")
 
     def _process_arrivals(self) -> None:
         while self._arrivals and self._arrivals[0][0] <= self.now:
@@ -125,22 +122,25 @@ class TheoreticalSimulator:
                 self.trace.record(self.now, "release", job=job.name, info="aperiodic")
 
     def _process_completions(self) -> None:
-        """Retire finished jobs."""
-        for cpu, job in enumerate(list(self.policy.running)):
+        """Retire finished jobs.  Each completion frees only its own
+        slot of ``running``, so the loop reads the live list."""
+        for cpu, job in enumerate(self.policy.running):
             if job is not None and job.remaining == 0:
                 self.policy.job_finished(job, self.now)
                 if self.trace.enabled:
                     self.trace.record(self.now, "finish", job=job.name, cpu=cpu)
 
     def _reschedule(self) -> None:
-        previous = list(self.policy.running) if self.trace.enabled else None
         allocation = self.policy.reschedule(self.now)
-        self.context_switches += len(allocation.switches)
-        if previous is None:
+        switches = allocation.switches
+        if not switches:
             return
-        for cpu in allocation.switches:
+        self.context_switches += len(switches)
+        if not self.trace.enabled:
+            return
+        for cpu in switches:
             job = allocation.assignment[cpu]
-            old = previous[cpu]
+            old = allocation.previous[cpu]
             if old is not None and old.remaining > 0 and old is not job:
                 self.trace.record(self.now, "preempt", job=old.name, cpu=cpu)
             if job is not None:
@@ -155,7 +155,8 @@ class TheoreticalSimulator:
             if self.now == self._next_tick:
                 self._process_tick()
                 self._next_tick += self.tick
-            self._process_arrivals()
+            if self._arrivals and self._arrivals[0][0] <= self.now:
+                self._process_arrivals()
             self._process_completions()
             self._reschedule()
 

@@ -22,9 +22,11 @@ exact instants through the existing :mod:`repro.sim.engine` event
 queue, so schedules stay bit-for-bit deterministic.
 
 Because nothing steps per cycle, the TLM rung is scale-free: it runs
-full-size workloads (scale=1) in milliseconds, ~2 orders of magnitude
-faster than the prototype at scale=1000, while tracking its per-task
-worst-case response times within the calibrated tolerance recorded in
+full-size workloads (scale=1), about 10 ms per Figure-4 arrival phase
+(arrival + 25 s simulated).  Over the 27 runs of the Figure-4 grid the
+prototype at scale=1000 takes 5.6-5.8 times its wall time (2-CPU x86-64
+host, Python 3.11).  It tracks the prototype's per-task worst-case
+response times within the calibrated tolerance recorded in
 :data:`DEFAULT_COST_TABLE` (see ``repro-perf calibrate-tlm`` and the
 "Fidelity ladder" section of docs/PERF.md).
 """
@@ -198,6 +200,17 @@ class TLMSimulator:
         self._irq_cycles = (
             self.costs.irq_entry + self.costs.irq_exit + 2 * MPIC_ACCESS
         )
+        #: Kernel cycles of an aperiodic release (interrupt, handler and
+        #: one job's task-table traffic) and of a completion (handler
+        #: and the same traffic), both fixed for the run.
+        self._arrival_cycles = (
+            self._irq_cycles
+            + self.costs.aperiodic_release
+            + self._queue_traffic_cycles(1)
+        )
+        self._completion_cycles = (
+            self.costs.completion + self._queue_traffic_cycles(1)
+        )
 
         # Per-task cached transaction characterisation.
         self._txn_latency: Dict[str, int] = {}
@@ -236,14 +249,16 @@ class TLMSimulator:
         # Completion arming.  ``_armed[cpu]`` is the (job uid, true
         # finish instant) pair; ``_sched[cpu]`` the earliest engine
         # event outstanding for the cpu (superseded events cancel
-        # lazily by instant mismatch); ``_basis[cpu]`` the (uid,
-        # stretch) the armed instant was computed from and
-        # ``_debt_dirty[cpu]`` whether kernel debt was added since --
-        # together they tell when the armed instant is still valid, so
-        # unchanged processors are not re-armed at every event.
+        # lazily by instant mismatch); ``_basis_job[cpu]`` and
+        # ``_basis_stretch[cpu]`` the job and stretch the armed instant
+        # was computed from and ``_debt_dirty[cpu]`` whether kernel debt
+        # was added since -- together they tell when the armed instant
+        # is still valid, so unchanged processors are not re-armed at
+        # every event.
         self._armed: List[Optional[Tuple[int, int]]] = [None] * n_cpus
         self._sched: List[Optional[int]] = [None] * n_cpus
-        self._basis: List[Optional[Tuple[int, float]]] = [None] * n_cpus
+        self._basis_job: List[Optional[Job]] = [None] * n_cpus
+        self._basis_stretch: List[float] = [0.0] * n_cpus
         self._debt_dirty: List[bool] = [False] * n_cpus
         self._complete_cbs = [
             partial(self._on_complete, cpu) for cpu in range(n_cpus)
@@ -256,6 +271,10 @@ class TLMSimulator:
         # wherever ``policy.running`` changes, so the memo key is a
         # plain tuple() away instead of an attribute walk per cpu.
         self._running_names: List[Optional[str]] = [None] * n_cpus
+        #: Whether ``_running_names`` changed since the stretch factors
+        #: were last recomputed; unchanged names mean unchanged factors,
+        #: so :meth:`_reschedule` skips the recompute.
+        self._names_changed = False
         self._aper_index: Dict[str, int] = {}
 
         # Statistics.
@@ -347,6 +366,7 @@ class TLMSimulator:
         bus, not on task identity, so running sets that differ only in
         which same-profile task occupies a cpu hit the same entry.
         """
+        self._names_changed = False
         # An idle cpu's name is None, which no profile is keyed by.
         key = tuple(map(self._profile.get, self._running_names))
         if key == self._stretch_key:
@@ -374,7 +394,8 @@ class TLMSimulator:
         """Close every open timed block at ``now``: pay kernel debt,
         convert the remaining elapsed real time into nominal progress at
         the block's stretch factor, and account the transactions the
-        block folded in."""
+        block folded in.  An idle processor has no block: its start is
+        set when it is given a job (:meth:`_reschedule_completions`)."""
         rems = self._rem
         debts = self._debt
         starts = self._block_start
@@ -382,11 +403,17 @@ class TLMSimulator:
         periods = self._txn_period
         m_txn = self._m_txn
         trace = self.trace if self.trace.enabled else None
+        # The float sums take each block's term in cpu order (which fixes
+        # their rounding); locals only spare the attribute writes.
+        transactions = self.transactions_modeled
+        waits = self.contention_wait_cycles
         for cpu, job in enumerate(self.policy.running):
+            if job is None:
+                continue
             start = starts[cpu]
             elapsed = now - start
             starts[cpu] = now
-            if job is None or elapsed <= 0:
+            if elapsed <= 0:
                 continue
             debt_paid = debts[cpu]
             if debt_paid:
@@ -409,8 +436,8 @@ class TLMSimulator:
             nominal_left = int(rem)
             job.remaining = nominal_left if nominal_left > 0 else 1
             txns = progress / periods[job.task.name]
-            self.transactions_modeled += txns
-            self.contention_wait_cycles += elapsed - progress
+            transactions += txns
+            waits += elapsed - progress
             if m_txn is not None:
                 m_txn.inc(txns)
             if trace is not None:
@@ -419,6 +446,8 @@ class TLMSimulator:
                     info=f"start={start + debt_paid} nominal={progress:.0f} "
                     f"stretch={stretch:.4f}",
                 )
+        self.transactions_modeled = transactions
+        self.contention_wait_cycles = waits
 
     def _reschedule_completions(self, now: int) -> None:
         """Open a fresh timed block per running job and arm its finish.
@@ -427,6 +456,12 @@ class TLMSimulator:
         job, a new stretch factor, or kernel debt added since the last
         arming.  (Pure elapsed time does not invalidate an armed
         instant -- :meth:`_retime` keeps ``_rem`` consistent with it.)
+        An idle cpu is skipped and keeps its last arming: :meth:`_on_complete`
+        finds no job running there, and the switch that gives it a job
+        again adds kernel debt, so that stale basis is never trusted.
+        Every caller closed the blocks at ``now`` first (:meth:`_retime`
+        restarts each busy cpu's block), so only a re-armed cpu, which
+        may have been idle then, needs its block start set here.
         An engine event is scheduled only when the finish moved
         *earlier* than the earliest outstanding event; finishes that
         moved later are reached lazily -- the pending event fires at
@@ -436,7 +471,8 @@ class TLMSimulator:
         """
         ceil = math.ceil
         armed_list = self._armed
-        basis_list = self._basis
+        basis_jobs = self._basis_job
+        basis_stretches = self._basis_stretch
         dirty_list = self._debt_dirty
         sched_list = self._sched
         stretches = self._stretch
@@ -444,17 +480,19 @@ class TLMSimulator:
         rems = self._rem
         starts = self._block_start
         for cpu, job in enumerate(self.policy.running):
-            starts[cpu] = now
             if job is None:
-                armed_list[cpu] = None
-                basis_list[cpu] = None
                 continue
             stretch = stretches[cpu]
-            basis = (job.uid, stretch)
-            if basis_list[cpu] == basis and not dirty_list[cpu]:
+            if (
+                not dirty_list[cpu]
+                and basis_jobs[cpu] is job
+                and basis_stretches[cpu] == stretch
+            ):
                 continue
-            basis_list[cpu] = basis
+            basis_jobs[cpu] = job
+            basis_stretches[cpu] = stretch
             dirty_list[cpu] = False
+            starts[cpu] = now
             length = debts[cpu] + ceil(rems[job.uid] * stretch)
             finish = now + (length if length > 1 else 1)
             armed_list[cpu] = (job.uid, finish)
@@ -468,15 +506,17 @@ class TLMSimulator:
         """Take the policy's decision on ``event_cpu``, which pays the
         context traffic and, for every other processor switched, an
         IPI; then re-time the blocks."""
-        previous = list(self.policy.running)
         allocation = self.policy.reschedule(now)
         switches = allocation.switches
         self.context_switches += len(switches)
         trace_on = self.trace.enabled
+        assignment = allocation.assignment
+        previous = allocation.previous
         for cpu in switches:
-            job = allocation.assignment[cpu]
+            job = assignment[cpu]
             old = previous[cpu]
             self._running_names[cpu] = job.task.name if job is not None else None
+            self._names_changed = True
             if trace_on and old is not None and old.remaining > 0 and old is not job:
                 self.trace.record(now, "preempt", job=old.name, cpu=cpu)
             if job is not None:
@@ -494,7 +534,8 @@ class TLMSimulator:
                 self._debt_dirty[event_cpu] = True
                 self._debt[cpu] += self._irq_cycles
                 self.ipis += 1
-        self._recompute_stretches()
+        if self._names_changed:
+            self._recompute_stretches()
         self._reschedule_completions(now)
 
     def _on_tick(self) -> None:
@@ -535,13 +576,10 @@ class TLMSimulator:
         self.policy.add_aperiodic(job)
         self.aperiodic_releases += 1
         handler_cpu = 0
-        self._debt[handler_cpu] += (
-            self._irq_cycles
-            + self.costs.aperiodic_release
-            + self._queue_traffic_cycles(1)
-        )
+        self._debt[handler_cpu] += self._arrival_cycles
         self._debt_dirty[handler_cpu] = True
-        self.trace.record(now, "release", job=job.name, info="aperiodic")
+        if self.trace.enabled:
+            self.trace.record(now, "release", job=job.name, info="aperiodic")
         self._reschedule(now, handler_cpu)
 
     def _on_complete(self, cpu: int) -> None:
@@ -566,11 +604,12 @@ class TLMSimulator:
         self._rem.pop(job.uid, None)
         self.policy.job_finished(job, now)
         self._running_names[cpu] = None
+        self._names_changed = True
         if self.trace.enabled:
             self.trace.record(now, "finish", job=job.name, cpu=cpu)
         # Completion handling (dequeue, re-arm, self-service) delays
         # whatever runs next on this processor.
-        self._debt[cpu] += self.costs.completion + self._queue_traffic_cycles(1)
+        self._debt[cpu] += self._completion_cycles
         self._debt_dirty[cpu] = True
         self._reschedule(now, cpu)
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import partitioning
 from repro.analysis.partitioning import PartitioningError, partition
 from repro.analysis.schedulability import analyse_taskset
 from repro.analysis.taskgen import random_taskset
@@ -88,3 +89,74 @@ def test_partition_feasible_property(seed, n_cpus):
         return  # heuristics are allowed to fail; they must not lie
     report = analyse_taskset(assigned, n_cpus)
     assert report.schedulable
+
+
+# -- evaluate-all reference: test every processor, then compare loads --------
+def _evaluate_all_best_fit(task, groups, loads):
+    best_cpu, best_load = None, -1.0
+    for cpu, group in enumerate(groups):
+        if partitioning._fits(task, group) and loads[cpu] > best_load:
+            best_cpu, best_load = cpu, loads[cpu]
+    return best_cpu
+
+
+def _evaluate_all_worst_fit(task, groups, loads):
+    best_cpu, best_load = None, 2.0
+    for cpu, group in enumerate(groups):
+        if partitioning._fits(task, group) and loads[cpu] < best_load:
+            best_cpu, best_load = cpu, loads[cpu]
+    return best_cpu
+
+
+EVALUATE_ALL = {
+    "first-fit": partitioning._choose_first_fit,
+    "best-fit": _evaluate_all_best_fit,
+    "worst-fit": _evaluate_all_worst_fit,
+}
+
+
+def _placement(taskset, n_cpus, heuristic):
+    try:
+        assigned = partition(taskset, n_cpus, heuristic=heuristic)
+    except PartitioningError as exc:
+        return str(exc)
+    return {t.name: t.cpu for t in assigned.periodic}
+
+
+def _counting_tables(monkeypatch):
+    calls = []
+    table = partitioning.response_time_table
+
+    def counted(tasks):
+        calls.append(len(tasks))
+        return table(tasks)
+
+    monkeypatch.setattr(partitioning, "response_time_table", counted)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n_cpus=st.integers(1, 4),
+       per_cpu=st.floats(0.2, 0.95))
+def test_preference_order_picks_what_evaluate_all_picks(seed, n_cpus, per_cpu):
+    ts = random_taskset(8, per_cpu * n_cpus, seed=seed).with_deadline_monotonic_priorities()
+    for heuristic, reference in EVALUATE_ALL.items():
+        chosen = _placement(ts, n_cpus, heuristic)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(partitioning._HEURISTICS, heuristic, reference)
+            expected = _placement(ts, n_cpus, heuristic)
+        assert chosen == expected, heuristic
+
+
+@pytest.mark.parametrize("heuristic", ["best-fit", "worst-fit"])
+def test_preference_order_runs_fewer_exact_tests(monkeypatch, heuristic):
+    ts = random_taskset(8, 1.6, seed=5).with_deadline_monotonic_priorities()
+    calls = _counting_tables(monkeypatch)
+    chosen = _placement(ts, 4, heuristic)
+    tested = len(calls)
+    monkeypatch.setitem(partitioning._HEURISTICS, heuristic,
+                        EVALUATE_ALL[heuristic])
+    assert _placement(ts, 4, heuristic) == chosen
+    # Evaluate-all runs one exact test per processor per task.
+    assert len(calls) - tested == 8 * 4
+    assert tested < 8 * 4 / 2

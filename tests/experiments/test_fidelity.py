@@ -30,6 +30,7 @@ from repro.simulators import (
     TLMSimulator,
     make_simulator,
     mean_response,
+    run_metrics,
 )
 from repro.workloads.automotive import (
     AUTOMOTIVE_APERIODIC,
@@ -175,12 +176,20 @@ class TestMakeSimulator:
                                  bindings=automotive_bindings(),
                                  aperiodic_arrivals=arrivals)
             sim.run(horizon)
-            mean, metrics = mean_response(sim, horizon, AUTOMOTIVE_APERIODIC)
+            mean = mean_response(sim, AUTOMOTIVE_APERIODIC)
+            metrics = run_metrics(sim, horizon)
             assert metrics.horizon == horizon // sim.scale
             scaled = metrics.response_of(AUTOMOTIVE_APERIODIC).mean
             assert mean == scaled * sim.scale
             # Full-scale means land near the 10.1 s standalone run.
             assert 10.0 * CLOCK_HZ < mean < 13.0 * CLOCK_HZ
+
+    def test_mean_response_needs_a_finished_job(self):
+        sim = make_simulator("theoretical", _taskset(), 2,
+                             aperiodic_arrivals={AUTOMOTIVE_APERIODIC: [CLOCK_HZ]})
+        sim.run(CLOCK_HZ + 1)
+        with pytest.raises(KeyError, match=AUTOMOTIVE_APERIODIC):
+            mean_response(sim, AUTOMOTIVE_APERIODIC)
 
 
 class TestArrivalValidation:
