@@ -4,16 +4,8 @@ The paper: "Instruction cache is implemented for each processor,
 bringing down access latency from 12 to 1 clock cycle in case of hit."
 The cache refills whole lines from DDR over the OPB, so misses both
 delay the core and add bus traffic (the contention the paper blames for
-the real-vs-simulated gap).
-
-Two interfaces:
-
-- address-accurate :meth:`lookup` / :meth:`fill_line` for the ISA
-  substrate;
-- a statistical :meth:`miss_count` helper used by the quantum-level
-  task execution model, which converts a compute segment into the
-  number of line refills it implies at the task's characterised miss
-  rate (deterministic rounding keeps runs reproducible).
+the real-vs-simulated gap).  The ISA substrate drives it through the
+address-accurate :meth:`lookup` / :meth:`fill_line`.
 """
 
 from __future__ import annotations
@@ -36,9 +28,7 @@ class DirectMappedICache:
         self._tags: List[Optional[int]] = [None] * n_lines
         self.hits = 0
         self.misses = 0
-        self._miss_residue = 0.0
 
-    # ----------------------------------------------------------- address mode
     def _split(self, addr: int) -> Tuple[int, int]:
         line_addr = addr // self.line_bytes
         index = line_addr % self.n_lines
@@ -59,31 +49,7 @@ class DirectMappedICache:
         index, tag = self._split(addr)
         self._tags[index] = tag
 
-    def invalidate(self) -> None:
-        """Flush the whole cache (used across context switches when the
-        incoming task's code footprint displaces the old one)."""
-        self._tags = [None] * self.n_lines
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # ------------------------------------------------------- statistical mode
-    def miss_count(self, instructions: int, miss_rate: float) -> int:
-        """Deterministic number of misses in a segment of instructions.
-
-        Carries fractional residue across calls so that arbitrarily
-        sliced segments produce the same total miss count as one big
-        segment (a conservation property the tests check).
-        """
-        if instructions < 0:
-            raise ValueError("instructions must be non-negative")
-        if not 0.0 <= miss_rate <= 1.0:
-            raise ValueError("miss_rate must be within [0, 1]")
-        exact = instructions * miss_rate + self._miss_residue
-        misses = int(exact)
-        self._miss_residue = exact - misses
-        self.misses += misses
-        self.hits += instructions - misses
-        return misses

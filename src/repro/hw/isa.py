@@ -19,21 +19,22 @@ Two interpreters produce that timing model:
 - ``"block"`` (the default): a compiled-region interpreter.  At load
   the program is decoded once into flat per-pc tuples (opcode kind,
   bound ALU/branch callable, register indices, cache line index/tag).
-  A *block* is a straight-line run of core-private instructions (ALU,
-  ALU-immediate, nop, up to and including one branch, ``br``, ``brl``
-  or ``jr``), and the blocks reachable from an entry pc through static
-  edges form a *region*: one generated Python function, compiled on
-  first entry, with inline register expressions, one I-cache tag check
-  per line and ``(next_pc, cycles, retired)`` exits.  A region with a
-  loop runs it in a ``while`` loop that dispatches on pc and keeps
-  registers in locals, so a loop costs one call, not one per block
-  (:class:`_CompiledRegions`).  Execution then *temporally decouples*
-  from the event engine: regions run back to back, only accumulating
-  a cycle count, and a single coalesced ``advance(n)`` sleep is emitted
-  at the next *interaction point* -- a data access, an I-cache miss
-  refill, halt, or an execution fault.  A DDR access on a quiet bus
-  that ends before anything else can run is no interaction point: it
-  is played in place and the window goes on.
+  A *block* is a straight-line run of ALU, ALU-immediate, nop and word
+  load and store instructions, up to and including one branch, ``br``,
+  ``brl`` or ``jr``, and the blocks reachable from an entry pc through
+  static edges form a *region*: one generated Python function, compiled
+  on first entry, with inline register expressions, one I-cache tag
+  check per line and ``(next_pc, cycles, retired, checkpoint)`` exits.
+  A region with a loop runs it in a ``while`` loop that dispatches on pc
+  and keeps registers in locals, so a loop costs one call, not one per
+  block (:class:`_CompiledRegions`).  Execution then *temporally
+  decouples* from the event engine: regions run back to back, only
+  accumulating a cycle count, and a single coalesced ``advance(n)``
+  sleep is emitted at the next *interaction point* -- a data access,
+  an I-cache miss refill, halt, or an execution fault.  A DDR access on
+  a quiet bus that ends before anything else can run is no interaction
+  point: the region plays it in place, and hands back the fault
+  checkpoint just past it.
   Memory traffic, bus arbitration and trace events still happen at
   their exact per-instruction instants, so the observable schedule is
   bit-for-bit identical to the reference.  Transient faults
@@ -351,6 +352,24 @@ _CHAIN_MAX = 64
 #: Most blocks one path of a loop-free region inlines.
 _NEST_MAX = 32
 
+#: Parameters of every generated region and truncated block: the
+#: register list, the I-cache tag list, the instruction budget left and
+#: the pc to start at, then what a DDR access played in place needs: the
+#: instant the call starts at, the cycles from then to the end of the
+#: room the window found, the append of the window's request instants,
+#: the DDR word store, and the trace hook (None without a recorder).
+_PARAMS = "r, t, fuel, pc, at, rm, s, w, rec"
+
+
+def _memory_map(core: MicroBlaze) -> Tuple[int, int, int, int, int]:
+    """What generated code bakes in of a core's memory map, and so part
+    of the key compiled regions are cached on: the DDR window, the bus
+    latency of one DDR word, and the local window, whose accesses it
+    leaves to the window loop."""
+    ddr, local = core.ddr, core.local_mem
+    return (ddr.base, ddr.base + ddr.size, ddr.access_latency(1),
+            local.base, local.base + local.size)
+
 
 def _in_list(reg: int) -> str:
     """Generated-code read of register ``reg`` from the list ``r``."""
@@ -362,30 +381,187 @@ def _to_list(reg: int, expr: str) -> str:
     return f"r[{reg}] = {expr}"
 
 
-class _CompiledRegions:
-    """A decoded program's core-private code as generated functions.
+class _Emitter:
+    """The statements of one generated function, one op at a time, and
+    what its code knows at the point reached.
 
-    The *block* at pc ``p`` is the run of core-private instructions from
-    ``p`` (ALU, ALU-immediate, nop) up to and including the first
-    control transfer, stopping before a memory op, halt, branch target
-    or return site and after :data:`_BLOCK_MAX` instructions.  The
-    *region* entered at ``p`` is
+    ``read``/``write`` name a register the code reads or writes, and
+    ``value`` one it only saves; in a looping region (``loop``) the
+    cycles and the budget left live in ``c`` and ``left``, in
+    straight-line code they are literals off the call's start.
+    ``known`` maps each ALU expression a register still holds to that
+    register and the registers the expression reads, so an op that
+    computes it again copies the register.  ``ck`` is the checkpoint of
+    the last access played in place, while no register has changed
+    since: an exit returns it as it is, and it is stored to ``k`` before
+    the next op that is no access.
+    """
+
+    def __init__(self, regions: "_CompiledRegions", read, write, value,
+                 written: List[int], loop: bool):
+        self.regions = regions
+        self.read = read
+        self.write = write
+        self.value = value
+        self.loop = loop
+        # A checkpoint saves the registers the function writes: the
+        # others hold their values at the call for all of it.
+        self.saved = repr(tuple(written)) + "".join(
+            f", {value(reg)}" for reg in written)
+        self.known: Dict[str, Tuple[int, Tuple[int, ...]]] = {}
+        self.ck: Optional[str] = None
+
+    def clock(self, cycles: int) -> str:
+        """The cycles since the call, ``cycles`` into the stretch."""
+        if self.loop:
+            return f"c + {cycles}" if cycles else "c"
+        return str(cycles)
+
+    def k(self) -> str:
+        """The checkpoint an exit here hands back."""
+        return self.ck or "k"
+
+    def flush(self) -> List[str]:
+        """Store the checkpoint of the access just played to ``k``."""
+        ck, self.ck = self.ck, None
+        return [f"k = {ck}"] if ck else []
+
+    def fork(self):
+        """What the code knows here, for :meth:`join` to restore."""
+        return dict(self.known), self.ck
+
+    def join(self, state) -> None:
+        self.known, self.ck = state
+
+    def wrote(self, reg: int) -> None:
+        """Forget the expressions ``reg`` held or that read it."""
+        self.known = {expr: held for expr, held in self.known.items()
+                      if held[0] != reg and reg not in held[1]}
+
+    def alu(self, p: int) -> List[str]:
+        """The statement of the ALU op at ``p`` (none for a nop, a
+        control transfer, an r0 destination, a copy to itself or an
+        expression its destination already holds).
+
+        Constant operands fold: r0 and immediates are known, so two of
+        them give a literal, an identity operand (``x + 0``, ``0 | x``,
+        a shift by 0, ...) a copy of the other, and a shift by an
+        immediate a literal amount.  An expression another register
+        still holds is a copy of that register."""
+        regions = self.regions
+        kind, _, rd, ra, b = regions.decoded[p][:5]
+        if kind > _K_ALUI or not rd:
+            return []
+        read, write = self.read, self.write
+        op = regions.instructions[p].op
+        if kind == _K_ALU and b:  # b is a register
+            rhs = read(b)
+            n = f"({rhs} & 31)"
+            src = b if not ra and op in _A0_IDENTITY else None
+            deps: Tuple[int, ...] = (ra, b)
+        else:  # b is the immediate, or r0: 0
+            if kind == _K_ALUI:
+                op = op[:-1]
+            if not ra:
+                self.wrote(rd)
+                return [write(rd, _ALU_FUNCS[op](0, b))]
+            rhs = b
+            n = b & 31 if op in _SHIFTS else b
+            src = ra if op in _B0_IDENTITY and not n else None
+            deps = (ra,)
+        if src is not None:
+            self.wrote(rd)
+            return [] if src == rd else [write(rd, read(src))]
+        expr = _ALU_EXPRS[op].format(a=read(ra), b=rhs, n=n)
+        held = self.known.get(expr)
+        if held is not None and held[0] == rd:
+            return []
+        self.wrote(rd)
+        if held is not None:
+            return [write(rd, self.value(held[0]))]
+        if rd not in deps:
+            self.known[expr] = (rd, deps)
+        return [write(rd, expr)]
+
+    def access(self, p: int, dn: int, dc: int, leave) -> List[str]:
+        """The DDR load or store at ``p``, ``dn`` instructions and ``dc``
+        cycles into the stretch, played in place: the statement
+        ``leave(p, dn, dc)`` exits before it when its word is misaligned,
+        outside DDR or local, or when it would not end before ``rm``.
+        It then appends its request instant to ``s``, calls ``rec`` at
+        its end instant, reads or writes its word in ``w``, and becomes
+        the checkpoint."""
+        regions = self.regions
+        base, top, latency, local_base, local_top = regions.memory
+        kind, _, rd, _, _ = regions.decoded[p][:5]
+        addr, const = regions._address(p, self.read)
+        lines: List[str] = []
+        tests: List[str] = []
+        if const is None:
+            if not addr.isidentifier():
+                lines.append(f"a = {addr}")
+                addr = "a"
+            tests += [f"{addr} & 3", f"not {base} <= {addr} < {top}"]
+            if local_base < top and base < local_top:
+                tests.append(f"{local_base} <= {addr} < {local_top}")
+            index = f"({addr} - {base}) >> 2"
+        else:  # a DDR word (_may_play)
+            index = str((const - base) >> 2)
+        end = dc + 1 + latency
+        tests.append(f"{self.clock(end)} >= rm")
+        load = kind <= _K_LWI
+        lines += [
+            f"if {' or '.join(tests)}: {leave(p, dn, dc)}",
+            f"s(at + {self.clock(dc + 1)})",
+            f"if rec is not None: rec(at + {self.clock(end)}, {addr}, "
+            f"{'read' if load else 'write'!r})",
+        ]
+        if not load:
+            lines.append(f"w[{index}] = {self.read(rd)}")
+        elif rd:
+            self.wrote(rd)
+            lines.append(self.write(rd, f"w.get({index}, 0)"))
+        fuel = f"left - {dn + 1}" if self.loop else f"fuel - {dn + 1}"
+        self.ck = f"({p + 1}, {fuel}, {self.clock(end)}, {self.saved})"
+        return lines
+
+
+class _CompiledRegions:
+    """A decoded program's code as generated functions.
+
+    The *block* at pc ``p`` is the run of ops from ``p`` that a region
+    can play (ALU, ALU-immediate, nop, and loads and stores whose
+    address may be a DDR word) up to and including the first control
+    transfer, stopping before halt, a load or store of a fixed address
+    that is no DDR word, a branch target or a return site, and after
+    :data:`_BLOCK_MAX` instructions.  The *region* entered at ``p`` is
     the set of blocks reachable from it through static edges: a
     conditional branch's target and fall-through, a ``br``'s target, a
     ``brl``'s target and its return site, and the next block after a
     run that the size cap ended.  Its function ``region(r, t, fuel,
-    pc)`` runs those blocks against the register list ``r`` from
-    ``pc`` on and returns ``(next_pc, cycles, retired)`` exactly where
-    a chain of blocks run one at a time would stop:
+    pc, at, rm, s, w, rec)`` (:data:`_PARAMS`) runs those blocks against
+    the register list ``r`` from ``pc`` on and returns ``(next_pc,
+    cycles, retired, k)`` exactly where a chain of blocks run one at a
+    time would stop:
 
-    - before a memory op or halt, and at a ``jr`` or branch whose
-      target is outside the region;
+    - before halt or a fixed-address op outside DDR, and at a ``jr`` or
+      branch whose target is outside the region;
+    - before a load or store that cannot play in place: its word is
+      misaligned, outside DDR or local, or the access would not end
+      strictly before ``rm`` cycles from the call;
     - at an I-cache tag miss (the tag list ``t`` is checked once per
       line), with the retired prefix, so a miss at the entry line
-      returns ``(pc, 0, 0)``;
+      returns ``(pc, 0, 0, None)``;
     - before a block that does not fit the remaining ``fuel``.  The
       caller makes sure the entry block fits, and at the pc returned
       runs the block cut to the fuel that is left (:meth:`truncated`).
+
+    A DDR access plays as the window loop would play it in place
+    (:meth:`_Emitter.access`), and ``k`` is the fault checkpoint just
+    past the last one: ``(pc, fuel, cycles, regs, *values)``, the budget
+    left and the cycles since the call at that instant, and the values
+    then of the registers ``regs`` the function writes; None when it
+    played none.
 
     A region without a cycle is one nest of straight-line code that
     inlines every successor and works on ``r`` in place.  A region with
@@ -400,16 +576,21 @@ class _CompiledRegions:
 
     The code trusts that registers and immediates hold 32-bit patterns,
     so it masks no operand, and it folds the constant operands, r0 and
-    immediates (:meth:`_alu`).
+    immediates (:meth:`_Emitter.alu`).  The memory map it bakes in is
+    part of the key it is cached on (:func:`_compile_regions`).
     """
 
-    def __init__(self, program: Program, decoded: list):
+    def __init__(self, program: Program, decoded: list, memory: tuple):
         self.instructions = program.instructions
         self.decoded = decoded
+        self.memory = memory
         n = len(decoded)
-        #: entry pc -> compiled region (None: not compiled, or an
-        #: interaction point that no region covers).
+        #: entry pc -> compiled region (None: not compiled, or an op
+        #: that no region covers).
         self.entries: List = [None] * n
+        #: pc -> whether a block can start there.
+        self.inline = [kind < _K_HALT or kind >= _K_LW and self._may_play(pc)
+                       for pc, kind in enumerate(op[0] for op in decoded)]
         #: pc -> instructions the block at pc retires when run to its end.
         self.sizes = [0] * n
         # Blocks end before the pcs a taken transfer reaches statically
@@ -422,9 +603,9 @@ class _CompiledRegions:
             if kind == _K_BRL:
                 targets[pc + 1] = True
         for pc in range(n - 1, -1, -1):
-            kind = decoded[pc][0]
-            if kind >= _K_HALT:
+            if not self.inline[pc]:
                 continue
+            kind = decoded[pc][0]
             if _K_CBR <= kind <= _K_JR or targets[pc + 1]:
                 self.sizes[pc] = 1
             else:
@@ -441,21 +622,33 @@ class _CompiledRegions:
 
     def truncated(self, pc: int, limit: int):
         """The block at ``pc`` cut after ``limit`` instructions (the
-        instruction budget ends inside it), as ``block(r, t)``."""
+        instruction budget ends inside it), with a region's parameters
+        and exits."""
         block = self._truncated.get((pc, limit))
         if block is None:
-            body: List[str] = []
+            pcs = range(pc, pc + limit)
+            em = _Emitter(self, _in_list, _to_list, _in_list,
+                          self._written(pcs), loop=False)
+
+            def leave(p: int, dn: int, dc: int) -> str:
+                return f"return ({p}, {dc}, {dn}, {em.k()})"
+
+            body = ["k = None"]
+            dn = dc = 0
             line = None
-            for p in range(pc, pc + limit):
+            for p in pcs:
                 index, tag = self.decoded[p][5:7]
                 if (index, tag) != line:
                     line = (index, tag)
                     body.append(f"if t[{index}] != {tag}: "
-                                f"return ({p}, {p - pc}, {p - pc})")
-                body += self._alu(p, _in_list, _to_list)
-            body.append(f"return ({pc + limit}, {limit}, {limit})")
+                                + leave(p, dn, dc))
+                code, cost = self._op(em, p, dn, dc, leave)
+                body += code
+                dn += 1
+                dc += cost
+            body.append(leave(pc + limit, dn, dc))
             block = self._truncated[pc, limit] = _define(
-                f"block_{pc}_{limit}", "r, t", body)
+                f"block_{pc}_{limit}", _PARAMS, body)
         return block
 
     # -------------------------------------------------------------- the graph
@@ -479,10 +672,10 @@ class _CompiledRegions:
         taken, fall = self._edges(q)
         return taken if fall is None else taken + [fall]
 
-    def _private(self, pc: int) -> bool:
+    def _starts_block(self, pc: int) -> bool:
         """True when a block starts at ``pc``: it is in the program and
-        neither a memory op nor halt."""
-        return 0 <= pc < len(self.decoded) and self.decoded[pc][0] < _K_HALT
+        a region can play its op."""
+        return 0 <= pc < len(self.decoded) and self.inline[pc]
 
     def _reach(self, root: int) -> List[int]:
         """The blocks of the region entered at ``root``, in visit order."""
@@ -491,12 +684,38 @@ class _CompiledRegions:
         total = self.sizes[root]
         for q in nodes:
             for s in self._successors(q):
-                if (s not in seen and self._private(s)
+                if (s not in seen and self._starts_block(s)
                         and total + self.sizes[s] <= _REGION_MAX):
                     seen.add(s)
                     nodes.append(s)
                     total += self.sizes[s]
         return nodes
+
+    def _pcs(self, nodes: List[int]) -> List[int]:
+        return [p for q in nodes for p in range(q, q + self.sizes[q])]
+
+    def _effects(self, pcs) -> Tuple[set, set]:
+        """The registers the ops at ``pcs`` read and write, r0 among
+        them."""
+        reads: set = set()
+        writes: set = set()
+        for p in pcs:
+            kind, _, rd, ra, b = self.decoded[p][:5]
+            if kind <= _K_ALUI:
+                writes.add(rd)
+                reads.update((ra, b) if kind == _K_ALU else (ra,))
+            elif kind == _K_CBR or kind == _K_JR:
+                reads.add(rd)
+            elif kind == _K_BRL:
+                writes.add(rd)
+            elif kind >= _K_LW:
+                reads.update((ra,) if kind & 1 else (ra, b))
+                (writes if kind <= _K_LWI else reads).add(rd)
+        return reads, writes
+
+    def _written(self, pcs) -> List[int]:
+        """The registers the ops at ``pcs`` may change, in order."""
+        return sorted(self._effects(pcs)[1] - {0})
 
     def _cycles(self, nodes: List[int], inside: set) -> Dict[int, float]:
         """The shortest cycle through each block of a region, in
@@ -530,33 +749,41 @@ class _CompiledRegions:
         return {q: cycle(q) for q in nodes}
 
     # ------------------------------------------------------------ generation
-    def _alu(self, p: int, read, write) -> List[str]:
-        """The statement of the ALU op at ``p`` (none for a nop, a
-        control transfer, an r0 destination or a copy to itself).
-
-        Constant operands fold: r0 and immediates are known, so two of
-        them give a literal, an identity operand (``x + 0``, ``0 | x``,
-        a shift by 0, ...) a copy of the other, and a shift by an
-        immediate a literal amount."""
-        kind, _, rd, ra, b = self.decoded[p][:5]
-        if kind > _K_ALUI or not rd:
-            return []
-        op = self.instructions[p].op
-        if kind == _K_ALU and b:  # b is a register
-            rhs = read(b)
-            n = f"({rhs} & 31)"
-            src = b if not ra and op in _A0_IDENTITY else None
-        else:  # b is the immediate, or r0: 0
-            if kind == _K_ALUI:
-                op = op[:-1]
+    def _address(self, p: int, read) -> Tuple[str, Optional[int]]:
+        """The address expression of the load or store at ``p``, and
+        its value when it is a constant."""
+        kind, _, _, ra, b = self.decoded[p][:5]
+        if kind & 1:  # an immediate offset
+            offset = b & MASK32
             if not ra:
-                return [write(rd, _ALU_FUNCS[op](0, b))]
-            rhs = b
-            n = b & 31 if op in _SHIFTS else b
-            src = ra if op in _B0_IDENTITY and not n else None
-        if src is None:
-            return [write(rd, _ALU_EXPRS[op].format(a=read(ra), b=rhs, n=n))]
-        return [] if src == rd else [write(rd, read(src))]
+                return str(offset), offset
+            if not offset:
+                return read(ra), None
+            return f"({read(ra)} + {offset}) & 0xFFFFFFFF", None
+        if not b:
+            return (read(ra), None) if ra else ("0", 0)
+        if not ra:
+            return read(b), None
+        return f"({read(ra)} + {read(b)}) & 0xFFFFFFFF", None
+
+    def _may_play(self, pc: int) -> bool:
+        """True unless the load or store at ``pc`` has a fixed address
+        that no access played in place reaches."""
+        addr = self._address(pc, _in_list)[1]
+        if addr is None:
+            return True
+        base, top, _, local_base, local_top = self.memory
+        return (not addr & 3 and base <= addr < top
+                and not local_base <= addr < local_top)
+
+    def _op(self, em: _Emitter, p: int, dn: int, dc: int,
+            leave) -> Tuple[List[str], int]:
+        """The statements of the op at ``p``, ``dn`` instructions and
+        ``dc`` cycles into the stretch, and its cycles before a taken
+        branch's penalty."""
+        if self.decoded[p][0] >= _K_LW:
+            return em.access(p, dn, dc, leave), 1 + self.memory[2]
+        return em.flush() + em.alu(p), 1
 
     def _test(self, p: int, read) -> str:
         """The taken condition of the conditional branch at ``p``."""
@@ -572,49 +799,58 @@ class _CompiledRegions:
         if min(cycles.values()) < float("inf"):
             arms, body = self._looping(root, nodes, inside, cycles)
         else:
-            arms, body = [root], self._flat(root, inside)
-        region = _define(f"region_{root}", "r, t, fuel, pc", body)
+            arms, body = [root], self._flat(root, nodes, inside)
+        region = _define(f"region_{root}", _PARAMS, body)
         for arm in arms:
             if self.entries[arm] is None:
                 self.entries[arm] = region
         return region
 
-    def _flat(self, root: int, inside: set) -> List[str]:
+    def _flat(self, root: int, nodes: List[int], inside: set) -> List[str]:
         """Body of a loop-free region: every successor inlined, the
         taken side of a branch nested under its test."""
-        body: List[str] = []
+        em = _Emitter(self, _in_list, _to_list, _in_list,
+                      self._written(self._pcs(nodes)), loop=False)
+        body: List[str] = ["k = None"]
         budget = _REGION_MAX
+
+        def leave(p: int, dn: int, dc: int) -> str:
+            return f"return ({p}, {dc}, {dn}, {em.k()})"
 
         def goto(s: int, dn: int, dc: int, line, pad: str, depth: int):
             if s in inside and self.sizes[s] <= budget and depth < _NEST_MAX:
                 block(s, dn, dc, line, pad, depth + 1)
             else:
-                body.append(f"{pad}return ({s}, {dc}, {dn})")
+                body.append(pad + leave(s, dn, dc))
 
         def block(q: int, dn: int, dc: int, line, pad: str, depth: int):
             nonlocal budget
             budget -= self.sizes[q]
             if dn:
                 body.append(f"{pad}if fuel < {dn + self.sizes[q]}: "
-                            f"return ({q}, {dc}, {dn})")
+                            + leave(q, dn, dc))
             for p in range(q, q + self.sizes[q]):
                 kind, _, rd, _, b, index, tag, _ = self.decoded[p]
                 if (index, tag) != line:
                     line = (index, tag)
                     body.append(f"{pad}if t[{index}] != {tag}: "
-                                f"return ({p}, {dc}, {dn})")
+                                + leave(p, dn, dc))
+                code, cost = self._op(em, p, dn, dc, leave)
+                body.extend(pad + s for s in code)
                 dn += 1
-                dc += 1
-                body.extend(pad + s for s in self._alu(p, _in_list, _to_list))
+                dc += cost
             if kind == _K_JR:
                 body.append(f"{pad}return ({_in_list(rd)}, "
-                            f"{dc + BRANCH_PENALTY}, {dn})")
+                            f"{dc + BRANCH_PENALTY}, {dn}, {em.k()})")
                 return
             if kind == _K_CBR:
                 body.append(f"{pad}if {self._test(p, _in_list)}:")
+                state = em.fork()
                 goto(b, dn, dc + BRANCH_PENALTY, line, pad + "    ", depth)
+                em.join(state)
             elif kind == _K_BR or kind == _K_BRL:
                 if kind == _K_BRL and rd:
+                    em.wrote(rd)
                     body.append(f"{pad}{_to_list(rd, p + 1)}")
                 goto(b, dn, dc + BRANCH_PENALTY, line, pad, depth)
                 return
@@ -630,26 +866,21 @@ class _CompiledRegions:
         cycle through them."""
         decoded = self.decoded
         sizes = self.sizes
-        reads: set = set()
-        writes: set = set()
-        for q in nodes:
-            for p in range(q, q + sizes[q]):
-                kind, _, rd, ra, b = decoded[p][:5]
-                if kind <= _K_ALUI:
-                    writes.add(rd)
-                    reads.update((ra, b) if kind == _K_ALU else (ra,))
-                elif kind == _K_CBR or kind == _K_JR:
-                    reads.add(rd)
-                elif kind == _K_BRL:
-                    writes.add(rd)
+        reads, writes = self._effects(self._pcs(nodes))
         held = sorted(reads - {0})
         spilled = [reg for reg in held if reg in writes]
 
         def read(reg: int) -> str:
             return f"r{reg}" if reg else "0"
 
+        def value(reg: int) -> str:
+            return f"r{reg}" if reg in reads else f"r[{reg}]"
+
         def write(reg: int, expr) -> str:
-            return f"r{reg} = {expr}" if reg in reads else f"r[{reg}] = {expr}"
+            return f"{value(reg)} = {expr}"
+
+        em = _Emitter(self, read, write, value, sorted(writes - {0}),
+                      loop=True)
 
         # Arms: the entry, the taken targets, and every line a block
         # enters midway, where the region resumes after a refill.
@@ -690,13 +921,22 @@ class _CompiledRegions:
             first block's fuel (no line is filled inside a region call,
             so its tag still hits), and every other exit leaves the inner
             loop and dispatches.  An exit that leaves the region there
-            reaches an arm with the same pc or none: that arm's own fuel
-            or tag check leaves it at once, with nothing retired."""
+            reaches an arm with the same pc or none: that arm's own fuel,
+            tag or access check leaves it at once, with nothing retired.
+            The inner loop's own head is that arm: when its access finds
+            no room, the region leaves at once after the loop."""
             blocks = chain(arm)
             loops = any(arm in self._edges(q)[0] for q in blocks)
             # The statement that dispatches on pc; from an inner loop,
             # leaving it does.
             dispatch = "break" if loops else "continue"
+            em.known, em.ck = {}, None
+
+            def exit_at(p: int, dn: int, dc: int) -> str:
+                """Exit at ``p``, first storing the checkpoint of an
+                access just played."""
+                ck = [f"k = {em.ck}"] if em.ck else []
+                return "; ".join(ck + [leave(arm, p, dn, dc)])
 
             def goto(s: int, dn: int, dc: int) -> str:
                 """Transfer to ``s``: run the arm again, dispatch to the
@@ -712,22 +952,24 @@ class _CompiledRegions:
             for q in blocks:
                 if not (loops and q == arm):
                     lines.append(f"if left < {dn + sizes[q]}: "
-                                 + leave(arm, q, dn, dc))
+                                 + exit_at(q, dn, dc))
                 for p in range(q, q + sizes[q]):
                     kind, _, rd, _, b, index, tag, _ = decoded[p]
                     if (index, tag) != line:
                         line = (index, tag)
                         lines.append(f"if t[{index}] != {tag}: "
-                                     + leave(arm, p, dn, dc))
+                                     + exit_at(p, dn, dc))
+                    code, cost = self._op(em, p, dn, dc, exit_at)
+                    lines += code
                     dn += 1
-                    dc += 1
-                    lines += self._alu(p, read, write)
+                    dc += cost
                 if kind == _K_JR:
                     lines.append(f"left -= {dn}; c += {dc + BRANCH_PENALTY}; "
                                  f"pc = {read(rd)}; {dispatch}")
                     break
                 if kind == _K_BR or kind == _K_BRL:
                     if kind == _K_BRL and rd:
+                        em.wrote(rd)
                         lines.append(write(rd, p + 1))
                     lines.append(goto(b, dn, dc + BRANCH_PENALTY))
                     break
@@ -739,19 +981,23 @@ class _CompiledRegions:
                 if q in inside and q not in heads:  # the chain was cut
                     arms.append(q)
                     heads.add(q)
+                lines += em.flush()
                 lines.append(goto(q, dn, dc))
             if not loops:
                 return lines
             # lines[0] is the head's tag check; the loop tests its fuel.
-            return ([lines[0], f"while left >= {sizes[arm]}:"]
+            body = ([lines[0], f"while left >= {sizes[arm]}:"]
                     + ["    " + line for line in lines[1:]]
                     + ["else:", "    break"])
+            if decoded[arm][0] >= _K_LW:
+                body.append(f"if pc == {arm}: break")
+            return body
 
         arm_code = {}
         for arm in arms:  # grows as long chains are cut into new arms
             arm_code[arm] = arm_body(arm)
         body = [f"r{reg} = r[{reg}]" for reg in held]
-        body += ["left = fuel", "c = 0", "while True:"]
+        body += ["k = None", "left = fuel", "c = 0", "while True:"]
         order = sorted(arms, key=lambda arm: (
             cycles.get(arm, float("inf")), arm))
         for index, arm in enumerate(order):
@@ -759,7 +1005,7 @@ class _CompiledRegions:
             body += ["        " + line for line in arm_code[arm]]
         body += ["    else:", "        break"]
         body += [f"r[{reg}] = r{reg}" for reg in spilled]
-        body.append("return (pc, c, fuel - left)")
+        body.append("return (pc, c, fuel - left, k)")
         return arms, body
 
 
@@ -772,17 +1018,18 @@ def _define(name: str, params: str, body: List[str]):
     return namespace[name]
 
 
-def _compile_regions(program: Program, icache) -> _CompiledRegions:
+def _compile_regions(program: Program, icache,
+                     memory: tuple) -> _CompiledRegions:
     """The program's compiled regions, cached on the program next to
-    the decoded form under the same I-cache geometry key."""
-    key = (icache.line_bytes, icache.n_lines)
+    the decoded form, keyed by the I-cache geometry and the memory map
+    (:func:`_memory_map`) their code bakes in."""
+    key = (icache.line_bytes, icache.n_lines) + memory
     cache = program.__dict__.setdefault("_region_cache", {})
     regions = cache.get(key)
     if regions is None:
         regions = cache[key] = _CompiledRegions(
-            program, _decode_program(program, icache))
+            program, _decode_program(program, icache), memory)
     return regions
-
 
 # Window-terminating interaction points for the block interpreter.
 _S_FILL = 1    # instruction fetch missed: refill a line over the bus
@@ -848,7 +1095,8 @@ class ISAExecutor:
         self.metrics = metrics
         # Decode (and validate) once for both interpreters.
         self._decoded = _decode_program(program, core.icache)
-        self._regions = (_compile_regions(program, core.icache)
+        self._regions = (_compile_regions(program, core.icache,
+                                          _memory_map(core))
                          if mode == "block" else None)
         # Block-interpreter observability: executed windows, the
         # instructions they coalesced, and fault-invalidated replays.
@@ -1015,9 +1263,9 @@ class ISAExecutor:
 
         Registered on the core's memories (``flip_bit``) and register
         file (``register_upset``) while a block run is live.  Waking
-        the sleep early makes the executor roll back to the block's
-        entry checkpoint and replay it per-instruction, so the fault
-        lands against reference-exact architectural state.
+        the sleep early makes the executor roll back to the window's
+        checkpoint and replay it per-instruction, so the fault lands
+        against reference-exact architectural state.
         """
         sleep = self._sleep
         if sleep is not None and sleep._state == PENDING:
@@ -1027,24 +1275,28 @@ class ISAExecutor:
     def _run_block(self, max_instructions: int):
         """Basic-block interpreter: one coalesced sleep per window.
 
-        A *window* is the run of core-private instructions (ALU,
-        branches, nop) from one interaction point to the next.  The
-        inner loop runs a window's compiled regions (see
-        :class:`_CompiledRegions`) against the register list, one call
-        per region, accumulating their cycle cost in ``pending``; the single
-        ``advance(pending)`` sleep at the window boundary replaces the
-        reference interpreter's per-instruction timeouts.  Everything
-        another bus master or a trace consumer could observe -- DDR
-        transactions, I-cache refills, local-memory effects, halt, and
-        execution faults -- happens at the same absolute instant the
-        reference interpreter produces.  A DDR access plays in place,
-        inside the window, when the bus is quiet and the access ends
-        strictly before ``sim.horizon()``: until then nothing else runs,
-        so no one can contend for the bus or touch the word.  The fault
-        checkpoint then moves past it.  The window reads or writes the
-        word directly and records its request instant; one
-        ``bus.credit`` at the window boundary, before the sleep, credits
-        all of the window's in-place accesses.
+        A *window* is the run of instructions from one interaction point
+        to the next.  The inner loop runs a window's compiled regions
+        (see :class:`_CompiledRegions`) against the register list, one
+        call per region, accumulating their cycle cost in ``pending``;
+        the single ``advance(pending)`` sleep at the window boundary
+        replaces the reference interpreter's per-instruction timeouts.
+        Everything another bus master or a trace consumer could observe
+        -- DDR transactions, I-cache refills, local-memory effects,
+        halt, and execution faults -- happens at the same absolute
+        instant the reference interpreter produces.
+
+        A DDR access plays in place, inside the region that runs it,
+        when the bus is quiet and the access ends strictly before
+        ``sim.horizon()``: until then nothing else runs, so no one can
+        contend for the bus or touch the word.  The window passes each
+        region the instant it starts at and the room left before the
+        horizon (none on a busy bus); the region records the request
+        instant in ``starts``, reads or writes the word directly, calls
+        the trace hook, and hands back the fault checkpoint just past
+        its last such access.  One ``bus.credit`` at the window
+        boundary, before the sleep, credits all of the window's in-place
+        accesses.  Every other load or store ends the window, here.
         """
         state = self.state
         if state.halted:
@@ -1052,6 +1304,8 @@ class ISAExecutor:
         core = self.core
         sim = core.sim
         icache = core.icache
+        # Lines are filled in place: the tag list is never rebound.
+        tags = icache._tags
         local_mem = core.local_mem
         ddr = core.ddr
         bus = core.bus
@@ -1061,13 +1315,21 @@ class ISAExecutor:
         local_latency = local_mem.access_latency(1)
         ddr_base = ddr.base
         ddr_top = ddr.base + ddr.size
-        ddr_latency = ddr.access_latency(1)
         ddr_words = ddr._words
         bus_credit = bus.credit
         trace = self.trace
+        rec = None
+        if trace is not None:
+            record = trace.record
+
+            def rec(time: int, addr: int, op: str) -> None:
+                record(time, "access", cpu=cpu_id,
+                       info=f"addr={addr:#x} op={op}")
+
         decoded = self._decoded
         regions = self._regions
         entries = regions.entries
+        inline = regions.inline
         sizes = regions.sizes
         longest = regions.longest
         n = len(decoded)
@@ -1076,8 +1338,6 @@ class ISAExecutor:
         fuel = max_instructions - state.instructions_retired
         filled_pc = -1
         sleep = None
-        # Request instants of the window's DDR accesses played in place.
-        starts: List[int] = []
         pc = state.pc
         # Fault hooks: any flip/upset must invalidate the live window.
         local_mem.add_fault_listener(self._on_fault)
@@ -1085,17 +1345,18 @@ class ISAExecutor:
         core.add_upset_listener(self._on_fault)
         try:
             while True:
-                tags = icache._tags  # re-read per window: invalidate() rebinds
                 now = sim.now
                 # A DDR access that ends before this many cycles from
                 # now, on a quiet bus, is played in place: nothing else
                 # can run, or reach the bus, before it ends.
                 room = (sim.horizon() - now
                         if bus._holder is None and not bus._waiting else 0)
+                # Request instants of the window's in-place accesses.
+                starts: List[int] = []
                 # The checkpoint a fault rolls back to: the window's
-                # entry, then past each access played in place.  Its
-                # registers are the live ones (ck_regs None) until a
-                # region or block writes them: only then are they copied.
+                # entry, then past the last access a region played in
+                # place.  Its registers are the live ones (ck_regs None)
+                # until the first region call, which may write them.
                 ck_pc = pc
                 w_fuel = ck_fuel = fuel
                 w_skip = ck_skip = filled_pc
@@ -1107,7 +1368,7 @@ class ISAExecutor:
                 err: Optional[ISAError] = None
                 op: tuple = ()
                 addr = 0
-                # ---- the window: core-private ops, no engine events
+                # ---- the window: compiled regions, no engine events
                 while True:
                     if fuel <= 0:
                         err = ISAError(
@@ -1121,25 +1382,32 @@ class ISAExecutor:
                         sync = _S_ERROR
                         break
                     region = entries[pc]
-                    if region is None and decoded[pc][0] < _K_HALT:
+                    if region is None and inline[pc]:
                         region = regions.entry(pc)
                     if region is not None:
                         if ck_regs is None:
                             ck_regs = regs[:]
                         if fuel < longest and sizes[pc] > fuel:
-                            pc, cost, retired = regions.truncated(
-                                pc, fuel)(regs, tags)
-                        else:
-                            pc, cost, retired = region(regs, tags, fuel, pc)
+                            region = regions.truncated(pc, fuel)
+                        pc, cost, retired, k = region(
+                            regs, tags, fuel, pc, now + pending,
+                            room - pending, starts.append, ddr_words, rec)
+                        if k is not None:
+                            # Past the region's last in-place access:
+                            # its written registers held k's values.
+                            ck_pc = k[0]
+                            ck_fuel = k[1]
+                            ck_pending = pending + k[2]
+                            ck_skip = -1
+                            ck_regs = regs[:]
+                            for i, reg in enumerate(k[3], 4):
+                                ck_regs[reg] = k[i]
                         if retired:
                             fuel -= retired
                             pending += cost
                             continue
-                        op = decoded[pc]
-                        sync = _S_FILL
-                        break
-                    # memory op or halt: an interaction point, unless a
-                    # DDR access that is played in place
+                    # Nothing retired: an I-cache miss, or halt, or a
+                    # load or store no region plays.
                     op = decoded[pc]
                     if tags[op[5]] != op[6]:
                         sync = _S_FILL
@@ -1156,37 +1424,7 @@ class ISAExecutor:
                         pending += local_latency
                         sync = _S_LOCAL
                     elif ddr_base <= addr < ddr_top:
-                        if addr & 3 or pending + ddr_latency >= room:
-                            sync = _S_DDR
-                            break
-                        # Requested at now + pending, granted at once;
-                        # the bus is credited at the window boundary.
-                        starts.append(now + pending)
-                        pending += ddr_latency
-                        if trace is not None:
-                            trace.record(
-                                now + pending,
-                                "access",
-                                cpu=cpu_id,
-                                info=f"addr={addr:#x} "
-                                     f"op={'read' if kind <= 9 else 'write'}",
-                            )
-                        # Aligned and in range: the word itself (registers
-                        # hold 32-bit values).
-                        if kind <= 9:  # load
-                            rd = op[2]
-                            if rd:
-                                regs[rd] = ddr_words.get(
-                                    (addr - ddr_base) >> 2, 0)
-                        else:
-                            ddr_words[(addr - ddr_base) >> 2] = regs[op[2]]
-                        pc += 1
-                        ck_pc = pc
-                        ck_fuel = fuel
-                        ck_skip = -1
-                        ck_regs = None
-                        ck_pending = pending
-                        continue
+                        sync = _S_DDR
                     else:
                         err = ISAError(
                             f"address {addr:#x} maps to no memory region"
@@ -1206,7 +1444,6 @@ class ISAExecutor:
                 if starts:
                     bus_credit(cpu_id, ddr, starts)
                     self.data_accesses += len(starts)
-                    starts = []
                 if pending:
                     sleep = sim.advance(pending, sleep)
                     self._sleep = sleep
@@ -1255,14 +1492,8 @@ class ISAExecutor:
                     yield from bus.transfer(cpu_id, ddr, words=1)
                     self.cycles += sim.now - start
                     load = op[0] <= 9
-                    if trace is not None:
-                        trace.record(
-                            sim.now,
-                            "access",
-                            cpu=cpu_id,
-                            info=f"addr={addr:#x} "
-                                 f"op={'read' if load else 'write'}",
-                        )
+                    if rec is not None:
+                        rec(sim.now, addr, "read" if load else "write")
                     if load:
                         value = ddr.read_word(addr)
                         rd = op[2]

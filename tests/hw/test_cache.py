@@ -35,13 +35,6 @@ def test_conflict_eviction():
     assert not cache.lookup(a)
 
 
-def test_invalidate_flushes():
-    cache = DirectMappedICache(0, n_lines=4, line_words=4)
-    cache.fill_line(0x40)
-    cache.invalidate()
-    assert not cache.lookup(0x40)
-
-
 def test_power_of_two_lines_required():
     with pytest.raises(ValueError):
         DirectMappedICache(0, n_lines=3)
@@ -54,21 +47,3 @@ def test_hit_rate():
     cache.lookup(0)          # hit
     assert cache.hit_rate == pytest.approx(0.5)
 
-
-def test_statistical_miss_count_deterministic():
-    a = DirectMappedICache(0)
-    b = DirectMappedICache(1)
-    total_a = a.miss_count(10_000, 0.013)
-    total_b = sum(b.miss_count(1_000, 0.013) for _ in range(10))
-    assert total_a == total_b  # residue carry conserves misses
-
-
-def test_statistical_miss_count_bounds():
-    cache = DirectMappedICache(0)
-    assert cache.miss_count(100, 0.0) == 0
-    fresh = DirectMappedICache(0)
-    assert fresh.miss_count(100, 1.0) == 100
-    with pytest.raises(ValueError):
-        cache.miss_count(100, 1.5)
-    with pytest.raises(ValueError):
-        cache.miss_count(-1, 0.5)

@@ -17,12 +17,14 @@ from hypothesis import given, settings, strategies as st
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hw.asmlib import ROUTINES, link
 from repro.hw.assembler import assemble
+from repro.hw import isa
 from repro.hw.bus import OPBBus
 from repro.hw.isa import (
     OPCODES, ISAError, ISAExecutor, Program, Instruction, _ALU_EXPRS,
-    _BRANCH_EXPRS, _compile_regions,
+    _BRANCH_EXPRS, _compile_regions, _memory_map,
 )
-from repro.hw.memory import DDRMemory
+from repro.hw.memory import DDRMemory, LocalBRAM, MemoryError_
+from repro.hw.microblaze import MicroBlaze
 from repro.hw.soc import SoC, SoCConfig
 from repro.perf.isabench import (
     DATA_BASE, DATA_WORDS, KERNEL_DRIVERS, _driver, _probe_bus, bus_stats,
@@ -118,6 +120,34 @@ def test_kernel_window_counts_pinned(kernel):
             blk["icache_misses"]) == KERNEL_COUNTS[kernel]
 
 
+@pytest.mark.parametrize("kernel", ["array_sum", "memcpy_words"])
+def test_ddr_kernels_play_their_accesses_inside_regions(kernel, monkeypatch):
+    """On a lone core the regions of a DDR-bound kernel play its accesses
+    themselves: a run at ``DEFAULT_ITERS`` calls the compiled regions no
+    more often than it has windows and I-cache refills, where leaving the
+    region at each access would call one per access."""
+    calls = []
+    define = isa._define
+
+    def counted(name, params, body):
+        function = define(name, params, body)
+
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(isa, "_define", counted)
+    _driver.cache_clear()  # compile this run's regions afresh
+    try:
+        blk = run_kernel(kernel, "block")
+    finally:
+        _driver.cache_clear()
+    assert blk["data_accesses"] >= 1_600
+    assert 0 < len(calls) <= blk["windows"] + blk["icache_misses"]
+
+
 def test_block_mode_run_twice_deterministic():
     """The second run reuses the linked driver, with its decoded form
     and compiled regions, and observes the same as the first."""
@@ -133,13 +163,16 @@ def _schedule_foreign(soc, foreign):
     """Schedule ``foreign`` on the SoC: ``(instant, "stall", cycles)``
     starts a foreign bus user at that instant, a ``bus.stall(cycles)``
     process that holds the bus; ``(instant, "flip", addr)`` flips a bit
-    of that DDR word."""
+    of that DDR word; ``(instant, "upset", cpu)`` upsets that core's
+    register file."""
     if foreign is None:
         return
     instant, kind, arg = foreign
     if kind == "stall":
         soc.sim.schedule_at(
             instant, lambda: soc.sim.process(soc.bus.stall(arg)))
+    elif kind == "upset":
+        soc.sim.schedule_at(instant, soc.cores[arg].register_upset)
     else:
         soc.sim.schedule_at(instant, lambda: soc.ddr.flip_bit(arg, 5))
 
@@ -279,12 +312,11 @@ def test_run_limit_stops_mid_memcpy_like_the_reference(access, into):
     assert _without_diagnostics(blk) == _without_diagnostics(ref)
 
 
-def test_misaligned_ddr_access_fails_like_the_reference():
-    """A misaligned DDR word is never played in place: it raises after
-    its bus transaction, at the reference's instant."""
-    from repro.hw.memory import MemoryError_
-
-    source = """
+#: A loop of DDR loads, then a load of a misaligned DDR word: at a fixed
+#: address, which no region plays, or through a register, which the
+#: region leaves to the window loop.
+MISALIGNED = {
+    "fixed": """
     addi r4, r0, 3
 loop:
     lwi  r3, r0, 0x40080000
@@ -292,11 +324,29 @@ loop:
     bnez r4, loop
     lwi  r3, r0, 0x40080002
     halt
-"""
+""",
+    "register": """
+    addi r4, r0, 3
+    addi r5, r0, 0x40080000
+loop:
+    lwi  r3, r5, 0
+    addi r5, r5, 1
+    subi r4, r4, 1
+    bnez r4, loop
+    halt
+""",
+}
+
+
+@pytest.mark.parametrize("source", sorted(MISALIGNED))
+def test_misaligned_ddr_access_fails_like_the_reference(source):
+    """A misaligned DDR word is never played in place: it raises after
+    its bus transaction, at the reference's instant."""
     results = []
     for mode in ("reference", "block"):
         soc = SoC(SoCConfig(n_cpus=1))
-        executor = ISAExecutor(soc.cores[0], assemble(source), mode=mode)
+        executor = ISAExecutor(soc.cores[0], assemble(MISALIGNED[source]),
+                               mode=mode)
         soc.sim.process(executor.run())
         with pytest.raises(MemoryError_, match="misaligned"):
             soc.sim.run()
@@ -531,18 +581,31 @@ MEMORY_OP = _memory_ops([0x100, 0x104] + DDR_WORDS)
 DDR_OP = _memory_ops(DDR_WORDS)
 
 
+#: Where the memcpy-shaped body of a generated loop reads and writes its
+#: words: DDR words, local words, and a misaligned DDR word.
+SOURCES = [DDR_WORDS[0]] * 3 + [0x104, DDR_WORDS[0] + 2]
+TARGETS = [0x4009_0000, DDR_WORDS[1], 0x100]
+LOCAL_OP = _memory_ops([0x100, 0x104])
+
+
 @st.composite
 def _loops(draw):
     """A counted loop (counter r5, which the body never touches) around
-    a random body, so one region runs many iterations; the body is
-    core-private, or also reads and writes local and DDR words, at least
-    one DDR word, so that one window plays many DDR accesses in place.  The body's branches
-    stay in the loop; the tail halts, or leaves through a ``jr`` to the
-    loop head, past the program's end or to a random register's value."""
+    a random body, so one region runs many iterations.  The body is
+    core-private, or also reads and writes local and DDR words: then it
+    copies a word from ``r6`` to ``r7`` and steps both pointers, as
+    ``memcpy_words`` does, and does a local access, so that one region
+    plays many DDR accesses in place.  The pointers mostly start at DDR
+    words, and else at local words or a misaligned DDR word.  The body's
+    branches stay in the loop; the tail halts, or leaves through a
+    ``jr`` to the loop head, past the program's end or to a random
+    register's value."""
+    memory = draw(st.booleans())
     body_len = draw(st.integers(1, 10))
-    top = 2 + body_len  # pc of the loop's closing bnez
+    head = 3  # after the counter and the two pointers
+    top = head + body_len + 4 * memory + 1  # pc of the closing bnez
     reg = PROGRAM_REGS
-    inner = st.integers(1, top)
+    inner = st.integers(head, top)
     instruction = st.one_of(
         st.builds(lambda op, rd, ra, rb: Instruction(op, rd, ra, rb),
                   st.sampled_from(sorted(_ALU_EXPRS)), reg, reg, reg),
@@ -554,33 +617,42 @@ def _loops(draw):
                   st.sampled_from(sorted(_BRANCH_EXPRS)), reg, inner),
         st.just(Instruction("nop")),
     )
-    memory = draw(st.booleans())
     if memory:
         instruction = st.one_of(instruction, MEMORY_OP)
     body = draw(st.lists(instruction, min_size=body_len, max_size=body_len))
     if memory:
-        body[draw(st.integers(0, body_len - 1))] = draw(DDR_OP)
+        word = draw(reg)
+        for extra in ([Instruction("lwi", word, 6), Instruction("swi", word, 7)],
+                      [Instruction("addi", 6, 6, imm=4),
+                       Instruction("addi", 7, 7, imm=4)],
+                      [draw(LOCAL_OP)]):
+            at = draw(st.integers(0, len(body)))
+            body[at:at] = extra
     tail = draw(st.sampled_from(["halt", "head", "past", "register"]))
     exits = {
         "halt": [Instruction("halt")],
-        "head": [Instruction("addi", 3, 0, imm=1), Instruction("jr", 3)],
+        "head": [Instruction("addi", 3, 0, imm=head), Instruction("jr", 3)],
         "past": [Instruction("addi", 3, 0, imm=top + 40),
                  Instruction("jr", 3)],
         "register": [Instruction("jr", draw(reg))],
     }[tail]
     return Program(instructions=[
-        Instruction("addi", 5, 0, imm=draw(st.integers(1, 40)))] + body + [
+        Instruction("addi", 5, 0, imm=draw(st.integers(1, 40))),
+        Instruction("addi", 6, 0, imm=draw(st.sampled_from(SOURCES))),
+        Instruction("addi", 7, 0, imm=draw(st.sampled_from(TARGETS))),
+    ] + body + [
         Instruction("subi", 5, 5, imm=1),
-        Instruction("bnez", 5, imm=1)] + exits)
+        Instruction("bnez", 5, imm=head)] + exits)
 
 
 def _run_program(mode, program, budget, warm, foreign=None,
-                 geometry=(2, 2), until=None):
+                 geometry=(2, 2), until=None, replays=None):
     """Observable end state of ``program`` on an I-cache of ``geometry``
     (lines, words per line), by default 2 lines of 2 words, with an
     optional ``foreign`` event (:func:`_schedule_foreign`).  With
     ``until`` the run first stops there; what the bus, the memory and
-    the trace show at that instant is kept under ``"stopped"``."""
+    the trace show at that instant is kept under ``"stopped"``.  The
+    executor's fault replays are appended to the list ``replays``."""
     lines, words = geometry
     soc = SoC(SoCConfig(n_cpus=1, icache_lines=lines,
                         icache_line_words=words))
@@ -598,7 +670,7 @@ def _run_program(mode, program, budget, warm, foreign=None,
     def driver():
         try:
             yield from executor.run(budget)
-        except ISAError as exc:
+        except (ISAError, MemoryError_) as exc:
             caught.append(str(exc))
 
     soc.sim.process(driver())
@@ -609,6 +681,8 @@ def _run_program(mode, program, budget, warm, foreign=None,
                    sorted(soc.ddr._words.items()),
                    [(e.time, e.info) for e in trace.events])
     soc.sim.run()
+    if replays is not None:
+        replays.append(executor.replays)
     state = executor.state
     return {
         "stopped": stopped, "error": caught, "cycles": executor.cycles,
@@ -642,8 +716,9 @@ def test_random_programs_match_reference(program, budget, warm, data):
     arbitrated path."""
     ref = _run_program("reference", program, budget, warm)
     if data.draw(st.integers(0, 3), label="foreign"):
-        # The end instant and word of each DDR access ("addr=0x... op=...").
-        ends = [(time, int(info.split()[0][5:], 16))
+        # The end instant and word of each DDR access ("addr=0x... op=...");
+        # a misaligned access's word is the aligned one it falls in.
+        ends = [(time, int(info.split()[0][5:], 16) & ~3)
                 for time, info in ref["trace"]]
         end, addr = (data.draw(st.sampled_from(ends), label="end") if ends
                      else (data.draw(st.integers(0, 300), label="instant"),
@@ -680,6 +755,147 @@ loop:
         stall = (instant, "stall", 40)
         assert (_run_program("block", program, 1_000, True, stall)
                 == _run_program("reference", program, 1_000, True, stall))
+
+
+#: Six memcpy passes, their accesses played in place inside one region
+#: call, then a loop of ALU work.
+COPY_THEN_SPIN = """
+    addi r4, r0, 6
+    addi r8, r0, 0x40080000
+    addi r9, r0, 0x40090000
+copy:
+    lwi  r3, r8, 0
+    swi  r3, r9, 0
+    addi r8, r8, 4
+    addi r9, r9, 4
+    subi r4, r4, 1
+    bnez r4, copy
+    addi r6, r0, 40
+spin:
+    xori r7, r7, 0x55
+    add  r10, r10, r7
+    subi r6, r6, 1
+    bnez r6, spin
+    halt
+"""
+
+
+@pytest.mark.parametrize("kind", ["flip", "upset"])
+@pytest.mark.parametrize("after,delay", [(4, 1), (5, 1), (5, 3), (9, 2),
+                                         (11, 1), (11, 30), (11, 150)])
+def test_fault_after_accesses_played_inside_a_region(kind, after, delay):
+    """A DDR bit flip or a register upset lands inside the coalesced sleep
+    ``delay`` cycles after the end of DDR access ``after``: in the copy
+    loop, where the next load reads the flipped word, one cycle after a
+    load, where the store behind it finds no room and ends the window, or
+    in the ALU loop after the last access.  Accesses up to there were played in place
+    inside the region; the window rolls back to the checkpoint the region
+    handed back, past the last of them, and replays the ALU work from
+    there.  Every observable, the bus record and the trace equal the
+    reference's."""
+    program = assemble(COPY_THEN_SPIN)
+    for i in range(6):
+        program.data[DDR_WORDS[0] + 4 * i] = 0x0101 * (i + 1)
+    ends = [time for time, _ in _run_program(
+        "reference", program, 1_000, True, geometry=(16, 8))["trace"]]
+    assert len(ends) == 12
+    arg = DDR_WORDS[0] + 4 * min(5, after // 2 + 1) if kind == "flip" else 0
+    foreign = (ends[after] + delay, kind, arg)
+    ref = _run_program("reference", program, 1_000, True, foreign,
+                       geometry=(16, 8))
+    replays = []
+    blk = _run_program("block", program, 1_000, True, foreign,
+                       geometry=(16, 8), replays=replays)
+    assert blk == ref
+    assert replays == [1]
+
+
+#: Loop-free code: two DDR accesses, then ALU work.
+STRAIGHT = """
+    addi r8, r0, 0x40080000
+    lwi  r3, r8, 0
+    swi  r3, r8, 8
+""" + "    xori r4, r4, 0x55\n    add  r5, r5, r4\n" * 12 + "    halt\n"
+
+
+@pytest.mark.parametrize("kind", ["flip", "upset"])
+@pytest.mark.parametrize("budget,delay", [(8, 1), (8, 4), (1_000, 1),
+                                          (1_000, 5), (1_000, 20)])
+def test_fault_after_accesses_in_straight_line_code(kind, budget, delay):
+    """The accesses of a loop-free region, or of a block cut short where
+    the budget of 8 instructions ends, five after the store, also play in
+    place and hand back their checkpoint: a fault ``delay`` cycles after
+    the store, in the ALU work behind it, rolls back to past the store
+    and replays from there."""
+    program = assemble(STRAIGHT)
+    program.data[DDR_WORDS[0]] = 0x1234
+    ref = _run_program("reference", program, budget, True, geometry=(16, 8))
+    end = ref["trace"][-1][0]
+    foreign = (end + delay, kind, DDR_WORDS[0] if kind == "flip" else 0)
+    ref = _run_program("reference", program, budget, True, foreign,
+                       geometry=(16, 8))
+    replays = []
+    blk = _run_program("block", program, budget, True, foreign,
+                       geometry=(16, 8), replays=replays)
+    assert blk == ref
+    assert replays == [1]
+
+
+@pytest.mark.parametrize("taken", [0, 1])
+def test_branch_sides_share_no_known_values(taken):
+    """A loop-free region compiles a branch's taken side first, nested
+    under its test; what that side knows does not reach the fall-through:
+    its copy of ``r4 - r5`` into r3 holds on its own path only."""
+    program = assemble(f"""
+    addi r1, r0, {taken}
+    addi r4, r0, 7
+    addi r5, r0, 3
+    bnez r1, other
+    sub  r3, r4, r5
+    swi  r3, r0, 0x40080000
+    halt
+other:
+    sub  r6, r4, r5
+    sub  r3, r4, r5
+    swi  r3, r0, 0x40080004
+    halt
+""")
+    ref = _run_program("reference", program, 100, True, geometry=(16, 8))
+    assert _run_program("block", program, 100, True, geometry=(16, 8)) == ref
+    assert ref["regs"][3] == 4
+
+
+def test_local_window_inside_ddr_is_left_to_the_window_loop():
+    """A core whose local memory lies inside the DDR window: a pointer
+    walking out of it loads local words, which no region plays in place,
+    then DDR words, which it does, and stores them to local words."""
+    source = """
+    addi r4, r0, 8
+    addi r8, r0, 0x40080110
+loop:
+    lwi  r3, r8, 0
+    swi  r3, r8, -0x20
+    addi r8, r8, 4
+    subi r4, r4, 1
+    bnez r4, loop
+    halt
+"""
+    results = []
+    for mode in ("reference", "block"):
+        sim = Simulator()
+        bus = OPBBus(sim)
+        core = MicroBlaze(sim, 0, bus, DDRMemory(),
+                          local_mem=LocalBRAM(0, size=0x120, base=0x4008_0000))
+        executor = ISAExecutor(core, assemble(source), mode=mode)
+        sim.process(executor.run())
+        sim.run()
+        results.append((sim.now, executor.cycles, tuple(executor.state.regs),
+                        executor.data_accesses, bus_stats(bus.stats),
+                        sorted(core.local_mem._words.items()),
+                        sorted(core.ddr._words.items())))
+    assert results[0] == results[1]
+    assert results[1][3] == 16
+    assert len(results[1][5]) == 8  # the stores, all local
 
 
 @pytest.mark.parametrize("budget", [10_000, 100])
@@ -761,11 +977,11 @@ def test_self_loop_programs_run_an_inner_loop(source, geometry,
     that claims the loop's head runs that arm as a ``while`` loop."""
     program = assemble(SELF_LOOPS.get(source, NESTED_SELF_LOOP))
     lines, words = geometry
-    icache = SoC(SoCConfig(n_cpus=1, icache_lines=lines,
-                           icache_line_words=words)).cores[0].icache
+    core = SoC(SoCConfig(n_cpus=1, icache_lines=lines,
+                         icache_line_words=words)).cores[0]
     loop = (program.symbols["loop"] - program.base) // 4
-    body = region_sources[
-        _compile_regions(program, icache).entry(loop).__name__]
+    regions = _compile_regions(program, core.icache, _memory_map(core))
+    body = region_sources[regions.entry(loop).__name__]
     arm = next(i for i, line in enumerate(body)
                if line.endswith(f"if pc == {loop}:"))
     assert body[arm + 2].startswith("        while left >= ")

@@ -34,8 +34,10 @@ from repro.hw.isa import (
     _CompiledRegions,
     _compile_regions,
     _decode_program,
+    _memory_map,
     _signed,
 )
+from repro.hw.soc import SoC, SoCConfig
 from repro.perf.isabench import KERNEL_DRIVERS
 
 EDGE = (0, 1, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
@@ -75,6 +77,10 @@ def test_tables_cover_the_opcode_set():
     assert all(op in OPCODES for op in ALU_OPS + BRANCH_OPS)
 
 
+#: The default SoC's memory map.
+MEMORY = _memory_map(SoC(SoCConfig(n_cpus=1)).cores[0])
+
+
 def _compiled(*instructions):
     """The region entered at pc 0 of ``instructions`` plus a tag list
     that hits on every line."""
@@ -82,7 +88,16 @@ def _compiled(*instructions):
     icache = DirectMappedICache(0)
     for index in range(len(program)):
         icache.fill_line(program.address_of(index))
-    return _compile_regions(program, icache).entry(0), icache._tags
+    return _compile_regions(program, icache, MEMORY).entry(0), icache._tags
+
+
+def _exit(region, regs, tags, fuel):
+    """``(next_pc, cycles, retired)`` of a region of a program that
+    accesses no memory, run from pc 0 with ``fuel``."""
+    *exit_, checkpoint = region(regs, tags, fuel, 0, 0, 0, [].append, {},
+                                None)
+    assert checkpoint is None
+    return tuple(exit_)
 
 
 def _run_alu(instruction, regs_in):
@@ -100,7 +115,7 @@ def _run_alu(instruction, regs_in):
         regs = [0] * 32
         for reg, value in regs_in.items():
             regs[reg] = value
-        assert region(regs, tags, 2, 0) in exits
+        assert _exit(region, regs, tags, 2) in exits
         results.append(regs[3])
     assert results[0] == results[1]
     return results[0]
@@ -124,7 +139,7 @@ def _branch_taken(op, v):
                                  Instruction(op="halt"))
         regs = [0] * 32
         regs[1] = v
-        exit_ = region(regs, tags, 2, 0)
+        exit_ = _exit(region, regs, tags, 2)
         not_taken = (1, 1, 1) if tail == "halt" else (
             0, 2 + isa.BRANCH_PENALTY, 2)
         assert exit_ in ((2, 1 + isa.BRANCH_PENALTY, 1), not_taken)
@@ -237,7 +252,7 @@ def test_r0_reads_zero_and_discards_writes():
                                  Instruction(op=tail, imm=0))
         regs = [0] * 32
         regs[1] = 5
-        region(regs, tags, fuel, 0)
+        _exit(region, regs, tags, fuel)
         assert regs == [0, 5] + [0] * 30
 
 
@@ -259,16 +274,37 @@ WASTE = ("& 0xFFFFFFFF) >>", "& 0xFFFFFFFF) ^ 0x80000000", "(0 + ",
          "+ 0) & 0xFFFFFFFF")
 
 
+#: The loop of each asmlib routine that loads or stores a DDR word, and
+#: the statements that play its accesses in place.
+ACCESS_LOOPS = {
+    "memcpy_words": ("memcpy_loop", ["r3 = w.get((r8 - 1073741824) >> 2, 0)",
+                                     "w[(r9 - 1073741824) >> 2] = r3"]),
+    "array_sum": ("array_sum_loop", ["r4 = w.get((r8 - 1073741824) >> 2, 0)"]),
+}
+
+
+def _arm(body, pc):
+    """The lines of the arm of ``pc`` in a looping region's body."""
+    start = body.index(f"    if pc == {pc}:") + 1
+    end = next(i for i in range(start, len(body))
+               if body[i].startswith("    el"))
+    return body[start:end]
+
+
 @pytest.mark.parametrize("kernel", sorted(KERNEL_DRIVERS))
 def test_kernel_regions_carry_no_waste(kernel, region_sources):
     """Every region of every asmlib kernel program, compiled afresh, is
-    free of the fragments above, and the divide loop of ``isqrt32`` runs
-    as an inner loop of the first arm of the region that claims it."""
+    free of the fragments above.  The divide loop of ``isqrt32`` runs as
+    an inner loop of the first arm of the region that claims it, and
+    computes ``r9 - r3`` once per pass: its ``sub`` copies the ``cmp``
+    result.  The copy loop of ``memcpy_words`` and the sum loop of
+    ``array_sum`` run as inner loops that play their DDR accesses."""
     program = link(KERNEL_DRIVERS[kernel].format(iters=3), [kernel])
     icache = DirectMappedICache(0)
-    regions = _CompiledRegions(program, _decode_program(program, icache))
+    regions = _CompiledRegions(program, _decode_program(program, icache),
+                               MEMORY)
     for pc in range(len(program)):
-        if regions._private(pc) and regions.entries[pc] is None:
+        if regions._starts_block(pc) and regions.entries[pc] is None:
             regions.entry(pc)
     assert region_sources
     for body in region_sources.values():
@@ -279,3 +315,14 @@ def test_kernel_regions_carry_no_waste(kernel, region_sources):
         body = region_sources[regions.entries[div].__name__]
         arm = body.index(f"    if pc == {div}:")
         assert body[arm + 2].startswith("        while left >= ")
+        code = _arm(body, div)
+        assert sum(line.count("(r9 - r3)") for line in code) == 1
+        assert "            r9 = r8" in code
+    if kernel in ACCESS_LOOPS:
+        label, plays = ACCESS_LOOPS[kernel]
+        loop = (program.symbols[label] - program.base) // 4
+        body = region_sources[regions.entries[loop].__name__]
+        code = _arm(body, loop)
+        assert code[1].startswith("        while left >= ")
+        for statement in plays:
+            assert "            " + statement in code
