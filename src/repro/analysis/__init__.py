@@ -20,24 +20,10 @@ from repro.analysis.schedulability import (
     liu_layland_bound,
 )
 from repro.analysis.partitioning import PartitioningError, partition
-from repro.analysis.sensitivity import (
-    sensitivity_report,
-    wcet_scaling_factor,
-)
 from repro.analysis.taskgen import (
     random_periods,
     random_taskset,
     uunifast,
-)
-from repro.analysis.verified import (
-    DEFAULT_SPECS,
-    KernelTaskSpec,
-    KernelWCET,
-    VerifiedAnalysis,
-    analyse_verified,
-    scale_periods,
-    verified_taskset,
-    verified_wcets,
 )
 
 __all__ = [
@@ -53,17 +39,7 @@ __all__ = [
     "liu_layland_bound",
     "partition",
     "PartitioningError",
-    "wcet_scaling_factor",
-    "sensitivity_report",
     "uunifast",
     "random_periods",
     "random_taskset",
-    "DEFAULT_SPECS",
-    "KernelTaskSpec",
-    "KernelWCET",
-    "VerifiedAnalysis",
-    "analyse_verified",
-    "scale_periods",
-    "verified_taskset",
-    "verified_wcets",
 ]

@@ -29,7 +29,6 @@ from typing import Dict, Tuple
 from repro.core.task import AperiodicTask, PeriodicTask, TaskSet
 from repro.simulators.ladder import make_simulator
 from repro.simulators.theoretical import TheoreticalSimulator
-from repro.trace.gantt import render_gantt, render_interval_table
 from repro.trace.recorder import TraceRecorder
 
 #: One timeslice (the scheduling tick of the example) in cycles.
@@ -99,6 +98,8 @@ def run_schedule_b():
 
 def schedule_report(label: str, sim: TheoreticalSimulator, trace: TraceRecorder) -> str:
     """Human-readable rendering of one schedule (Gantt + intervals)."""
+    from repro.trace.gantt import render_gantt, render_interval_table
+
     horizon = HORIZON_SLICES * SLICE
     lines = [
         f"Schedule {label}",

@@ -202,6 +202,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="append this run to the persistent run ledger "
                              "(default: .repro/ledger.jsonl or $REPRO_LEDGER)")
     args = parser.parse_args(argv)
+    if min(args.cpus) < 1:
+        parser.error("--cpus values must be >= 1")
+    if not all(0 < u < 1 for u in args.utilizations):
+        parser.error("--utilizations values must lie in (0, 1)")
+    if args.scale < 1:
+        parser.error("--scale must be >= 1")
+    if args.workers < 0:
+        parser.error("--workers must be >= 0")
 
     cache = RunCache(args.cache) if args.cache else None
     ledger = (Ledger(args.ledger or None)

@@ -98,6 +98,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the Figure 4 sweep (0 = one per CPU)")
     args = parser.parse_args(argv)
+    if args.workers < 0:
+        parser.error("--workers must be >= 0")
     text = build_report(quick=args.quick, max_workers=args.workers)
     if args.output == "-":
         sys.stdout.write(text)

@@ -22,7 +22,6 @@ from repro import CLOCK_HZ, TICK, cycles_to_seconds
 from repro.hw.microblaze import ExecutionProfile
 from repro.kernel.costs import KernelCosts
 from repro.kernel.microkernel import TaskBinding
-from repro.lint.tasks import check_taskset
 from repro.obs.ledger import Ledger, LedgerEntry
 from repro.perf.cache import RunCache, cache_key, fingerprint
 from repro.perf.executor import Telemetry, cached_pmap, current_telemetry
@@ -295,6 +294,8 @@ def prototype_response_s(
     or MPIC; the TLM rung has no MPIC acknowledge path and no
     per-cycle ``scale`` (it always runs the full-size workload).
     """
+    from repro.lint.tasks import check_taskset
+
     taskset = prepare_taskset(
         build_automotive_taskset(utilization, n_cpus), n_cpus, tick=TICK
     )
@@ -345,6 +346,7 @@ def prototype_run_report(
     buffer so memory stays flat at any horizon.
     """
     from repro.hw.monitor import BusMonitor
+    from repro.lint.tasks import check_taskset
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.report import (
         RunReport, fold_bus_monitor, fold_icaches, fold_run_cache,

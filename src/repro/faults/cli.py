@@ -115,6 +115,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return 2
+    if args.command == "campaign" and args.workers < 0:
+        parser.error("--workers must be >= 0")
     return args.func(args)
 
 

@@ -24,7 +24,6 @@ from repro.hw.intc import (
 )
 from repro.hw.memory import DDRMemory, LocalBRAM, SharedBRAM
 from repro.hw.microblaze import MicroBlaze
-from repro.hw.monitor import BusMonitor, BusSample
 from repro.hw.peripherals import CANInterface, InterruptingPeripheral
 from repro.hw.soc import SoC, SoCConfig
 from repro.hw.sync_engine import SynchronizationEngine
@@ -47,8 +46,6 @@ __all__ = [
     "CANInterface",
     "InterruptingPeripheral",
     "MicroBlaze",
-    "BusMonitor",
-    "BusSample",
     "SoC",
     "SoCConfig",
 ]

@@ -20,10 +20,10 @@ trip counts and the executor's measured iteration counts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
-from repro.hw.assembler import assemble
-from repro.hw.isa import Program
+if TYPE_CHECKING:
+    from repro.hw.isa import Program
 
 #: r5 = src byte address, r6 = dst byte address, r7 = word count.
 MEMCPY_WORDS = """
@@ -163,4 +163,6 @@ def link(main_source: str, routines: Iterable[str], text_base: int = 0x4000_0000
     The main program must end in ``halt`` on every path; routines are
     appended after it so fall-through cannot reach them.
     """
+    from repro.hw.assembler import assemble
+
     return assemble(link_source(main_source, routines), text_base=text_base)

@@ -1,6 +1,6 @@
 """Unified observability: metrics, spans, sinks, Perfetto, ledger, reports.
 
-Six pieces, one import surface:
+Six pieces:
 
 - :mod:`repro.obs.metrics` -- a Prometheus-flavoured
   :class:`MetricsRegistry` (counters, gauges, fixed-bucket
@@ -23,6 +23,10 @@ Six pieces, one import surface:
 - :mod:`repro.obs.report` -- per-run :class:`RunReport` artefacts
   folding kernel, interconnect, cache and bus telemetry into one
   JSON document.
+
+The package re-exports only what the experiment pipeline runs (metrics,
+spans, ledger); import sinks, Perfetto export and reports from their
+submodules, so that a Figure-4 run does not load them.
 
 Every hook is off by default (``metrics=None``, no ambient telemetry)
 and costs one attribute check when disabled; the ``fig4-proto``
@@ -50,24 +54,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_prometheus_text,
 )
-from repro.obs.perfetto import (
-    chrome_trace_json,
-    spans_to_events,
-    trace_to_chrome,
-    write_chrome_trace,
-)
-from repro.obs.report import (
-    RunReport,
-    fold_bus_monitor,
-    fold_icaches,
-    fold_run_cache,
-)
-from repro.obs.sinks import (
-    JsonlFileSink,
-    ListSink,
-    RingBufferSink,
-    trace_from_jsonl,
-)
 from repro.obs.spans import Span, SpanEvent, SpanRecorder, spans_from_jsonl
 
 __all__ = [
@@ -82,14 +68,6 @@ __all__ = [
     "SpanEvent",
     "SpanRecorder",
     "spans_from_jsonl",
-    "ListSink",
-    "RingBufferSink",
-    "JsonlFileSink",
-    "trace_from_jsonl",
-    "trace_to_chrome",
-    "chrome_trace_json",
-    "write_chrome_trace",
-    "spans_to_events",
     "Ledger",
     "LedgerEntry",
     "DEFAULT_LEDGER_PATH",
@@ -98,8 +76,4 @@ __all__ = [
     "diff_numeric",
     "format_history",
     "format_diff",
-    "RunReport",
-    "fold_bus_monitor",
-    "fold_icaches",
-    "fold_run_cache",
 ]

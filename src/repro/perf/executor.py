@@ -151,8 +151,10 @@ def pmap(
     finished first, so callers can rely on parallel output being
     identical to serial output.  With ``telemetry``, worker-recorded
     metrics and spans come back too, merged in chunk order (see the
-    module docstring).
+    module docstring).  A negative ``max_workers`` is a ``ValueError``.
     """
+    if max_workers is not None and max_workers < 0:
+        raise ValueError(f"max_workers must be >= 0, got {max_workers}")
     items = list(items)
     workers = default_workers() if not max_workers else int(max_workers)
     workers = min(workers, len(items))

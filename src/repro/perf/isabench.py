@@ -17,11 +17,11 @@ from __future__ import annotations
 import functools
 import hashlib
 from array import array
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.hw.asmlib import link
-from repro.hw.isa import ISAExecutor, Program
-from repro.hw.soc import SoC, SoCConfig
+if TYPE_CHECKING:
+    from repro.hw.isa import Program
+    from repro.hw.soc import SoC
 
 #: Shared input array (16 words) used by the memory-bound kernels.
 DATA_BASE = 0x4008_0000
@@ -217,6 +217,8 @@ def _driver(name: str, iters: int) -> Program:
     """The linked driver of ``name`` at ``iters`` calls, linked once so
     that the decoded form and the compiled regions it carries are
     reused by every later run."""
+    from repro.hw.asmlib import link
+
     return link(KERNEL_DRIVERS[name].format(iters=iters), [name])
 
 
@@ -238,6 +240,9 @@ def run_kernel(
     :func:`_probe_bus` record's row count and SHA-256 (its integers as
     signed 64-bit native-order words).
     """
+    from repro.hw.isa import ISAExecutor
+    from repro.hw.soc import SoC, SoCConfig
+
     if name not in KERNEL_DRIVERS:
         raise ValueError(f"unknown kernel {name!r} (have {sorted(KERNEL_DRIVERS)})")
     iters = DEFAULT_ITERS[name] if iterations is None else iterations

@@ -25,20 +25,12 @@ hyperperiod verification, the analysis cross-check and the per-task
 theoretical-vs-prototype :class:`Comparison` read its result.
 """
 
-from repro.simulators.batch import ReplicationSummary, compare, replicate
 from repro.simulators.theoretical import TheoreticalSimulator
 from repro.simulators.ladder import (
     FIDELITIES,
     make_simulator,
     mean_response,
     run_metrics,
-)
-from repro.simulators.oracle import (
-    Comparison,
-    OracleRun,
-    cross_check,
-    run_oracle,
-    verify_by_simulation,
 )
 from repro.simulators.prototype import PrototypeConfig, PrototypeSimulator
 from repro.simulators.tlm import (
@@ -74,12 +66,4 @@ __all__ = [
     "PartitionedFixedPriorityPolicy",
     "GlobalFixedPriorityPolicy",
     "GlobalEDFPolicy",
-    "replicate",
-    "compare",
-    "ReplicationSummary",
-    "run_oracle",
-    "OracleRun",
-    "verify_by_simulation",
-    "cross_check",
-    "Comparison",
 ]

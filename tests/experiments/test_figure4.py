@@ -20,6 +20,7 @@ from repro.experiments.figure4 import (
     APERIODIC_STANDALONE_S,
     PAPER_SLOWDOWNS,
     Figure4Cell,
+    main,
     run_cell,
     slowdown_table,
 )
@@ -94,3 +95,20 @@ def test_module_entry_point_warns_nothing():
     assert done.returncode == 0, done.stderr
     assert "RuntimeWarning" not in done.stderr
     assert "Figure 4" in done.stdout
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--cpus", "0"], "--cpus"),
+    (["--cpus", "2", "-1"], "--cpus"),
+    (["--utilizations", "0"], "--utilizations"),
+    (["--utilizations", "0.5", "1.0"], "--utilizations"),
+    (["--scale", "0", "--fidelity", "theoretical"], "--scale"),
+    (["--workers", "-1"], "--workers"),
+])
+def test_main_rejects_out_of_range_arguments(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 """Tests for the report generator."""
 
+import pytest
+
 from repro.experiments.report import build_report, main
 
 
@@ -23,3 +25,10 @@ def test_main_writes_file(tmp_path, capsys):
 def test_main_stdout(capsys):
     assert main(["-", "--quick"]) == 0
     assert "# Reproduction report" in capsys.readouterr().out
+
+
+def test_main_rejects_negative_workers(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["-", "--quick", "--workers", "-1"])
+    assert exit_info.value.code == 2
+    assert "error: --workers must be >= 0" in capsys.readouterr().err

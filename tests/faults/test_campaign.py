@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.experiments.runner import fault_campaign
 from repro.faults import cli
 from repro.perf.cache import RunCache
@@ -74,6 +76,13 @@ def test_cli_campaign_runs(capsys):
     out = capsys.readouterr().out
     assert "deadline_misses" in out
     assert "campaign: 1 run(s)" in out
+
+
+def test_cli_campaign_rejects_negative_workers(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["campaign", "--runs", "1", "--workers", "-1"])
+    assert exit_info.value.code == 2
+    assert "error: --workers must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_no_command_prints_help():

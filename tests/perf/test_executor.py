@@ -55,6 +55,17 @@ class TestSerialPaths:
     def test_empty(self):
         assert pmap(square, [], max_workers=4) == []
 
+    @pytest.mark.parametrize("items", [[], [1], [1, 2, 3]])
+    def test_negative_workers_rejected(self, items):
+        with pytest.raises(ValueError, match="max_workers"):
+            pmap(square, items, max_workers=-1)
+
+    def test_negative_workers_rejected_behind_a_full_cache(self, tmp_path):
+        cache = RunCache(tmp_path)
+        cached_pmap(square, [2], cache=cache, keys=["k"])
+        with pytest.raises(ValueError, match="max_workers"):
+            cached_pmap(square, [2], max_workers=-1, cache=cache, keys=["k"])
+
 
 class TestParallel:
     def test_matches_serial_in_order(self):
